@@ -62,7 +62,7 @@ def main() -> None:
     }
     write_json(CONFIGS / "experiment_render.json", {**common, "sample_stride": 4})
     write_json(CONFIGS / "experiment_lift.json", {
-        **common, "sample_stride": 32, "context_channels": 4, "pool_mode": "fixed",
+        **common, "sample_stride": 32, "context_channels": 4,
     })
     write_json(CONFIGS / "experiment_robustness.json", {
         **common,

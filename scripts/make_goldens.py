@@ -43,6 +43,38 @@ def sha(arr) -> str:
     return hashlib.sha256(arr.tobytes()).hexdigest()
 
 
+def lift_checksums(rig, scene) -> dict:
+    """Checksums of both wedge clouds and both pooled grids of the
+    committed lift experiment, the content of lift_checksums.json."""
+    maps = render(scene, rig, LIFT_STRIDE)
+    ctx_rng = substream(LIFT_SEED, 101)
+    ctx = ContextMap(
+        maps.width, maps.height, LIFT_CHANNELS,
+        ctx_rng.standard_normal((maps.height, maps.width, LIFT_CHANNELS)),
+    )
+    wedge_h = build_wedge(
+        fuse(ctx, predict_height_distribution(maps, HEIGHT_BINS, NOISE)),
+        HEIGHT_BINS, rig, LIFT_STRIDE,
+    )
+    wedge_d = build_wedge_depth(
+        fuse(ctx, predict_depth_distribution(maps, DEPTH_BINS, NOISE)),
+        DEPTH_BINS, rig, LIFT_STRIDE,
+    )
+    grid = GridSpec(0.0, 102.4, -51.2, 51.2, 0.8, 0.8, LIFT_CHANNELS)
+    bev_h = pool(wedge_h, grid)
+    bev_d = pool(wedge_d, grid)
+    return {
+        "wedge_height_positions": sha(wedge_h.positions),
+        "wedge_height_weights": sha(wedge_h.weights),
+        "wedge_depth_positions": sha(wedge_d.positions),
+        "wedge_depth_weights": sha(wedge_d.weights),
+        "bev_height_data": sha(bev_h.data),
+        "bev_depth_data": sha(bev_d.data),
+        "height_n_points": int(wedge_h.positions.shape[0]),
+        "depth_n_points": int(wedge_d.positions.shape[0]),
+    }
+
+
 def main() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     rig = load_rig(ROOT / "configs" / "rig_default.json")
@@ -62,33 +94,9 @@ def main() -> None:
     header, rows = error_report_rows(report)
     write_csv(GOLDEN / "errors_seed7.csv", header, rows)
 
-    maps = render(scene, rig, LIFT_STRIDE)
-    ctx_rng = substream(LIFT_SEED, 101)
-    ctx = ContextMap(
-        maps.width, maps.height, LIFT_CHANNELS,
-        ctx_rng.standard_normal((maps.height, maps.width, LIFT_CHANNELS)),
+    (GOLDEN / "lift_checksums.json").write_text(
+        json.dumps(lift_checksums(rig, scene), indent=2, sort_keys=True) + "\n"
     )
-    wedge_h = build_wedge(
-        fuse(ctx, predict_height_distribution(maps, HEIGHT_BINS, NOISE)),
-        HEIGHT_BINS, rig, LIFT_STRIDE,
-    )
-    wedge_d = build_wedge_depth(
-        fuse(ctx, predict_depth_distribution(maps, DEPTH_BINS, NOISE)),
-        DEPTH_BINS, rig, LIFT_STRIDE,
-    )
-    grid = GridSpec(0.0, 102.4, -51.2, 51.2, 0.8, 0.8, LIFT_CHANNELS)
-    bev_h = pool(wedge_h, grid, "fixed")
-    bev_d = pool(wedge_d, grid, "fixed")
-    (GOLDEN / "lift_checksums.json").write_text(json.dumps({
-        "wedge_height_positions": sha(wedge_h.positions),
-        "wedge_height_weights": sha(wedge_h.weights),
-        "wedge_depth_positions": sha(wedge_d.positions),
-        "wedge_depth_weights": sha(wedge_d.weights),
-        "bev_height_data": sha(bev_h.data),
-        "bev_depth_data": sha(bev_d.data),
-        "height_n_points": int(wedge_h.positions.shape[0]),
-        "depth_n_points": int(wedge_d.positions.shape[0]),
-    }, indent=2, sort_keys=True) + "\n")
     print(f"wrote goldens under {GOLDEN}")
 
 

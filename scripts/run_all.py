@@ -28,7 +28,6 @@ def run() -> int:
             command,
             "--config", str(ROOT / "configs" / config),
             "--out", str(out_dir),
-            "--deterministic",
         ])
         if code != 0:
             return code

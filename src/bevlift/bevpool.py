@@ -4,10 +4,8 @@ Cells are half-open intervals: a point with coordinate exactly on the
 upper extent falls outside.  Pooling accumulates weight * feature per
 cell; points outside the extent are dropped and counted, never fatal.
 
-Two reduction modes exist.  "fixed" accumulates in cloud order in a
-single pass and is bit-reproducible run to run; "partitioned" stable-sorts
-points by cell and reduces each cell's segment, the layout a parallel
-backend would use.  The two agree to floating-point reassociation error.
+Each cell sums its points in cloud order, so the result is bit-identical
+run to run and to a scalar loop over the points.
 """
 from __future__ import annotations
 
@@ -17,8 +15,6 @@ import numpy as np
 
 from .errors import ConfigError, ShapeMismatch
 from .lifting import WedgeCloud
-
-MODES = ("fixed", "partitioned")
 
 
 @dataclass(frozen=True)
@@ -34,6 +30,9 @@ class GridSpec:
     channels: int
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.x_min, self.x_max, self.y_min, self.y_max,
+                                   self.res_x, self.res_y])):
+            raise ConfigError("grid extents and resolution must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ConfigError("grid extents must be non-empty")
         if not (self.res_x > 0 and self.res_y > 0):
@@ -105,21 +104,9 @@ class BevGrid:
     hit_count: np.ndarray
     dropped_points: int = 0
 
-    def __add__(self, other: "BevGrid") -> "BevGrid":
-        if self.spec != other.spec:
-            raise ShapeMismatch("cannot add grids with different specs")
-        return BevGrid(
-            self.spec,
-            self.data + other.data,
-            self.hit_count + other.hit_count,
-            self.dropped_points + other.dropped_points,
-        )
 
-
-def pool(cloud: WedgeCloud, spec: GridSpec, mode: str = "fixed") -> BevGrid:
+def pool(cloud: WedgeCloud, spec: GridSpec) -> BevGrid:
     """Sum weight * feature of every in-extent point into its BEV cell."""
-    if mode not in MODES:
-        raise ConfigError(f"unknown pooling mode {mode!r}; expected one of {MODES}")
     if cloud.channels != spec.channels:
         raise ShapeMismatch(
             f"cloud has {cloud.channels} channels but the grid expects {spec.channels}"
@@ -131,23 +118,16 @@ def pool(cloud: WedgeCloud, spec: GridSpec, mode: str = "fixed") -> BevGrid:
     inside = (ix >= 0) & (ix < spec.n_x) & (iy >= 0) & (iy < spec.n_y)
     dropped = int(np.count_nonzero(~inside))
 
-    data = np.zeros((spec.n_x, spec.n_y, spec.channels))
-    hits = np.zeros((spec.n_x, spec.n_y), dtype=np.int64)
-    ix, iy = ix[inside], iy[inside]
-    contrib = cloud.features[inside] * cloud.weights[inside, None]
-
-    if mode == "fixed":
-        np.add.at(data, (ix, iy), contrib)
-        np.add.at(hits, (ix, iy), 1)
-    else:
-        flat = ix * spec.n_y + iy
-        order = np.argsort(flat, kind="stable")
-        flat = flat[order]
-        contrib = contrib[order]
-        cells, starts = np.unique(flat, return_index=True)
-        sums = np.add.reduceat(contrib, starts, axis=0)
-        counts = np.diff(np.append(starts, flat.shape[0]))
-        data.reshape(-1, spec.channels)[cells] = sums
-        hits.reshape(-1)[cells] = counts
-
-    return BevGrid(spec, data, hits, dropped)
+    n_cells = spec.n_x * spec.n_y
+    flat = ix[inside] * spec.n_y + iy[inside]
+    weights = cloud.weights[inside]
+    data = np.empty((n_cells, spec.channels))
+    for c in range(spec.channels):
+        data[:, c] = np.bincount(flat, cloud.features[inside, c] * weights, n_cells)
+    hits = np.bincount(flat, minlength=n_cells)
+    return BevGrid(
+        spec,
+        data.reshape(spec.n_x, spec.n_y, spec.channels),
+        hits.reshape(spec.n_x, spec.n_y),
+        dropped,
+    )

@@ -79,8 +79,14 @@ class ExperimentConfig:
     bev_grid: GridSpec
     sample_stride: int = 16
     context_channels: int = 4
-    pool_mode: str = "fixed"
     bench_repeats: int = 3
+
+
+# Every top-level key load_config reads; any other key is rejected.
+_CONFIG_KEYS = frozenset({
+    "rig", "scene", "seed", "sample_stride", "context_channels", "bench_repeats",
+    "height_bins", "depth_bins", "noise", "disturbance", "bev_grid",
+})
 
 
 def _load_doc(path) -> dict:
@@ -122,6 +128,9 @@ def load_config(path, seed_override: int | None = None):
     path = Path(path)
     doc = _load_doc(path)
     base = path.parent
+    unknown = sorted(set(doc) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     if "rig" not in doc:
         raise ConfigError("config needs a 'rig' entry")
     resolved = dict(doc)
@@ -157,7 +166,6 @@ def load_config(path, seed_override: int | None = None):
         raise ConfigError(f"malformed scalar option: {exc}") from exc
     if stride < 1 or channels < 1 or repeats < 1:
         raise ConfigError("sample_stride, context_channels, bench_repeats must be >= 1")
-    pool_mode = str(doc.get("pool_mode", "fixed"))
 
     height_bins = (
         BinSpec.from_json_dict(doc["height_bins"])
@@ -185,7 +193,7 @@ def load_config(path, seed_override: int | None = None):
         rig=rig, scene=scene, height_bins=height_bins, depth_bins=depth_bins,
         noise=noise, disturbance=disturbance, bev_grid=grid,
         sample_stride=stride, context_channels=channels,
-        pool_mode=pool_mode, bench_repeats=repeats,
+        bench_repeats=repeats,
     )
     return cfg, digest, seed
 
@@ -270,12 +278,11 @@ def _lift_once(cfg: ExperimentConfig, maps, ctx: ContextMap):
 
 def cmd_lift(cfg: ExperimentConfig, args, meta: dict) -> dict:
     scene = _require_scene(cfg)
-    mode = "fixed" if args.deterministic else cfg.pool_mode
     maps = render(scene, cfg.rig, cfg.sample_stride)
     ctx = _context_map(cfg, maps, meta["seed"])
     wedge_h, wedge_d = _lift_once(cfg, maps, ctx)
-    bev_h = pool(wedge_h, cfg.bev_grid, mode)
-    bev_d = pool(wedge_d, cfg.bev_grid, mode)
+    bev_h = pool(wedge_h, cfg.bev_grid)
+    bev_d = pool(wedge_d, cfg.bev_grid)
 
     out = Path(args.out)
     for stem, cloud in (("wedge_height", wedge_h), ("wedge_depth", wedge_d)):
@@ -287,8 +294,6 @@ def cmd_lift(cfg: ExperimentConfig, args, meta: dict) -> dict:
 
     summary = {
         **meta,
-        "pool_mode": mode,
-        "deterministic": bool(args.deterministic),
         "height": {
             "n_points": int(wedge_h.positions.shape[0]),
             "skipped_cells": wedge_h.skipped_cells,
@@ -398,13 +403,11 @@ def cmd_bench(cfg: ExperimentConfig, args, meta: dict) -> dict:
 
     dist_h = random_dist(cfg.height_bins.n_bins)
     dist_d = random_dist(cfg.depth_bins.n_bins)
-    mode = "fixed" if args.deterministic else cfg.pool_mode
 
     report: dict = {
         **meta,
         "grid": [width, height],
         "repeats": cfg.bench_repeats,
-        "pool_mode": mode,
         "numpy": np.__version__,
     }
     for name, dist, bins, builder in (
@@ -416,7 +419,7 @@ def cmd_bench(cfg: ExperimentConfig, args, meta: dict) -> dict:
         t_lift = _time_best(
             lambda: builder(fused, bins, cfg.rig, cfg.sample_stride), cfg.bench_repeats
         )
-        t_pool = _time_best(lambda: pool(cloud, cfg.bev_grid, mode), cfg.bench_repeats)
+        t_pool = _time_best(lambda: pool(cloud, cfg.bev_grid), cfg.bench_repeats)
         report[name] = {
             "n_bins": bins.n_bins,
             "n_points": int(cloud.positions.shape[0]),
@@ -452,8 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--format", choices=("csv", "json", "bin"), default="csv",
                        help="encoding of the large table artifacts")
-        p.add_argument("--deterministic", action="store_true",
-                       help="force the bit-reproducible pooling mode")
     return parser
 
 

@@ -103,20 +103,20 @@ class DistributionMap:
             self.cell_weight = np.asarray(self.cell_weight, dtype=np.float64)
             if self.cell_weight.shape != (self.height, self.width):
                 raise ShapeMismatch("cell_weight shape does not match the map")
+            if not np.all(np.isfinite(self.cell_weight)):
+                raise ConfigError("cell weights must be finite")
         if np.any(self.data < 0) or np.any(self.cell_weight < 0):
             raise ConfigError("distribution weights must be non-negative")
         sums = self.data.sum(axis=-1)
-        if np.max(np.abs(sums - 1.0)) > 1e-6:
+        if not np.all(np.abs(sums - 1.0) <= 1e-6):
             raise ConfigError("per-cell bin weights must sum to 1 within 1e-6")
 
 
 @dataclass
 class FusedMap:
-    """Outer product of a context map and a bin distribution, kept factored.
-
-    dense() materializes fused[r, c, bin, ch] = context[r, c, ch] *
-    dist[r, c, bin]; point emission reads the factors directly so sparse
-    distributions never pay for the full tensor.
+    """Outer product of a context map and a bin distribution, kept factored:
+    fused[r, c, bin, ch] = context[r, c, ch] * dist[r, c, bin].  Point
+    emission reads the two factors directly and never forms the product.
     """
 
     context: ContextMap
@@ -129,9 +129,6 @@ class FusedMap:
     @property
     def height(self) -> int:
         return self.context.height
-
-    def dense(self) -> np.ndarray:
-        return np.einsum("hwb,hwc->hwbc", self.dist.data, self.context.data)
 
 
 def fuse(context: ContextMap, dist: DistributionMap) -> FusedMap:
@@ -170,6 +167,8 @@ class WedgeCloud:
             raise ShapeMismatch("weights must have one entry per point")
         if not np.all(np.isfinite(self.positions)):
             raise ConfigError("lifted positions must be finite")
+        if not np.all(np.isfinite(self.weights)):
+            raise ConfigError("point weights must be finite")
         if np.any(self.weights < 0):
             raise ConfigError("point weights must be non-negative")
 
@@ -180,18 +179,6 @@ class WedgeCloud:
     @property
     def channels(self) -> int:
         return self.features.shape[1]
-
-    @classmethod
-    def concat(cls, a: "WedgeCloud", b: "WedgeCloud") -> "WedgeCloud":
-        if a.channels != b.channels:
-            raise ShapeMismatch("cannot concatenate clouds with different channel counts")
-        return cls(
-            np.concatenate([a.positions, b.positions]),
-            np.concatenate([a.features, b.features]),
-            np.concatenate([a.weights, b.weights]),
-            source_rig_id=a.source_rig_id,
-            skipped_cells=a.skipped_cells + b.skipped_cells,
-        )
 
 
 def _ref_virt(u, v, rig: CameraRig) -> np.ndarray:
@@ -285,6 +272,22 @@ def _check_grid(fused: FusedMap, rig: CameraRig, stride: int) -> None:
         )
 
 
+def _emit(fused: FusedMap, n_bins: int, valid: np.ndarray, pos_ego: np.ndarray,
+          rig_id: str) -> WedgeCloud:
+    """Wedge cloud of the valid cells, whose lifted positions are pos_ego.
+
+    Each valid cell emits n_bins points carrying its context vector and
+    weights bin weight * cell weight; invalid cells count as skipped.
+    """
+    ctx = fused.context.data.reshape(-1, fused.context.channels)[valid]
+    features = np.repeat(ctx, n_bins, axis=0)
+    dist = fused.dist.data.reshape(-1, n_bins)[valid]
+    cell_w = fused.dist.cell_weight.reshape(-1)[valid]
+    weights = (dist * cell_w[:, None]).reshape(-1)
+    skipped = int(np.count_nonzero(~valid))
+    return WedgeCloud(pos_ego, features, weights, rig_id, skipped)
+
+
 def build_wedge(
     fused: FusedMap,
     bins: BinSpec,
@@ -310,20 +313,12 @@ def build_wedge(
     ref_virt = _ref_virt(uu.ravel(), vv.ravel(), rig)  # (n_cells, 3)
     y_ref = ref_virt[:, 1]
     valid = y_ref > EPS_HORIZON
-    skipped = int(np.count_nonzero(~valid))
 
     ref_virt = ref_virt[valid]
     scales = (rig.ground_height_H - mids)[None, :] / y_ref[valid][:, None]
     pos_virt = scales[:, :, None] * ref_virt[:, None, :]  # (n_valid, n_bins, 3)
     pos_ego = rig.t_virt_ego.apply(pos_virt.reshape(-1, 3))
-
-    ctx = fused.context.data.reshape(-1, fused.context.channels)[valid]
-    features = np.repeat(ctx, bins.n_bins, axis=0)
-    dist = fused.dist.data.reshape(-1, bins.n_bins)[valid]
-    cell_w = fused.dist.cell_weight.reshape(-1)[valid]
-    weights = (dist * cell_w[:, None]).reshape(-1)
-
-    return WedgeCloud(pos_ego, features, weights, rig.rig_id, skipped)
+    return _emit(fused, bins.n_bins, valid, pos_ego, rig.rig_id)
 
 
 def build_wedge_depth(
@@ -348,11 +343,5 @@ def build_wedge_depth(
     ref_cam = pixel_to_ref_cam(uu.ravel(), vv.ravel(), rig.intrinsics)  # (n_cells, 3)
     pos_cam = mids[None, :, None] * ref_cam[:, None, :]
     pos_ego = rig.extrinsics.cam_to_ego(pos_cam.reshape(-1, 3))
-
-    ctx = fused.context.data.reshape(-1, fused.context.channels)
-    features = np.repeat(ctx, bins.n_bins, axis=0)
-    dist = fused.dist.data.reshape(-1, bins.n_bins)
-    cell_w = fused.dist.cell_weight.reshape(-1)
-    weights = (dist * cell_w[:, None]).reshape(-1)
-
-    return WedgeCloud(pos_ego, features, weights, rig.rig_id, 0)
+    every_cell = np.ones(ref_cam.shape[0], dtype=bool)
+    return _emit(fused, bins.n_bins, every_cell, pos_ego, rig.rig_id)

@@ -369,6 +369,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("one_hot_truth", "gaussian_bin_blur", "bias"):
             raise ConfigError(f"unknown noise kind {self.kind!r}")
+        if not (np.isfinite(self.sigma_bins) and np.isfinite(self.bias_m)):
+            raise ConfigError("sigma_bins and bias_m must be finite")
         if self.sigma_bins < 0:
             raise ConfigError("sigma_bins must be non-negative")
 

@@ -178,7 +178,7 @@ def test_pooling_conserves_mass_linearly_and_bit_exactly():
     w2 = rng.uniform(0.0, 2.0, n)
 
     def grid_of(w):
-        return pool(WedgeCloud(pos, feats, w, "rig-acc", 0), spec, "fixed").data
+        return pool(WedgeCloud(pos, feats, w, "rig-acc", 0), spec).data
 
     g1, g2, g12 = grid_of(w1), grid_of(w2), grid_of(w1 + w2)
     total = g1.sum(axis=(0, 1))
@@ -191,7 +191,7 @@ def test_pooling_conserves_mass_linearly_and_bit_exactly():
     for _ in range(2):
         assert grid_of(w1).tobytes() == ref
     print(f"[PASS] pooling: conservation {cons:.2e}, linearity {lin:.2e}, "
-          f"bit-exact over 3 fixed-mode runs on {n} points")
+          f"bit-exact over 3 runs on {n} points")
 
 
 def test_pitch_disturbance_moves_depths_but_not_heights(corridor7, mast_rig):
@@ -299,8 +299,7 @@ def test_height_path_emits_fewer_points_and_benches_faster(mast_rig, tmp_path):
     cpath = tmp_path / "bench.json"
     cpath.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    assert main(["bench", "--config", str(cpath), "--out", str(out),
-                 "--deterministic"]) == 0
+    assert main(["bench", "--config", str(cpath), "--out", str(out)]) == 0
     rep = json.loads((out / "bench.json").read_text())
     t_h = rep["height"]["lift_seconds"] + rep["height"]["pool_seconds"]
     t_d = rep["depth"]["lift_seconds"] + rep["depth"]["pool_seconds"]
@@ -334,7 +333,7 @@ def test_disturbed_height_medians_beat_depth_on_all_scenes(
 
 
 def test_cli_outputs_are_byte_stable_across_runs(tmp_path):
-    """Three deterministic-mode runs of every command write byte-identical
+    """Three runs of every command write byte-identical
     CSV artifacts."""
     cfg = {
         "rig": json.loads((ROOT / "configs" / "rig_default.json").read_text()),
@@ -368,8 +367,7 @@ def test_cli_outputs_are_byte_stable_across_runs(tmp_path):
         runs = []
         for r in range(3):
             out = tmp_path / command / f"run{r}"
-            assert main([command, "--config", str(cpath), "--out", str(out),
-                         "--deterministic"]) == 0
+            assert main([command, "--config", str(cpath), "--out", str(out)]) == 0
             runs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
         assert runs[0].keys() == runs[1].keys() == runs[2].keys()
         for name in runs[0]:

@@ -166,6 +166,29 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "OutOfRange"
 
+    @pytest.mark.parametrize("key, value", [("pool_mode", "fixed"), ("sampel_stride", 8)])
+    def test_unknown_config_key_is_2(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, **{key: value})
+        code = main(["render", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and key in err["message"]
+
+    def test_infinite_grid_extent_is_2(self, tmp_path, capsys):
+        # json.dumps writes float("inf") as the Infinity literal
+        path = write_config(tmp_path, bev_grid={"channels": 2, "x_max": float("inf")})
+        code = main(["lift", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    def test_nan_noise_sigma_is_2(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, noise={"kind": "gaussian_bin_blur", "sigma_bins": float("nan")}
+        )
+        code = main(["robustness", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
     def test_missing_scene_for_render_is_2(self, tmp_path, capsys):
         path = write_config(tmp_path, scene=None)
         code = main(["render", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -235,7 +258,7 @@ class TestLiftCommand:
         for name in ("a", "b"):
             out = tmp_path / name
             assert main([
-                "lift", "--config", str(path), "--out", str(out), "--deterministic",
+                "lift", "--config", str(path), "--out", str(out),
             ]) == 0
             outs.append(out)
         for stem in ("wedge_height.csv", "wedge_depth.csv", "bev_height.csv",

@@ -365,6 +365,12 @@ class TestNoiseModel:
         with pytest.raises(ConfigError):
             NoiseModel("gaussian_bin_blur", sigma_bins=-1.0)
 
+    @pytest.mark.parametrize("field", ["sigma_bins", "bias_m"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, field, bad):
+        with pytest.raises(ConfigError):
+            NoiseModel.from_json_dict({"kind": "gaussian_bin_blur", field: bad})
+
     def test_json_round_trip(self):
         noise = NoiseModel("gaussian_bin_blur", sigma_bins=1.0, bias_m=0.05, seed=3)
         assert NoiseModel.from_json_dict(noise.to_json_dict()) == noise
