@@ -45,6 +45,10 @@ class BinSpec:
             raise ConfigError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         if self.n_bins < 1:
             raise ConfigError("n_bins must be >= 1")
+        for name in ("range_min", "range_max", "alpha"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not (self.range_min < self.range_max):
             raise ConfigError("range_min must be strictly below range_max")
         if self.strategy == "DID":

@@ -163,6 +163,7 @@ def overlap_report_dict(report: OverlapReport) -> dict:
         "height_wins": report.height_wins,
         "n_trials": int(report.trial_overlap_depth.size),
         "n_points": report.n_points,
+        "sample_stride": report.sample_stride,
         "bins": {
             "v_px": report.v_bin_px,
             "depth_m": report.depth_bin_m,

@@ -183,7 +183,9 @@ class WedgeCloud:
 
 def _ref_virt(u, v, rig: CameraRig) -> np.ndarray:
     ref_cam = pixel_to_ref_cam(u, v, rig.intrinsics)
-    return ref_cam @ rig.t_cam_virt.T
+    # One (n, 3) product whatever the pixel shape: a stacked matmul rounds
+    # differently, and the horizon test must not depend on the caller's shape.
+    return (ref_cam.reshape(-1, 3) @ rig.t_cam_virt.T).reshape(ref_cam.shape)
 
 
 def lift_pixel_height(u: float, v: float, h: float, rig: CameraRig) -> np.ndarray:
@@ -305,20 +307,12 @@ def build_wedge(
     if bins.strategy not in HEIGHT_STRATEGIES:
         raise ConfigError(f"build_wedge needs a height strategy, got {bins.strategy}")
     _check_grid(fused, rig, pixel_stride)
-    mids = bin_midpoints(bins)
-    if np.any(mids >= rig.ground_height_H):
-        raise AboveCamera("bin range reaches the camera center height")
-
     uu, vv = cell_pixel_centers(fused.width, fused.height, pixel_stride)
-    ref_virt = _ref_virt(uu.ravel(), vv.ravel(), rig)  # (n_cells, 3)
-    y_ref = ref_virt[:, 1]
-    valid = y_ref > EPS_HORIZON
-
-    ref_virt = ref_virt[valid]
-    scales = (rig.ground_height_H - mids)[None, :] / y_ref[valid][:, None]
-    pos_virt = scales[:, :, None] * ref_virt[:, None, :]  # (n_valid, n_bins, 3)
-    pos_ego = rig.t_virt_ego.apply(pos_virt.reshape(-1, 3))
-    return _emit(fused, bins.n_bins, valid, pos_ego, rig.rig_id)
+    us, vs = uu.reshape(-1, 1), vv.reshape(-1, 1)
+    # The horizon test of lift_many_height, on the same (n_cells, 1) columns.
+    valid = _ref_virt(us, vs, rig)[:, 0, 1] > EPS_HORIZON
+    pos_ego = lift_many_height(us[valid], vs[valid], bin_midpoints(bins), rig)
+    return _emit(fused, bins.n_bins, valid, pos_ego.reshape(-1, 3), rig.rig_id)
 
 
 def build_wedge_depth(
@@ -335,13 +329,7 @@ def build_wedge_depth(
     if not bins.is_depth:
         raise ConfigError(f"build_wedge_depth needs a DEPTH_UD spec, got {bins.strategy}")
     _check_grid(fused, rig, pixel_stride)
-    mids = bin_midpoints(bins)
-    if mids[0] <= 0:
-        raise NonPositiveDepth("depth bins must start above zero")
-
     uu, vv = cell_pixel_centers(fused.width, fused.height, pixel_stride)
-    ref_cam = pixel_to_ref_cam(uu.ravel(), vv.ravel(), rig.intrinsics)  # (n_cells, 3)
-    pos_cam = mids[None, :, None] * ref_cam[:, None, :]
-    pos_ego = rig.extrinsics.cam_to_ego(pos_cam.reshape(-1, 3))
-    every_cell = np.ones(ref_cam.shape[0], dtype=bool)
-    return _emit(fused, bins.n_bins, every_cell, pos_ego, rig.rig_id)
+    pos_ego = lift_many_depth(uu.reshape(-1, 1), vv.reshape(-1, 1), bin_midpoints(bins), rig)
+    every_cell = np.ones(uu.size, dtype=bool)
+    return _emit(fused, bins.n_bins, every_cell, pos_ego.reshape(-1, 3), rig.rig_id)

@@ -18,11 +18,15 @@ small disturbance slides the far part of the curve across many cells.
 Height occupies the same flat band of cells in every column, so the
 shifted set lands back on itself.
 
-The localization study pushes truth-conditioned noisy bin distributions
-through the full lift for both parameterizations and compares each
-object's estimated camera-origin distance against the distance of the
-same estimator fed exact values, isolating parameterization-induced
-error from surface-versus-center offsets.
+The localization study lifts truth-conditioned noisy bin distributions
+for both parameterizations and compares each object's estimated
+camera-origin distance against the distance of the same estimator fed
+exact values, isolating parameterization-induced error from
+surface-versus-center offsets.  A pixel's estimate is the lift of its
+expected hypothesis, the distribution's mean bin midpoint: the lifted
+point is affine in the hypothesis value and each distribution sums to 1,
+so this is the bin-weighted centroid of the pixel's lifted bins without
+lifting every bin.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binning import BinSpec, bin_midpoints
-from .errors import ConfigError, InvalidGeometry, NoVisibleObjects
+from .errors import AboveCamera, ConfigError, InvalidGeometry, NoVisibleObjects
 from .geometry import CameraRig, Extrinsics, _rot_x, _rot_z, project_ego
 from .lifting import lift_many_depth, lift_many_height
 from .rng import substream
@@ -62,8 +66,10 @@ class DisturbanceSpec:
     n_trials: int = 100
 
     def __post_init__(self):
-        if self.sigma_roll_deg < 0 or self.sigma_pitch_deg < 0:
-            raise ConfigError("disturbance sigmas must be non-negative")
+        for name in ("sigma_roll_deg", "sigma_pitch_deg"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
         if self.n_trials < 1:
             raise ConfigError("n_trials must be >= 1")
 
@@ -149,6 +155,7 @@ class OverlapReport:
     overlap_depth: float
     overlap_height: float
     n_points: int
+    sample_stride: int
     v_bin_px: float = V_BIN_PX
     depth_bin_m: float = DEPTH_BIN_M
     height_bin_m: float = HEIGHT_BIN_M
@@ -198,6 +205,7 @@ def scatter_overlap(
         overlap_depth=float(od.mean()),
         overlap_height=float(oh.mean()),
         n_points=int(v0.size),
+        sample_stride=sample_stride,
         rolls_deg=angles[:, 0],
         pitches_deg=angles[:, 1],
         trial_overlap_depth=od,
@@ -256,28 +264,13 @@ def _object_rows(
         true_pts = lift_many_depth(us, vs, maps.depth[mask], rig)
         d_ref = float(np.linalg.norm(true_pts.mean(axis=0) - cam))
 
-        w_h = dist_h.data[mask]  # (n_px, B_h), rows sum to 1
-        pos_h = lift_many_height(
-            np.repeat(us, mids_h.size),
-            np.repeat(vs, mids_h.size),
-            np.tile(mids_h, n_px),
-            rig,
-        ).reshape(n_px, mids_h.size, 3)
-        est_h = (w_h[:, :, None] * pos_h).sum(axis=(0, 1)) / n_px
-        err_h = abs(float(np.linalg.norm(est_h - cam)) - d_ref)
-
-        w_d = dist_d.data[mask]
-        pos_d = lift_many_depth(
-            np.repeat(us, mids_d.size),
-            np.repeat(vs, mids_d.size),
-            np.tile(mids_d, n_px),
-            rig,
-        ).reshape(n_px, mids_d.size, 3)
-        est_d = (w_d[:, :, None] * pos_d).sum(axis=(0, 1)) / n_px
-        err_d = abs(float(np.linalg.norm(est_d - cam)) - d_ref)
-
-        rows.append((k, "height", err_h, d_ref, n_px))
-        rows.append((k, "depth", err_d, d_ref, n_px))
+        for param, lift, dist, mids in (
+            ("height", lift_many_height, dist_h, mids_h),
+            ("depth", lift_many_depth, dist_d, mids_d),
+        ):
+            est = lift(us, vs, dist.data[mask] @ mids, rig).mean(axis=0)
+            err = abs(float(np.linalg.norm(est - cam)) - d_ref)
+            rows.append((k, param, err, d_ref, n_px))
     return rows
 
 
@@ -294,15 +287,19 @@ def localization_error(
 
     Per trial the scene is rendered from the (possibly perturbed) rig,
     truth-conditioned height and depth distributions are produced under
-    the noise model, and every object's center is estimated as the
-    weighted centroid of its lifted surface points.  The reference for an
-    object is the camera distance of the exact surface centroid over the
-    same pixels, so a noiseless run errs only by bin quantization.
+    the noise model, and every object's center is estimated as the mean
+    of its pixels each lifted at its expected height or depth.  The
+    reference for an object is the camera distance of the exact surface
+    centroid over the same pixels, so a noiseless run errs only by bin
+    quantization.  Raises AboveCamera when a height bin reaches the camera.
     """
     if not depth_bins.is_depth:
         raise ConfigError("depth_bins must use the DEPTH_UD strategy")
     mids_h = bin_midpoints(height_bins)
     mids_d = bin_midpoints(depth_bins)
+    # perturb_rig keeps the camera height, so this covers every trial.
+    if np.any(mids_h >= rig.ground_height_H):
+        raise AboveCamera("height bins reach the camera center height")
     if disturbance is None:
         angle_list = np.zeros((1, 2))
     else:

@@ -31,7 +31,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .geometry import Box3D, CameraRig, pixel_to_ref_cam
-from .lifting import DistributionMap
+from .lifting import DistributionMap, cell_pixel_centers
 from .rng import substream
 
 HIT_SKY = -1
@@ -229,9 +229,7 @@ class PixelMaps:
 
     def pixel_grid(self):
         """Pixel coordinates (u, v) of every sampled cell."""
-        us = (np.arange(self.width, dtype=np.float64) + 0.5) * self.sample_stride
-        vs = (np.arange(self.height, dtype=np.float64) + 0.5) * self.sample_stride
-        return np.meshgrid(us, vs)
+        return cell_pixel_centers(self.width, self.height, self.sample_stride)
 
 
 def _box_frames(boxes: Sequence[Box3D]):
@@ -321,9 +319,7 @@ def render(scene: Scene, rig: CameraRig, sample_stride: int = 1) -> PixelMaps:
         raise ConfigError("sample_stride must be >= 1")
     width = rig.intrinsics.image_w // sample_stride
     height = rig.intrinsics.image_h // sample_stride
-    us = (np.arange(width, dtype=np.float64) + 0.5) * sample_stride
-    vs = (np.arange(height, dtype=np.float64) + 0.5) * sample_stride
-    uu, vv = np.meshgrid(us, vs)
+    uu, vv = cell_pixel_centers(width, height, sample_stride)
     depth, hag, kind = cast_rays(scene, rig, uu, vv)
     return PixelMaps(width, height, depth, hag, kind, sample_stride)
 
@@ -410,17 +406,16 @@ def _distribution_from_values(
             true_bins = value_to_bin(shifted, bins)
         except OutOfRange as exc:
             raise OutOfRange(f"rendered values do not fit the bin range: {exc}") from exc
+        # Row i of the table is the distribution of a cell whose true bin is i.
         if noise.kind == "gaussian_bin_blur" and noise.sigma_bins > 0:
             offsets = np.arange(n, dtype=np.float64)
-            logits = -((offsets[None, :] - true_bins[:, None]) ** 2) / (
+            table = np.exp(-((offsets[None, :] - offsets[:, None]) ** 2) / (
                 2.0 * noise.sigma_bins**2
-            )
-            weights = np.exp(logits)
-            weights /= weights.sum(axis=1, keepdims=True)
+            ))
+            table /= table.sum(axis=1, keepdims=True)
         else:
-            weights = np.zeros((vals.size, n))
-            weights[np.arange(vals.size), true_bins] = 1.0
-        data[flat_valid] = weights
+            table = np.eye(n)
+        data[flat_valid] = table[true_bins]
         cell_weight[flat_valid] = 1.0
     return DistributionMap(
         width, height, n, data.reshape(height, width, n), cell_weight.reshape(height, width)

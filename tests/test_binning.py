@@ -38,6 +38,14 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             BinSpec("UD", 4, 1.0, 1.0)
 
+    @pytest.mark.parametrize("field", ["range_min", "range_max", "alpha"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, field, bad):
+        doc = {"strategy": "DID", "n_bins": 4, "range_min": 0.0, "range_max": 1.0,
+               "alpha": 1.2, field: bad}
+        with pytest.raises(ConfigError, match=field):
+            BinSpec.from_json_dict(doc)
+
     def test_did_needs_alpha(self):
         with pytest.raises(ConfigError):
             BinSpec("DID", 4, 0.0, 1.0)

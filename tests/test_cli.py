@@ -189,6 +189,22 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
+    def test_infinite_depth_range_is_2(self, tmp_path, capsys):
+        depth_bins = {**BASE_CONFIG["depth_bins"], "range_max": float("inf")}
+        path = write_config(tmp_path, depth_bins=depth_bins)
+        code = main(["lift", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "range_max" in err["message"]
+
+    def test_nan_disturbance_sigma_is_2(self, tmp_path, capsys):
+        disturbance = {**BASE_CONFIG["disturbance"], "sigma_roll_deg": float("nan")}
+        path = write_config(tmp_path, disturbance=disturbance)
+        code = main(["robustness", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "sigma_roll_deg" in err["message"]
+
     def test_missing_scene_for_render_is_2(self, tmp_path, capsys):
         path = write_config(tmp_path, scene=None)
         code = main(["render", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -288,6 +304,8 @@ class TestRobustnessCommand:
             assert {"height", "depth"} <= set(summary[side])
         overlap = read_json(out / "overlap.json")
         assert len(overlap["trials"]) == 2
+        # the overlap study samples at its own 16 px, not the config's stride
+        assert overlap["sample_stride"] == 16
         _, header, rows = read_csv(out / "errors_disturbed.csv")
         assert header[0] == "trial"
         assert {r[0] for r in rows} == {"0", "1"}

@@ -186,6 +186,7 @@ class TestRowGenerators:
             overlap_depth=0.5,
             overlap_height=0.9,
             n_points=100,
+            sample_stride=8,
             rolls_deg=np.array([0.1, -0.2]),
             pitches_deg=np.array([0.3, 0.4]),
             trial_overlap_depth=np.array([0.5, 0.5]),
@@ -194,6 +195,7 @@ class TestRowGenerators:
         doc = overlap_report_dict(report)
         assert doc["height_wins"] == 2
         assert doc["n_trials"] == 2
+        assert doc["sample_stride"] == 8
         assert doc["bins"] == {"v_px": 16.0, "depth_m": 2.0, "height_m": 0.1}
         assert len(doc["trials"]) == 2
         assert doc["trials"][1]["roll_deg"] == pytest.approx(-0.2)

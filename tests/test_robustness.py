@@ -11,13 +11,15 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from bevlift.binning import BinSpec
-from bevlift.errors import ConfigError, InvalidGeometry, NoVisibleObjects
+from bevlift.binning import BinSpec, bin_midpoints
+from bevlift.errors import AboveCamera, ConfigError, InvalidGeometry, NoVisibleObjects
 from bevlift.geometry import Box3D, CameraRig, Intrinsics, extrinsics_from_pose
 from bevlift.io import error_report_rows, write_csv
+from bevlift.lifting import lift_many_depth, lift_many_height
 from bevlift.robustness import (
     DisturbanceSpec,
     OverlapReport,
+    _object_rows,
     height_error_law,
     localization_error,
     matched_surface_points,
@@ -27,7 +29,13 @@ from bevlift.robustness import (
     scatter_overlap,
     simulate_range_bias,
 )
-from bevlift.scene import NoiseModel, Scene
+from bevlift.scene import (
+    NoiseModel,
+    Scene,
+    predict_depth_distribution,
+    predict_height_distribution,
+    render,
+)
 from conftest import (
     EXPERIMENT_DEPTH_BINS,
     EXPERIMENT_HEIGHT_BINS,
@@ -43,9 +51,11 @@ class TestDisturbanceSpec:
         spec = DisturbanceSpec(1.67, 0.8, seed=5, n_trials=20)
         assert DisturbanceSpec.from_json_dict(spec.to_json_dict()) == spec
 
-    def test_rejects_negative_sigma(self):
-        with pytest.raises(ConfigError):
-            DisturbanceSpec(-0.1, 1.0)
+    @pytest.mark.parametrize("field", ["sigma_roll_deg", "sigma_pitch_deg"])
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf, -np.inf])
+    def test_rejects_negative_sigma(self, field, bad):
+        with pytest.raises(ConfigError, match=field):
+            DisturbanceSpec(**{field: bad})
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ConfigError):
@@ -144,6 +154,7 @@ class TestScatterOverlap:
             overlap_depth=0.5,
             overlap_height=0.6,
             n_points=10,
+            sample_stride=16,
             trial_overlap_depth=np.array([0.5, 0.5, 0.7]),
             trial_overlap_height=np.array([0.6, 0.5, 0.9]),
         )
@@ -300,6 +311,47 @@ class TestLocalizationError:
                 EXPERIMENT_DEPTH_BINS,
                 NoiseModel("one_hot_truth"),
             )
+
+    def test_height_bins_reaching_camera_raise(self, corridor7, mast_rig):
+        H = mast_rig.ground_height_H
+        with pytest.raises(AboveCamera):
+            localization_error(
+                corridor7,
+                mast_rig,
+                BinSpec("UD", 20, -0.2, H + 1.0),
+                EXPERIMENT_DEPTH_BINS,
+                NoiseModel("one_hot_truth"),
+            )
+
+    def test_matches_per_bin_weighted_centroid(self, corridor7, mast_rig):
+        # Oracle: lift every (pixel, bin) pair and take the bin-weighted
+        # centroid, the estimate the lift of the expected hypothesis replaces.
+        rig = perturb_rig(mast_rig, 1.2, -0.8)
+        maps = render(corridor7, rig, 16)
+        noise = NoiseModel("gaussian_bin_blur", sigma_bins=2.5)
+        dist_h = predict_height_distribution(maps, EXPERIMENT_HEIGHT_BINS, noise)
+        dist_d = predict_depth_distribution(maps, EXPERIMENT_DEPTH_BINS, noise)
+        mids_h = bin_midpoints(EXPERIMENT_HEIGHT_BINS)
+        mids_d = bin_midpoints(EXPERIMENT_DEPTH_BINS)
+        rows = _object_rows(maps, rig, dist_h, dist_d, mids_h, mids_d, corridor7)
+        paths = {
+            "height": (lift_many_height, dist_h, mids_h),
+            "depth": (lift_many_depth, dist_d, mids_d),
+        }
+        uu, vv = maps.pixel_grid()
+        cam = rig.camera_center
+        for k, param, err, d_ref, n_px in rows:
+            lift, dist, mids = paths[param]
+            mask = maps.hit_kind == k + 1
+            pos = lift(
+                np.repeat(uu[mask], mids.size),
+                np.repeat(vv[mask], mids.size),
+                np.tile(mids, n_px),
+                rig,
+            ).reshape(n_px, mids.size, 3)
+            est = (dist.data[mask][:, :, None] * pos).sum(axis=(0, 1)) / n_px
+            assert abs(abs(float(np.linalg.norm(est - cam)) - d_ref) - err) <= 1e-9
+        assert {param for _, param, *_ in rows} == {"height", "depth"}
 
     def test_disturbed_run_matches_golden_table(self, disturbed_errors_seed7, tmp_path):
         header, rows = error_report_rows(disturbed_errors_seed7)

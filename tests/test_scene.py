@@ -420,6 +420,23 @@ class TestPredictDistributions:
         assert row[1] == pytest.approx(row[3], rel=1e-12)
         assert row[0] == pytest.approx(row[4], rel=1e-12)
 
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.7])
+    def test_blur_rows_match_per_cell_gaussian(self, sigma):
+        # range_min, an interior value and range_max: true bins 0, 6 and 11
+        bins = BinSpec("UD", 12, 0.0, 1.2)
+        values = np.array([[0.0, 0.65, 1.2]])
+        maps = PixelMaps(3, 1, values, values, np.full((1, 3), HIT_GROUND))
+        noise = NoiseModel("gaussian_bin_blur", sigma_bins=sigma)
+        true_bins = value_to_bin(values[0], bins)
+        assert true_bins.tolist() == [0, 6, 11]
+        offsets = np.arange(bins.n_bins, dtype=np.float64)
+        for predict in (predict_height_distribution, predict_depth_distribution):
+            dist = predict(maps, bins, noise)
+            for c, true_bin in enumerate(true_bins):
+                expected = np.exp(-((offsets - true_bin) ** 2) / (2.0 * sigma**2))
+                expected /= expected.sum()
+                np.testing.assert_array_equal(dist.data[0, c], expected)
+
     def test_bias_shifts_truth_before_binning(self):
         bins = BinSpec("UD", 4, 0.0, 1.0)
         biased = predict_height_distribution(
