@@ -3,16 +3,20 @@
 
 Goldens freeze the exact numerical behavior of the committed experiment
 configuration: the overlap study, the disturbed localization error
-table, and checksums of the lifted clouds and pooled grids.  The test
+table, and checksums of the lifted clouds and pooled grids.  They also
+pin the bytes of every artifact `render` and `lift` write, in each
+table format, for a tiny experiment.  The test
 suite compares fresh runs against these files byte for byte, so run this
 only to intentionally re-baseline after a behavior change.
 """
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 from bevlift.binning import BinSpec
 from bevlift.bevpool import GridSpec, pool
+from bevlift.cli import main as cli_main
 from bevlift.geometry import load_rig
 from bevlift.io import error_report_rows, write_csv
 from bevlift.lifting import ContextMap, build_wedge, build_wedge_depth, fuse
@@ -37,6 +41,26 @@ ROBUSTNESS_STRIDE = 8
 LIFT_STRIDE = 32
 LIFT_SEED = 0
 LIFT_CHANNELS = 4
+
+# The tiny experiment tests/test_cli.py runs (stride 64): every table of
+# `render` and `lift` in every format is written in about a second.
+TABLE_CONFIG = {
+    "rig": str(ROOT / "configs" / "rig_default.json"),
+    "scene": {"template": "corridor", "n_boxes": 4, "seed": 3},
+    "height_bins": {"strategy": "DID", "n_bins": 12, "range_min": -0.2,
+                    "range_max": 3.6, "alpha": 1.2},
+    "depth_bins": {"strategy": "DEPTH_UD", "n_bins": 30, "range_min": 1.0,
+                   "range_max": 121.0},
+    "noise": {"kind": "gaussian_bin_blur", "sigma_bins": 1.0},
+    "disturbance": {"sigma_roll_deg": 1.0, "sigma_pitch_deg": 1.0,
+                    "seed": 0, "n_trials": 2},
+    "sample_stride": 64,
+    "context_channels": 2,
+    "bev_grid": {"channels": 2},
+    "seed": 5,
+}
+TABLE_COMMANDS = ("render", "lift")
+TABLE_FORMATS = ("csv", "json", "bin")
 
 
 def sha(arr) -> str:
@@ -75,6 +99,27 @@ def lift_checksums(rig, scene) -> dict:
     }
 
 
+def table_digests() -> dict:
+    """sha256 of every file `render` and `lift` write for TABLE_CONFIG in
+    each table format, meta sidecars included: the content of
+    table_digests.json.  The config hash covers the resolved rig, so the
+    absolute rig path does not reach the artifacts."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "experiment.json"
+        config.write_text(json.dumps(TABLE_CONFIG))
+        for command in TABLE_COMMANDS:
+            for fmt in TABLE_FORMATS:
+                out = Path(tmp) / command / fmt
+                args = [command, "--config", str(config), "--out", str(out), "--format", fmt]
+                if cli_main(args) != 0:
+                    raise RuntimeError(f"{command} --format {fmt} failed")
+                for path in sorted(out.iterdir()):
+                    digests[f"{command}/{fmt}/{path.name}"] = hashlib.sha256(
+                        path.read_bytes()).hexdigest()
+    return digests
+
+
 def main() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     rig = load_rig(ROOT / "configs" / "rig_default.json")
@@ -96,6 +141,9 @@ def main() -> None:
 
     (GOLDEN / "lift_checksums.json").write_text(
         json.dumps(lift_checksums(rig, scene), indent=2, sort_keys=True) + "\n"
+    )
+    (GOLDEN / "table_digests.json").write_text(
+        json.dumps(table_digests(), indent=2, sort_keys=True) + "\n"
     )
     print(f"wrote goldens under {GOLDEN}")
 

@@ -1,6 +1,8 @@
-"""Golden gate of the lift and pool path: the committed lift experiment,
-rebuilt through scripts/make_goldens.py, must reproduce
-tests/golden/lift_checksums.json exactly."""
+"""Golden gates of the lift and pool path and of the artifact tables,
+both rebuilt through scripts/make_goldens.py: the committed lift
+experiment must reproduce tests/golden/lift_checksums.json exactly, and
+the files `render` and `lift` write in every format must reproduce
+tests/golden/table_digests.json."""
 import importlib.util
 import json
 from pathlib import Path
@@ -21,4 +23,11 @@ def test_lift_checksums_match_golden(mast_rig, corridor7):
     golden = json.loads((ROOT / "tests" / "golden" / "lift_checksums.json").read_text())
     fresh = _make_goldens().lift_checksums(mast_rig, corridor7)
     assert len(golden) == 8
+    assert fresh == golden
+
+
+def test_table_digests_match_golden():
+    golden = json.loads((ROOT / "tests" / "golden" / "table_digests.json").read_text())
+    fresh = _make_goldens().table_digests()
+    assert len(golden) == 32
     assert fresh == golden
