@@ -18,7 +18,7 @@ from bevlift.binning import BinSpec
 from bevlift.bevpool import GridSpec, pool
 from bevlift.cli import main as cli_main
 from bevlift.geometry import load_rig
-from bevlift.io import error_report_rows, write_csv
+from bevlift.io import error_report_table, table_rows, write_csv
 from bevlift.lifting import ContextMap, build_wedge, build_wedge_depth, fuse
 from bevlift.robustness import DisturbanceSpec, localization_error, scatter_overlap
 from bevlift.rng import substream
@@ -136,8 +136,8 @@ def main() -> None:
     report = localization_error(
         scene, rig, HEIGHT_BINS, DEPTH_BINS, NOISE, DISTURBANCE, ROBUSTNESS_STRIDE
     )
-    header, rows = error_report_rows(report)
-    write_csv(GOLDEN / "errors_seed7.csv", header, rows)
+    header, columns = error_report_table(report)
+    write_csv(GOLDEN / "errors_seed7.csv", header, table_rows(columns))
 
     (GOLDEN / "lift_checksums.json").write_text(
         json.dumps(lift_checksums(rig, scene), indent=2, sort_keys=True) + "\n"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatch
+from .errors import ConfigError, ShapeMismatch, config_int
 from .lifting import WedgeCloud
 
 
@@ -76,7 +76,7 @@ class GridSpec:
                 y_max=float(doc["y_max"]),
                 res_x=float(doc["res_x"]),
                 res_y=float(doc["res_y"]),
-                channels=int(doc["channels"]),
+                channels=config_int("channels", doc["channels"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed grid spec: {exc}") from exc

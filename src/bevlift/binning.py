@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IndexOutOfRange, OutOfRange
+from .errors import ConfigError, IndexOutOfRange, OutOfRange, config_int
 
 STRATEGIES = ("UD", "SID", "LID", "DID", "DEPTH_UD")
 HEIGHT_STRATEGIES = ("UD", "SID", "LID", "DID")
@@ -79,7 +79,7 @@ class BinSpec:
         try:
             return cls(
                 strategy=str(doc["strategy"]),
-                n_bins=int(doc["n_bins"]),
+                n_bins=config_int("n_bins", doc["n_bins"]),
                 range_min=float(doc["range_min"]),
                 range_max=float(doc["range_max"]),
                 alpha=float(doc["alpha"]) if "alpha" in doc else None,

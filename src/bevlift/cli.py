@@ -28,7 +28,7 @@ import numpy as np
 from . import io as artio
 from .bevpool import GridSpec, pool
 from .binning import BinSpec
-from .errors import ConfigError, PipelineError
+from .errors import ConfigError, PipelineError, config_int
 from .geometry import CameraRig, rig_from_json_dict
 from .lifting import (
     ContextMap,
@@ -138,7 +138,7 @@ def load_config(path, seed_override: int | None = None):
     if doc.get("scene") is not None:
         resolved["scene"] = _resolve_node(doc["scene"], base)
     digest = config_hash(resolved)
-    seed = seed_override if seed_override is not None else int(doc.get("seed", 0))
+    seed = seed_override if seed_override is not None else config_int("seed", doc.get("seed", 0))
 
     rig = rig_from_json_dict(resolved["rig"])
     scene = None
@@ -149,21 +149,18 @@ def load_config(path, seed_override: int | None = None):
         else:
             try:
                 template = str(snode["template"])
-                n_boxes = int(snode["n_boxes"])
+                n_boxes = config_int("n_boxes", snode["n_boxes"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"scene spec needs template and n_boxes: {exc}") from exc
             extent = snode.get("extent")
             scene = generate_scene(
-                template, n_boxes, int(snode.get("seed", seed)),
+                template, n_boxes, config_int("scene seed", snode.get("seed", seed)),
                 tuple(extent) if extent is not None else None,
             )
 
-    try:
-        stride = int(doc.get("sample_stride", 16))
-        channels = int(doc.get("context_channels", 4))
-        repeats = int(doc.get("bench_repeats", 3))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed scalar option: {exc}") from exc
+    stride = config_int("sample_stride", doc.get("sample_stride", 16))
+    channels = config_int("context_channels", doc.get("context_channels", 4))
+    repeats = config_int("bench_repeats", doc.get("bench_repeats", 3))
     if stride < 1 or channels < 1 or repeats < 1:
         raise ConfigError("sample_stride, context_channels, bench_repeats must be >= 1")
 
@@ -204,30 +201,28 @@ def _require_scene(cfg: ExperimentConfig) -> Scene:
     return cfg.scene
 
 
-def _write_table(out: Path, stem: str, fmt: str, header, rows, meta: dict) -> Path:
-    """Write a numeric table in the requested format.
+def _write_table(out: Path, stem: str, fmt: str, header, columns, meta: dict) -> Path:
+    """Write a numeric table, given as equal-length 1-D columns, in the
+    requested format.
 
     csv keeps the meta comment line; json wraps meta, header, and rows in
-    one object; bin stores a float32 matrix plus a .meta.json sidecar.
+    one object; bin stores a float32 (rows, columns) matrix plus a
+    .meta.json sidecar.
     """
-    rows = [tuple(row) for row in rows]
     if fmt == "csv":
         target = out / f"{stem}.csv"
-        artio.write_csv(target, header, rows, meta)
-    elif fmt == "json":
+        artio.write_csv(target, header, artio.table_rows(columns), meta)
+        return target
+    if fmt not in ("json", "bin"):
+        raise ConfigError(f"unknown format {fmt!r}")
+    matrix = np.column_stack(columns).astype(np.float64)
+    if fmt == "json":
         target = out / f"{stem}.json"
-        artio.write_json(target, {
-            "meta": meta, "header": list(header),
-            "rows": [[float(v) if isinstance(v, (int, float, np.floating, np.integer))
-                      else v for v in row] for row in rows],
-        })
-    elif fmt == "bin":
+        artio.write_json(target, {"meta": meta, "header": list(header), "rows": matrix.tolist()})
+    else:
         target = out / f"{stem}.btf"
-        matrix = np.asarray([[float(v) for v in row] for row in rows], dtype=np.float64)
         artio.write_tensor(target, matrix)
         artio.write_json(out / f"{stem}.meta.json", {"meta": meta, "header": list(header)})
-    else:
-        raise ConfigError(f"unknown format {fmt!r}")
     return target
 
 
@@ -241,8 +236,7 @@ def cmd_render(cfg: ExperimentConfig, args, meta: dict) -> dict:
     scene = _require_scene(cfg)
     maps = render(scene, cfg.rig, cfg.sample_stride)
     out = Path(args.out)
-    header, rows = artio.maps_rows(maps)
-    _write_table(out, "maps", args.format, header, rows, meta)
+    _write_table(out, "maps", args.format, *artio.maps_table(maps), meta)
 
     finite = maps.non_sky
     summary = {
@@ -262,8 +256,8 @@ def cmd_render(cfg: ExperimentConfig, args, meta: dict) -> dict:
             vals = arr[finite]
             summary[f"{key}_min"] = float(vals.min())
             summary[f"{key}_max"] = float(vals.max())
-            hh, hr = artio.histogram_rows(histogram(vals, width))
-            artio.write_csv(out / f"{stem}.csv", hh, hr, meta)
+            header, columns = artio.histogram_table(histogram(vals, width))
+            artio.write_csv(out / f"{stem}.csv", header, artio.table_rows(columns), meta)
     artio.write_json(out / "render_summary.json", summary)
     return summary
 
@@ -285,12 +279,13 @@ def cmd_lift(cfg: ExperimentConfig, args, meta: dict) -> dict:
     bev_d = pool(wedge_d, cfg.bev_grid)
 
     out = Path(args.out)
-    for stem, cloud in (("wedge_height", wedge_h), ("wedge_depth", wedge_d)):
-        header, rows = artio.wedge_rows(cloud)
-        _write_table(out, stem, args.format, header, rows, meta)
-    for stem, grid in (("bev_height", bev_h), ("bev_depth", bev_d)):
-        header, rows = artio.bev_rows(grid)
-        _write_table(out, stem, args.format, header, rows, meta)
+    for stem, table in (
+        ("wedge_height", artio.wedge_table(wedge_h)),
+        ("wedge_depth", artio.wedge_table(wedge_d)),
+        ("bev_height", artio.bev_table(bev_h)),
+        ("bev_depth", artio.bev_table(bev_d)),
+    ):
+        _write_table(out, stem, args.format, *table, meta)
 
     summary = {
         **meta,
@@ -350,13 +345,13 @@ def cmd_robustness(cfg: ExperimentConfig, args, meta: dict) -> dict:
         cfg.disturbance, cfg.sample_stride,
     )
     for stem, report in (("errors_clean", clean), ("errors_disturbed", disturbed)):
-        header, rows = artio.error_report_rows(report)
-        artio.write_csv(out / f"{stem}.csv", header, rows, meta)
+        header, columns = artio.error_report_table(report)
+        artio.write_csv(out / f"{stem}.csv", header, artio.table_rows(columns), meta)
 
     law_header = ["u", "v", "h", "delta_h", "d_true", "predicted_m",
                   "simulated_m", "abs_diff_m"]
-    law = _law_rows(cfg.rig)
-    artio.write_csv(out / "law_check.csv", law_header, law, meta)
+    law = np.array(_law_rows(cfg.rig))
+    artio.write_csv(out / "law_check.csv", law_header, law.tolist(), meta)
 
     summary = {
         **meta,
@@ -366,7 +361,7 @@ def cmd_robustness(cfg: ExperimentConfig, args, meta: dict) -> dict:
         "n_trials": cfg.disturbance.n_trials,
         "clean": clean.summary(),
         "disturbed": disturbed.summary(),
-        "law_max_abs_diff_m": max(row[-1] for row in law),
+        "law_max_abs_diff_m": float(law[:, -1].max()),
     }
     artio.write_json(out / "robustness_summary.json", summary)
     return summary

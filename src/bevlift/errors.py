@@ -15,6 +15,14 @@ class ConfigError(PipelineError):
     """Invalid or inconsistent configuration input."""
 
 
+def config_int(name: str, value) -> int:
+    """An integer config field: only a JSON integer (an int that is not a
+    bool) is accepted, never a float, string or boolean."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 class DegenerateOrientation(PipelineError):
     """Camera optical axis is (numerically) parallel to the ground normal."""
 

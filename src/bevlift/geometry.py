@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CameraBelowGround, ConfigError, DegenerateOrientation
+from .errors import CameraBelowGround, ConfigError, DegenerateOrientation, config_int
 
 _ORTHO_TOL = 1e-9
 _DEGENERATE_SIN = 1e-6
@@ -347,8 +347,8 @@ def rig_from_json_dict(doc: dict) -> CameraRig:
             fy=float(inode["fy"]),
             cx=float(inode["cx"]),
             cy=float(inode["cy"]),
-            image_w=int(inode["image_w"]),
-            image_h=int(inode["image_h"]),
+            image_w=config_int("image_w", inode["image_w"]),
+            image_h=config_int("image_h", inode["image_h"]),
         )
         extr = Extrinsics(
             rotation=enode["rotation"], translation=enode["translation"]

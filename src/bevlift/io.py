@@ -1,11 +1,14 @@
 """Artifact serialization: CSV with a provenance comment, canonical JSON,
 and a small binary tensor container.
 
-Every CSV starts with one comment line carrying the run's config hash and
-seed so artifacts stay traceable without a sidecar file.  Floats are
-written with repr, which round-trips float64 exactly and keeps files
-byte-stable across runs.  The tensor container is magic + dims + float32
-little-endian payload; see write_tensor.
+A table is a header plus one equal-length 1-D column per header entry;
+the *_table functions build them from pipeline results without a
+per-row loop.  Every CSV starts with one comment line carrying the run's
+config hash and seed so artifacts stay traceable without a sidecar file.
+A CSV field is str of the Python scalar the column holds (table_rows),
+which for a float is its repr: it round-trips float64 exactly and keeps
+files byte-stable across runs.  The tensor container is magic + dims +
+float32 little-endian payload; see write_tensor.
 """
 from __future__ import annotations
 
@@ -23,24 +26,15 @@ from .scene import Histogram, PixelMaps
 TENSOR_MAGIC = b"BTF1"
 
 
-def fmt(value) -> str:
-    """One CSV field: floats via repr(float), everything else via str."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
 def write_csv(path, header, rows, meta: dict | None = None) -> None:
-    """Write rows to CSV, preceded by a '# key=value ...' comment when
-    meta is given.  Values must not contain commas or newlines."""
+    """Write rows of Python scalars (see table_rows) to CSV, preceded by
+    a '# key=value ...' comment when meta is given.  Each field is str of
+    its value; values must not contain commas or newlines."""
     lines = []
     if meta:
         lines.append("# " + " ".join(f"{k}={meta[k]}" for k in meta))
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+    lines.extend(",".join(map(str, row)) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -92,68 +86,50 @@ def read_tensor(path) -> np.ndarray:
     return payload.reshape(tuple(int(s) for s in shape)).astype(np.float64)
 
 
-def wedge_rows(cloud: WedgeCloud):
+def table_rows(columns):
+    """Rows of Python scalars from a table's equal-length 1-D columns,
+    the rows write_csv takes."""
+    return zip(*(np.asarray(c).tolist() for c in columns))
+
+
+def wedge_table(cloud: WedgeCloud):
     header = ["x", "y", "z", "weight"] + [f"f{c}" for c in range(cloud.features.shape[1])]
-    rows = (
-        (*cloud.positions[i], cloud.weights[i], *cloud.features[i])
-        for i in range(cloud.positions.shape[0])
-    )
-    return header, rows
+    return header, [*cloud.positions.T, cloud.weights, *cloud.features.T]
 
 
-def bev_rows(grid: BevGrid):
+def bev_table(grid: BevGrid):
     """One row per cell in row-major order, with cell centers attached."""
     spec = grid.spec
     header = ["ix", "iy", "cx", "cy", "hits"] + [f"c{c}" for c in range(spec.channels)]
-
-    def gen():
-        for ix in range(spec.n_x):
-            cx = spec.x_min + (ix + 0.5) * spec.res_x
-            for iy in range(spec.n_y):
-                cy = spec.y_min + (iy + 0.5) * spec.res_y
-                yield (ix, iy, cx, cy, int(grid.hit_count[ix, iy]), *grid.data[ix, iy])
-
-    return header, gen()
+    ix, iy = np.divmod(np.arange(spec.n_x * spec.n_y), spec.n_y)
+    cx = spec.x_min + (ix + 0.5) * spec.res_x
+    cy = spec.y_min + (iy + 0.5) * spec.res_y
+    data = grid.data.reshape(-1, spec.channels)
+    return header, [ix, iy, cx, cy, grid.hit_count.ravel(), *data.T]
 
 
-def maps_rows(maps: PixelMaps):
+def maps_table(maps: PixelMaps):
     header = ["u", "v", "depth", "height", "hit_kind"]
     uu, vv = maps.pixel_grid()
-
-    def gen():
-        for r in range(maps.height):
-            for c in range(maps.width):
-                yield (
-                    uu[r, c],
-                    vv[r, c],
-                    maps.depth[r, c],
-                    maps.height_above_ground[r, c],
-                    int(maps.hit_kind[r, c]),
-                )
-
-    return header, gen()
+    return header, [
+        a.ravel() for a in (uu, vv, maps.depth, maps.height_above_ground, maps.hit_kind)
+    ]
 
 
-def histogram_rows(hist: Histogram):
-    header = ["bin_left", "bin_right", "count"]
-    rows = (
-        (hist.edges[i], hist.edges[i + 1], int(hist.counts[i]))
-        for i in range(hist.counts.size)
-    )
-    return header, rows
+def histogram_table(hist: Histogram):
+    return ["bin_left", "bin_right", "count"], [hist.edges[:-1], hist.edges[1:], hist.counts]
 
 
-def error_report_rows(report: ErrorReport):
+def error_report_table(report: ErrorReport):
     header = ["trial", "object", "parameterization", "error_m", "true_distance_m", "n_pixels"]
-    rows = zip(
+    return header, [
         report.trials,
         report.objects,
         report.parameterizations,
         report.errors_m,
         report.true_distances_m,
         report.n_pixels,
-    )
-    return header, rows
+    ]
 
 
 def overlap_report_dict(report: OverlapReport) -> dict:

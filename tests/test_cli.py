@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bevlift.cli import config_hash, load_config, main
+from bevlift.cli import _write_table, config_hash, load_config, main
 from bevlift.errors import ConfigError
 from bevlift.io import read_csv, read_json, read_tensor
 
@@ -37,6 +37,41 @@ CLOSE_BOXES_SCENE = {
         {"x": 12.0, "y": -2.0, "z": 1.25, "l": 5.0, "w": 2.5, "h": 2.5, "theta": 0.0},
         {"x": 25.0, "y": 3.0, "z": 1.0, "l": 4.0, "w": 2.0, "h": 2.0, "theta": 0.3},
     ],
+}
+
+
+INF = float("inf")
+
+# Integer config fields given a value that is not a JSON integer: probe
+# id -> (config overrides, the field name the error must carry).
+BAD_INT_PROBES = {
+    "seed-inf": ({"seed": INF}, "seed"),
+    "seed-str": ({"seed": "x"}, "seed"),
+    "stride-inf": ({"sample_stride": INF}, "sample_stride"),
+    "stride-float": ({"sample_stride": 8.7}, "sample_stride"),
+    "channels-bool": ({"context_channels": True, "bev_grid": {"channels": 1}},
+                      "context_channels"),
+    "repeats-float": ({"bench_repeats": 2.0}, "bench_repeats"),
+    "n_trials-inf": ({"disturbance": {**BASE_CONFIG["disturbance"], "n_trials": INF}},
+                     "n_trials"),
+    "disturbance-seed-float": ({"disturbance": {**BASE_CONFIG["disturbance"], "seed": 1.5}},
+                               "seed"),
+    "noise-seed-inf": ({"noise": {**BASE_CONFIG["noise"], "seed": INF}}, "seed"),
+    "n_bins-inf": ({"depth_bins": {**BASE_CONFIG["depth_bins"], "n_bins": INF}}, "n_bins"),
+    "n_bins-float": ({"depth_bins": {**BASE_CONFIG["depth_bins"], "n_bins": 206.9}},
+                     "n_bins"),
+    "grid-channels-inf": ({"bev_grid": {"channels": INF}}, "channels"),
+    "n_boxes-inf": ({"scene": {**BASE_CONFIG["scene"], "n_boxes": INF}}, "n_boxes"),
+    "scene-seed-str": ({"scene": {**BASE_CONFIG["scene"], "seed": "3"}}, "seed"),
+    "rng_seed-float": ({"scene": {**CLOSE_BOXES_SCENE, "rng_seed": 1.5}}, "rng_seed"),
+    "image_w-float": (
+        {"rig": {**RIG_DOC, "intrinsics": {**RIG_DOC["intrinsics"], "image_w": 1536.0}}},
+        "image_w",
+    ),
+    "image_h-bool": (
+        {"rig": {**RIG_DOC, "intrinsics": {**RIG_DOC["intrinsics"], "image_h": False}}},
+        "image_h",
+    ),
 }
 
 
@@ -205,11 +240,36 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and "sigma_roll_deg" in err["message"]
 
+    @pytest.mark.parametrize("probe", BAD_INT_PROBES)
+    def test_non_integer_field_is_2(self, tmp_path, capsys, probe):
+        overrides, field = BAD_INT_PROBES[probe]
+        path = write_config(tmp_path, **overrides)
+        code = main(["render", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and field in err["message"]
+
     def test_missing_scene_for_render_is_2(self, tmp_path, capsys):
         path = write_config(tmp_path, scene=None)
         code = main(["render", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+class TestWriteTable:
+    def test_zero_row_table_keeps_its_columns(self, tmp_path):
+        header = ["x", "y", "z"]
+        columns = [np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)]
+        for fmt in ("csv", "json", "bin"):
+            _write_table(tmp_path, "t", fmt, header, columns, {"seed": 0})
+        assert read_csv(tmp_path / "t.csv") == ({"seed": "0"}, header, [])
+        assert read_json(tmp_path / "t.json")["rows"] == []
+        assert read_tensor(tmp_path / "t.btf").shape == (0, 3)
+        assert read_json(tmp_path / "t.meta.json")["header"] == header
+
+    def test_unknown_format_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError):
+            _write_table(tmp_path, "t", "xml", ["x"], [np.zeros(1)], {})
 
 
 class TestRenderCommand:
@@ -280,6 +340,21 @@ class TestLiftCommand:
         for stem in ("wedge_height.csv", "wedge_depth.csv", "bev_height.csv",
                      "bev_depth.csv", "lift_summary.json"):
             assert (outs[0] / stem).read_bytes() == (outs[1] / stem).read_bytes()
+
+    def test_formats_agree(self, tmp_path):
+        path = write_config(tmp_path)
+        for fmt in ("csv", "json", "bin"):
+            out = tmp_path / fmt
+            assert main(["lift", "--config", str(path), "--out", str(out), "--format", fmt]) == 0
+        for stem in ("wedge_height", "wedge_depth", "bev_height", "bev_depth"):
+            _, header, rows = read_csv(tmp_path / "csv" / f"{stem}.csv")
+            expected = [[float(v) for v in row] for row in rows]
+            doc = read_json(tmp_path / "json" / f"{stem}.json")
+            assert doc["header"] == header
+            assert doc["rows"] == expected
+            tensor = read_tensor(tmp_path / "bin" / f"{stem}.btf")
+            assert tensor.shape == (len(rows), len(header))
+            np.testing.assert_array_equal(tensor, np.asarray(expected, dtype=np.float32))
 
     def test_seed_changes_context_features(self, tmp_path):
         path = write_config(tmp_path)

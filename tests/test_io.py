@@ -1,5 +1,7 @@
-"""Serialization tests: CSV byte stability, the tensor container, and
-the row generators for the pipeline artifacts."""
+"""Serialization tests: CSV fields and byte stability, the tensor
+container, and the column tables of the pipeline artifacts."""
+import math
+
 import numpy as np
 import pytest
 
@@ -7,16 +9,16 @@ from bevlift.bevpool import GridSpec, pool
 from bevlift.errors import PipelineError
 from bevlift.io import (
     TENSOR_MAGIC,
-    bev_rows,
-    error_report_rows,
-    fmt,
-    histogram_rows,
-    maps_rows,
+    bev_table,
+    error_report_table,
+    histogram_table,
+    maps_table,
     overlap_report_dict,
     read_csv,
     read_json,
     read_tensor,
-    wedge_rows,
+    table_rows,
+    wedge_table,
     write_csv,
     write_json,
     write_tensor,
@@ -26,21 +28,41 @@ from bevlift.robustness import ErrorReport, OverlapReport
 from bevlift.scene import HIT_GROUND, HIT_SKY, PixelMaps, histogram
 
 
+def csv_fields(tmp_path, *columns):
+    """The fields write_csv writes for table_rows(columns), row by row."""
+    path = tmp_path / "fields.csv"
+    write_csv(path, [f"c{k}" for k in range(len(columns))], table_rows(columns))
+    return read_csv(path)[2]
+
+
 class TestFmt:
-    def test_floats_use_repr(self):
-        assert fmt(0.1) == "0.1"
-        assert fmt(1.0 / 3.0) == "0.3333333333333333"
-        assert fmt(104.0) == "104.0"
-        assert fmt(np.float64(2.5)) == "2.5"
+    """CSV fields: str of the Python scalars table_rows yields."""
 
-    def test_repr_round_trips_float64(self):
-        for x in (0.1, 1.0 / 3.0, 1e-17, 5862908691396908e-16, np.pi):
-            assert float(fmt(x)) == x
+    def test_floats_use_repr(self, tmp_path):
+        rows = csv_fields(tmp_path, [0.1, 1.0 / 3.0, 104.0], [np.float64(2.5)] * 3)
+        assert rows == [["0.1", "2.5"], ["0.3333333333333333", "2.5"], ["104.0", "2.5"]]
 
-    def test_ints_and_strings(self):
-        assert fmt(7) == "7"
-        assert fmt(np.int64(-3)) == "-3"
-        assert fmt("height") == "height"
+    def test_repr_round_trips_float64(self, tmp_path):
+        values = [0.1, 1.0 / 3.0, 1e-17, 5862908691396908e-16, np.pi]
+        rows = csv_fields(tmp_path, values, np.array(values))
+        for (listed, arrayed), x in zip(rows, values):
+            assert listed == arrayed == repr(x)
+            assert float(listed) == x
+
+    def test_ints_and_strings(self, tmp_path):
+        assert csv_fields(tmp_path, [7], [np.int64(-3)], np.array([-3]), ["height"]) == [
+            ["7", "-3", "-3", "height"]
+        ]
+
+    def test_float32_column_writes_repr_of_float(self, tmp_path):
+        col = np.array([0.1, 1.0 / 3.0, 2.5, -7.0], dtype=np.float32)
+        assert [row[0] for row in csv_fields(tmp_path, col)] == [repr(float(x)) for x in col]
+        assert csv_fields(tmp_path, col)[0] == ["0.10000000149011612"]
+
+    def test_table_rows_yield_python_scalars(self):
+        rows = list(table_rows([np.array([1.5]), np.array([2], dtype=np.int32), ["a"]]))
+        assert rows == [(1.5, 2, "a")]
+        assert [type(v) for v in rows[0]] == [float, int, str]
 
 
 class TestCsv:
@@ -125,13 +147,15 @@ class TestTensor:
 
 
 class TestRowGenerators:
+    """The rows table_rows yields from each artifact table's columns."""
+
     def test_wedge_rows(self):
         cloud = WedgeCloud(
             np.array([[1.0, 2.0, 3.0]]), np.array([[0.5, -0.5]]), np.array([0.25])
         )
-        header, rows = wedge_rows(cloud)
+        header, columns = wedge_table(cloud)
         assert header == ["x", "y", "z", "weight", "f0", "f1"]
-        assert list(rows) == [(1.0, 2.0, 3.0, 0.25, 0.5, -0.5)]
+        assert list(table_rows(columns)) == [(1.0, 2.0, 3.0, 0.25, 0.5, -0.5)]
 
     def test_bev_rows_row_major_with_centers(self):
         spec = GridSpec(0.0, 2.0, 0.0, 2.0, 1.0, 1.0, 1)
@@ -139,13 +163,24 @@ class TestRowGenerators:
             np.array([[0.5, 1.5, 0.0]]), np.array([[2.0]]), np.array([1.0])
         )
         grid = pool(cloud, spec)
-        header, rows = bev_rows(grid)
-        rows = list(rows)
+        header, columns = bev_table(grid)
+        rows = list(table_rows(columns))
         assert header == ["ix", "iy", "cx", "cy", "hits", "c0"]
         assert [r[:2] for r in rows] == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert rows[1] == (0, 1, 0.5, 1.5, 1, 2.0)
+        assert [type(v) for v in rows[1]] == [int, int, float, float, int, float]
 
-    def test_maps_rows(self):
+    def test_bev_centers_match_per_cell_arithmetic(self):
+        spec = GridSpec(0.0, 102.4, -51.2, 51.2, 0.8, 0.8, 1)
+        cloud = WedgeCloud(np.zeros((0, 3)), np.zeros((0, 1)), np.zeros(0))
+        rows = list(table_rows(bev_table(pool(cloud, spec))[1]))
+        expected = [
+            (ix, iy, spec.x_min + (ix + 0.5) * spec.res_x, spec.y_min + (iy + 0.5) * spec.res_y)
+            for ix in range(spec.n_x) for iy in range(spec.n_y)
+        ]
+        assert [r[:4] for r in rows] == expected
+
+    def test_maps_rows(self, tmp_path):
         maps = PixelMaps(
             2,
             1,
@@ -154,15 +189,17 @@ class TestRowGenerators:
             np.array([[HIT_GROUND, HIT_SKY]]),
             sample_stride=16,
         )
-        header, rows = maps_rows(maps)
-        rows = list(rows)
+        header, columns = maps_table(maps)
+        rows = list(table_rows(columns))
         assert header == ["u", "v", "depth", "height", "hit_kind"]
         assert rows[0] == (8.0, 8.0, 5.0, 0.0, 0)
         assert rows[1][0] == 24.0 and rows[1][4] == -1
+        assert math.isnan(rows[1][2]) and math.isnan(rows[1][3])
+        assert csv_fields(tmp_path, *columns)[1] == ["24.0", "8.0", "nan", "nan", "-1"]
 
     def test_histogram_rows(self):
-        header, rows = histogram_rows(histogram([0.1, 0.9], 0.5))
-        rows = list(rows)
+        header, columns = histogram_table(histogram([0.1, 0.9], 0.5))
+        rows = list(table_rows(columns))
         assert header == ["bin_left", "bin_right", "count"]
         assert rows[0] == (0.0, 0.5, 1)
         assert rows[1] == (0.5, 1.0, 1)
@@ -176,8 +213,8 @@ class TestRowGenerators:
             true_distances_m=[20.0, 20.0],
             n_pixels=[5, 5],
         )
-        header, rows = error_report_rows(report)
-        rows = list(rows)
+        header, columns = error_report_table(report)
+        rows = list(table_rows(columns))
         assert header[:3] == ["trial", "object", "parameterization"]
         assert rows[0] == (0, 1, "height", 0.1, 20.0, 5)
 

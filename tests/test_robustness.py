@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from bevlift.binning import BinSpec, bin_midpoints
 from bevlift.errors import AboveCamera, ConfigError, InvalidGeometry, NoVisibleObjects
 from bevlift.geometry import Box3D, CameraRig, Intrinsics, extrinsics_from_pose
-from bevlift.io import error_report_rows, write_csv
+from bevlift.io import error_report_table, table_rows, write_csv
 from bevlift.lifting import lift_many_depth, lift_many_height
 from bevlift.robustness import (
     DisturbanceSpec,
@@ -354,9 +354,9 @@ class TestLocalizationError:
         assert {param for _, param, *_ in rows} == {"height", "depth"}
 
     def test_disturbed_run_matches_golden_table(self, disturbed_errors_seed7, tmp_path):
-        header, rows = error_report_rows(disturbed_errors_seed7)
+        header, columns = error_report_table(disturbed_errors_seed7)
         fresh = tmp_path / "errors.csv"
-        write_csv(fresh, header, rows)
+        write_csv(fresh, header, table_rows(columns))
         assert fresh.read_bytes() == (GOLDEN / "errors_seed7.csv").read_bytes()
 
 
