@@ -4,6 +4,14 @@ Cells are half-open intervals: a point with coordinate exactly on the
 upper extent falls outside.  Pooling accumulates weight * feature per
 cell; points outside the extent are dropped and counted, never fatal.
 
+Pooling goes by index.  A cloud's BEV index gives every point its flat
+cell ix * n_y + iy, or the overflow bin n_x * n_y when it lies outside
+the extent, together with the point count of every bin; the count in the
+overflow bin is the number of dropped points.  The index depends only on
+the positions and the GridSpec, so it is memoized in the cloud's
+bev_index, which all clouds of one lift plan share: on a fixed rig it is
+computed once per grid, and each frame runs one np.bincount per channel.
+
 Each cell sums its points in cloud order, so the result is bit-identical
 run to run and to a scalar loop over the points.
 """
@@ -105,29 +113,43 @@ class BevGrid:
     dropped_points: int = 0
 
 
+def _bev_index(positions: np.ndarray, spec: GridSpec):
+    """(flat, counts): each point's flat cell, n_x * n_y for a point outside
+    the extent, and the number of points in each of the n_x * n_y + 1 bins.
+
+    The cell coordinates are compared as floats, so a point far outside
+    the extent lands in the overflow bin without an integer cast.  Its
+    cell coordinate may overflow to inf, and its flat index to inf or
+    nan; np.where discards both, so those warnings are silenced.
+    """
+    n_cells = spec.n_x * spec.n_y
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = np.floor((positions[:, 0] - spec.x_min) / spec.res_x)
+        fy = np.floor((positions[:, 1] - spec.y_min) / spec.res_y)
+        inside = (fx >= 0) & (fx < spec.n_x) & (fy >= 0) & (fy < spec.n_y)
+        flat = np.where(inside, fx * spec.n_y + fy, n_cells).astype(np.intp)
+    counts = np.bincount(flat, minlength=n_cells + 1)
+    flat.flags.writeable = counts.flags.writeable = False
+    return flat, counts
+
+
 def pool(cloud: WedgeCloud, spec: GridSpec) -> BevGrid:
     """Sum weight * feature of every in-extent point into its BEV cell."""
     if cloud.channels != spec.channels:
         raise ShapeMismatch(
             f"cloud has {cloud.channels} channels but the grid expects {spec.channels}"
         )
-    xs = cloud.positions[:, 0]
-    ys = cloud.positions[:, 1]
-    ix = np.floor((xs - spec.x_min) / spec.res_x).astype(np.int64)
-    iy = np.floor((ys - spec.y_min) / spec.res_y).astype(np.int64)
-    inside = (ix >= 0) & (ix < spec.n_x) & (iy >= 0) & (iy < spec.n_y)
-    dropped = int(np.count_nonzero(~inside))
-
+    index = cloud.bev_index.get(spec)
+    if index is None:
+        index = cloud.bev_index[spec] = _bev_index(cloud.positions, spec)
+    flat, counts = index
     n_cells = spec.n_x * spec.n_y
-    flat = ix[inside] * spec.n_y + iy[inside]
-    weights = cloud.weights[inside]
     data = np.empty((n_cells, spec.channels))
     for c in range(spec.channels):
-        data[:, c] = np.bincount(flat, cloud.features[inside, c] * weights, n_cells)
-    hits = np.bincount(flat, minlength=n_cells)
+        data[:, c] = np.bincount(flat, cloud.features[:, c] * cloud.weights, n_cells + 1)[:n_cells]
     return BevGrid(
         spec,
         data.reshape(spec.n_x, spec.n_y, spec.channels),
-        hits.reshape(spec.n_x, spec.n_y),
-        dropped,
+        counts[:n_cells].reshape(spec.n_x, spec.n_y).copy(),
+        int(counts[n_cells]),
     )

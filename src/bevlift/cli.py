@@ -20,7 +20,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ import numpy as np
 from . import io as artio
 from .bevpool import GridSpec, pool
 from .binning import BinSpec
-from .errors import ConfigError, PipelineError, config_int
+from .errors import ConfigError, PipelineError, config_int, config_seed
 from .geometry import CameraRig, rig_from_json_dict
 from .lifting import (
     ContextMap,
@@ -138,7 +138,7 @@ def load_config(path, seed_override: int | None = None):
     if doc.get("scene") is not None:
         resolved["scene"] = _resolve_node(doc["scene"], base)
     digest = config_hash(resolved)
-    seed = seed_override if seed_override is not None else config_int("seed", doc.get("seed", 0))
+    seed = config_seed("seed", seed_override if seed_override is not None else doc.get("seed", 0))
 
     rig = rig_from_json_dict(resolved["rig"])
     scene = None
@@ -154,7 +154,7 @@ def load_config(path, seed_override: int | None = None):
                 raise ConfigError(f"scene spec needs template and n_boxes: {exc}") from exc
             extent = snode.get("extent")
             scene = generate_scene(
-                template, n_boxes, config_int("scene seed", snode.get("seed", seed)),
+                template, n_boxes, config_seed("scene seed", snode.get("seed", seed)),
                 tuple(extent) if extent is not None else None,
             )
 
@@ -381,7 +381,10 @@ def cmd_bench(cfg: ExperimentConfig, args, meta: dict) -> dict:
 
     The workload is the full pixel cell grid of the rig at the configured
     stride with random normalized distributions, so the comparison
-    isolates bin-count economics from scene content.
+    isolates bin-count economics from scene content.  plan_seconds is the
+    lift and pool of a frame on a copy of the rig that holds no lift plan,
+    so it includes building the plan and its BEV index; lift_seconds and
+    pool_seconds are the per-frame times once the plan exists.
     """
     intr = cfg.rig.intrinsics
     width = intr.image_w // cfg.sample_stride
@@ -410,7 +413,12 @@ def cmd_bench(cfg: ExperimentConfig, args, meta: dict) -> dict:
         ("depth", dist_d, cfg.depth_bins, build_wedge_depth),
     ):
         fused = fuse(ctx, dist)
+        t_plan = _time_best(
+            lambda: pool(builder(fused, bins, replace(cfg.rig), cfg.sample_stride), cfg.bev_grid),
+            cfg.bench_repeats,
+        )
         cloud = builder(fused, bins, cfg.rig, cfg.sample_stride)
+        pool(cloud, cfg.bev_grid)  # builds the BEV index, so pool_seconds is per frame
         t_lift = _time_best(
             lambda: builder(fused, bins, cfg.rig, cfg.sample_stride), cfg.bench_repeats
         )
@@ -418,6 +426,7 @@ def cmd_bench(cfg: ExperimentConfig, args, meta: dict) -> dict:
         report[name] = {
             "n_bins": bins.n_bins,
             "n_points": int(cloud.positions.shape[0]),
+            "plan_seconds": t_plan,
             "lift_seconds": t_lift,
             "pool_seconds": t_pool,
         }

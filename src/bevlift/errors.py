@@ -23,6 +23,15 @@ def config_int(name: str, value) -> int:
     return value
 
 
+def config_seed(name: str, value) -> int:
+    """A seed config field: a JSON integer that is not negative, as
+    np.random.SeedSequence requires."""
+    seed = config_int(name, value)
+    if seed < 0:
+        raise ConfigError(f"{name} must be non-negative, got {seed}")
+    return seed
+
+
 class DegenerateOrientation(PipelineError):
     """Camera optical axis is (numerically) parallel to the ground normal."""
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -35,11 +35,14 @@ UP_EGO = np.array([0.0, 0.0, 1.0])
 
 
 def _as_matrix(value, shape, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
+    """A validated read-only float64 copy of value: a rig's lift plans
+    hold geometry derived from these arrays, so they must never change."""
+    arr = np.array(value, dtype=np.float64)
     if arr.shape != shape:
         raise ConfigError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{name} contains non-finite entries")
+    arr.flags.writeable = False
     return arr
 
 
@@ -216,7 +219,12 @@ class CameraRig:
 
     t_cam_virt rotates camera coordinates into the virtual frame;
     t_virt_ego maps virtual coordinates into ego; ground_height_H is the
-    optical center's height above the ground plane.
+    optical center's height above the ground plane.  All arrays are
+    read-only.
+
+    _plans holds the rig's lift plans, one per hypothesis kind (see
+    lifting._plan): they live and die with the rig, and a copy made by
+    dataclasses.replace starts without any.
     """
 
     intrinsics: Intrinsics
@@ -225,6 +233,10 @@ class CameraRig:
     t_virt_ego: RigidTransform
     ground_height_H: float
     rig_id: str = ""
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "t_cam_virt", _as_matrix(self.t_cam_virt, (3, 3), "t_cam_virt"))
 
     @classmethod
     def build(

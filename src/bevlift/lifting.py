@@ -16,10 +16,20 @@ cell.  Feature cell (row r, col c) looks through the pixel at
 ((c + 0.5) * stride, (r + 0.5) * stride).  Cells whose ray does not
 descend toward the ground (y_ref <= 1e-6) cannot carry height hypotheses;
 they are skipped and counted, never fatal.
+
+Where each (cell, bin) hypothesis lands depends only on the rig, the
+stride, the bins and the feature-grid size, never on the frame.  So the
+lifted positions are computed once, in a lift plan stored on the rig
+(CameraRig._plans, at most one plan per hypothesis kind, replaced when
+the stride, bins or grid size change), and each frame only gathers its
+features and weights.  The clouds built from one plan share its read-only
+positions and its memo of BEV cell indices, one entry per GridSpec, which
+bevpool.pool fills on first use.  A plan lives exactly as long as its rig:
+a perturbed rig is a new rig and builds its own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,10 +155,13 @@ def fuse(context: ContextMap, dist: DistributionMap) -> FusedMap:
 class WedgeCloud:
     """Lifted points with per-point features and weights.
 
-    positions are ego-frame xyz, one row per emitted (cell, bin) pair;
-    features repeat the cell's context vector; weights carry the bin
-    weight scaled by the cell weight.  skipped_cells counts feature cells
-    dropped because their ray could not carry height hypotheses.
+    positions are ego-frame xyz, one row per emitted (cell, bin) pair,
+    read-only (a writable input is copied); features repeat the cell's
+    context vector; weights carry the bin weight scaled by the cell
+    weight.  skipped_cells counts feature cells dropped because their ray
+    could not carry height hypotheses.  bev_index memoizes, per GridSpec,
+    the BEV cell index of the positions (see bevpool.pool): clouds of one
+    lift plan share it, any other cloud starts with an empty one.
     """
 
     positions: np.ndarray
@@ -156,9 +169,13 @@ class WedgeCloud:
     weights: np.ndarray
     source_rig_id: str = ""
     skipped_cells: int = 0
+    bev_index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.float64).reshape(-1, 3)
+        if self.positions.flags.writeable:
+            self.positions = self.positions.copy()
+            self.positions.flags.writeable = False
         self.features = np.asarray(self.features, dtype=np.float64)
         self.weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         if self.features.ndim != 2 or self.features.shape[0] != self.positions.shape[0]:
@@ -274,20 +291,60 @@ def _check_grid(fused: FusedMap, rig: CameraRig, stride: int) -> None:
         )
 
 
-def _emit(fused: FusedMap, n_bins: int, valid: np.ndarray, pos_ego: np.ndarray,
-          rig_id: str) -> WedgeCloud:
-    """Wedge cloud of the valid cells, whose lifted positions are pos_ego.
+@dataclass(frozen=True)
+class _LiftPlan:
+    """The frame-independent part of a wedge: which cells emit points,
+    where their (cell, bin) hypotheses land, and the BEV cell indices of
+    those positions, memoized per GridSpec."""
+
+    key: tuple
+    valid: np.ndarray
+    positions: np.ndarray
+    bev_index: dict = field(default_factory=dict)
+
+
+def _plan(kind: str, bins: BinSpec, rig: CameraRig, width: int, height: int,
+          stride: int) -> _LiftPlan:
+    """The rig's lift plan for one hypothesis kind, built on first use and
+    rebuilt when the bins, the feature-grid size or the stride change."""
+    key = (kind, bins, width, height, stride)
+    plan = rig._plans.get(kind)
+    if plan is not None and plan.key == key:
+        return plan
+    uu, vv = cell_pixel_centers(width, height, stride)
+    us, vs = uu.reshape(-1, 1), vv.reshape(-1, 1)
+    if kind == "height":
+        # The horizon test of lift_many_height, on the same (n_cells, 1) columns.
+        valid = _ref_virt(us, vs, rig)[:, 0, 1] > EPS_HORIZON
+        positions = lift_many_height(us[valid], vs[valid], bin_midpoints(bins), rig)
+    else:
+        valid = np.ones(uu.size, dtype=bool)
+        positions = lift_many_depth(us, vs, bin_midpoints(bins), rig)
+    positions = positions.reshape(-1, 3)
+    valid.flags.writeable = positions.flags.writeable = False
+    plan = rig._plans[kind] = _LiftPlan(key, valid, positions)
+    return plan
+
+
+def _wedge(kind: str, fused: FusedMap, bins: BinSpec, rig: CameraRig,
+           stride: int) -> WedgeCloud:
+    """Wedge cloud of the plan's valid cells.
 
     Each valid cell emits n_bins points carrying its context vector and
     weights bin weight * cell weight; invalid cells count as skipped.
     """
+    _check_grid(fused, rig, stride)
+    plan = _plan(kind, bins, rig, fused.width, fused.height, stride)
+    valid = plan.valid
     ctx = fused.context.data.reshape(-1, fused.context.channels)[valid]
-    features = np.repeat(ctx, n_bins, axis=0)
-    dist = fused.dist.data.reshape(-1, n_bins)[valid]
+    features = np.repeat(ctx, bins.n_bins, axis=0)
+    dist = fused.dist.data.reshape(-1, bins.n_bins)[valid]
     cell_w = fused.dist.cell_weight.reshape(-1)[valid]
     weights = (dist * cell_w[:, None]).reshape(-1)
     skipped = int(np.count_nonzero(~valid))
-    return WedgeCloud(pos_ego, features, weights, rig_id, skipped)
+    cloud = WedgeCloud(plan.positions, features, weights, rig.rig_id, skipped)
+    cloud.bev_index = plan.bev_index
+    return cloud
 
 
 def build_wedge(
@@ -306,13 +363,7 @@ def build_wedge(
     """
     if bins.strategy not in HEIGHT_STRATEGIES:
         raise ConfigError(f"build_wedge needs a height strategy, got {bins.strategy}")
-    _check_grid(fused, rig, pixel_stride)
-    uu, vv = cell_pixel_centers(fused.width, fused.height, pixel_stride)
-    us, vs = uu.reshape(-1, 1), vv.reshape(-1, 1)
-    # The horizon test of lift_many_height, on the same (n_cells, 1) columns.
-    valid = _ref_virt(us, vs, rig)[:, 0, 1] > EPS_HORIZON
-    pos_ego = lift_many_height(us[valid], vs[valid], bin_midpoints(bins), rig)
-    return _emit(fused, bins.n_bins, valid, pos_ego.reshape(-1, 3), rig.rig_id)
+    return _wedge("height", fused, bins, rig, pixel_stride)
 
 
 def build_wedge_depth(
@@ -328,8 +379,4 @@ def build_wedge_depth(
     """
     if not bins.is_depth:
         raise ConfigError(f"build_wedge_depth needs a DEPTH_UD spec, got {bins.strategy}")
-    _check_grid(fused, rig, pixel_stride)
-    uu, vv = cell_pixel_centers(fused.width, fused.height, pixel_stride)
-    pos_ego = lift_many_depth(uu.reshape(-1, 1), vv.reshape(-1, 1), bin_midpoints(bins), rig)
-    every_cell = np.ones(uu.size, dtype=bool)
-    return _emit(fused, bins.n_bins, every_cell, pos_ego.reshape(-1, 3), rig.rig_id)
+    return _wedge("depth", fused, bins, rig, pixel_stride)

@@ -35,7 +35,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binning import BinSpec, bin_midpoints
-from .errors import AboveCamera, ConfigError, InvalidGeometry, NoVisibleObjects, config_int
+from .errors import (
+    AboveCamera,
+    ConfigError,
+    InvalidGeometry,
+    NoVisibleObjects,
+    config_int,
+    config_seed,
+)
 from .geometry import CameraRig, Extrinsics, _rot_x, _rot_z, project_ego
 from .lifting import lift_many_depth, lift_many_height
 from .rng import substream
@@ -87,7 +94,7 @@ class DisturbanceSpec:
             return cls(
                 sigma_roll_deg=float(doc.get("sigma_roll_deg", DEFAULT_SIGMA_DEG)),
                 sigma_pitch_deg=float(doc.get("sigma_pitch_deg", DEFAULT_SIGMA_DEG)),
-                seed=config_int("seed", doc.get("seed", 0)),
+                seed=config_seed("seed", doc.get("seed", 0)),
                 n_trials=config_int("n_trials", doc.get("n_trials", 100)),
             )
         except (TypeError, ValueError) as exc:

@@ -29,7 +29,7 @@ from .errors import (
     ExtentTooSmall,
     OutOfRange,
     ShapeMismatch,
-    config_int,
+    config_seed,
 )
 from .geometry import Box3D, CameraRig, pixel_to_ref_cam
 from .lifting import DistributionMap, cell_pixel_centers
@@ -104,7 +104,7 @@ class Scene:
                     float(ext["y_min"]),
                     float(ext["y_max"]),
                 ),
-                rng_seed=config_int("rng_seed", doc.get("rng_seed", 0)),
+                rng_seed=config_seed("rng_seed", doc.get("rng_seed", 0)),
                 template=str(doc.get("template", "")),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -386,7 +386,7 @@ class NoiseModel:
                 kind=str(doc["kind"]),
                 sigma_bins=float(doc.get("sigma_bins", 0.0)),
                 bias_m=float(doc.get("bias_m", 0.0)),
-                seed=config_int("seed", doc.get("seed", 0)),
+                seed=config_seed("seed", doc.get("seed", 0)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed noise model: {exc}") from exc

@@ -1,12 +1,16 @@
 """BEV pooling tests against a scalar accumulation oracle."""
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bevlift.binning import BinSpec
 from bevlift.bevpool import GridSpec, grid_cell_of, pool
 from bevlift.errors import ConfigError, ShapeMismatch
-from bevlift.lifting import WedgeCloud
+from bevlift.lifting import ContextMap, DistributionMap, WedgeCloud, build_wedge_depth, fuse
 
 SMALL = GridSpec(0.0, 4.0, -2.0, 2.0, 1.0, 1.0, 2)
 
@@ -138,3 +142,41 @@ class TestPool:
         np.testing.assert_array_equal(grid.data, data)
         np.testing.assert_array_equal(grid.hit_count, hits)
         assert grid.dropped_points == dropped
+
+    def test_one_cloud_pools_into_two_grids(self, mast_rig):
+        rng = np.random.default_rng(31)
+        w, h, n_bins = 24, 13, 8
+        raw = rng.random((h, w, n_bins)) + 1e-3
+        fused = fuse(
+            ContextMap(w, h, 2, rng.normal(size=(h, w, 2))),
+            DistributionMap(w, h, n_bins, raw / raw.sum(-1, keepdims=True)),
+        )
+        bins = BinSpec("DEPTH_UD", n_bins, 1.0, 60.0)
+        rig = replace(mast_rig)
+        cloud = build_wedge_depth(fused, bins, rig, 64)
+        coarse = GridSpec(0.0, 64.0, -32.0, 32.0, 4.0, 4.0, 2)
+        fine = GridSpec(0.0, 40.0, -10.0, 10.0, 0.5, 0.5, 2)
+        grids = [pool(cloud, spec) for spec in (coarse, fine, coarse)]
+        assert set(cloud.bev_index) == {coarse, fine}
+        for spec, grid in zip((coarse, fine, coarse), grids):
+            fresh = pool(build_wedge_depth(fused, bins, replace(mast_rig), 64), spec)
+            assert grid.data.tobytes() == fresh.data.tobytes()
+            np.testing.assert_array_equal(grid.hit_count, fresh.hit_count)
+            assert grid.dropped_points == fresh.dropped_points
+            data, hits, dropped = pool_oracle(cloud, spec)
+            np.testing.assert_array_equal(grid.data, data)
+            np.testing.assert_array_equal(grid.hit_count, hits)
+            assert grid.dropped_points == dropped
+        assert 0 < grids[1].dropped_points < cloud.n_points
+
+    @pytest.mark.parametrize("spec", [SMALL, GridSpec(0.0, 4.0, -2.0, 2.0, 0.25, 0.25, 2)])
+    def test_drops_far_points_without_warnings(self, spec):
+        far = [[1e300, 0.0, 0.0], [-1e300, 0.0, 0.0], [0.5, 1e300, 0.0],
+               [0.5, -1e300, 0.0], [1.7e308, -1.7e308, 0.0]]
+        cloud = WedgeCloud(far + [[0.5, 0.5, 0.0]], np.ones((6, 2)), np.full(6, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = pool(cloud, spec)
+        assert grid.dropped_points == 5
+        assert grid.hit_count.sum() == 1
+        assert grid.data.sum() == 1.0

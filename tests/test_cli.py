@@ -75,6 +75,23 @@ BAD_INT_PROBES = {
 }
 
 
+# Seed fields given a negative integer, which np.random.SeedSequence
+# rejects: probe id -> (config overrides, the field name the error must
+# carry, command-line flags).
+NEGATIVE_SEED_PROBES = {
+    "seed-negative": ({"seed": -1}, "seed"),
+    "seed-flag-negative": ({}, "seed", "--seed", "-1"),
+    "scene-seed-negative": ({"scene": {**BASE_CONFIG["scene"], "seed": -3}}, "seed"),
+    "disturbance-seed-negative": (
+        {"disturbance": {**BASE_CONFIG["disturbance"], "seed": -1}}, "seed",
+    ),
+    "noise-seed-negative": ({"noise": {**BASE_CONFIG["noise"], "seed": -2}}, "seed"),
+    "rng_seed-negative": ({"scene": {**CLOSE_BOXES_SCENE, "rng_seed": -1}}, "rng_seed"),
+}
+
+FIELD_PROBES = {**BAD_INT_PROBES, **NEGATIVE_SEED_PROBES}
+
+
 def write_config(tmp_path, name="exp.json", **overrides):
     doc = {**BASE_CONFIG, **overrides}
     doc = {k: v for k, v in doc.items() if v is not None}
@@ -240,11 +257,11 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and "sigma_roll_deg" in err["message"]
 
-    @pytest.mark.parametrize("probe", BAD_INT_PROBES)
+    @pytest.mark.parametrize("probe", FIELD_PROBES)
     def test_non_integer_field_is_2(self, tmp_path, capsys, probe):
-        overrides, field = BAD_INT_PROBES[probe]
+        overrides, field, *flags = FIELD_PROBES[probe]
         path = write_config(tmp_path, **overrides)
-        code = main(["render", "--config", str(path), "--out", str(tmp_path / "out")])
+        code = main(["render", "--config", str(path), "--out", str(tmp_path / "out"), *flags])
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and field in err["message"]
@@ -399,6 +416,8 @@ class TestBenchCommand:
         assert report["depth"]["n_bins"] == 30
         assert report["depth"]["n_points"] == cells * 30
         assert report["height"]["lift_seconds"] > 0
+        assert report["height"]["plan_seconds"] > 0
+        assert report["depth"]["plan_seconds"] > 0
         assert report["point_ratio_depth_over_height"] == pytest.approx(
             report["depth"]["n_points"] / report["height"]["n_points"]
         )

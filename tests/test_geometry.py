@@ -75,6 +75,17 @@ class TestExtrinsics:
             extr.ego_to_cam(extr.camera_center), np.zeros(3), atol=1e-12
         )
 
+    def test_rig_arrays_are_read_only(self):
+        rotation = np.eye(3)
+        extr = Extrinsics(rotation, np.array([0.0, 0.0, 5.0]))
+        rotation[0, 0] = 2.0  # the caller's array is copied, not frozen
+        assert extr.rotation[0, 0] == 1.0
+        rig = overhead_rig(pitch_deg=20.0)
+        for arr in (rig.extrinsics.rotation, rig.extrinsics.translation, rig.t_cam_virt,
+                    rig.t_virt_ego.rotation, rig.t_virt_ego.translation):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     @given(rig_st())
     def test_transform_round_trip(self, rig):
         pts = np.array([[1.0, 2.0, 3.0], [-4.0, 0.5, 10.0]])

@@ -6,11 +6,14 @@ camera center, points along the rotated reference direction, and meets
 the plane z = h where the ray's z coordinate says so.  The production
 code must agree with that everywhere it is defined.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bevlift.bevpool import GridSpec, pool
 from bevlift.binning import BinSpec
 from bevlift.errors import (
     AboveCamera,
@@ -35,6 +38,7 @@ from bevlift.lifting import (
     lift_pixel_height,
     lift_pixel_height_composed,
 )
+from bevlift.robustness import perturb_rig
 from strategies import descending_pixel_st, rig_st
 
 INTR_1000 = Intrinsics(1000.0, 1000.0, 768.0, 432.0, 1536, 864)
@@ -339,6 +343,82 @@ class TestBuildWedgeDepth:
         fused = random_fused(rng, 2, 2, 3, 1)
         with pytest.raises(ConfigError):
             build_wedge_depth(fused, BinSpec("UD", 3, 1.0, 10.0), mast_rig)
+
+
+PLAN_HEIGHT_BINS = BinSpec("DID", 5, -0.2, 2.6, 1.2)
+PLAN_DEPTH_BINS = BinSpec("DEPTH_UD", 6, 1.0, 31.0)
+PLAN_GRID = GridSpec(0.0, 40.0, -20.0, 20.0, 2.0, 2.0, 3)
+
+
+def both_wedges(rig, seed, width=12, height=54, stride=16, bins_h=PLAN_HEIGHT_BINS):
+    """One frame's height and depth clouds: fresh context and distributions
+    drawn from seed, lifted on rig."""
+    rng = np.random.default_rng(seed)
+    fused_h = random_fused(rng, width, height, bins_h.n_bins, 3, zero_weight_frac=0.2)
+    fused_d = fuse(fused_h.context, random_fused(rng, width, height, 6, 3).dist)
+    return (build_wedge(fused_h, bins_h, rig, stride),
+            build_wedge_depth(fused_d, PLAN_DEPTH_BINS, rig, stride))
+
+
+def assert_clouds_equal(a, b):
+    for name in ("positions", "features", "weights"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert (a.skipped_cells, a.source_rig_id) == (b.skipped_cells, b.source_rig_id)
+
+
+class TestLiftPlan:
+    def test_frames_on_one_rig_equal_frames_on_fresh_rigs(self):
+        # pitch 20: the horizon crosses the image, so the height plan skips
+        rig = level_rig(pitch_deg=20.0)
+        frames = [both_wedges(rig, seed) for seed in (1, 2)]
+        for seed, clouds in zip((1, 2), frames):
+            fresh = replace(rig)
+            assert fresh._plans == {}
+            for cloud, fresh_cloud in zip(clouds, both_wedges(fresh, seed)):
+                assert_clouds_equal(cloud, fresh_cloud)
+                a, b = pool(cloud, PLAN_GRID), pool(fresh_cloud, PLAN_GRID)
+                assert a.data.tobytes() == b.data.tobytes()
+                np.testing.assert_array_equal(a.hit_count, b.hit_count)
+                assert a.dropped_points == b.dropped_points
+        assert frames[0][0].skipped_cells > 0
+        # the second frame reused the first frame's geometry and BEV index
+        for first, second in zip(*frames):
+            assert np.shares_memory(second.positions, first.positions)
+            assert second.bev_index is first.bev_index
+            assert list(second.bev_index) == [PLAN_GRID]
+
+    def test_perturbed_rig_gets_its_own_positions(self):
+        rig = level_rig(pitch_deg=20.0)
+        clouds = both_wedges(rig, 3)
+        swayed = perturb_rig(rig, 1.0, -0.5)
+        swayed_clouds = both_wedges(swayed, 3)
+        for cloud, swayed_cloud, fresh_cloud in zip(
+                clouds, swayed_clouds, both_wedges(replace(swayed), 3)):
+            assert not np.shares_memory(cloud.positions, swayed_cloud.positions)
+            assert swayed_cloud.bev_index is not cloud.bev_index
+            assert_clouds_equal(swayed_cloud, fresh_cloud)
+            if cloud.n_points == swayed_cloud.n_points:
+                assert not np.array_equal(cloud.positions, swayed_cloud.positions)
+        assert swayed._plans["height"] is not rig._plans["height"]
+
+    @pytest.mark.parametrize("change", [
+        {"stride": 8},
+        {"bins_h": BinSpec("UD", 4, 0.0, 2.0)},
+        {"width": 10},
+        {"height": 40},
+    ])
+    def test_new_stride_bins_or_grid_size_rebuilds_the_plan(self, change):
+        rig = level_rig(pitch_deg=20.0)
+        old = both_wedges(rig, 4)
+        old_plans = dict(rig._plans)
+        new = both_wedges(rig, 4, **change)
+        assert sorted(rig._plans) == ["depth", "height"]
+        rebuilt = ["height", "depth"] if "bins_h" not in change else ["height"]
+        for kind in ("height", "depth"):
+            assert (rig._plans[kind] is not old_plans[kind]) == (kind in rebuilt)
+        for cloud, fresh_cloud in zip(new, both_wedges(replace(rig), 4, **change)):
+            assert_clouds_equal(cloud, fresh_cloud)
+        assert old[0].n_points != new[0].n_points
 
 
 class TestWedgeCloud:
