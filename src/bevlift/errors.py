@@ -5,6 +5,7 @@ everything else is a numeric/geometric failure raised as a PipelineError
 subclass.  The CLI maps ConfigError to exit code 2 and any other
 PipelineError to exit code 3.
 """
+import math
 
 
 class PipelineError(Exception):
@@ -21,6 +22,24 @@ def config_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def config_float(name: str, value, lo: float | None = None, hi: float | None = None) -> float:
+    """A real config field: only a finite JSON number (an int or float that
+    is not a bool) is accepted, inside [lo, hi] where a bound is given."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if lo is not None and number < lo:
+        raise ConfigError(f"{name} must be >= {lo}, got {number!r}")
+    if hi is not None and number > hi:
+        raise ConfigError(f"{name} must be <= {hi}, got {number!r}")
+    return number
 
 
 def config_seed(name: str, value) -> int:

@@ -115,11 +115,18 @@ class DistributionMap:
                 raise ShapeMismatch("cell_weight shape does not match the map")
             if not np.all(np.isfinite(self.cell_weight)):
                 raise ConfigError("cell weights must be finite")
-        if np.any(self.data < 0) or np.any(self.cell_weight < 0):
+        if np.any(self.cell_weight < 0):
             raise ConfigError("distribution weights must be non-negative")
-        sums = self.data.sum(axis=-1)
-        if not np.all(np.abs(sums - 1.0) <= 1e-6):
-            raise ConfigError("per-cell bin weights must sum to 1 within 1e-6")
+        _check_bin_weights(self.data)
+
+
+def _check_bin_weights(data: np.ndarray) -> None:
+    """The rule every bin distribution (last axis of data) obeys: weights
+    are non-negative and sum to 1 within 1e-6, which NaN weights fail."""
+    if np.any(data < 0):
+        raise ConfigError("distribution weights must be non-negative")
+    if not np.all(np.abs(data.sum(axis=-1) - 1.0) <= 1e-6):
+        raise ConfigError("per-cell bin weights must sum to 1 within 1e-6")
 
 
 @dataclass

@@ -26,7 +26,8 @@ surface-versus-center offsets.  A pixel's estimate is the lift of its
 expected hypothesis, the distribution's mean bin midpoint: the lifted
 point is affine in the hypothesis value and each distribution sums to 1,
 so this is the bin-weighted centroid of the pixel's lifted bins without
-lifting every bin.
+lifting every bin.  The expected hypothesis is read from one noise table
+per run, only at object pixels; no dense distribution map is built.
 """
 from __future__ import annotations
 
@@ -46,14 +47,7 @@ from .errors import (
 from .geometry import CameraRig, Extrinsics, _rot_x, _rot_z, project_ego
 from .lifting import lift_many_depth, lift_many_height
 from .rng import substream
-from .scene import (
-    NoiseModel,
-    Scene,
-    cast_rays,
-    predict_depth_distribution,
-    predict_height_distribution,
-    render,
-)
+from .scene import NoiseModel, Scene, _noise_table, _true_bins, cast_rays, render
 
 # Histogram grid of the scatter overlap metric.
 V_BIN_PX = 16.0
@@ -139,12 +133,18 @@ def _pixel_observations(scene: Scene, rig: CameraRig, sample_stride: int):
 
 
 def _hist_cells(v_vals: np.ndarray, y_vals: np.ndarray, y_bin: float) -> dict:
-    counts: dict[tuple[int, int], int] = {}
+    """Point count per occupied (v, y) cell, keyed in order of each cell's
+    first point, the order _intersection sums in."""
     vb = np.floor(v_vals / V_BIN_PX).astype(np.int64)
     yb = np.floor(y_vals / y_bin).astype(np.int64)
-    for key in zip(vb.tolist(), yb.tolist()):
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    # One int64 key per cell: rows are few and y levels at most one per
+    # point, so the key cannot overflow.
+    y_levels, y_index = np.unique(yb, return_inverse=True)
+    keys = (vb - vb.min()) * y_levels.size + y_index
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    first = first[order]
+    return dict(zip(zip(vb[first].tolist(), yb[first].tolist()), counts[order].tolist()))
 
 
 def _intersection(p: dict, n_p: int, q: dict, n_q: int) -> float:
@@ -256,9 +256,24 @@ class ErrorReport:
         return out
 
 
-def _object_rows(
-    maps, rig: CameraRig, dist_h, dist_d, mids_h, mids_d, scene: Scene
-):
+def _true_bin_map(values: np.ndarray, maps, bins: BinSpec, noise: NoiseModel) -> np.ndarray:
+    """Each pixel's true bin (0 on sky).  Every non-sky pixel is binned, so
+    any of them leaving the bin range raises OutOfRange, as predicting the
+    full distribution map would."""
+    out = np.zeros(values.shape, dtype=np.int64)
+    out[maps.non_sky] = _true_bins(values[maps.non_sky], bins, noise)
+    return out
+
+
+def _object_rows(maps, rig: CameraRig, scene: Scene, paths):
+    """One (object, param, error, reference distance, pixel count) row per
+    visible object and parameterization.
+
+    paths holds (param, lift, true_bin_map, table, mids) per
+    parameterization.  An object pixel's expected hypothesis is its noise
+    table row dotted with the bin midpoints, the same value as the
+    predicted distribution's row dotted with them, bit for bit.
+    """
     uu, vv = maps.pixel_grid()
     cam = rig.camera_center
     rows = []
@@ -271,11 +286,8 @@ def _object_rows(
         true_pts = lift_many_depth(us, vs, maps.depth[mask], rig)
         d_ref = float(np.linalg.norm(true_pts.mean(axis=0) - cam))
 
-        for param, lift, dist, mids in (
-            ("height", lift_many_height, dist_h, mids_h),
-            ("depth", lift_many_depth, dist_d, mids_d),
-        ):
-            est = lift(us, vs, dist.data[mask] @ mids, rig).mean(axis=0)
+        for param, lift, true_bins, table, mids in paths:
+            est = lift(us, vs, table[true_bins[mask]] @ mids, rig).mean(axis=0)
             err = abs(float(np.linalg.norm(est - cam)) - d_ref)
             rows.append((k, param, err, d_ref, n_px))
     return rows
@@ -293,12 +305,14 @@ def localization_error(
     """Camera-origin distance error of each object's center estimate.
 
     Per trial the scene is rendered from the (possibly perturbed) rig,
-    truth-conditioned height and depth distributions are produced under
-    the noise model, and every object's center is estimated as the mean
-    of its pixels each lifted at its expected height or depth.  The
-    reference for an object is the camera distance of the exact surface
-    centroid over the same pixels, so a noiseless run errs only by bin
-    quantization.  Raises AboveCamera when a height bin reaches the camera.
+    every non-sky pixel is binned under the noise model, and every
+    object's center is estimated as the mean of its pixels each lifted at
+    its expected height or depth.  The expected hypotheses come from one
+    noise table per parameterization, so no dense distribution map is
+    built.  The reference for an object is the camera distance of the
+    exact surface centroid over the same pixels, so a noiseless run errs
+    only by bin quantization.  Raises AboveCamera when a height bin
+    reaches the camera, OutOfRange when a rendered value leaves its bins.
     """
     if not depth_bins.is_depth:
         raise ConfigError("depth_bins must use the DEPTH_UD strategy")
@@ -307,6 +321,8 @@ def localization_error(
     # perturb_rig keeps the camera height, so this covers every trial.
     if np.any(mids_h >= rig.ground_height_H):
         raise AboveCamera("height bins reach the camera center height")
+    table_h = _noise_table(height_bins, noise)
+    table_d = _noise_table(depth_bins, noise)
     if disturbance is None:
         angle_list = np.zeros((1, 2))
     else:
@@ -322,11 +338,14 @@ def localization_error(
     for trial, (roll, pitch) in enumerate(angle_list):
         rig_t = rig if disturbance is None else perturb_rig(rig, roll, pitch)
         maps = render(scene, rig_t, sample_stride)
-        dist_h = predict_height_distribution(maps, height_bins, noise)
-        dist_d = predict_depth_distribution(maps, depth_bins, noise)
-        for k, param, err, d_ref, n_px in _object_rows(
-            maps, rig_t, dist_h, dist_d, mids_h, mids_d, scene
-        ):
+        paths = (
+            ("height", lift_many_height,
+             _true_bin_map(maps.height_above_ground, maps, height_bins, noise),
+             table_h, mids_h),
+            ("depth", lift_many_depth,
+             _true_bin_map(maps.depth, maps, depth_bins, noise), table_d, mids_d),
+        )
+        for k, param, err, d_ref, n_px in _object_rows(maps, rig_t, scene, paths):
             report.trials.append(trial)
             report.objects.append(k)
             report.parameterizations.append(param)

@@ -29,10 +29,11 @@ from .errors import (
     ExtentTooSmall,
     OutOfRange,
     ShapeMismatch,
+    config_float,
     config_seed,
 )
-from .geometry import Box3D, CameraRig, pixel_to_ref_cam
-from .lifting import DistributionMap, cell_pixel_centers
+from .geometry import Box3D, CameraRig, pixel_to_ref_cam, project_ego
+from .lifting import DistributionMap, _check_bin_weights, cell_pixel_centers
 from .rng import substream
 
 HIT_SKY = -1
@@ -93,16 +94,17 @@ class Scene:
         try:
             ext = doc["extent"]
             boxes = tuple(
-                Box3D(b["x"], b["y"], b["z"], b["l"], b["w"], b["h"], b["theta"])
-                for b in doc["boxes"]
+                Box3D(*(
+                    config_float(f"boxes[{i}].{key}", b[key], lo=0.0 if key == "z" else None)
+                    for key in ("x", "y", "z", "l", "w", "h", "theta")
+                ))
+                for i, b in enumerate(doc["boxes"])
             )
             return cls(
                 boxes=boxes,
-                extent=(
-                    float(ext["x_min"]),
-                    float(ext["x_max"]),
-                    float(ext["y_min"]),
-                    float(ext["y_max"]),
+                extent=tuple(
+                    config_float(f"extent.{key}", ext[key])
+                    for key in ("x_min", "x_max", "y_min", "y_max")
                 ),
                 rng_seed=config_seed("rng_seed", doc.get("rng_seed", 0)),
                 template=str(doc.get("template", "")),
@@ -241,22 +243,55 @@ def _box_frames(boxes: Sequence[Box3D]):
     return centers, cos, sin, half
 
 
+# Corner signs of a box in its own frame, in units of the half sizes.
+_CORNER_SIGNS = np.array(
+    [[sx, sy, sz] for sx in (1.0, -1.0) for sy in (1.0, -1.0) for sz in (1.0, -1.0)]
+)
+
+
+def _box_ray_selectors(centers, cos_t, sin_t, half, us, vs, rig: CameraRig):
+    """For each box, the rays that can hit it.
+
+    A ray hits a box only through a point inside it; when every corner of
+    the box lies in front of the camera, that point projects inside the
+    convex hull of the projected corners, hence inside their bounding
+    rectangle.  The rectangle is padded by 1 px against rounding.  A box
+    with a corner at or behind the camera plane gets every ray.
+    """
+    # Box3D.corners for all boxes at once.
+    local = _CORNER_SIGNS * half[:, None, :]
+    x = cos_t[:, None] * local[..., 0] - sin_t[:, None] * local[..., 1]
+    y = sin_t[:, None] * local[..., 0] + cos_t[:, None] * local[..., 1]
+    corners = np.stack([x, y, local[..., 2]], axis=-1) + centers[:, None, :]
+    cu, cv, depth, _ = project_ego(corners, rig.intrinsics, rig.extrinsics)
+    front = np.all(depth > 0, axis=1)
+    u_lo, u_hi = cu.min(axis=1) - 1.0, cu.max(axis=1) + 1.0
+    v_lo, v_hi = cv.min(axis=1) - 1.0, cv.max(axis=1) + 1.0
+    for k in range(len(centers)):
+        if front[k]:
+            yield np.flatnonzero(
+                (us >= u_lo[k]) & (us <= u_hi[k]) & (vs >= v_lo[k]) & (vs <= v_hi[k])
+            )
+        else:
+            yield slice(None)
+
+
 def cast_rays(scene: Scene, rig: CameraRig, us, vs):
     """Cast rays through arbitrary pixel coordinates.
 
     Returns (depth, height, hit_kind) arrays shaped like the input.  The
     ray direction keeps camera z = 1, so the nearest-hit parameter equals
-    camera depth directly.
+    camera depth directly.  Each box is tested only against the rays
+    inside its projected bounds (see _box_ray_selectors); the per-ray
+    arithmetic is the same whichever rays a box is tested against.
     """
     us = np.asarray(us, dtype=np.float64)
     vs = np.asarray(vs, dtype=np.float64)
     shape = us.shape
-    ref_cam = pixel_to_ref_cam(us.ravel(), vs.ravel(), rig.intrinsics)
+    us, vs = us.ravel(), vs.ravel()
+    ref_cam = pixel_to_ref_cam(us, vs, rig.intrinsics)
     dirs = ref_cam @ rig.extrinsics.rotation  # camera->ego rotation applied
     origin = rig.camera_center
-
-    best_t = np.full(us.size, np.inf)
-    kind = np.full(us.size, HIT_SKY, dtype=np.int64)
 
     # Ground plane z = 0, sensed only inside the scene extent.
     dz = dirs[:, 2]
@@ -273,22 +308,24 @@ def cast_rays(scene: Scene, rig: CameraRig, us, vs):
         & (gy >= y_min)
         & (gy <= y_max)
     )
-    best_t = np.where(ground_ok, t_ground, best_t)
-    kind = np.where(ground_ok, HIT_GROUND, kind)
+    best_t = np.where(ground_ok, t_ground, np.inf)
+    kind = np.where(ground_ok, HIT_GROUND, HIT_SKY)
 
     if scene.boxes:
         centers, cos_t, sin_t, half = _box_frames(scene.boxes)
-        for k in range(len(scene.boxes)):
+        selectors = _box_ray_selectors(centers, cos_t, sin_t, half, us, vs, rig)
+        for k, rays in enumerate(selectors):
+            ray_dirs = dirs[rays]
             rel = origin - centers[k]
             # Rotate ray into the box frame (undo the yaw).
             ox = cos_t[k] * rel[0] + sin_t[k] * rel[1]
             oy = -sin_t[k] * rel[0] + cos_t[k] * rel[1]
             oz = rel[2]
-            dx = cos_t[k] * dirs[:, 0] + sin_t[k] * dirs[:, 1]
-            dy = -sin_t[k] * dirs[:, 0] + cos_t[k] * dirs[:, 1]
-            dzb = dirs[:, 2]
-            t_near = np.full(us.size, -np.inf)
-            t_far = np.full(us.size, np.inf)
+            dx = cos_t[k] * ray_dirs[:, 0] + sin_t[k] * ray_dirs[:, 1]
+            dy = -sin_t[k] * ray_dirs[:, 0] + cos_t[k] * ray_dirs[:, 1]
+            dzb = ray_dirs[:, 2]
+            t_near = np.full(len(ray_dirs), -np.inf)
+            t_far = np.full(len(ray_dirs), np.inf)
             for o, d, half_size in ((ox, dx, half[k, 0]), (oy, dy, half[k, 1]), (oz, dzb, half[k, 2])):
                 parallel = np.abs(d) < 1e-12
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -303,9 +340,10 @@ def cast_rays(scene: Scene, rig: CameraRig, us, vs):
                 t_far = np.minimum(t_far, hi)
             hit = (t_near <= t_far) & (t_far > _RAY_T_MIN)
             t_hit = np.where(t_near > _RAY_T_MIN, t_near, t_far)
-            better = hit & (t_hit < best_t)
-            best_t = np.where(better, t_hit, best_t)
-            kind = np.where(better, k + 1, kind)
+            current = best_t[rays]
+            better = hit & (t_hit < current)
+            best_t[rays] = np.where(better, t_hit, current)
+            kind[rays] = np.where(better, k + 1, kind[rays])
 
     sky = ~np.isfinite(best_t)
     depth = np.where(sky, np.nan, best_t)
@@ -392,6 +430,35 @@ class NoiseModel:
             raise ConfigError(f"malformed noise model: {exc}") from exc
 
 
+def _noise_table(bins: BinSpec, noise: NoiseModel) -> np.ndarray:
+    """The (n_bins, n_bins) table whose row i is the predicted distribution
+    of a cell whose true bin is i: a normalized Gaussian kernel for
+    gaussian_bin_blur with sigma_bins > 0, else the identity.  It is checked
+    here under DistributionMap's rules, so rows gathered from it are valid
+    distributions."""
+    n = bins.n_bins
+    if noise.kind == "gaussian_bin_blur" and noise.sigma_bins > 0:
+        offsets = np.arange(n, dtype=np.float64)
+        table = np.exp(-((offsets[None, :] - offsets[:, None]) ** 2) / (
+            2.0 * noise.sigma_bins**2
+        ))
+        table /= table.sum(axis=1, keepdims=True)
+    else:
+        table = np.eye(n)
+    _check_bin_weights(table)
+    return table
+
+
+def _true_bins(values: np.ndarray, bins: BinSpec, noise: NoiseModel) -> np.ndarray:
+    """Bin index of each rendered value after the noise model's bias.
+    Raises OutOfRange when a value leaves the bin range."""
+    shifted = values + noise.bias_m if noise.kind == "bias" else values
+    try:
+        return value_to_bin(shifted, bins)
+    except OutOfRange as exc:
+        raise OutOfRange(f"rendered values do not fit the bin range: {exc}") from exc
+
+
 def _distribution_from_values(
     values: np.ndarray, valid: np.ndarray, bins: BinSpec, noise: NoiseModel
 ) -> DistributionMap:
@@ -402,21 +469,8 @@ def _distribution_from_values(
     flat_valid = valid.ravel()
     vals = values.ravel()[flat_valid]
     if vals.size:
-        shifted = vals + noise.bias_m if noise.kind == "bias" else vals
-        try:
-            true_bins = value_to_bin(shifted, bins)
-        except OutOfRange as exc:
-            raise OutOfRange(f"rendered values do not fit the bin range: {exc}") from exc
-        # Row i of the table is the distribution of a cell whose true bin is i.
-        if noise.kind == "gaussian_bin_blur" and noise.sigma_bins > 0:
-            offsets = np.arange(n, dtype=np.float64)
-            table = np.exp(-((offsets[None, :] - offsets[:, None]) ** 2) / (
-                2.0 * noise.sigma_bins**2
-            ))
-            table /= table.sum(axis=1, keepdims=True)
-        else:
-            table = np.eye(n)
-        data[flat_valid] = table[true_bins]
+        true_bins = _true_bins(vals, bins, noise)
+        data[flat_valid] = _noise_table(bins, noise)[true_bins]
         cell_weight[flat_valid] = 1.0
     return DistributionMap(
         width, height, n, data.reshape(height, width, n), cell_weight.reshape(height, width)

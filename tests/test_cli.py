@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bevlift.cli import _write_table, config_hash, load_config, main
-from bevlift.errors import ConfigError
+from bevlift.errors import ConfigError, config_float
 from bevlift.io import read_csv, read_json, read_tensor
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,12 +92,51 @@ NEGATIVE_SEED_PROBES = {
 FIELD_PROBES = {**BAD_INT_PROBES, **NEGATIVE_SEED_PROBES}
 
 
+def _close_boxes_with(box0=None, **extent):
+    """CLOSE_BOXES_SCENE with fields of its first box and of its extent
+    replaced."""
+    boxes = [{**CLOSE_BOXES_SCENE["boxes"][0], **(box0 or {})}, CLOSE_BOXES_SCENE["boxes"][1]]
+    return {"extent": {**CLOSE_BOXES_SCENE["extent"], **extent}, "boxes": boxes}
+
+
+# Scene values that are not finite numbers: probe id -> (scene document,
+# the field name the error must carry).
+SCENE_FLOAT_PROBES = {
+    "box-h-inf": (_close_boxes_with({"h": INF}), "boxes[0].h"),
+    "box-theta-nan": (_close_boxes_with({"theta": float("nan")}), "boxes[0].theta"),
+    "extent-x_max-inf": (_close_boxes_with(x_max=INF), "extent.x_max"),
+    "box-z-bool": (_close_boxes_with({"z": True}), "boxes[0].z"),
+    "box-z-negative": (_close_boxes_with({"z": -0.5}), "boxes[0].z"),
+}
+
+
 def write_config(tmp_path, name="exp.json", **overrides):
     doc = {**BASE_CONFIG, **overrides}
     doc = {k: v for k, v in doc.items() if v is not None}
     path = tmp_path / name
     path.write_text(json.dumps(doc, indent=2))
     return path
+
+
+class TestConfigFloat:
+    @pytest.mark.parametrize("value", [0, 3, -2.5, 1e300])
+    def test_accepts_finite_numbers(self, value):
+        got = config_float("f", value)
+        assert type(got) is float and got == value
+
+    @pytest.mark.parametrize("value", [
+        True, False, "1.0", None, [1.0], float("nan"), INF, -INF, 10**400,
+    ])
+    def test_rejects_non_numbers_and_non_finite(self, value):
+        with pytest.raises(ConfigError, match="field_name"):
+            config_float("field_name", value)
+
+    def test_bounds_are_inclusive(self):
+        assert config_float("f", 0.0, lo=0.0, hi=1.0) == 0.0
+        assert config_float("f", 1, lo=0.0, hi=1.0) == 1.0
+        for value in (-1e-12, 1.0 + 1e-12):
+            with pytest.raises(ConfigError, match="f must be"):
+                config_float("f", value, lo=0.0, hi=1.0)
 
 
 class TestLoadConfig:
@@ -262,6 +301,15 @@ class TestExitCodes:
         overrides, field, *flags = FIELD_PROBES[probe]
         path = write_config(tmp_path, **overrides)
         code = main(["render", "--config", str(path), "--out", str(tmp_path / "out"), *flags])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and field in err["message"]
+
+    @pytest.mark.parametrize("probe", SCENE_FLOAT_PROBES)
+    def test_non_finite_scene_value_is_2(self, tmp_path, capsys, probe):
+        scene, field = SCENE_FLOAT_PROBES[probe]
+        path = write_config(tmp_path, scene=scene)
+        code = main(["render", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and field in err["message"]

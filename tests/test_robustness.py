@@ -12,7 +12,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bevlift.binning import BinSpec, bin_midpoints
-from bevlift.errors import AboveCamera, ConfigError, InvalidGeometry, NoVisibleObjects
+from bevlift.errors import (
+    AboveCamera,
+    ConfigError,
+    InvalidGeometry,
+    NoVisibleObjects,
+    OutOfRange,
+)
 from bevlift.geometry import Box3D, CameraRig, Intrinsics, extrinsics_from_pose
 from bevlift.io import error_report_table, table_rows, write_csv
 from bevlift.lifting import lift_many_depth, lift_many_height
@@ -20,6 +26,7 @@ from bevlift.robustness import (
     DisturbanceSpec,
     OverlapReport,
     _object_rows,
+    _true_bin_map,
     height_error_law,
     localization_error,
     matched_surface_points,
@@ -32,6 +39,7 @@ from bevlift.robustness import (
 from bevlift.scene import (
     NoiseModel,
     Scene,
+    _noise_table,
     predict_depth_distribution,
     predict_height_distribution,
     render,
@@ -237,6 +245,27 @@ def clean_run(corridor7, mast_rig):
     )
 
 
+def object_paths(maps, noise, lifts=(lift_many_height, lift_many_depth)):
+    """The (param, lift, true_bin_map, table, mids) paths localization_error
+    hands _object_rows for one rendered trial of the committed bins."""
+    return tuple(
+        (param, lift, _true_bin_map(values, maps, bins, noise),
+         _noise_table(bins, noise), bin_midpoints(bins))
+        for param, lift, values, bins in (
+            ("height", lifts[0], maps.height_above_ground, EXPERIMENT_HEIGHT_BINS),
+            ("depth", lifts[1], maps.depth, EXPERIMENT_DEPTH_BINS),
+        )
+    )
+
+
+def recording(lift, seen):
+    """lift, recording the hypotheses it is called with."""
+    def wrapped(us, vs, hypotheses, rig):
+        seen.append(hypotheses)
+        return lift(us, vs, hypotheses, rig)
+    return wrapped
+
+
 class TestLocalizationError:
     def test_row_structure(self, clean_run, corridor7):
         n_rows = len(clean_run.errors_m)
@@ -333,7 +362,7 @@ class TestLocalizationError:
         dist_d = predict_depth_distribution(maps, EXPERIMENT_DEPTH_BINS, noise)
         mids_h = bin_midpoints(EXPERIMENT_HEIGHT_BINS)
         mids_d = bin_midpoints(EXPERIMENT_DEPTH_BINS)
-        rows = _object_rows(maps, rig, dist_h, dist_d, mids_h, mids_d, corridor7)
+        rows = _object_rows(maps, rig, corridor7, object_paths(maps, noise))
         paths = {
             "height": (lift_many_height, dist_h, mids_h),
             "depth": (lift_many_depth, dist_d, mids_d),
@@ -352,6 +381,54 @@ class TestLocalizationError:
             est = (dist.data[mask][:, :, None] * pos).sum(axis=(0, 1)) / n_px
             assert abs(abs(float(np.linalg.norm(est - cam)) - d_ref) - err) <= 1e-9
         assert {param for _, param, *_ in rows} == {"height", "depth"}
+
+    @pytest.mark.parametrize("noise", [
+        NoiseModel("one_hot_truth"),
+        NoiseModel("gaussian_bin_blur", sigma_bins=1.0),
+        NoiseModel("bias", bias_m=0.03),
+    ], ids=lambda noise: noise.kind)
+    def test_expected_hypotheses_equal_predicted_maps_exactly(self, corridor7, mast_rig, noise):
+        # The hypotheses _object_rows lifts are the rows of the predicted
+        # distribution maps dotted with the bin midpoints, bit for bit.
+        rig = perturb_rig(mast_rig, -0.9, 1.4)
+        maps = render(corridor7, rig, 16)
+        seen_h, seen_d = [], []
+        lifts = (recording(lift_many_height, seen_h), recording(lift_many_depth, seen_d))
+        rows = _object_rows(maps, rig, corridor7, object_paths(maps, noise, lifts))
+        visible = [k for k, param, *_ in rows if param == "height"]
+        assert len(visible) == len(seen_h) == len(seen_d) > 5
+        for seen, predict, bins in (
+            (seen_h, predict_height_distribution, EXPERIMENT_HEIGHT_BINS),
+            (seen_d, predict_depth_distribution, EXPERIMENT_DEPTH_BINS),
+        ):
+            data = predict(maps, bins, noise).data
+            mids = bin_midpoints(bins)
+            for k, hypotheses in zip(visible, seen):
+                want = data[maps.hit_kind == k + 1] @ mids
+                assert hypotheses.dtype == want.dtype
+                assert hypotheses.tobytes() == want.tobytes()
+
+    def test_ground_pixel_out_of_range_raises(self, mast_rig):
+        # Depth bins that cover every object pixel but not the far ground:
+        # the trial must still fail, as predicting the full map would.
+        near = Scene(
+            (Box3D(20.0, 0.0, 1.0, 4.0, 2.0, 2.0, 0.0), Box3D(26.0, 3.0, 1.0, 4.0, 2.0, 2.0, 0.3)),
+            (0.0, 98.0, -40.0, 40.0),
+            0,
+        )
+        maps = render(near, mast_rig, 16)
+        on_box = maps.hit_kind > 0
+        ground = maps.hit_kind == 0
+        box_far = maps.depth[on_box].max()
+        ground_far = maps.depth[ground].max()
+        assert ground_far > box_far + 2.0
+        assert min(maps.depth[maps.non_sky].min(), 1.0) == 1.0
+        depth_bins = BinSpec("DEPTH_UD", 50, 1.0, box_far + 1.0)
+        with pytest.raises(OutOfRange):
+            localization_error(
+                near, mast_rig, EXPERIMENT_HEIGHT_BINS, depth_bins,
+                NoiseModel("one_hot_truth"), sample_stride=16,
+            )
 
     def test_disturbed_run_matches_golden_table(self, disturbed_errors_seed7, tmp_path):
         header, columns = error_report_table(disturbed_errors_seed7)

@@ -10,7 +10,9 @@ import pytest
 
 from bevlift.binning import BinSpec, value_to_bin
 from bevlift.errors import ConfigError, EmptyInput, ExtentTooSmall, OutOfRange, ShapeMismatch
-from bevlift.geometry import Box3D, CameraRig, Intrinsics, extrinsics_from_pose
+from bevlift.geometry import Box3D, CameraRig, Intrinsics, extrinsics_from_pose, project_ego
+from bevlift.lifting import lift_many_depth
+from bevlift.robustness import perturb_rig
 from bevlift.scene import (
     HIT_GROUND,
     HIT_SKY,
@@ -260,11 +262,144 @@ class TestCastRaysSurfaceOracle:
         maps = render(corridor7, mast_rig, sample_stride=64)
         uu, vv = maps.pixel_grid()
         mask = maps.non_sky
-        from bevlift.lifting import lift_many_depth
-
         pts = lift_many_depth(uu[mask], vv[mask], maps.depth[mask], mast_rig)
         cam = mast_rig.extrinsics.ego_to_cam(pts)
         np.testing.assert_allclose(cam[:, 2], maps.depth[mask], rtol=1e-12)
+
+
+def cast_rays_unculled(scene, rig, us, vs):
+    """The ray caster without culling: every box is tested against every
+    ray.  Reference for cast_rays, which must match it bit for bit."""
+    us = np.asarray(us, dtype=np.float64)
+    vs = np.asarray(vs, dtype=np.float64)
+    shape = us.shape
+    ref_cam = np.stack(
+        [
+            (us.ravel() - rig.intrinsics.cx) / rig.intrinsics.fx,
+            (vs.ravel() - rig.intrinsics.cy) / rig.intrinsics.fy,
+            np.ones(us.size),
+        ],
+        axis=-1,
+    )
+    dirs = ref_cam @ rig.extrinsics.rotation
+    origin = rig.camera_center
+    best_t = np.full(us.size, np.inf)
+    kind = np.full(us.size, HIT_SKY, dtype=np.int64)
+    dz = dirs[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_ground = -origin[2] / dz
+        gx = origin[0] + t_ground * dirs[:, 0]
+        gy = origin[1] + t_ground * dirs[:, 1]
+    x_min, x_max, y_min, y_max = scene.extent
+    ground_ok = (
+        (t_ground > 1e-9) & np.isfinite(t_ground)
+        & (gx >= x_min) & (gx <= x_max) & (gy >= y_min) & (gy <= y_max)
+    )
+    best_t = np.where(ground_ok, t_ground, best_t)
+    kind = np.where(ground_ok, HIT_GROUND, kind)
+    for k, box in enumerate(scene.boxes):
+        cos_t, sin_t = np.cos(box.theta), np.sin(box.theta)
+        rel = origin - np.array([box.x, box.y, box.z])
+        ox = cos_t * rel[0] + sin_t * rel[1]
+        oy = -sin_t * rel[0] + cos_t * rel[1]
+        oz = rel[2]
+        dx = cos_t * dirs[:, 0] + sin_t * dirs[:, 1]
+        dy = -sin_t * dirs[:, 0] + cos_t * dirs[:, 1]
+        t_near = np.full(us.size, -np.inf)
+        t_far = np.full(us.size, np.inf)
+        half = np.array([box.l, box.w, box.h]) * 0.5
+        for o, d, half_size in ((ox, dx, half[0]), (oy, dy, half[1]), (oz, dirs[:, 2], half[2])):
+            parallel = np.abs(d) < 1e-12
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t1 = (-half_size - o) / d
+                t2 = (half_size - o) / d
+            lo = np.minimum(t1, t2)
+            hi = np.maximum(t1, t2)
+            inside = np.abs(o) <= half_size
+            lo = np.where(parallel, np.where(inside, -np.inf, np.inf), lo)
+            hi = np.where(parallel, np.where(inside, np.inf, -np.inf), hi)
+            t_near = np.maximum(t_near, lo)
+            t_far = np.minimum(t_far, hi)
+        hit = (t_near <= t_far) & (t_far > 1e-9)
+        t_hit = np.where(t_near > 1e-9, t_near, t_far)
+        better = hit & (t_hit < best_t)
+        best_t = np.where(better, t_hit, best_t)
+        kind = np.where(better, k + 1, kind)
+    sky = ~np.isfinite(best_t)
+    depth = np.where(sky, np.nan, best_t)
+    with np.errstate(invalid="ignore"):
+        height = np.where(sky, np.nan, origin[2] + best_t * dirs[:, 2])
+    return depth.reshape(shape), height.reshape(shape), kind.reshape(shape)
+
+
+def assert_culling_exact(scene, rig, us, vs):
+    """cast_rays equals the unculled reference bit for bit; returns its kinds."""
+    got = cast_rays(scene, rig, us, vs)
+    want = cast_rays_unculled(scene, rig, us, vs)
+    for name, g, w in zip(("depth", "height", "hit_kind"), got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert g.tobytes() == w.tobytes(), name
+    return got[2]
+
+
+# Level rig 5 m up looking along +x: a box cut by the left image border,
+# one reaching behind the camera plane, and one wholly left of the image.
+BORDER_BOX = Box3D(20.0, 16.0, 1.0, 4.0, 4.0, 2.0, 0.0)
+BEHIND_BOX = Box3D(1.0, -3.0, 5.0, 6.0, 2.0, 10.0, 0.3)
+OFFSCREEN_BOX = Box3D(20.0, 35.0, 1.0, 4.0, 4.0, 2.0, 0.0)
+CULLING_SCENE = Scene((BORDER_BOX, BEHIND_BOX, OFFSCREEN_BOX), EXTENT, rng_seed=0)
+
+
+class TestCastRaysCulling:
+    @pytest.mark.parametrize("rig_name", ["mast_rig", "truck_rig"])
+    def test_committed_scenes_on_clean_and_perturbed_rigs(
+        self, request, rig_name, corridor7, intersection11, corridor13
+    ):
+        rig = request.getfixturevalue(rig_name)
+        poses = [rig, perturb_rig(rig, 2.5, -1.5), perturb_rig(rig, -3.0, 2.0)]
+        for scene in (corridor7, intersection11, corridor13):
+            for pose in poses:
+                uu, vv = render(scene, pose, sample_stride=8).pixel_grid()
+                kind = assert_culling_exact(scene, pose, uu, vv)
+                assert np.count_nonzero(kind > 0) > 0
+
+    def test_the_three_edge_cases_are_real(self):
+        rig = level_rig()
+        u, _, depth, _ = project_ego(
+            np.stack([b.corners() for b in CULLING_SCENE.boxes]), rig.intrinsics, rig.extrinsics
+        )
+        assert np.all(depth[0] > 0) and u[0].min() < 0.0 < u[0].max()
+        assert np.any(depth[1] <= 0) and np.any(depth[1] > 0)
+        assert np.all(depth[2] > 0) and u[2].max() < 0.0
+        uu, vv = render(CULLING_SCENE, rig, sample_stride=4).pixel_grid()
+        kind = cast_rays(CULLING_SCENE, rig, uu, vv)[2]
+        assert np.any(kind == 1) and np.any(kind == 2) and not np.any(kind == 3)
+
+    @pytest.mark.parametrize("roll, pitch", [(0.0, 0.0), (2.0, -1.0), (-1.5, 3.0)])
+    def test_border_behind_and_offscreen_boxes(self, roll, pitch):
+        rig = perturb_rig(level_rig(), roll, pitch)
+        uu, vv = render(CULLING_SCENE, rig, sample_stride=4).pixel_grid()
+        kind = assert_culling_exact(CULLING_SCENE, rig, uu, vv)
+        assert np.any(kind == 1) and np.any(kind == 2)
+
+    def test_arbitrary_pixel_coordinates(self, corridor7, mast_rig):
+        rng = np.random.default_rng(0)
+        intr = mast_rig.intrinsics
+        us = rng.uniform(-50.0, intr.image_w + 50.0, 20000)
+        vs = rng.uniform(-50.0, intr.image_h + 50.0, 20000)
+        for scene in (corridor7, CULLING_SCENE):
+            assert_culling_exact(scene, mast_rig, us, vs)
+
+    def test_reprojected_coordinates(self, corridor7, mast_rig):
+        # the non-grid coordinates matched_surface_points casts through
+        maps = render(corridor7, mast_rig, sample_stride=16)
+        uu, vv = maps.pixel_grid()
+        mask = maps.non_sky
+        pts = lift_many_depth(uu[mask], vv[mask], maps.depth[mask], mast_rig)
+        tilted = perturb_rig(mast_rig, 1.0, -2.0)
+        u2, v2, _, visible = project_ego(pts, tilted.intrinsics, tilted.extrinsics)
+        kind = assert_culling_exact(corridor7, tilted, u2[visible], v2[visible])
+        assert np.count_nonzero(kind > 0) > 100
 
 
 class TestRender:
