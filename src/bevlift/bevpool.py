@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatch, config_int
+from .errors import ConfigError, ShapeMismatch, config_floats, config_int, config_object
 from .lifting import WedgeCloud
 
 
@@ -38,22 +38,18 @@ class GridSpec:
     channels: int
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.x_min, self.x_max, self.y_min, self.y_max,
-                                   self.res_x, self.res_y])):
-            raise ConfigError("grid extents and resolution must be finite")
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ConfigError("grid extents must be non-empty")
-        if not (self.res_x > 0 and self.res_y > 0):
-            raise ConfigError("grid resolution must be positive")
-        if self.channels < 1:
-            raise ConfigError("grid needs at least one channel")
-        for span, res, name in (
-            (self.x_max - self.x_min, self.res_x, "x"),
-            (self.y_max - self.y_min, self.res_y, "y"),
-        ):
-            count = span / res
-            if abs(count - round(count)) > 1e-9 or round(count) < 1:
-                raise ConfigError(f"{name} extent must be a positive whole number of cells")
+        config_floats(self, "x_min", "x_max", "y_min", "y_max", "res_x", "res_y")
+        if config_int("channels", self.channels) < 1:
+            raise ConfigError(f"channels must be >= 1, got {self.channels}")
+        for axis in ("x", "y"):
+            res = getattr(self, f"res_{axis}")
+            if not res > 0:
+                raise ConfigError(f"res_{axis} must be positive, got {res}")
+            count = (getattr(self, f"{axis}_max") - getattr(self, f"{axis}_min")) / res
+            if not (np.isfinite(count) and round(count) >= 1 and abs(count - round(count)) <= 1e-9):
+                raise ConfigError(
+                    f"{axis}_max - {axis}_min must be a positive whole number of res_{axis} cells"
+                )
 
     @property
     def n_x(self) -> int:
@@ -63,31 +59,9 @@ class GridSpec:
     def n_y(self) -> int:
         return int(round((self.y_max - self.y_min) / self.res_y))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "x_min": self.x_min,
-            "x_max": self.x_max,
-            "y_min": self.y_min,
-            "y_max": self.y_max,
-            "res_x": self.res_x,
-            "res_y": self.res_y,
-            "channels": self.channels,
-        }
-
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "GridSpec":
-        try:
-            return cls(
-                x_min=float(doc["x_min"]),
-                x_max=float(doc["x_max"]),
-                y_min=float(doc["y_min"]),
-                y_max=float(doc["y_max"]),
-                res_x=float(doc["res_x"]),
-                res_y=float(doc["res_y"]),
-                channels=config_int("channels", doc["channels"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed grid spec: {exc}") from exc
+    def from_json_dict(cls, doc: dict, path: str = "", **given) -> "GridSpec":
+        return config_object(cls, doc, path, **given)
 
 
 def grid_cell_of(x: float, y: float, spec: GridSpec):

@@ -26,7 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IndexOutOfRange, OutOfRange, config_int
+from .errors import (
+    ConfigError,
+    IndexOutOfRange,
+    OutOfRange,
+    config_floats,
+    config_int,
+    config_object,
+)
 
 STRATEGIES = ("UD", "SID", "LID", "DID", "DEPTH_UD")
 HEIGHT_STRATEGIES = ("UD", "SID", "LID", "DID")
@@ -42,18 +49,18 @@ class BinSpec:
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        if self.n_bins < 1:
-            raise ConfigError("n_bins must be >= 1")
-        for name in ("range_min", "range_max", "alpha"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+            raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+        if config_int("n_bins", self.n_bins) < 1:
+            raise ConfigError(f"n_bins must be >= 1, got {self.n_bins}")
+        config_floats(self, "range_min", "range_max")
         if not (self.range_min < self.range_max):
             raise ConfigError("range_min must be strictly below range_max")
         if self.strategy == "DID":
-            if self.alpha is None or not (self.alpha > 0):
-                raise ConfigError("DID requires alpha > 0")
+            config_floats(self, "alpha")
+            if not self.alpha > 0:
+                raise ConfigError(f"alpha must be > 0 for the DID strategy, got {self.alpha}")
+        elif self.alpha is not None:
+            raise ConfigError(f"alpha is read only by the DID strategy, not by {self.strategy}")
 
     @property
     def span(self) -> float:
@@ -63,29 +70,9 @@ class BinSpec:
     def is_depth(self) -> bool:
         return self.strategy == "DEPTH_UD"
 
-    def to_json_dict(self) -> dict:
-        doc = {
-            "strategy": self.strategy,
-            "n_bins": self.n_bins,
-            "range_min": self.range_min,
-            "range_max": self.range_max,
-        }
-        if self.alpha is not None:
-            doc["alpha"] = self.alpha
-        return doc
-
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "BinSpec":
-        try:
-            return cls(
-                strategy=str(doc["strategy"]),
-                n_bins=config_int("n_bins", doc["n_bins"]),
-                range_min=float(doc["range_min"]),
-                range_max=float(doc["range_max"]),
-                alpha=float(doc["alpha"]) if "alpha" in doc else None,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed bin spec: {exc}") from exc
+    def from_json_dict(cls, doc: dict, path: str = "") -> "BinSpec":
+        return config_object(cls, doc, path)
 
 
 def _sid_shift(spec: BinSpec) -> float:

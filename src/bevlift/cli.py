@@ -28,7 +28,14 @@ import numpy as np
 from . import io as artio
 from .bevpool import GridSpec, pool
 from .binning import BinSpec
-from .errors import ConfigError, PipelineError, config_int, config_seed
+from .errors import (
+    ConfigError,
+    PipelineError,
+    config_int,
+    config_object,
+    config_seed,
+    read_config_file,
+)
 from .geometry import CameraRig, rig_from_json_dict
 from .lifting import (
     ContextMap,
@@ -77,37 +84,9 @@ class ExperimentConfig:
     noise: NoiseModel
     disturbance: DisturbanceSpec
     bev_grid: GridSpec
-    sample_stride: int = 16
-    context_channels: int = 4
-    bench_repeats: int = 3
-
-
-# Every top-level key load_config reads; any other key is rejected.
-_CONFIG_KEYS = frozenset({
-    "rig", "scene", "seed", "sample_stride", "context_channels", "bench_repeats",
-    "height_bins", "depth_bins", "noise", "disturbance", "bev_grid",
-})
-
-
-def _load_doc(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return doc
-
-
-def _resolve_node(node, base: Path) -> dict:
-    """A sub-config is either an inline object or a path to a JSON file,
-    resolved relative to the experiment config."""
-    if isinstance(node, str):
-        return _load_doc(base / node if not Path(node).is_absolute() else node)
-    if isinstance(node, dict):
-        return node
-    raise ConfigError(f"expected object or path, got {type(node).__name__}")
+    sample_stride: int
+    context_channels: int
+    bench_repeats: int
 
 
 def config_hash(doc: dict) -> str:
@@ -115,84 +94,76 @@ def config_hash(doc: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+def _experiment(
+    rig, scene=None, seed=0, sample_stride=16, context_channels=4, bench_repeats=3,
+    height_bins=None, depth_bins=None, noise=None, disturbance=None, bev_grid=None,
+):
+    """(config, seed) of a resolved config document; the parameters are its
+    keys.  An optional object that is absent or null takes its default."""
+    seed = config_seed("seed", seed)
+    rig = rig_from_json_dict(rig, "rig")
+    for name, value in (("sample_stride", sample_stride),
+                        ("context_channels", context_channels),
+                        ("bench_repeats", bench_repeats)):
+        if config_int(name, value) < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+    if sample_stride > min(rig.intrinsics.image_w, rig.intrinsics.image_h):
+        raise ConfigError(f"sample_stride {sample_stride} leaves no pixel cell in the image")
+    if isinstance(scene, dict) and "boxes" in scene:
+        scene = Scene.from_json_dict(scene, "scene")
+    elif scene is not None:
+        scene = config_object(generate_scene, scene, "scene", seed=seed)
+    grid = GridSpec.from_json_dict(
+        {} if bev_grid is None else bev_grid, "bev_grid",
+        **_DEFAULT_GRID, channels=context_channels,
+    )
+    if grid.channels != context_channels:
+        raise ConfigError("bev_grid.channels must match context_channels")
+    cfg = ExperimentConfig(
+        rig=rig,
+        scene=scene,
+        height_bins=(default_height_spec() if height_bins is None
+                     else BinSpec.from_json_dict(height_bins, "height_bins")),
+        depth_bins=(default_depth_spec() if depth_bins is None
+                    else BinSpec.from_json_dict(depth_bins, "depth_bins")),
+        noise=(NoiseModel("one_hot_truth") if noise is None
+               else NoiseModel.from_json_dict(noise, "noise")),
+        disturbance=DisturbanceSpec.from_json_dict(
+            {} if disturbance is None else disturbance, "disturbance", seed=seed
+        ),
+        bev_grid=grid,
+        sample_stride=sample_stride,
+        context_channels=context_channels,
+        bench_repeats=bench_repeats,
+    )
+    return cfg, seed
+
+
 def load_config(path, seed_override: int | None = None):
     """Resolve an experiment config file.
 
-    Returns (config, hash, seed).  The hash covers the fully resolved
-    document (file references inlined) so renaming sub-config files does
-    not change it but editing their contents does.  The effective seed is
-    --seed when given, else the config's top-level "seed", else 0; it
-    drives scene generation and synthetic context unless a sub-config
-    pins its own seed.
+    Returns (config, hash, seed).  `rig` and `scene` may be paths to JSON
+    files, resolved relative to the config file.  The hash covers the
+    fully resolved document (file references inlined) so renaming
+    sub-config files does not change it but editing their contents does.
+    The effective seed is --seed when given, else the config's top-level
+    "seed", else 0; it drives scene generation and synthetic context unless
+    a sub-config pins its own seed.  Every object of the document is read
+    by errors.config_object, so an unknown key, a missing field or a bad
+    value is a ConfigError naming its path.
     """
     path = Path(path)
-    doc = _load_doc(path)
-    base = path.parent
-    unknown = sorted(set(doc) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    if "rig" not in doc:
-        raise ConfigError("config needs a 'rig' entry")
-    resolved = dict(doc)
-    resolved["rig"] = _resolve_node(doc["rig"], base)
-    if doc.get("scene") is not None:
-        resolved["scene"] = _resolve_node(doc["scene"], base)
-    digest = config_hash(resolved)
-    seed = config_seed("seed", seed_override if seed_override is not None else doc.get("seed", 0))
-
-    rig = rig_from_json_dict(resolved["rig"])
-    scene = None
-    snode = resolved.get("scene")
-    if snode is not None:
-        if "boxes" in snode:
-            scene = Scene.from_json_dict(snode)
-        else:
-            try:
-                template = str(snode["template"])
-                n_boxes = config_int("n_boxes", snode["n_boxes"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"scene spec needs template and n_boxes: {exc}") from exc
-            extent = snode.get("extent")
-            scene = generate_scene(
-                template, n_boxes, config_seed("scene seed", snode.get("seed", seed)),
-                tuple(extent) if extent is not None else None,
-            )
-
-    stride = config_int("sample_stride", doc.get("sample_stride", 16))
-    channels = config_int("context_channels", doc.get("context_channels", 4))
-    repeats = config_int("bench_repeats", doc.get("bench_repeats", 3))
-    if stride < 1 or channels < 1 or repeats < 1:
-        raise ConfigError("sample_stride, context_channels, bench_repeats must be >= 1")
-
-    height_bins = (
-        BinSpec.from_json_dict(doc["height_bins"])
-        if "height_bins" in doc else default_height_spec()
-    )
-    depth_bins = (
-        BinSpec.from_json_dict(doc["depth_bins"])
-        if "depth_bins" in doc else default_depth_spec()
-    )
-    noise = (
-        NoiseModel.from_json_dict(doc["noise"])
-        if "noise" in doc else NoiseModel("one_hot_truth")
-    )
-    dist_doc = doc.get("disturbance", {})
-    if "seed" not in dist_doc:
-        dist_doc = {**dist_doc, "seed": seed}
-    disturbance = DisturbanceSpec.from_json_dict(dist_doc)
-    grid = GridSpec.from_json_dict({
-        **_DEFAULT_GRID, "channels": channels, **doc.get("bev_grid", {}),
-    })
-    if grid.channels != channels:
-        raise ConfigError("bev_grid channels must match context_channels")
-
-    cfg = ExperimentConfig(
-        rig=rig, scene=scene, height_bins=height_bins, depth_bins=depth_bins,
-        noise=noise, disturbance=disturbance, bev_grid=grid,
-        sample_stride=stride, context_channels=channels,
-        bench_repeats=repeats,
-    )
-    return cfg, digest, seed
+    doc = read_config_file(path)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    doc = {
+        key: read_config_file(path.parent / node)
+        if key in ("rig", "scene") and isinstance(node, str) else node
+        for key, node in doc.items()
+    }
+    override = {} if seed_override is None else {"seed": seed_override}
+    cfg, seed = config_object(_experiment, {**doc, **override})
+    return cfg, config_hash(doc), seed
 
 
 def _require_scene(cfg: ExperimentConfig) -> Scene:
@@ -457,8 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--format", choices=("csv", "json", "bin"), default="csv",
-                       help="encoding of the large table artifacts")
+        if name in ("render", "lift"):
+            p.add_argument("--format", choices=("csv", "json", "bin"), default="csv",
+                           help="encoding of the large table artifacts")
     return parser
 
 

@@ -5,6 +5,9 @@ everything else is a numeric/geometric failure raised as a PipelineError
 subclass.  The CLI maps ConfigError to exit code 2 and any other
 PipelineError to exit code 3.
 """
+import functools
+import inspect
+import json
 import math
 
 
@@ -49,6 +52,60 @@ def config_seed(name: str, value) -> int:
     if seed < 0:
         raise ConfigError(f"{name} must be non-negative, got {seed}")
     return seed
+
+
+def config_floats(obj, *names: str, lo: float | None = None) -> None:
+    """Check each named field of the frozen dataclass obj with config_float
+    and store the float it returns."""
+    for name in names:
+        object.__setattr__(obj, name, config_float(name, getattr(obj, name), lo))
+
+
+@functools.cache
+def _parameters(build):
+    # Cached per build, which is why builds are classes or module-level
+    # functions, never closures made per call.
+    return inspect.signature(build).parameters
+
+
+def config_object(build, doc, path: str = "", **given):
+    """build(**doc) for a JSON object doc, where build is a config class or
+    a module-level reader function whose parameters are the object's keys;
+    given holds values for keys that doc leaves out.
+
+    A key of doc that is not a parameter of build is a ConfigError, and so
+    is a parameter without a default that neither doc nor given holds.
+    Any ConfigError that build raises is raised again with path in front,
+    so a message names its field from the document root
+    (noise.sigma_bins, scene.boxes[0].h).
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path or 'config'} must be a JSON object, got {type(doc).__name__}")
+    params = _parameters(build)
+    prefix = f"{path}." if path else ""
+    for key in doc:
+        if key not in params:
+            raise ConfigError(
+                f"{prefix}{key} is not a known key; expected one of {', '.join(params)}"
+            )
+    fields = {**given, **doc}
+    for name, param in params.items():
+        if param.default is param.empty and name not in fields:
+            raise ConfigError(f"{prefix}{name} is required")
+    try:
+        return build(**fields)
+    except ConfigError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+def read_config_file(path):
+    """The JSON document in the file at path; an unreadable file or text
+    that is not JSON is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 class DegenerateOrientation(PipelineError):

@@ -26,7 +26,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CameraBelowGround, ConfigError, DegenerateOrientation, config_int
+from .errors import (
+    CameraBelowGround,
+    ConfigError,
+    DegenerateOrientation,
+    config_float,
+    config_floats,
+    config_int,
+    config_object,
+    read_config_file,
+)
 
 _ORTHO_TOL = 1e-9
 _DEGENERATE_SIN = 1e-6
@@ -35,13 +44,16 @@ UP_EGO = np.array([0.0, 0.0, 1.0])
 
 
 def _as_matrix(value, shape, name: str) -> np.ndarray:
-    """A validated read-only float64 copy of value: a rig's lift plans
-    hold geometry derived from these arrays, so they must never change."""
-    arr = np.array(value, dtype=np.float64)
-    if arr.shape != shape:
-        raise ConfigError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{name} contains non-finite entries")
+    """A read-only float64 copy of value, whose every entry is a finite
+    number (config_float's rule, which names the entry, e.g.
+    translation[0]): a rig's lift plans hold geometry derived from these
+    arrays, so they must never change."""
+    entries = np.array(value, dtype=object)
+    if entries.shape != shape:
+        raise ConfigError(f"{name} must have shape {shape}, got {entries.shape}")
+    for index, entry in np.ndenumerate(entries):
+        config_float(name + "".join(f"[{i}]" for i in index), entry)
+    arr = entries.astype(np.float64)
     arr.flags.writeable = False
     return arr
 
@@ -58,12 +70,15 @@ class Intrinsics:
     image_h: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ConfigError("focal lengths must be positive")
-        if not (0 <= self.cx < self.image_w and 0 <= self.cy < self.image_h):
-            raise ConfigError("principal point must lie inside the image")
-        if self.image_w <= 0 or self.image_h <= 0:
-            raise ConfigError("image dimensions must be positive")
+        config_floats(self, "fx", "fy", "cx", "cy")
+        config_int("image_w", self.image_w)
+        config_int("image_h", self.image_h)
+        for name in ("fx", "fy", "image_w", "image_h"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, size in (("cx", self.image_w), ("cy", self.image_h)):
+            if not 0 <= getattr(self, name) < size:
+                raise ConfigError(f"{name} must lie inside the image, in [0, {size})")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -154,8 +169,10 @@ class Box3D:
     theta: float
 
     def __post_init__(self):
-        if not (self.l > 0 and self.w > 0 and self.h > 0):
-            raise ConfigError("box dimensions must be positive")
+        config_floats(self, "x", "y", "z", "l", "w", "h", "theta")
+        for name in ("l", "w", "h"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         theta = float(np.mod(self.theta + np.pi, 2.0 * np.pi) - np.pi)
         object.__setattr__(self, "theta", theta)
 
@@ -189,10 +206,9 @@ def build_virtual_frame(
     of the ground normal (the projected Z axis vanishes), and
     CameraBelowGround when the center is on or below the ground plane.
     """
-    normal = np.asarray(ground_normal_ego, dtype=np.float64)
-    norm = np.linalg.norm(normal)
-    if not np.isfinite(norm) or abs(norm - 1.0) > 1e-9:
-        raise ConfigError("ground normal must be a unit vector")
+    normal = _as_matrix(ground_normal_ego, (3,), "ground_normal")
+    if abs(np.linalg.norm(normal) - 1.0) > 1e-9:
+        raise ConfigError("ground_normal must be a unit vector")
     center = extrinsics.camera_center
     height = float(center @ normal)
     if height <= 0.0:
@@ -350,35 +366,26 @@ def rig_to_json_dict(rig: CameraRig) -> dict:
     }
 
 
-def rig_from_json_dict(doc: dict) -> CameraRig:
-    try:
-        inode = doc["intrinsics"]
-        enode = doc["extrinsics"]
-        intr = Intrinsics(
-            fx=float(inode["fx"]),
-            fy=float(inode["fy"]),
-            cx=float(inode["cx"]),
-            cy=float(inode["cy"]),
-            image_w=config_int("image_w", inode["image_w"]),
-            image_h=config_int("image_h", inode["image_h"]),
-        )
-        extr = Extrinsics(
-            rotation=enode["rotation"], translation=enode["translation"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed rig document: {exc}") from exc
-    normal = doc.get("ground_normal", UP_EGO.tolist())
-    return CameraRig.build(intr, extr, normal, rig_id=doc.get("name"))
+def _rig(intrinsics, extrinsics, ground_normal=UP_EGO, name=None) -> CameraRig:
+    """The rig of a JSON document; the parameters are its keys."""
+    if name is not None and not isinstance(name, str):
+        raise ConfigError(f"name must be a string, got {name!r}")
+    return CameraRig.build(
+        config_object(Intrinsics, intrinsics, "intrinsics"),
+        config_object(Extrinsics, extrinsics, "extrinsics"),
+        ground_normal,
+        rig_id=name,
+    )
+
+
+def rig_from_json_dict(doc: dict, path: str = "") -> CameraRig:
+    """The rig of a JSON document as rig_to_json_dict writes it."""
+    return config_object(_rig, doc, path)
 
 
 def load_rig(path) -> CameraRig:
     """Load a camera rig from a JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read rig config {path}: {exc}") from exc
-    return rig_from_json_dict(doc)
+    return rig_from_json_dict(read_config_file(path))
 
 
 def save_rig(rig: CameraRig, path) -> None:

@@ -41,7 +41,9 @@ from .errors import (
     ConfigError,
     InvalidGeometry,
     NoVisibleObjects,
+    config_floats,
     config_int,
+    config_object,
     config_seed,
 )
 from .geometry import CameraRig, Extrinsics, _rot_x, _rot_z, project_ego
@@ -67,32 +69,14 @@ class DisturbanceSpec:
     n_trials: int = 100
 
     def __post_init__(self):
-        for name in ("sigma_roll_deg", "sigma_pitch_deg"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
-        if self.n_trials < 1:
-            raise ConfigError("n_trials must be >= 1")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sigma_roll_deg": self.sigma_roll_deg,
-            "sigma_pitch_deg": self.sigma_pitch_deg,
-            "seed": self.seed,
-            "n_trials": self.n_trials,
-        }
+        config_floats(self, "sigma_roll_deg", "sigma_pitch_deg", lo=0.0)
+        config_seed("seed", self.seed)
+        if config_int("n_trials", self.n_trials) < 1:
+            raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "DisturbanceSpec":
-        try:
-            return cls(
-                sigma_roll_deg=float(doc.get("sigma_roll_deg", DEFAULT_SIGMA_DEG)),
-                sigma_pitch_deg=float(doc.get("sigma_pitch_deg", DEFAULT_SIGMA_DEG)),
-                seed=config_seed("seed", doc.get("seed", 0)),
-                n_trials=config_int("n_trials", doc.get("n_trials", 100)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed disturbance spec: {exc}") from exc
+    def from_json_dict(cls, doc: dict, path: str = "", **given) -> "DisturbanceSpec":
+        return config_object(cls, doc, path, **given)
 
 
 def perturb_extrinsics(extr: Extrinsics, roll_deg: float, pitch_deg: float) -> Extrinsics:

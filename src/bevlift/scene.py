@@ -30,7 +30,11 @@ from .errors import (
     OutOfRange,
     ShapeMismatch,
     config_float,
+    config_floats,
+    config_int,
+    config_object,
     config_seed,
+    read_config_file,
 )
 from .geometry import Box3D, CameraRig, pixel_to_ref_cam, project_ego
 from .lifting import DistributionMap, _check_bin_weights, cell_pixel_centers
@@ -53,6 +57,14 @@ CLASS_PRIORS = {
 TEMPLATES = ("corridor", "intersection")
 
 
+EXTENT_KEYS = ("x_min", "x_max", "y_min", "y_max")
+
+
+def _extent(x_min, x_max, y_min, y_max):
+    """An extent tuple from the keys of its JSON object."""
+    return x_min, x_max, y_min, y_max
+
+
 @dataclass(frozen=True)
 class Scene:
     """Boxes on a ground plane, bounded by an (x_min, x_max, y_min, y_max)
@@ -60,29 +72,32 @@ class Scene:
 
     boxes: tuple[Box3D, ...]
     extent: tuple[float, float, float, float]
-    rng_seed: int
+    rng_seed: int = 0
     template: str = ""
 
     def __post_init__(self):
-        x_min, x_max, y_min, y_max = self.extent
+        if not isinstance(self.extent, (tuple, list)) or len(self.extent) != 4:
+            raise ConfigError(f"extent must hold {', '.join(EXTENT_KEYS)}, got {self.extent!r}")
+        extent = tuple(
+            config_float(f"extent.{key}", value) for key, value in zip(EXTENT_KEYS, self.extent)
+        )
+        object.__setattr__(self, "extent", extent)
+        config_seed("rng_seed", self.rng_seed)
+        if not isinstance(self.template, str):
+            raise ConfigError(f"template must be a string, got {self.template!r}")
+        x_min, x_max, y_min, y_max = extent
         if not (x_min < x_max and y_min < y_max):
-            raise ConfigError("scene extent must be non-empty")
-        for box in self.boxes:
-            if box.z < 0:
-                raise ConfigError("box centers must not sit below ground")
+            raise ConfigError("extent must be non-empty: x_min < x_max and y_min < y_max")
+        for i, box in enumerate(self.boxes):
+            config_float(f"boxes[{i}].z", box.z, lo=0.0)
             if not (x_min <= box.x <= x_max and y_min <= box.y <= y_max):
-                raise ConfigError("box center outside the scene extent")
+                raise ConfigError(f"boxes[{i}] has its center outside the extent")
 
     def to_json_dict(self) -> dict:
         return {
             "rng_seed": self.rng_seed,
             "template": self.template,
-            "extent": {
-                "x_min": self.extent[0],
-                "x_max": self.extent[1],
-                "y_min": self.extent[2],
-                "y_max": self.extent[3],
-            },
+            "extent": dict(zip(EXTENT_KEYS, self.extent)),
             "boxes": [
                 {"x": b.x, "y": b.y, "z": b.z, "l": b.l, "w": b.w, "h": b.h, "theta": b.theta}
                 for b in self.boxes
@@ -90,36 +105,25 @@ class Scene:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "Scene":
-        try:
-            ext = doc["extent"]
-            boxes = tuple(
-                Box3D(*(
-                    config_float(f"boxes[{i}].{key}", b[key], lo=0.0 if key == "z" else None)
-                    for key in ("x", "y", "z", "l", "w", "h", "theta")
-                ))
-                for i, b in enumerate(doc["boxes"])
-            )
-            return cls(
-                boxes=boxes,
-                extent=tuple(
-                    config_float(f"extent.{key}", ext[key])
-                    for key in ("x_min", "x_max", "y_min", "y_max")
-                ),
-                rng_seed=config_seed("rng_seed", doc.get("rng_seed", 0)),
-                template=str(doc.get("template", "")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed scene document: {exc}") from exc
+    def from_json_dict(cls, doc: dict, path: str = "") -> "Scene":
+        return config_object(_scene, doc, path)
+
+
+def _scene(boxes, extent, rng_seed=Scene.rng_seed, template=Scene.template) -> Scene:
+    """The scene of a JSON document; the parameters are its keys, with the
+    dataclass's own defaults."""
+    if not isinstance(boxes, list):
+        raise ConfigError(f"boxes must be a JSON array, got {type(boxes).__name__}")
+    return Scene(
+        tuple(config_object(Box3D, box, f"boxes[{i}]") for i, box in enumerate(boxes)),
+        config_object(_extent, extent, "extent"),
+        rng_seed,
+        template,
+    )
 
 
 def load_scene(path) -> Scene:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read scene {path}: {exc}") from exc
-    return Scene.from_json_dict(doc)
+    return Scene.from_json_dict(read_config_file(path))
 
 
 def save_scene(scene: Scene, path) -> None:
@@ -155,10 +159,12 @@ def generate_scene(
     budget.
     """
     if template not in TEMPLATES:
-        raise ConfigError(f"unknown template {template!r}; expected one of {TEMPLATES}")
-    if n_boxes < 0:
-        raise ConfigError("n_boxes must be non-negative")
-    extent = extent if extent is not None else _DEFAULT_EXTENTS[template]
+        raise ConfigError(f"template must be one of {TEMPLATES}, got {template!r}")
+    if config_int("n_boxes", n_boxes) < 0:
+        raise ConfigError(f"n_boxes must be non-negative, got {n_boxes}")
+    config_seed("seed", seed)
+    # An empty scene checks the extent before any box is drawn inside it.
+    extent = Scene((), extent if extent is not None else _DEFAULT_EXTENTS[template]).extent
     x_min, x_max, y_min, y_max = extent
     rng = substream(seed)
     names = [name for name, _ in _CLASS_MIX[template]]
@@ -386,6 +392,9 @@ def histogram(values, bin_width: float) -> Histogram:
     return Histogram(edges, counts)
 
 
+NOISE_KINDS = ("one_hot_truth", "gaussian_bin_blur", "bias")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """How truth becomes a categorical prediction.
@@ -393,41 +402,22 @@ class NoiseModel:
     one_hot_truth places all mass on the true bin; gaussian_bin_blur
     spreads a discretized Gaussian of sigma_bins (in bin index units)
     around the true bin; bias shifts the truth by bias_m meters before
-    binning.  seed is recorded with outputs for provenance.
+    binning.
     """
 
     kind: str
     sigma_bins: float = 0.0
     bias_m: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("one_hot_truth", "gaussian_bin_blur", "bias"):
-            raise ConfigError(f"unknown noise kind {self.kind!r}")
-        if not (np.isfinite(self.sigma_bins) and np.isfinite(self.bias_m)):
-            raise ConfigError("sigma_bins and bias_m must be finite")
-        if self.sigma_bins < 0:
-            raise ConfigError("sigma_bins must be non-negative")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "sigma_bins": self.sigma_bins,
-            "bias_m": self.bias_m,
-            "seed": self.seed,
-        }
+        if self.kind not in NOISE_KINDS:
+            raise ConfigError(f"kind must be one of {NOISE_KINDS}, got {self.kind!r}")
+        config_floats(self, "sigma_bins", lo=0.0)
+        config_floats(self, "bias_m")
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "NoiseModel":
-        try:
-            return cls(
-                kind=str(doc["kind"]),
-                sigma_bins=float(doc.get("sigma_bins", 0.0)),
-                bias_m=float(doc.get("bias_m", 0.0)),
-                seed=config_seed("seed", doc.get("seed", 0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed noise model: {exc}") from exc
+    def from_json_dict(cls, doc: dict, path: str = "") -> "NoiseModel":
+        return config_object(cls, doc, path)
 
 
 def _noise_table(bins: BinSpec, noise: NoiseModel) -> np.ndarray:

@@ -1,6 +1,6 @@
 """BEV pooling tests against a scalar accumulation oracle."""
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -52,15 +52,20 @@ class TestGridSpec:
         with pytest.raises(ConfigError):
             GridSpec(4.0, 4.0, 0.0, 4.0, 1.0, 1.0, 1)
 
+    def test_rejects_resolution_too_fine_to_count_cells(self):
+        # (x_max - x_min) / res_x overflows to inf
+        with pytest.raises(ConfigError, match="res_x"):
+            GridSpec(0.0, 4.0, -2.0, 2.0, 1e-320, 1.0, 1)
+
     @pytest.mark.parametrize("field", ["x_min", "x_max", "y_max", "res_x", "res_y"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, field, value):
-        doc = {**SMALL.to_json_dict(), field: value}
+        doc = {**asdict(SMALL), field: value}
         with pytest.raises(ConfigError):
             GridSpec.from_json_dict(doc)
 
     def test_json_round_trip(self):
-        assert GridSpec.from_json_dict(SMALL.to_json_dict()) == SMALL
+        assert GridSpec.from_json_dict(asdict(SMALL)) == SMALL
 
 
 class TestGridCellOf:

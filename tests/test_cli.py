@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from bevlift.cli import _write_table, config_hash, load_config, main
-from bevlift.errors import ConfigError, config_float
+from bevlift.errors import ConfigError, config_float, config_object
+from bevlift.geometry import load_rig
 from bevlift.io import read_csv, read_json, read_tensor
+from bevlift.scene import NoiseModel, load_scene
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -110,6 +112,76 @@ SCENE_FLOAT_PROBES = {
 }
 
 
+# The config with a scene document, and with a generator recipe that sets
+# its extent, for probes of the scene's own fields.
+SCENE_BASE = {**BASE_CONFIG, "scene": CLOSE_BOXES_SCENE}
+RECIPE_BASE = {**BASE_CONFIG,
+               "scene": {**BASE_CONFIG["scene"], "extent": [0.0, 98.0, -40.0, 40.0]}}
+
+
+def _field_path(keys) -> str:
+    """The path a message names for the entry at keys: noise.sigma_bins,
+    rig.extrinsics.translation[0]."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys)[1:]
+
+
+def _overrides(base, keys, value) -> dict:
+    """The top-level override of base that sets the entry at keys (object
+    keys and list indices) to value, leaving base untouched."""
+    top = json.loads(json.dumps(base[keys[0]]))
+    node = top
+    for key in keys[1:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return {keys[0]: top}
+
+
+# Every float field of every config object: probe id -> (base config, keys
+# of the field, the path its error must name).
+FLOAT_FIELDS = {
+    _field_path(keys): (base, keys, _field_path(keys))
+    for base, keys in [
+        *((BASE_CONFIG, ("height_bins", key)) for key in ("range_min", "range_max", "alpha")),
+        *((BASE_CONFIG, ("depth_bins", key)) for key in ("range_min", "range_max")),
+        *((BASE_CONFIG, ("noise", key)) for key in ("sigma_bins", "bias_m")),
+        *((BASE_CONFIG, ("disturbance", key)) for key in ("sigma_roll_deg", "sigma_pitch_deg")),
+        *((BASE_CONFIG, ("bev_grid", key))
+          for key in ("x_min", "x_max", "y_min", "y_max", "res_x", "res_y")),
+        *((BASE_CONFIG, ("rig", "intrinsics", key)) for key in ("fx", "fy", "cx", "cy")),
+        (BASE_CONFIG, ("rig", "extrinsics", "rotation", 0, 1)),
+        (BASE_CONFIG, ("rig", "extrinsics", "translation", 2)),
+        (BASE_CONFIG, ("rig", "ground_normal", 0)),
+        *((SCENE_BASE, ("scene", "boxes", 0, key)) for key in ("x", "y", "z", "l", "w", "h", "theta")),
+        *((SCENE_BASE, ("scene", "extent", key)) for key in ("x_min", "x_max", "y_min", "y_max")),
+    ]
+}
+# A recipe's extent is a list, whose entries are named like a scene's.
+FLOAT_FIELDS["recipe-extent[1]"] = (RECIPE_BASE, ("scene", "extent", 1), "scene.extent.x_max")
+
+NOT_A_FINITE_NUMBER = {"nan": float("nan"), "inf": INF, "true": True, "str": "x"}
+
+
+# A misspelt key in each config object: the path its error must name ->
+# (base config, keys of the misspelt key).
+MISSPELT_KEYS = {
+    _field_path(keys): (base, keys)
+    for base, keys in [
+        (BASE_CONFIG, ("noise", "sigma_bin")),
+        (BASE_CONFIG, ("disturbance", "sigma_roll")),
+        (BASE_CONFIG, ("height_bins", "alpah")),
+        (BASE_CONFIG, ("depth_bins", "range_mx")),
+        (BASE_CONFIG, ("bev_grid", "res")),
+        (BASE_CONFIG, ("rig", "ground_norml")),
+        (BASE_CONFIG, ("rig", "intrinsics", "f_x")),
+        (BASE_CONFIG, ("rig", "extrinsics", "rotaton")),
+        (SCENE_BASE, ("scene", "rng_sed")),
+        (SCENE_BASE, ("scene", "boxes", 0, "hh")),
+        (SCENE_BASE, ("scene", "extent", "x_mx")),
+        (BASE_CONFIG, ("scene", "n_box")),
+    ]
+}
+
+
 def write_config(tmp_path, name="exp.json", **overrides):
     doc = {**BASE_CONFIG, **overrides}
     doc = {k: v for k, v in doc.items() if v is not None}
@@ -137,6 +209,37 @@ class TestConfigFloat:
         for value in (-1e-12, 1.0 + 1e-12):
             with pytest.raises(ConfigError, match="f must be"):
                 config_float("f", value, lo=0.0, hi=1.0)
+
+
+class TestConfigObject:
+    def test_builds_from_keys_and_given_values(self):
+        def build(a, b=2, c=3):
+            return a, b, c
+
+        assert config_object(build, {"a": 1, "c": 4}) == (1, 2, 4)
+        assert config_object(build, {"a": 1}, "p", b=5) == (1, 5, 3)
+        assert config_object(build, {"a": 1, "b": 6}, "p", b=5) == (1, 6, 3)
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1], "p must be a JSON object, got list"),
+        ({"a": 1, "d": 0}, "p.d is not a known key; expected one of a, b"),
+        ({"b": 1}, "p.a is required"),
+        ({"a": -1}, "p.a must be >= 0"),
+    ])
+    def test_errors_name_the_path(self, doc, message):
+        def build(a, b=0):
+            return config_float("a", a, lo=0.0)
+
+        with pytest.raises(ConfigError) as info:
+            config_object(build, doc, "p")
+        assert str(info.value).startswith(message)
+
+    def test_nested_paths_compose(self):
+        def outer(inner):
+            return config_object(NoiseModel, inner, "inner")
+
+        with pytest.raises(ConfigError, match=r"^p\.inner\.sigma_bins must be >= 0"):
+            config_object(outer, {"inner": {"kind": "gaussian_bin_blur", "sigma_bins": -1}}, "p")
 
 
 class TestLoadConfig:
@@ -220,6 +323,25 @@ class TestLoadConfig:
         cfg, _, _ = load_config(path)
         assert len(cfg.scene.boxes) == 1
         assert cfg.scene.boxes[0].x == 20.0
+
+    def test_committed_configs_load(self):
+        configs = ROOT / "configs"
+        experiments = sorted(configs.glob("experiment_*.json"))
+        rigs = sorted(configs.glob("rig_*.json"))
+        scenes = sorted(configs.glob("scenes/*.json"))
+        assert (len(experiments), len(rigs), len(scenes)) == (4, 2, 3)
+        for path in experiments:
+            load_config(path)
+        for path in rigs:
+            load_rig(path)
+        for path in scenes:
+            load_scene(path)
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(path)
 
     def test_config_hash_is_canonical(self):
         assert config_hash({"b": 1, "a": 2}) == config_hash({"a": 2, "b": 1})
@@ -313,6 +435,47 @@ class TestExitCodes:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and field in err["message"]
+
+    @pytest.mark.parametrize("value", NOT_A_FINITE_NUMBER)
+    @pytest.mark.parametrize("probe", FLOAT_FIELDS)
+    def test_float_field_not_a_finite_number_is_2(self, tmp_path, capsys, probe, value):
+        base, keys, field = FLOAT_FIELDS[probe]
+        overrides = _overrides(base, keys, NOT_A_FINITE_NUMBER[value])
+        path = write_config(tmp_path, **{**base, **overrides})
+        code = main(["render", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and field in err["message"]
+
+    @pytest.mark.parametrize("probe", MISSPELT_KEYS)
+    def test_misspelt_key_is_2(self, tmp_path, capsys, probe):
+        base, keys = MISSPELT_KEYS[probe]
+        path = write_config(tmp_path, **{**base, **_overrides(base, keys, 1.0)})
+        code = main(["render", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and f"{probe} is not a known key" in err["message"]
+
+    def test_stride_beyond_the_image_is_2(self, tmp_path, capsys):
+        # 864 rows at stride 865 would render a 0 x 0 grid
+        path = write_config(tmp_path, sample_stride=865)
+        code = main(["render", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "sample_stride" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_alpha_outside_did_is_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, depth_bins={**BASE_CONFIG["depth_bins"], "alpha": 3.0})
+        code = main(["render", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "depth_bins.alpha" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("command", ["robustness", "bench"])
+    def test_format_is_rejected_where_not_honoured(self, tmp_path, command):
+        path = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+                  "--format", "bin"])
+        assert exit_info.value.code == 2
 
     def test_missing_scene_for_render_is_2(self, tmp_path, capsys):
         path = write_config(tmp_path, scene=None)

@@ -4,6 +4,7 @@ directly and compare ranges.  The expensive disturbed runs are pinned to
 golden files produced by scripts/make_goldens.py.
 """
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +58,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 class TestDisturbanceSpec:
     def test_json_round_trip(self):
         spec = DisturbanceSpec(1.67, 0.8, seed=5, n_trials=20)
-        assert DisturbanceSpec.from_json_dict(spec.to_json_dict()) == spec
+        assert DisturbanceSpec.from_json_dict(asdict(spec)) == spec
 
     @pytest.mark.parametrize("field", ["sigma_roll_deg", "sigma_pitch_deg"])
     @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf, -np.inf])
