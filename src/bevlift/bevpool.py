@@ -10,10 +10,16 @@ the extent, together with the point count of every bin; the count in the
 overflow bin is the number of dropped points.  The index depends only on
 the positions and the GridSpec, so it is memoized in the cloud's
 bev_index, which all clouds of one lift plan share: on a fixed rig it is
-computed once per grid, and each frame runs one np.bincount per channel.
+computed once per grid.
 
-Each cell sums its points in cloud order, so the result is bit-identical
-run to run and to a scalar loop over the points.
+A cloud keeps each source cell's context once, so each frame forms, per
+channel, the products context[s, c] * weight[p] of every point p of
+every source cell s in one reused buffer, and np.add.at adds them into
+their cells; no per-point feature array is made.  np.add.at adds in
+index order, as np.bincount does, without bincount's scan of the whole
+index for its minimum and maximum on every channel.  Each cell sums its
+points' products in cloud order, so the result is bit-identical run to
+run and to a scalar loop over the points and their features.
 """
 from __future__ import annotations
 
@@ -118,12 +124,16 @@ def pool(cloud: WedgeCloud, spec: GridSpec) -> BevGrid:
         index = cloud.bev_index[spec] = _bev_index(cloud.positions, spec)
     flat, counts = index
     n_cells = spec.n_x * spec.n_y
-    data = np.empty((n_cells, spec.channels))
+    context = cloud.context
+    weights = cloud.weights.reshape(context.shape[0], cloud.points_per_cell)
+    products = np.empty(weights.shape)
+    sums = np.zeros((spec.channels, n_cells + 1))
     for c in range(spec.channels):
-        data[:, c] = np.bincount(flat, cloud.features[:, c] * cloud.weights, n_cells + 1)[:n_cells]
+        np.multiply(context[:, c, None], weights, out=products)
+        np.add.at(sums[c], flat, products.reshape(-1))
     return BevGrid(
         spec,
-        data.reshape(spec.n_x, spec.n_y, spec.channels),
+        sums[:, :n_cells].T.reshape(spec.n_x, spec.n_y, spec.channels),
         counts[:n_cells].reshape(spec.n_x, spec.n_y).copy(),
         int(counts[n_cells]),
     )

@@ -261,14 +261,14 @@ def cmd_lift(cfg: ExperimentConfig, args, meta: dict) -> dict:
     summary = {
         **meta,
         "height": {
-            "n_points": int(wedge_h.positions.shape[0]),
+            "n_points": wedge_h.n_points,
             "skipped_cells": wedge_h.skipped_cells,
             "dropped_points": bev_h.dropped_points,
             "occupied_cells": int(np.count_nonzero(bev_h.hit_count)),
             "total_mass": float(wedge_h.weights.sum()),
         },
         "depth": {
-            "n_points": int(wedge_d.positions.shape[0]),
+            "n_points": wedge_d.n_points,
             "skipped_cells": wedge_d.skipped_cells,
             "dropped_points": bev_d.dropped_points,
             "occupied_cells": int(np.count_nonzero(bev_d.hit_count)),
@@ -396,7 +396,7 @@ def cmd_bench(cfg: ExperimentConfig, args, meta: dict) -> dict:
         t_pool = _time_best(lambda: pool(cloud, cfg.bev_grid), cfg.bench_repeats)
         report[name] = {
             "n_bins": bins.n_bins,
-            "n_points": int(cloud.positions.shape[0]),
+            "n_points": cloud.n_points,
             "plan_seconds": t_plan,
             "lift_seconds": t_lift,
             "pool_seconds": t_pool,

@@ -93,7 +93,7 @@ def table_rows(columns):
 
 
 def wedge_table(cloud: WedgeCloud):
-    header = ["x", "y", "z", "weight"] + [f"f{c}" for c in range(cloud.features.shape[1])]
+    header = ["x", "y", "z", "weight"] + [f"f{c}" for c in range(cloud.channels)]
     return header, [*cloud.positions.T, cloud.weights, *cloud.features.T]
 
 

@@ -1,35 +1,48 @@
 """Per-pixel 2D-to-3D lifting through height or depth hypotheses.
 
-The height path works in the camera's ground-aligned virtual frame.  For a
-pixel (u, v) the reference point at camera depth 1 is rotated into the
-virtual frame; because a point at ego height g has virtual Y coordinate
-(ground_height_H - g), scaling the reference point by
-(ground_height_H - h) / y_ref lands the pixel ray exactly on the plane of
-height h.  Mapping the scaled point back to ego yields the lifted 3D
-position.  The depth path simply scales the camera-frame reference point
-by the depth and maps it to ego; both paths recover the identical point
-when fed the true height respectively true depth of a surface.
+Every hypothesis of a pixel lands on the pixel's ray, at
+
+    position = origin + f_b * dir_s
+
+with one direction dir_s per pixel (feature cell) s and one scalar f_b
+per bin b:
+
+* depth: dir_s = K^-1 [u, v, 1] @ R, the pixel's reference point at
+  camera depth 1 turned into ego axes; f_b is the bin's depth; origin is
+  the camera centre -t @ R.
+* height: dir_s = (ref_virt / y_ref) @ R_ve^T, where ref_virt is the
+  reference point rotated into the ground-aligned virtual frame and y_ref
+  its virtual Y.  A point at ego height g has virtual Y (ground_height_H -
+  g), so f_b = ground_height_H - h puts the point on the plane of height h;
+  origin is t_virt_ego.translation, the camera centre again.
+
+Both forms recover the identical point when fed the true height or depth
+of a surface.  Rays that do not descend toward the ground (y_ref <= 1e-6)
+cannot carry height hypotheses; their cells are skipped and counted,
+never fatal.  lift_pixel_* and lift_many_* evaluate the same geometry
+step by step, pixel by pixel; they are the reference lifts.
 
 build_wedge expands a fused feature map into a point cloud: one point per
 (feature cell, bin), ordered cells row-major with bins ascending within a
 cell.  Feature cell (row r, col c) looks through the pixel at
-((c + 0.5) * stride, (r + 0.5) * stride).  Cells whose ray does not
-descend toward the ground (y_ref <= 1e-6) cannot carry height hypotheses;
-they are skipped and counted, never fatal.
+((c + 0.5) * stride, (r + 0.5) * stride).
 
 Where each (cell, bin) hypothesis lands depends only on the rig, the
 stride, the bins and the feature-grid size, never on the frame.  So the
 lifted positions are computed once, in a lift plan stored on the rig
 (CameraRig._plans, at most one plan per hypothesis kind, replaced when
-the stride, bins or grid size change), and each frame only gathers its
-features and weights.  The clouds built from one plan share its read-only
+the stride, bins or grid size change): each axis is one np.multiply.outer
+of the directions and the bin scalars, written into one read-only (3, n)
+array that is checked finite once.  Each frame only gathers its weights
+and keeps each cell's context vector once; per-point features are never
+formed on the pooling path.  The clouds built from one plan share its
 positions and its memo of BEV cell indices, one entry per GridSpec, which
 bevpool.pool fills on first use.  A plan lives exactly as long as its rig:
 a perturbed rig is a new rig and builds its own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -160,40 +173,56 @@ def fuse(context: ContextMap, dist: DistributionMap) -> FusedMap:
 
 @dataclass
 class WedgeCloud:
-    """Lifted points with per-point features and weights.
+    """Lifted points with their weights, kept factored by source cell.
 
-    positions are ego-frame xyz, one row per emitted (cell, bin) pair,
-    read-only (a writable input is copied); features repeat the cell's
-    context vector; weights carry the bin weight scaled by the cell
-    weight.  skipped_cells counts feature cells dropped because their ray
-    could not carry height hypotheses.  bev_index memoizes, per GridSpec,
-    the BEV cell index of the positions (see bevpool.pool): clouds of one
-    lift plan share it, any other cloud starts with an empty one.
+    Each of the cloud's source cells emits points_per_cell consecutive
+    points.  positions are ego-frame xyz, one row per point, read-only (a
+    writable input is copied); context holds each source cell's feature
+    vector once, (source cells, channels); weights carry each point's bin
+    weight scaled by its cell weight.  A cloud built by hand from
+    per-point features is the case of one point per source cell.
+
+    A wedge's context is a view of its frame's context map when no cell
+    was skipped, and its positions are its lift plan's, which were checked
+    finite when the plan was built (positions_checked).  skipped_cells
+    counts feature cells dropped because their ray could not carry height
+    hypotheses.  bev_index memoizes, per GridSpec, the BEV cell index of
+    the positions (see bevpool.pool): clouds of one lift plan share it,
+    any other cloud starts with an empty one.
     """
 
     positions: np.ndarray
-    features: np.ndarray
+    context: np.ndarray
     weights: np.ndarray
     source_rig_id: str = ""
     skipped_cells: int = 0
+    points_per_cell: int = 1
+    positions_checked: InitVar[bool] = False
     bev_index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, positions_checked):
         self.positions = np.asarray(self.positions, dtype=np.float64).reshape(-1, 3)
         if self.positions.flags.writeable:
             self.positions = self.positions.copy()
             self.positions.flags.writeable = False
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.context = np.asarray(self.context, dtype=np.float64)
         self.weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        if self.features.ndim != 2 or self.features.shape[0] != self.positions.shape[0]:
-            raise ShapeMismatch("features must be (n_points, channels)")
-        if self.weights.shape[0] != self.positions.shape[0]:
+        n_points = self.positions.shape[0]
+        if (self.context.ndim != 2 or self.points_per_cell < 1
+                or self.context.shape[0] * self.points_per_cell != n_points):
+            raise ShapeMismatch(
+                "context must be (source cells, channels), with points_per_cell "
+                "points per source cell"
+            )
+        if self.weights.shape[0] != n_points:
             raise ShapeMismatch("weights must have one entry per point")
-        if not np.all(np.isfinite(self.positions)):
+        if not (positions_checked or np.all(np.isfinite(self.positions))):
             raise ConfigError("lifted positions must be finite")
-        if not np.all(np.isfinite(self.weights)):
+        # min and max are NaN when any weight is: two passes, no temporaries.
+        lo, hi = (self.weights.min(), self.weights.max()) if n_points else (0.0, 0.0)
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ConfigError("point weights must be finite")
-        if np.any(self.weights < 0):
+        if lo < 0:
             raise ConfigError("point weights must be non-negative")
 
     @property
@@ -202,7 +231,13 @@ class WedgeCloud:
 
     @property
     def channels(self) -> int:
-        return self.features.shape[1]
+        return self.context.shape[1]
+
+    @property
+    def features(self) -> np.ndarray:
+        """Per-point features, (n_points, channels): each source cell's
+        context repeated over its points.  Built anew on every access."""
+        return np.repeat(self.context, self.points_per_cell, axis=0)
 
 
 def _ref_virt(u, v, rig: CameraRig) -> np.ndarray:
@@ -300,12 +335,13 @@ def _check_grid(fused: FusedMap, rig: CameraRig, stride: int) -> None:
 
 @dataclass(frozen=True)
 class _LiftPlan:
-    """The frame-independent part of a wedge: which cells emit points,
-    where their (cell, bin) hypotheses land, and the BEV cell indices of
-    those positions, memoized per GridSpec."""
+    """The frame-independent part of a wedge: which cells emit points and
+    how many were skipped, where their (cell, bin) hypotheses land, and the
+    BEV cell indices of those positions, memoized per GridSpec."""
 
     key: tuple
     valid: np.ndarray
+    skipped: int
     positions: np.ndarray
     bev_index: dict = field(default_factory=dict)
 
@@ -313,23 +349,44 @@ class _LiftPlan:
 def _plan(kind: str, bins: BinSpec, rig: CameraRig, width: int, height: int,
           stride: int) -> _LiftPlan:
     """The rig's lift plan for one hypothesis kind, built on first use and
-    rebuilt when the bins, the feature-grid size or the stride change."""
+    rebuilt when the bins, the feature-grid size or the stride change.
+
+    Its positions are the (n, 3) transpose of one read-only (3, n) array
+    whose row a is origin[a] + np.multiply.outer(dirs[:, a], steps): cells
+    row-major, bins ascending within a cell.
+    """
     key = (kind, bins, width, height, stride)
     plan = rig._plans.get(kind)
     if plan is not None and plan.key == key:
         return plan
     uu, vv = cell_pixel_centers(width, height, stride)
-    us, vs = uu.reshape(-1, 1), vv.reshape(-1, 1)
+    us, vs = uu.reshape(-1), vv.reshape(-1)
+    mids = bin_midpoints(bins)
     if kind == "height":
-        # The horizon test of lift_many_height, on the same (n_cells, 1) columns.
-        valid = _ref_virt(us, vs, rig)[:, 0, 1] > EPS_HORIZON
-        positions = lift_many_height(us[valid], vs[valid], bin_midpoints(bins), rig)
+        if np.any(mids >= rig.ground_height_H):
+            raise AboveCamera("height at or above the camera center")
+        ref_virt = _ref_virt(us, vs, rig)
+        y_ref = ref_virt[:, 1]
+        valid = y_ref > EPS_HORIZON
+        dirs = (ref_virt[valid] / y_ref[valid, None]) @ rig.t_virt_ego.rotation.T
+        steps = rig.ground_height_H - mids
+        origin = rig.t_virt_ego.translation
     else:
-        valid = np.ones(uu.size, dtype=bool)
-        positions = lift_many_depth(us, vs, bin_midpoints(bins), rig)
-    positions = positions.reshape(-1, 3)
-    valid.flags.writeable = positions.flags.writeable = False
-    plan = rig._plans[kind] = _LiftPlan(key, valid, positions)
+        if np.any(mids <= 0):
+            raise NonPositiveDepth("depth must be positive")
+        valid = np.ones(us.size, dtype=bool)
+        dirs = pixel_to_ref_cam(us, vs, rig.intrinsics) @ rig.extrinsics.rotation
+        steps = mids
+        origin = rig.camera_center
+    rays = np.empty((3, dirs.shape[0] * steps.size))
+    for axis in range(3):
+        np.multiply.outer(dirs[:, axis], steps, out=rays[axis].reshape(-1, steps.size))
+        rays[axis] += origin[axis]
+    if not np.all(np.isfinite(rays)):
+        raise ConfigError("lifted positions must be finite")
+    rays.flags.writeable = valid.flags.writeable = False
+    skipped = int(np.count_nonzero(~valid))
+    plan = rig._plans[kind] = _LiftPlan(key, valid, skipped, rays.T)
     return plan
 
 
@@ -342,14 +399,14 @@ def _wedge(kind: str, fused: FusedMap, bins: BinSpec, rig: CameraRig,
     """
     _check_grid(fused, rig, stride)
     plan = _plan(kind, bins, rig, fused.width, fused.height, stride)
-    valid = plan.valid
-    ctx = fused.context.data.reshape(-1, fused.context.channels)[valid]
-    features = np.repeat(ctx, bins.n_bins, axis=0)
-    dist = fused.dist.data.reshape(-1, bins.n_bins)[valid]
-    cell_w = fused.dist.cell_weight.reshape(-1)[valid]
+    ctx = fused.context.data.reshape(-1, fused.context.channels)
+    dist = fused.dist.data.reshape(-1, bins.n_bins)
+    cell_w = fused.dist.cell_weight.reshape(-1)
+    if plan.skipped:
+        ctx, dist, cell_w = ctx[plan.valid], dist[plan.valid], cell_w[plan.valid]
     weights = (dist * cell_w[:, None]).reshape(-1)
-    skipped = int(np.count_nonzero(~valid))
-    cloud = WedgeCloud(plan.positions, features, weights, rig.rig_id, skipped)
+    cloud = WedgeCloud(plan.positions, ctx, weights, rig.rig_id, plan.skipped,
+                       bins.n_bins, positions_checked=True)
     cloud.bev_index = plan.bev_index
     return cloud
 
@@ -364,9 +421,9 @@ def build_wedge(
 
     Emission order is feature cells row-major, bins ascending within each
     cell.  Cells whose ray triggers HorizonRay are skipped and counted in
-    skipped_cells; every surviving cell contributes exactly n_bins points
-    with feature = its context vector and weight = bin weight times the
-    cell weight.
+    skipped_cells; every surviving cell is one source cell of exactly
+    n_bins points, carrying its context vector, with weight = bin weight
+    times the cell weight.
     """
     if bins.strategy not in HEIGHT_STRATEGIES:
         raise ConfigError(f"build_wedge needs a height strategy, got {bins.strategy}")

@@ -402,18 +402,21 @@ class NoiseModel:
     one_hot_truth places all mass on the true bin; gaussian_bin_blur
     spreads a discretized Gaussian of sigma_bins (in bin index units)
     around the true bin; bias shifts the truth by bias_m meters before
-    binning.
+    binning.  Each field is given exactly for the kind that reads it.
     """
 
     kind: str
-    sigma_bins: float = 0.0
-    bias_m: float = 0.0
+    sigma_bins: float | None = None
+    bias_m: float | None = None
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ConfigError(f"kind must be one of {NOISE_KINDS}, got {self.kind!r}")
-        config_floats(self, "sigma_bins", lo=0.0)
-        config_floats(self, "bias_m")
+        for name, kind, lo in (("sigma_bins", "gaussian_bin_blur", 0.0), ("bias_m", "bias", None)):
+            if self.kind == kind:
+                config_floats(self, name, lo=lo)
+            elif getattr(self, name) is not None:
+                raise ConfigError(f"{name} is read only by the {kind} kind, not by {self.kind}")
 
     @classmethod
     def from_json_dict(cls, doc: dict, path: str = "") -> "NoiseModel":

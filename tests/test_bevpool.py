@@ -10,9 +10,19 @@ from hypothesis import strategies as st
 from bevlift.binning import BinSpec
 from bevlift.bevpool import GridSpec, grid_cell_of, pool
 from bevlift.errors import ConfigError, ShapeMismatch
-from bevlift.lifting import ContextMap, DistributionMap, WedgeCloud, build_wedge_depth, fuse
+from bevlift.geometry import CameraRig, Intrinsics, extrinsics_from_pose
+from bevlift.lifting import (
+    ContextMap,
+    DistributionMap,
+    WedgeCloud,
+    build_wedge,
+    build_wedge_depth,
+    fuse,
+)
+from bevlift.robustness import perturb_rig
 
 SMALL = GridSpec(0.0, 4.0, -2.0, 2.0, 1.0, 1.0, 2)
+INTR = Intrinsics(1000.0, 1000.0, 768.0, 432.0, 1536, 864)
 
 
 def pool_oracle(cloud, spec):
@@ -20,14 +30,24 @@ def pool_oracle(cloud, spec):
     data = np.zeros((spec.n_x, spec.n_y, spec.channels))
     hits = np.zeros((spec.n_x, spec.n_y), dtype=np.int64)
     dropped = 0
+    features = cloud.features
     for p in range(cloud.n_points):
         cell = grid_cell_of(cloud.positions[p, 0], cloud.positions[p, 1], spec)
         if cell is None:
             dropped += 1
             continue
-        data[cell] += cloud.weights[p] * cloud.features[p]
+        data[cell] += cloud.weights[p] * features[p]
         hits[cell] += 1
     return data, hits, dropped
+
+
+def assert_pools_like_oracle(cloud, spec):
+    grid = pool(cloud, spec)
+    data, hits, dropped = pool_oracle(cloud, spec)
+    assert grid.data.tobytes() == data.tobytes()
+    assert grid.hit_count.tobytes() == hits.tobytes()
+    assert grid.dropped_points == dropped
+    return grid
 
 
 def random_cloud(rng, n, channels=2, spread=6.0):
@@ -173,6 +193,41 @@ class TestPool:
             np.testing.assert_array_equal(grid.hit_count, hits)
             assert grid.dropped_points == dropped
         assert 0 < grids[1].dropped_points < cloud.n_points
+
+    def test_plan_clouds_on_a_swayed_rig_match_the_oracle(self):
+        # roll tilts the horizon across the image: the height plan skips a
+        # different number of rows per column, the depth plan skips none
+        rig = perturb_rig(
+            CameraRig.build(INTR, extrinsics_from_pose((0.0, 0.0, 5.0), pitch_deg=20.0)),
+            3.0, -0.5)
+        rng = np.random.default_rng(41)
+        w, h, channels = INTR.image_w // 32, INTR.image_h // 32, 3
+        context = ContextMap(w, h, channels, rng.normal(size=(h, w, channels)))
+        spec = GridSpec(0.0, 64.0, -32.0, 32.0, 2.0, 2.0, channels)
+        for build, bins in ((build_wedge, BinSpec("DID", 5, -0.2, 2.6, 1.2)),
+                            (build_wedge_depth, BinSpec("DEPTH_UD", 6, 1.0, 61.0))):
+            raw = rng.random((h, w, bins.n_bins)) + 1e-3
+            cell_weight = rng.random((h, w)) * (rng.random((h, w)) > 0.2)
+            dist = DistributionMap(w, h, bins.n_bins, raw / raw.sum(-1, keepdims=True),
+                                   cell_weight=cell_weight)
+            cloud = build(fuse(context, dist), bins, rig, 32)
+            assert cloud.points_per_cell == bins.n_bins
+            grid = assert_pools_like_oracle(cloud, spec)
+            assert 0 < grid.dropped_points < cloud.n_points
+        assert 0 < cloud.n_points and rig._plans["height"].skipped > 0
+
+    def test_hand_built_cloud_pools_like_the_oracle(self):
+        rng = np.random.default_rng(43)
+        cloud = random_cloud(rng, 500, channels=3)
+        assert cloud.points_per_cell == 1
+        assert_pools_like_oracle(cloud, replace(SMALL, channels=3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_hand_built_cloud_rejects_non_finite_positions(self, bad):
+        positions = np.zeros((4, 3))
+        positions[2, 1] = bad
+        with pytest.raises(ConfigError, match="positions must be finite"):
+            WedgeCloud(positions, np.ones((4, 2)), np.ones(4))
 
     @pytest.mark.parametrize("spec", [SMALL, GridSpec(0.0, 4.0, -2.0, 2.0, 0.25, 0.25, 2)])
     def test_drops_far_points_without_warnings(self, spec):

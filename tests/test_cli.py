@@ -115,6 +115,8 @@ SCENE_FLOAT_PROBES = {
 # The config with a scene document, and with a generator recipe that sets
 # its extent, for probes of the scene's own fields.
 SCENE_BASE = {**BASE_CONFIG, "scene": CLOSE_BOXES_SCENE}
+# The config with the one noise kind that reads bias_m.
+BIAS_BASE = {**BASE_CONFIG, "noise": {"kind": "bias", "bias_m": 0.05}}
 RECIPE_BASE = {**BASE_CONFIG,
                "scene": {**BASE_CONFIG["scene"], "extent": [0.0, 98.0, -40.0, 40.0]}}
 
@@ -143,7 +145,8 @@ FLOAT_FIELDS = {
     for base, keys in [
         *((BASE_CONFIG, ("height_bins", key)) for key in ("range_min", "range_max", "alpha")),
         *((BASE_CONFIG, ("depth_bins", key)) for key in ("range_min", "range_max")),
-        *((BASE_CONFIG, ("noise", key)) for key in ("sigma_bins", "bias_m")),
+        (BASE_CONFIG, ("noise", "sigma_bins")),
+        (BIAS_BASE, ("noise", "bias_m")),
         *((BASE_CONFIG, ("disturbance", key)) for key in ("sigma_roll_deg", "sigma_pitch_deg")),
         *((BASE_CONFIG, ("bev_grid", key))
           for key in ("x_min", "x_max", "y_min", "y_max", "res_x", "res_y")),
@@ -468,6 +471,18 @@ class TestExitCodes:
         code = main(["render", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "depth_bins.alpha" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("noise, field", [
+        ({"kind": "one_hot_truth", "sigma_bins": 2.0}, "noise.sigma_bins"),
+        ({"kind": "bias", "bias_m": 0.1, "sigma_bins": 2.0}, "noise.sigma_bins"),
+        ({"kind": "one_hot_truth", "bias_m": 0.1}, "noise.bias_m"),
+        ({"kind": "gaussian_bin_blur", "sigma_bins": 1.0, "bias_m": 0.1}, "noise.bias_m"),
+    ])
+    def test_noise_field_its_kind_never_reads_is_2(self, tmp_path, capsys, noise, field):
+        path = write_config(tmp_path, noise=noise)
+        code = main(["render", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{field} is read only by" in json.loads(capsys.readouterr().err)["message"]
 
     @pytest.mark.parametrize("command", ["robustness", "bench"])
     def test_format_is_rejected_where_not_honoured(self, tmp_path, command):

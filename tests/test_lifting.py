@@ -421,7 +421,88 @@ class TestLiftPlan:
         assert old[0].n_points != new[0].n_points
 
 
+def horizon_rig():
+    """level_rig(pitch 20) swayed by 3 deg of roll: the horizon crosses the
+    image on a slant, so a feature grid of the whole image mixes skipped
+    cells with valid ones just below them, at different rows per column."""
+    return perturb_rig(level_rig(pitch_deg=20.0), 3.0, -0.5)
+
+
+HORIZON_STRIDE = 32
+
+
+def horizon_wedges(rig, seed):
+    """Both clouds of one frame over the whole image at HORIZON_STRIDE."""
+    return both_wedges(rig, seed, width=INTR_1000.image_w // HORIZON_STRIDE,
+                       height=INTR_1000.image_h // HORIZON_STRIDE, stride=HORIZON_STRIDE)
+
+
+class TestPlanGeometry:
+    """The plan's factored rays (origin + f_b * dir_s) against the scalar
+    lifts, and the layout of what a plan cloud shares."""
+
+    def test_positions_match_scalar_lifts_next_to_the_horizon(self):
+        from bevlift.binning import bin_midpoints
+
+        rig = horizon_rig()
+        wedge_h, wedge_d = horizon_wedges(rig, 1)
+        width, height = INTR_1000.image_w // HORIZON_STRIDE, INTR_1000.image_h // HORIZON_STRIDE
+        valid = rig._plans["height"].valid.reshape(height, width)
+        # the first valid cell of every column sits right below a skipped one
+        first_rows = valid.argmax(axis=0)
+        assert np.all(first_rows > 0) and len(set(first_rows)) > 1
+        uu, vv = cell_pixel_centers(width, height, HORIZON_STRIDE)
+        for cloud, bins, lift, cells in (
+            (wedge_h, PLAN_HEIGHT_BINS, lift_pixel_height, np.flatnonzero(valid)),
+            (wedge_d, PLAN_DEPTH_BINS, lift_pixel_depth, np.arange(valid.size)),
+        ):
+            mids = bin_midpoints(bins)
+            expected = [lift(uu.flat[i], vv.flat[i], m, rig) for i in cells for m in mids]
+            np.testing.assert_allclose(cloud.positions, expected, rtol=0, atol=1e-9)
+
+    def test_features_repeat_each_source_cell_context(self):
+        rig = horizon_rig()
+        width, height = INTR_1000.image_w // HORIZON_STRIDE, INTR_1000.image_h // HORIZON_STRIDE
+        rng = np.random.default_rng(2)
+        fused_h = random_fused(rng, width, height, PLAN_HEIGHT_BINS.n_bins, 3)
+        fused_d = fuse(fused_h.context, random_fused(rng, width, height, 6, 3).dist)
+        wedge_h = build_wedge(fused_h, PLAN_HEIGHT_BINS, rig, HORIZON_STRIDE)
+        wedge_d = build_wedge_depth(fused_d, PLAN_DEPTH_BINS, rig, HORIZON_STRIDE)
+        context = fused_h.context.data.reshape(-1, 3)
+        valid = rig._plans["height"].valid
+        assert wedge_h.skipped_cells == np.count_nonzero(~valid) > 0
+        np.testing.assert_array_equal(
+            wedge_h.features, np.repeat(context[valid], PLAN_HEIGHT_BINS.n_bins, axis=0))
+        np.testing.assert_array_equal(
+            wedge_d.features, np.repeat(context, PLAN_DEPTH_BINS.n_bins, axis=0))
+
+    def test_positions_are_one_read_only_view_shared_by_every_frame(self):
+        rig = horizon_rig()
+        frames = [horizon_wedges(rig, seed) for seed in (3, 4, 5)]
+        for kind, clouds in zip(("height", "depth"), zip(*frames)):
+            rays = rig._plans[kind].positions.base
+            assert rays.shape == (3, clouds[0].n_points) and rays.flags.c_contiguous
+            assert not rays.flags.writeable
+            for cloud in clouds:
+                assert cloud.positions.shape == (cloud.n_points, 3)
+                assert cloud.positions.base is rays
+                assert not cloud.positions.flags.writeable
+                with pytest.raises(ValueError):
+                    cloud.positions[0, 0] = 0.0
+
+
 class TestWedgeCloud:
+    def test_hand_built_cloud_has_one_point_per_source_cell(self):
+        features = np.arange(6.0).reshape(3, 2)
+        cloud = WedgeCloud(np.zeros((3, 3)), features, np.ones(3))
+        assert cloud.points_per_cell == 1
+        np.testing.assert_array_equal(cloud.context, features)
+        np.testing.assert_array_equal(cloud.features, features)
+
+    def test_rejects_context_that_does_not_tile_the_points(self):
+        with pytest.raises(ShapeMismatch):
+            WedgeCloud(np.zeros((5, 3)), np.ones((2, 1)), np.ones(5), points_per_cell=2)
+
     def test_rejects_negative_weights(self):
         with pytest.raises(ConfigError):
             WedgeCloud(np.zeros((1, 3)), np.ones((1, 1)), np.array([-1.0]))

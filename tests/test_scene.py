@@ -505,11 +505,28 @@ class TestNoiseModel:
     @pytest.mark.parametrize("field", ["sigma_bins", "bias_m"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, field, bad):
-        with pytest.raises(ConfigError):
-            NoiseModel.from_json_dict({"kind": "gaussian_bin_blur", field: bad})
+        kind = {"sigma_bins": "gaussian_bin_blur", "bias_m": "bias"}[field]
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            NoiseModel.from_json_dict({"kind": kind, field: bad})
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"kind": "one_hot_truth", "sigma_bins": 2.0}, "sigma_bins"),
+        ({"kind": "bias", "bias_m": 0.1, "sigma_bins": 2.0}, "sigma_bins"),
+        ({"kind": "one_hot_truth", "bias_m": 0.1}, "bias_m"),
+        ({"kind": "gaussian_bin_blur", "sigma_bins": 1.0, "bias_m": 0.1}, "bias_m"),
+    ])
+    def test_rejects_field_its_kind_never_reads(self, doc, field):
+        with pytest.raises(ConfigError, match=f"^{field} is read only by"):
+            NoiseModel.from_json_dict(doc)
+
+    @pytest.mark.parametrize("kind, field", [("gaussian_bin_blur", "sigma_bins"), ("bias", "bias_m")])
+    def test_field_of_the_kind_is_required(self, kind, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be a number, got None"):
+            NoiseModel(kind)
 
     def test_json_round_trip(self):
-        noise = NoiseModel("gaussian_bin_blur", sigma_bins=1.0, bias_m=0.05)
+        noise = NoiseModel("bias", bias_m=0.05)
+        assert asdict(noise) == {"kind": "bias", "sigma_bins": None, "bias_m": 0.05}
         assert NoiseModel.from_json_dict(asdict(noise)) == noise
 
 
