@@ -1,7 +1,7 @@
 """Ground-aligned height lifting of camera features into a bird's-eye grid,
 with a depth-based twin and the instrumentation to compare the two."""
 
-from .binning import BinSpec, bin_edges, bin_midpoints, bin_to_value, value_to_bin
+from .binning import BinSpec, bin_edges, bin_midpoints, value_to_bin
 from .bevpool import BevGrid, GridSpec, grid_cell_of, pool
 from .errors import (
     AboveCamera,
@@ -11,7 +11,6 @@ from .errors import (
     EmptyInput,
     ExtentTooSmall,
     HorizonRay,
-    IndexOutOfRange,
     InvalidGeometry,
     NonPositiveDepth,
     NoVisibleObjects,
@@ -39,8 +38,6 @@ from .lifting import (
     WedgeCloud,
     build_wedge,
     build_wedge_depth,
-    default_depth_spec,
-    default_height_spec,
     fuse,
     lift_pixel_depth,
     lift_pixel_height,

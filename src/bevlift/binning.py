@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    IndexOutOfRange,
     OutOfRange,
     config_floats,
     config_int,
@@ -131,18 +130,6 @@ def value_to_bin(value, spec: BinSpec):
     if arr.ndim == 0:
         return int(idx)
     return idx
-
-
-def bin_to_value(index, spec: BinSpec):
-    """Representative value (interval midpoint) of a bin index."""
-    idx = np.asarray(index)
-    if np.any((idx < 0) | (idx >= spec.n_bins)):
-        raise IndexOutOfRange(f"bin index outside [0, {spec.n_bins})")
-    edges = bin_edges(spec)
-    mids = 0.5 * (edges[idx] + edges[idx + 1])
-    if idx.ndim == 0:
-        return float(mids)
-    return mids
 
 
 def bin_midpoints(spec: BinSpec) -> np.ndarray:

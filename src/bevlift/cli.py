@@ -42,8 +42,6 @@ from .lifting import (
     DistributionMap,
     build_wedge,
     build_wedge_depth,
-    default_depth_spec,
-    default_height_spec,
     fuse,
 )
 from .rng import substream
@@ -69,10 +67,20 @@ from .scene import (
 # Substream index for synthetic context features, distinct from scene use.
 _CTX_STREAM = 101
 
+# Defaults of the optional config objects, each read by the same reader as
+# a given object.  An absent or null object takes its default; a given
+# bev_grid also takes the default of every key it leaves out.
 _DEFAULT_GRID = {
     "x_min": 0.0, "x_max": 102.4, "y_min": -51.2, "y_max": 51.2,
     "res_x": 0.8, "res_y": 0.8,
 }
+_DEFAULT_HEIGHT_BIN_SPEC = {
+    "strategy": "DID", "n_bins": 90, "range_min": -1.0, "range_max": 1.0, "alpha": 2.0,
+}
+_DEFAULT_DEPTH_BIN_SPEC = {
+    "strategy": "DEPTH_UD", "n_bins": 206, "range_min": 1.0, "range_max": 104.0,
+}
+_DEFAULT_NOISE = {"kind": "one_hot_truth"}
 
 
 @dataclass
@@ -122,12 +130,13 @@ def _experiment(
     cfg = ExperimentConfig(
         rig=rig,
         scene=scene,
-        height_bins=(default_height_spec() if height_bins is None
-                     else BinSpec.from_json_dict(height_bins, "height_bins")),
-        depth_bins=(default_depth_spec() if depth_bins is None
-                    else BinSpec.from_json_dict(depth_bins, "depth_bins")),
-        noise=(NoiseModel("one_hot_truth") if noise is None
-               else NoiseModel.from_json_dict(noise, "noise")),
+        height_bins=BinSpec.from_json_dict(
+            _DEFAULT_HEIGHT_BIN_SPEC if height_bins is None else height_bins, "height_bins"
+        ),
+        depth_bins=BinSpec.from_json_dict(
+            _DEFAULT_DEPTH_BIN_SPEC if depth_bins is None else depth_bins, "depth_bins"
+        ),
+        noise=NoiseModel.from_json_dict(_DEFAULT_NOISE if noise is None else noise, "noise"),
         disturbance=DisturbanceSpec.from_json_dict(
             {} if disturbance is None else disturbance, "disturbance", seed=seed
         ),
@@ -227,8 +236,7 @@ def cmd_render(cfg: ExperimentConfig, args, meta: dict) -> dict:
             vals = arr[finite]
             summary[f"{key}_min"] = float(vals.min())
             summary[f"{key}_max"] = float(vals.max())
-            header, columns = artio.histogram_table(histogram(vals, width))
-            artio.write_csv(out / f"{stem}.csv", header, artio.table_rows(columns), meta)
+            _write_table(out, stem, "csv", *artio.histogram_table(histogram(vals, width)), meta)
     artio.write_json(out / "render_summary.json", summary)
     return summary
 
@@ -258,23 +266,15 @@ def cmd_lift(cfg: ExperimentConfig, args, meta: dict) -> dict:
     ):
         _write_table(out, stem, args.format, *table, meta)
 
-    summary = {
-        **meta,
-        "height": {
-            "n_points": wedge_h.n_points,
-            "skipped_cells": wedge_h.skipped_cells,
-            "dropped_points": bev_h.dropped_points,
-            "occupied_cells": int(np.count_nonzero(bev_h.hit_count)),
-            "total_mass": float(wedge_h.weights.sum()),
-        },
-        "depth": {
-            "n_points": wedge_d.n_points,
-            "skipped_cells": wedge_d.skipped_cells,
-            "dropped_points": bev_d.dropped_points,
-            "occupied_cells": int(np.count_nonzero(bev_d.hit_count)),
-            "total_mass": float(wedge_d.weights.sum()),
-        },
-    }
+    summary = dict(meta)
+    for key, wedge, bev in (("height", wedge_h, bev_h), ("depth", wedge_d, bev_d)):
+        summary[key] = {
+            "n_points": wedge.n_points,
+            "skipped_cells": wedge.skipped_cells,
+            "dropped_points": bev.dropped_points,
+            "occupied_cells": int(np.count_nonzero(bev.hit_count)),
+            "total_mass": float(wedge.weights.sum()),
+        }
     artio.write_json(out / "lift_summary.json", summary)
     return summary
 
@@ -316,13 +316,12 @@ def cmd_robustness(cfg: ExperimentConfig, args, meta: dict) -> dict:
         cfg.disturbance, cfg.sample_stride,
     )
     for stem, report in (("errors_clean", clean), ("errors_disturbed", disturbed)):
-        header, columns = artio.error_report_table(report)
-        artio.write_csv(out / f"{stem}.csv", header, artio.table_rows(columns), meta)
+        _write_table(out, stem, "csv", *artio.error_report_table(report), meta)
 
     law_header = ["u", "v", "h", "delta_h", "d_true", "predicted_m",
                   "simulated_m", "abs_diff_m"]
     law = np.array(_law_rows(cfg.rig))
-    artio.write_csv(out / "law_check.csv", law_header, law.tolist(), meta)
+    _write_table(out, "law_check", "csv", law_header, law.T, meta)
 
     summary = {
         **meta,
@@ -438,8 +437,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg, digest, seed = load_config(args.config, args.seed)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out} is not a usable directory: {exc.strerror}") from exc
         meta = {"config_hash": digest, "seed": seed}
         _COMMANDS[args.command](cfg, args, meta)
     except ConfigError as exc:

@@ -136,10 +136,6 @@ class OutOfRange(PipelineError):
     """Value falls outside the configured bin range."""
 
 
-class IndexOutOfRange(PipelineError):
-    """Bin index falls outside [0, n_bins)."""
-
-
 class EmptyInput(PipelineError):
     """Operation received no usable values."""
 

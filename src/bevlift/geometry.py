@@ -80,12 +80,6 @@ class Intrinsics:
             if not 0 <= getattr(self, name) < size:
                 raise ConfigError(f"{name} must lie inside the image, in [0, {size})")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
 
 @dataclass(frozen=True)
 class Extrinsics:
@@ -132,24 +126,6 @@ class RigidTransform:
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
         return pts @ self.rotation.T + self.translation
-
-    def inverse(self) -> "RigidTransform":
-        return RigidTransform(self.rotation.T, -self.rotation.T @ self.translation)
-
-    def compose(self, inner: "RigidTransform") -> "RigidTransform":
-        """Return the map equivalent to applying `inner` first, then self."""
-        return RigidTransform(
-            self.rotation @ inner.rotation,
-            self.rotation @ inner.translation + self.translation,
-        )
-
-
-def transform_point(transform, point: np.ndarray) -> np.ndarray:
-    """Apply a RigidTransform or bare 3x3 rotation to one or more points."""
-    if isinstance(transform, RigidTransform):
-        return transform.apply(point)
-    rot = _as_matrix(transform, (3, 3), "transform")
-    return np.asarray(point, dtype=np.float64) @ rot.T
 
 
 @dataclass(frozen=True)
@@ -277,6 +253,12 @@ class CameraRig:
     def camera_center(self) -> np.ndarray:
         return self.extrinsics.camera_center
 
+    @property
+    def ground_normal(self) -> np.ndarray:
+        """Unit up-normal of the ground plane in ego: minus the virtual Y
+        axis, which build_virtual_frame sets to the downward normal."""
+        return -self.t_virt_ego.rotation[:, 1]
+
 
 def pixel_to_ref_cam(u, v, intrinsics: Intrinsics) -> np.ndarray:
     """Reference point of pixel (u, v) at camera depth 1.
@@ -296,8 +278,7 @@ def project_ego(points: np.ndarray, intrinsics: Intrinsics, extrinsics: Extrinsi
     Returns (u, v, depth, visible): pixel coordinates, camera-frame z, and
     a mask of points that land inside the image with positive depth.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    cam = pts @ extrinsics.rotation.T + extrinsics.translation
+    cam = extrinsics.ego_to_cam(points)
     depth = cam[..., 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         u = intrinsics.fx * cam[..., 0] / depth + intrinsics.cx
@@ -362,7 +343,7 @@ def rig_to_json_dict(rig: CameraRig) -> dict:
             "rotation": extr.rotation.tolist(),
             "translation": extr.translation.tolist(),
         },
-        "ground_normal": UP_EGO.tolist(),
+        "ground_normal": rig.ground_normal.tolist(),
     }
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .bevpool import BevGrid
 from .errors import PipelineError
 from .lifting import WedgeCloud
-from .robustness import ErrorReport, OverlapReport
+from .robustness import DEPTH_BIN_M, HEIGHT_BIN_M, V_BIN_PX, ErrorReport, OverlapReport
 from .scene import Histogram, PixelMaps
 
 TENSOR_MAGIC = b"BTF1"
@@ -141,9 +141,9 @@ def overlap_report_dict(report: OverlapReport) -> dict:
         "n_points": report.n_points,
         "sample_stride": report.sample_stride,
         "bins": {
-            "v_px": report.v_bin_px,
-            "depth_m": report.depth_bin_m,
-            "height_m": report.height_bin_m,
+            "v_px": V_BIN_PX,
+            "depth_m": DEPTH_BIN_M,
+            "height_m": HEIGHT_BIN_M,
         },
         "trials": [
             {

@@ -58,24 +58,7 @@ from .geometry import CameraRig, pixel_to_ref_cam
 
 EPS_HORIZON = 1e-6
 
-# Operating defaults for the full-scale rig.
-DEFAULT_IMAGE_W = 1536
-DEFAULT_IMAGE_H = 864
 DEFAULT_PIXEL_STRIDE = 16
-DEFAULT_HEIGHT_RANGE = (-1.0, 1.0)
-DEFAULT_HEIGHT_BINS = 90
-DEFAULT_DEPTH_RANGE = (1.0, 104.0)
-DEFAULT_DEPTH_BINS = 206
-
-
-def default_height_spec(alpha: float = 2.0) -> BinSpec:
-    lo, hi = DEFAULT_HEIGHT_RANGE
-    return BinSpec("DID", DEFAULT_HEIGHT_BINS, lo, hi, alpha=alpha)
-
-
-def default_depth_spec() -> BinSpec:
-    lo, hi = DEFAULT_DEPTH_RANGE
-    return BinSpec("DEPTH_UD", DEFAULT_DEPTH_BINS, lo, hi)
 
 
 @dataclass

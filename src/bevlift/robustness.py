@@ -93,9 +93,10 @@ def perturb_extrinsics(extr: Extrinsics, roll_deg: float, pitch_deg: float) -> E
 
 def perturb_rig(rig: CameraRig, roll_deg: float, pitch_deg: float) -> CameraRig:
     """Rebuild a rig around perturbed extrinsics (same ground normal)."""
-    normal = -rig.t_virt_ego.rotation[:, 1]
     extr = perturb_extrinsics(rig.extrinsics, roll_deg, pitch_deg)
-    return CameraRig.build(rig.intrinsics, extr, normal, rig_id=rig.rig_id + "-perturbed")
+    return CameraRig.build(
+        rig.intrinsics, extr, rig.ground_normal, rig_id=rig.rig_id + "-perturbed"
+    )
 
 
 def sample_disturbances(spec: DisturbanceSpec) -> np.ndarray:
@@ -147,9 +148,6 @@ class OverlapReport:
     overlap_height: float
     n_points: int
     sample_stride: int
-    v_bin_px: float = V_BIN_PX
-    depth_bin_m: float = DEPTH_BIN_M
-    height_bin_m: float = HEIGHT_BIN_M
     rolls_deg: np.ndarray = field(default_factory=lambda: np.empty(0))
     pitches_deg: np.ndarray = field(default_factory=lambda: np.empty(0))
     trial_overlap_depth: np.ndarray = field(default_factory=lambda: np.empty(0))

@@ -16,10 +16,9 @@ from bevlift.binning import (
     BinSpec,
     bin_edges,
     bin_midpoints,
-    bin_to_value,
     value_to_bin,
 )
-from bevlift.errors import ConfigError, IndexOutOfRange, OutOfRange
+from bevlift.errors import ConfigError, OutOfRange
 from strategies import height_binspec_st
 
 
@@ -197,22 +196,7 @@ class TestDidFamily:
 class TestRepresentatives:
     def test_midpoint_values(self):
         spec = BinSpec("UD", 4, 0.0, 8.0)
-        assert bin_to_value(0, spec) == 1.0
-        assert bin_to_value(3, spec) == 7.0
         np.testing.assert_allclose(bin_midpoints(spec), [1.0, 3.0, 5.0, 7.0])
-
-    def test_array_indexing(self):
-        spec = BinSpec("LID", 4, 0.0, 10.0)
-        np.testing.assert_allclose(
-            bin_to_value(np.array([0, 3]), spec), [0.5, 8.0]
-        )
-
-    def test_index_bounds(self):
-        spec = BinSpec("UD", 4, 0.0, 8.0)
-        with pytest.raises(IndexOutOfRange):
-            bin_to_value(4, spec)
-        with pytest.raises(IndexOutOfRange):
-            bin_to_value(-1, spec)
 
     @given(height_binspec_st())
     def test_round_trip_value_index_value(self, spec):
@@ -221,5 +205,5 @@ class TestRepresentatives:
         for frac in (0.1, 0.5, 0.9):
             value = spec.range_min + frac * spec.span
             idx = value_to_bin(value, spec)
-            rep = bin_to_value(idx, spec)
+            rep = bin_midpoints(spec)[idx]
             assert edges[idx] <= rep <= edges[idx + 1]

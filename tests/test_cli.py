@@ -6,10 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bevlift.bevpool import GridSpec
+from bevlift.binning import BinSpec
 from bevlift.cli import _write_table, config_hash, load_config, main
 from bevlift.errors import ConfigError, config_float, config_object
 from bevlift.geometry import load_rig
 from bevlift.io import read_csv, read_json, read_tensor
+from bevlift.robustness import DisturbanceSpec
 from bevlift.scene import NoiseModel, load_scene
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -267,6 +270,21 @@ class TestLoadConfig:
         _, _, seed = load_config(path)
         assert seed == 0
 
+    @pytest.mark.parametrize("absent", ["missing", "null"])
+    def test_absent_or_null_objects_take_their_defaults(self, tmp_path, absent):
+        names = ("height_bins", "depth_bins", "noise", "disturbance", "bev_grid")
+        doc = {k: v for k, v in BASE_CONFIG.items() if k not in names}
+        if absent == "null":
+            doc.update(dict.fromkeys(names))
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({**doc, "context_channels": 4}))
+        cfg, _, _ = load_config(path)
+        assert cfg.height_bins == BinSpec("DID", 90, -1.0, 1.0, alpha=2.0)
+        assert cfg.depth_bins == BinSpec("DEPTH_UD", 206, 1.0, 104.0)
+        assert cfg.noise == NoiseModel("one_hot_truth")
+        assert cfg.disturbance == DisturbanceSpec(1.67, 1.67, seed=5, n_trials=100)
+        assert cfg.bev_grid == GridSpec(0.0, 102.4, -51.2, 51.2, 0.8, 0.8, channels=4)
+
     def test_scene_seed_falls_back_to_run_seed(self, tmp_path):
         path = write_config(
             tmp_path, scene={"template": "corridor", "n_boxes": 4}
@@ -465,6 +483,25 @@ class TestExitCodes:
         code = main(["render", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "sample_stride" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("name", ["height_bins", "depth_bins"])
+    def test_empty_bins_object_is_2(self, tmp_path, capsys, name):
+        # {} is a given object, not an absent one: it takes no default
+        path = write_config(tmp_path, **{name: {}})
+        code = main(["render", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{name}.strategy is required" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("under", ["file", "file/sub"])
+    def test_out_that_is_not_a_directory_is_2(self, tmp_path, capsys, under):
+        # --out names a file (FileExistsError), or a path under a file
+        # (NotADirectoryError)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / under
+        code = main(["render", "--config", str(write_config(tmp_path)), "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and str(out) in err["message"]
 
     def test_alpha_outside_did_is_2(self, tmp_path, capsys):
         path = write_config(tmp_path, depth_bins={**BASE_CONFIG["depth_bins"], "alpha": 3.0})
