@@ -38,7 +38,7 @@ BENCH_HEIGHT_BINS = {"strategy": "DID", "n_bins": 90, "range_min": -1.0,
 def build_rig(name: str, position, pitch_deg: float) -> CameraRig:
     intr = Intrinsics(700.0, 700.0, 768.0, 432.0, 1536, 864)
     extr = extrinsics_from_pose(position, pitch_deg=pitch_deg)
-    return CameraRig.build(intr, extr, rig_id=name)
+    return CameraRig(intr, extr, rig_id=name)
 
 
 def write_json(path: Path, doc: dict) -> None:

@@ -23,8 +23,6 @@ from .geometry import (
     CameraRig,
     Extrinsics,
     Intrinsics,
-    RigidTransform,
-    build_virtual_frame,
     extrinsics_from_pose,
     load_rig,
     pixel_to_ref_cam,

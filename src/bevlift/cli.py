@@ -75,7 +75,7 @@ _DEFAULT_GRID = {
     "res_x": 0.8, "res_y": 0.8,
 }
 _DEFAULT_HEIGHT_BIN_SPEC = {
-    "strategy": "DID", "n_bins": 90, "range_min": -1.0, "range_max": 1.0, "alpha": 2.0,
+    "strategy": "DID", "n_bins": 90, "range_min": -0.2, "range_max": 3.6, "alpha": 1.2,
 }
 _DEFAULT_DEPTH_BIN_SPEC = {
     "strategy": "DEPTH_UD", "n_bins": 206, "range_min": 1.0, "range_max": 104.0,

@@ -1,4 +1,4 @@
-"""Camera models, rigid transforms, and the ground-aligned virtual frame.
+"""Camera models, boxes, and the ground-aligned virtual frame of a rig.
 
 Coordinate conventions used throughout the package:
 
@@ -10,7 +10,10 @@ Coordinate conventions used throughout the package:
   downward ground normal (so it points from the camera toward the ground),
   Z axis the projection of the optical axis onto the ground plane
   (renormalized), X = Y x Z to close a right-handed basis.  A point with
-  ego height g has virtual Y coordinate ground_height_H - g.
+  ego height g has virtual Y coordinate ground_height_H - g.  CameraRig's
+  constructor derives the frame from the extrinsics and the ground
+  normal: t_cam_virt rotates camera into virtual coordinates, and
+  p_ego = virt_to_ego @ p_virt + camera_center.
 
 The virtual frame is what makes per-pixel heights liftable: a pixel's
 reference point at camera depth 1 is rotated into this frame, and scaling
@@ -39,8 +42,6 @@ from .errors import (
 
 _ORTHO_TOL = 1e-9
 _DEGENERATE_SIN = 1e-6
-
-UP_EGO = np.array([0.0, 0.0, 1.0])
 
 
 def _as_matrix(value, shape, name: str) -> np.ndarray:
@@ -113,22 +114,6 @@ class Extrinsics:
 
 
 @dataclass(frozen=True)
-class RigidTransform:
-    """Rotation-plus-translation map: p_out = rotation @ p_in + translation."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rotation", _as_matrix(self.rotation, (3, 3), "rotation"))
-        object.__setattr__(self, "translation", _as_matrix(self.translation, (3,), "translation"))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.rotation.T + self.translation
-
-
-@dataclass(frozen=True)
 class Box3D:
     """Yaw-oriented box: center (x, y, z), size (l, w, h), heading theta.
 
@@ -167,52 +152,26 @@ class Box3D:
         return local @ rot.T + self.center
 
 
-def build_virtual_frame(
-    extrinsics: Extrinsics, ground_normal_ego: Sequence[float] = UP_EGO
-) -> tuple[np.ndarray, RigidTransform, float]:
-    """Construct the ground-aligned virtual frame for a camera.
-
-    Returns (t_cam_virt, t_virt_ego, ground_height_H) where t_cam_virt is
-    the pure rotation taking camera coordinates into the virtual frame,
-    t_virt_ego the rigid map from the virtual frame into ego, and
-    ground_height_H the signed distance from the optical center to the
-    ground plane along its normal.
-
-    Raises DegenerateOrientation when the optical axis is within ~1e-6 rad
-    of the ground normal (the projected Z axis vanishes), and
-    CameraBelowGround when the center is on or below the ground plane.
-    """
-    normal = _as_matrix(ground_normal_ego, (3,), "ground_normal")
-    if abs(np.linalg.norm(normal) - 1.0) > 1e-9:
-        raise ConfigError("ground_normal must be a unit vector")
-    center = extrinsics.camera_center
-    height = float(center @ normal)
-    if height <= 0.0:
-        raise CameraBelowGround(f"camera center height {height:.6g} m is not above ground")
-    optical_axis = extrinsics.rotation[2, :]  # camera +z expressed in ego
-    z_proj = optical_axis - (optical_axis @ normal) * normal
-    z_norm = np.linalg.norm(z_proj)
-    if z_norm < _DEGENERATE_SIN:
-        raise DegenerateOrientation(
-            "optical axis is parallel to the ground normal; virtual Z undefined"
-        )
-    z_axis = z_proj / z_norm
-    y_axis = -normal
-    x_axis = np.cross(y_axis, z_axis)
-    virt_to_ego_rot = np.stack([x_axis, y_axis, z_axis], axis=1)
-    t_cam_virt = virt_to_ego_rot.T @ extrinsics.rotation.T
-    t_virt_ego = RigidTransform(virt_to_ego_rot, center)
-    return t_cam_virt, t_virt_ego, height
-
-
 @dataclass(frozen=True)
 class CameraRig:
-    """A calibrated camera with its precomputed virtual frame.
+    """A calibrated camera with its ground-aligned virtual frame.
 
-    t_cam_virt rotates camera coordinates into the virtual frame;
-    t_virt_ego maps virtual coordinates into ego; ground_height_H is the
-    optical center's height above the ground plane.  All arrays are
-    read-only.
+    A rig is defined by its intrinsics, extrinsics and the unit up-normal
+    of the ground plane in ego; everything else is derived from them by
+    the constructor, so dataclasses.replace re-derives it too:
+
+    * t_cam_virt rotates camera coordinates into the virtual frame;
+    * virt_to_ego rotates virtual coordinates into ego axes, whose origin
+      is camera_center (p_ego = virt_to_ego @ p_virt + camera_center);
+    * ground_height_H is the optical center's height above the ground
+      plane, along its normal;
+    * rig_id, when not given, is a digest of the intrinsics and
+      extrinsics.
+
+    All arrays are read-only.  Raises DegenerateOrientation when the
+    optical axis is within ~1e-6 rad of the ground normal (the virtual Z
+    axis vanishes), and CameraBelowGround when the center is on or below
+    the ground plane.
 
     _plans holds the rig's lift plans, one per hypothesis kind (see
     lifting._plan): they live and die with the rig, and a copy made by
@@ -221,43 +180,54 @@ class CameraRig:
 
     intrinsics: Intrinsics
     extrinsics: Extrinsics
-    t_cam_virt: np.ndarray
-    t_virt_ego: RigidTransform
-    ground_height_H: float
-    rig_id: str = ""
+    ground_normal: np.ndarray = (0.0, 0.0, 1.0)
+    rig_id: str | None = None
+    t_cam_virt: np.ndarray = field(init=False)
+    virt_to_ego: np.ndarray = field(init=False)
+    ground_height_H: float = field(init=False)
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "t_cam_virt", _as_matrix(self.t_cam_virt, (3, 3), "t_cam_virt"))
-
-    @classmethod
-    def build(
-        cls,
-        intrinsics: Intrinsics,
-        extrinsics: Extrinsics,
-        ground_normal_ego: Sequence[float] = UP_EGO,
-        rig_id: str | None = None,
-    ) -> "CameraRig":
-        t_cam_virt, t_virt_ego, height = build_virtual_frame(extrinsics, ground_normal_ego)
+        normal = _as_matrix(self.ground_normal, (3,), "ground_normal")
+        if abs(np.linalg.norm(normal) - 1.0) > 1e-9:
+            raise ConfigError("ground_normal must be a unit vector")
+        extr = self.extrinsics
+        center = extr.camera_center
+        height = float(center @ normal)
+        if height <= 0.0:
+            raise CameraBelowGround(f"camera center height {height:.6g} m is not above ground")
+        optical_axis = extr.rotation[2, :]  # camera +z expressed in ego
+        z_proj = optical_axis - (optical_axis @ normal) * normal
+        z_norm = np.linalg.norm(z_proj)
+        if z_norm < _DEGENERATE_SIN:
+            raise DegenerateOrientation(
+                "optical axis is parallel to the ground normal; virtual Z undefined"
+            )
+        z_axis = z_proj / z_norm
+        y_axis = -normal
+        x_axis = np.cross(y_axis, z_axis)
+        virt_to_ego = np.stack([x_axis, y_axis, z_axis], axis=1)
+        t_cam_virt = virt_to_ego.T @ extr.rotation.T
+        virt_to_ego.flags.writeable = t_cam_virt.flags.writeable = False
+        rig_id = self.rig_id
         if rig_id is None:
+            intr = self.intrinsics
             digest = hashlib.sha256()
             digest.update(np.asarray(
-                [intrinsics.fx, intrinsics.fy, intrinsics.cx, intrinsics.cy], dtype=np.float64
+                [intr.fx, intr.fy, intr.cx, intr.cy], dtype=np.float64
             ).tobytes())
-            digest.update(extrinsics.rotation.tobytes())
-            digest.update(extrinsics.translation.tobytes())
+            digest.update(extr.rotation.tobytes())
+            digest.update(extr.translation.tobytes())
             rig_id = "rig-" + digest.hexdigest()[:12]
-        return cls(intrinsics, extrinsics, t_cam_virt, t_virt_ego, height, rig_id)
+        object.__setattr__(self, "ground_normal", normal)
+        object.__setattr__(self, "t_cam_virt", t_cam_virt)
+        object.__setattr__(self, "virt_to_ego", virt_to_ego)
+        object.__setattr__(self, "ground_height_H", height)
+        object.__setattr__(self, "rig_id", rig_id)
 
     @property
     def camera_center(self) -> np.ndarray:
         return self.extrinsics.camera_center
-
-    @property
-    def ground_normal(self) -> np.ndarray:
-        """Unit up-normal of the ground plane in ego: minus the virtual Y
-        axis, which build_virtual_frame sets to the downward normal."""
-        return -self.t_virt_ego.rotation[:, 1]
 
 
 def pixel_to_ref_cam(u, v, intrinsics: Intrinsics) -> np.ndarray:
@@ -347,11 +317,11 @@ def rig_to_json_dict(rig: CameraRig) -> dict:
     }
 
 
-def _rig(intrinsics, extrinsics, ground_normal=UP_EGO, name=None) -> CameraRig:
+def _rig(intrinsics, extrinsics, ground_normal=(0.0, 0.0, 1.0), name=None) -> CameraRig:
     """The rig of a JSON document; the parameters are its keys."""
     if name is not None and not isinstance(name, str):
         raise ConfigError(f"name must be a string, got {name!r}")
-    return CameraRig.build(
+    return CameraRig(
         config_object(Intrinsics, intrinsics, "intrinsics"),
         config_object(Extrinsics, extrinsics, "extrinsics"),
         ground_normal,

@@ -13,6 +13,7 @@ float32 little-endian payload; see write_tensor.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -25,17 +26,22 @@ from .scene import Histogram, PixelMaps
 
 TENSOR_MAGIC = b"BTF1"
 
+# Rows converted to Python scalars, and formatted, at a time: a table is
+# streamed to its file, never held whole as Python objects or text.
+CSV_CHUNK_ROWS = 4096
+
 
 def write_csv(path, header, rows, meta: dict | None = None) -> None:
     """Write rows of Python scalars (see table_rows) to CSV, preceded by
     a '# key=value ...' comment when meta is given.  Each field is str of
     its value; values must not contain commas or newlines."""
-    lines = []
-    if meta:
-        lines.append("# " + " ".join(f"{k}={meta[k]}" for k in meta))
-    lines.append(",".join(header))
-    lines.extend(",".join(map(str, row)) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = iter(rows)
+    with open(path, "w") as handle:
+        if meta:
+            handle.write("# " + " ".join(f"{k}={meta[k]}" for k in meta) + "\n")
+        handle.write(",".join(header) + "\n")
+        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
+            handle.write("".join(",".join(map(str, row)) + "\n" for row in chunk))
 
 
 def read_csv(path):
@@ -88,8 +94,11 @@ def read_tensor(path) -> np.ndarray:
 
 def table_rows(columns):
     """Rows of Python scalars from a table's equal-length 1-D columns,
-    the rows write_csv takes."""
-    return zip(*(np.asarray(c).tolist() for c in columns))
+    the rows write_csv takes, converted CSV_CHUNK_ROWS rows at a time."""
+    columns = [np.asarray(c) for c in columns]
+    n_rows = len(columns[0]) if columns else 0
+    for start in range(0, n_rows, CSV_CHUNK_ROWS):
+        yield from zip(*(c[start:start + CSV_CHUNK_ROWS].tolist() for c in columns))
 
 
 def wedge_table(cloud: WedgeCloud):

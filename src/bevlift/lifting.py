@@ -14,7 +14,8 @@ per bin b:
   reference point rotated into the ground-aligned virtual frame and y_ref
   its virtual Y.  A point at ego height g has virtual Y (ground_height_H -
   g), so f_b = ground_height_H - h puts the point on the plane of height h;
-  origin is t_virt_ego.translation, the camera centre again.
+  R_ve is the rig's virt_to_ego rotation and origin the camera centre
+  again.
 
 Both forms recover the identical point when fed the true height or depth
 of a surface.  Rays that do not descend toward the ground (y_ref <= 1e-6)
@@ -177,7 +178,6 @@ class WedgeCloud:
     positions: np.ndarray
     context: np.ndarray
     weights: np.ndarray
-    source_rig_id: str = ""
     skipped_cells: int = 0
     points_per_cell: int = 1
     positions_checked: InitVar[bool] = False
@@ -247,7 +247,7 @@ def lift_pixel_height(u: float, v: float, h: float, rig: CameraRig) -> np.ndarra
     if y_ref <= EPS_HORIZON:
         raise HorizonRay(f"pixel ({u}, {v}) looks at or above the horizon")
     scale = (rig.ground_height_H - h) / y_ref
-    return rig.t_virt_ego.apply(scale * ref_virt)
+    return (scale * ref_virt) @ rig.virt_to_ego.T + rig.camera_center
 
 
 def lift_pixel_height_composed(u: float, v: float, h: float, rig: CameraRig) -> np.ndarray:
@@ -265,8 +265,8 @@ def lift_pixel_height_composed(u: float, v: float, h: float, rig: CameraRig) -> 
     y_ref = rig.t_cam_virt[1] @ ref_cam
     if y_ref <= EPS_HORIZON:
         raise HorizonRay(f"pixel ({u}, {v}) looks at or above the horizon")
-    cam_to_ego = rig.t_virt_ego.rotation @ rig.t_cam_virt
-    return ((rig.ground_height_H - h) / y_ref) * (cam_to_ego @ ref_cam) + rig.t_virt_ego.translation
+    cam_to_ego = rig.virt_to_ego @ rig.t_cam_virt
+    return ((rig.ground_height_H - h) / y_ref) * (cam_to_ego @ ref_cam) + rig.camera_center
 
 
 def lift_pixel_depth(u: float, v: float, depth: float, rig: CameraRig) -> np.ndarray:
@@ -288,7 +288,7 @@ def lift_many_height(us, vs, hs, rig: CameraRig) -> np.ndarray:
     if np.any(y_ref <= EPS_HORIZON):
         raise HorizonRay("ray does not descend toward the ground")
     scale = (rig.ground_height_H - hs) / y_ref
-    return rig.t_virt_ego.apply(scale[..., None] * ref_virt)
+    return (scale[..., None] * ref_virt) @ rig.virt_to_ego.T + rig.camera_center
 
 
 def lift_many_depth(us, vs, depths, rig: CameraRig) -> np.ndarray:
@@ -351,16 +351,15 @@ def _plan(kind: str, bins: BinSpec, rig: CameraRig, width: int, height: int,
         ref_virt = _ref_virt(us, vs, rig)
         y_ref = ref_virt[:, 1]
         valid = y_ref > EPS_HORIZON
-        dirs = (ref_virt[valid] / y_ref[valid, None]) @ rig.t_virt_ego.rotation.T
+        dirs = (ref_virt[valid] / y_ref[valid, None]) @ rig.virt_to_ego.T
         steps = rig.ground_height_H - mids
-        origin = rig.t_virt_ego.translation
     else:
         if np.any(mids <= 0):
             raise NonPositiveDepth("depth must be positive")
         valid = np.ones(us.size, dtype=bool)
         dirs = pixel_to_ref_cam(us, vs, rig.intrinsics) @ rig.extrinsics.rotation
         steps = mids
-        origin = rig.camera_center
+    origin = rig.camera_center
     rays = np.empty((3, dirs.shape[0] * steps.size))
     for axis in range(3):
         np.multiply.outer(dirs[:, axis], steps, out=rays[axis].reshape(-1, steps.size))
@@ -388,8 +387,8 @@ def _wedge(kind: str, fused: FusedMap, bins: BinSpec, rig: CameraRig,
     if plan.skipped:
         ctx, dist, cell_w = ctx[plan.valid], dist[plan.valid], cell_w[plan.valid]
     weights = (dist * cell_w[:, None]).reshape(-1)
-    cloud = WedgeCloud(plan.positions, ctx, weights, rig.rig_id, plan.skipped,
-                       bins.n_bins, positions_checked=True)
+    cloud = WedgeCloud(plan.positions, ctx, weights, plan.skipped, bins.n_bins,
+                       positions_checked=True)
     cloud.bev_index = plan.bev_index
     return cloud
 

@@ -94,9 +94,7 @@ def perturb_extrinsics(extr: Extrinsics, roll_deg: float, pitch_deg: float) -> E
 def perturb_rig(rig: CameraRig, roll_deg: float, pitch_deg: float) -> CameraRig:
     """Rebuild a rig around perturbed extrinsics (same ground normal)."""
     extr = perturb_extrinsics(rig.extrinsics, roll_deg, pitch_deg)
-    return CameraRig.build(
-        rig.intrinsics, extr, rig.ground_normal, rig_id=rig.rig_id + "-perturbed"
-    )
+    return CameraRig(rig.intrinsics, extr, rig.ground_normal, rig.rig_id + "-perturbed")
 
 
 def sample_disturbances(spec: DisturbanceSpec) -> np.ndarray:
@@ -296,6 +294,8 @@ def localization_error(
     only by bin quantization.  Raises AboveCamera when a height bin
     reaches the camera, OutOfRange when a rendered value leaves its bins.
     """
+    if height_bins.is_depth:
+        raise ConfigError("height_bins must use a height strategy, not DEPTH_UD")
     if not depth_bins.is_depth:
         raise ConfigError("depth_bins must use the DEPTH_UD strategy")
     mids_h = bin_midpoints(height_bins)

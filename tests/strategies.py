@@ -34,7 +34,7 @@ def rig_st(draw):
         pitch_deg=draw(st.floats(3, 45)),
         roll_deg=draw(st.floats(-8, 8)),
     )
-    return CameraRig.build(intr, extr)
+    return CameraRig(intr, extr)
 
 
 @st.composite

@@ -82,7 +82,7 @@ def test_height_lift_hits_requested_height_on_the_pixel_ray():
                 pitch_deg=rng.uniform(8, 50),
                 roll_deg=rng.uniform(-10, 10),
             )
-            rig = CameraRig.build(intr, extr)
+            rig = CameraRig(intr, extr)
         u = rng.uniform(0, rig.intrinsics.image_w - 1)
         v = rng.uniform(0, rig.intrinsics.image_h - 1)
         h = rng.uniform(0.0, 0.5 * rig.ground_height_H)
@@ -178,7 +178,7 @@ def test_pooling_conserves_mass_linearly_and_bit_exactly():
     w2 = rng.uniform(0.0, 2.0, n)
 
     def grid_of(w):
-        return pool(WedgeCloud(pos, feats, w, "rig-acc", 0), spec).data
+        return pool(WedgeCloud(pos, feats, w), spec).data
 
     g1, g2, g12 = grid_of(w1), grid_of(w2), grid_of(w1 + w2)
     total = g1.sum(axis=(0, 1))
@@ -234,8 +234,8 @@ def test_range_bias_follows_the_lever_law_and_worsens_for_low_cameras():
     3.14 m always errs more than one at 5 m for the same case."""
     intr = Intrinsics(700.0, 700.0, 768.0, 432.0, 1536, 864)
     rigs = {
-        3.14: CameraRig.build(intr, extrinsics_from_pose([0, 0, 3.14], pitch_deg=20)),
-        5.0: CameraRig.build(intr, extrinsics_from_pose([0, 0, 5.0], pitch_deg=20)),
+        3.14: CameraRig(intr, extrinsics_from_pose([0, 0, 3.14], pitch_deg=20)),
+        5.0: CameraRig(intr, extrinsics_from_pose([0, 0, 5.0], pitch_deg=20)),
     }
     ds = [4.5, 6.0, 9.0, 13.0, 18.0, 25.0, 32.0, 40.0, 50.0, 60.0]
     hs = [0.0, 0.25, 0.6, 1.0, 1.4]

@@ -198,7 +198,7 @@ class TestPool:
         # roll tilts the horizon across the image: the height plan skips a
         # different number of rows per column, the depth plan skips none
         rig = perturb_rig(
-            CameraRig.build(INTR, extrinsics_from_pose((0.0, 0.0, 5.0), pitch_deg=20.0)),
+            CameraRig(INTR, extrinsics_from_pose((0.0, 0.0, 5.0), pitch_deg=20.0)),
             3.0, -0.5)
         rng = np.random.default_rng(41)
         w, h, channels = INTR.image_w // 32, INTR.image_h // 32, 3

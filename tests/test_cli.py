@@ -18,6 +18,7 @@ from bevlift.scene import NoiseModel, load_scene
 ROOT = Path(__file__).resolve().parent.parent
 
 RIG_DOC = json.loads((ROOT / "configs" / "rig_default.json").read_text())
+CORRIDOR_DOC = json.loads((ROOT / "configs" / "scenes" / "corridor_seed7.json").read_text())
 
 BASE_CONFIG = {
     "rig": RIG_DOC,
@@ -279,7 +280,7 @@ class TestLoadConfig:
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({**doc, "context_channels": 4}))
         cfg, _, _ = load_config(path)
-        assert cfg.height_bins == BinSpec("DID", 90, -1.0, 1.0, alpha=2.0)
+        assert cfg.height_bins == BinSpec("DID", 90, -0.2, 3.6, alpha=1.2)
         assert cfg.depth_bins == BinSpec("DEPTH_UD", 206, 1.0, 104.0)
         assert cfg.noise == NoiseModel("one_hot_truth")
         assert cfg.disturbance == DisturbanceSpec(1.67, 1.67, seed=5, n_trials=100)
@@ -399,6 +400,24 @@ class TestExitCodes:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "OutOfRange"
+
+    @pytest.mark.parametrize("command", ["lift", "bench", "robustness"])
+    def test_depth_strategy_as_height_bins_is_2(self, tmp_path, capsys, command):
+        # The range holds every rendered height, so only the strategy is wrong.
+        height_bins = {"strategy": "DEPTH_UD", "n_bins": 12, "range_min": -0.2,
+                       "range_max": 3.6}
+        path = write_config(tmp_path, height_bins=height_bins)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("command", ["lift", "robustness"])
+    def test_default_height_bins_hold_the_committed_scene(self, tmp_path, capsys, command):
+        # Every surface of the committed corridor, boxes included, lies
+        # inside the default height bins.
+        path = write_config(tmp_path, scene=CORRIDOR_DOC, height_bins=None)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert (code, capsys.readouterr().err) == (0, "")
 
     @pytest.mark.parametrize("key, value", [("pool_mode", "fixed"), ("sampel_stride", 8)])
     def test_unknown_config_key_is_2(self, tmp_path, capsys, key, value):

@@ -1,9 +1,11 @@
-"""Camera model, rigid transform, and virtual frame tests.
+"""Camera model, rig, and virtual frame tests.
 
 The frozen expectations were derived by hand from the pinhole model and
 the frame construction rules in the module docstring; see the inline
 derivations next to each constant.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,7 +17,6 @@ from bevlift.geometry import (
     CameraRig,
     Extrinsics,
     Intrinsics,
-    build_virtual_frame,
     extrinsics_from_pose,
     load_rig,
     pixel_to_ref_cam,
@@ -24,6 +25,8 @@ from bevlift.geometry import (
     rig_to_json_dict,
     save_rig,
 )
+from bevlift.lifting import lift_pixel_height
+from bevlift.robustness import perturb_extrinsics, perturb_rig
 from strategies import rig_st
 
 INTR_1000 = Intrinsics(1000.0, 1000.0, 768.0, 432.0, 1536, 864)
@@ -38,7 +41,7 @@ GROUND_NORMALS = (
 
 def overhead_rig(height=5.0, pitch_deg=0.0, yaw_deg=0.0, roll_deg=0.0):
     extr = extrinsics_from_pose((0.0, 0.0, height), yaw_deg, pitch_deg, roll_deg)
-    return CameraRig.build(INTR_1000, extr)
+    return CameraRig(INTR_1000, extr)
 
 
 class TestIntrinsics:
@@ -81,7 +84,7 @@ class TestExtrinsics:
         assert extr.rotation[0, 0] == 1.0
         rig = overhead_rig(pitch_deg=20.0)
         for arr in (rig.extrinsics.rotation, rig.extrinsics.translation, rig.t_cam_virt,
-                    rig.t_virt_ego.rotation, rig.t_virt_ego.translation):
+                    rig.virt_to_ego, rig.ground_normal):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -124,7 +127,7 @@ class TestVirtualFrame:
         rig = overhead_rig(height=5.0, pitch_deg=0.0)
         # virtual axes in ego: x = (0,-1,0), y = (0,0,-1), z = (1,0,0)
         expected = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
-        np.testing.assert_allclose(rig.t_virt_ego.rotation, expected, atol=1e-12)
+        np.testing.assert_allclose(rig.virt_to_ego, expected, atol=1e-12)
         np.testing.assert_allclose(rig.t_cam_virt, np.eye(3), atol=1e-12)
         assert rig.ground_height_H == pytest.approx(5.0, abs=1e-12)
 
@@ -132,12 +135,12 @@ class TestVirtualFrame:
         plain = overhead_rig(pitch_deg=20.0)
         rolled = overhead_rig(pitch_deg=20.0, roll_deg=7.0)
         np.testing.assert_allclose(
-            rolled.t_virt_ego.rotation, plain.t_virt_ego.rotation, atol=1e-12
+            rolled.virt_to_ego, plain.virt_to_ego, atol=1e-12
         )
 
     @given(rig_st())
     def test_frame_invariants(self, rig):
-        rot = rig.t_virt_ego.rotation
+        rot = rig.virt_to_ego
         assert np.max(np.abs(rot @ rot.T - np.eye(3))) < 1e-9
         assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-9)
         # y axis is the downward ground normal
@@ -155,25 +158,39 @@ class TestVirtualFrame:
     def test_virtual_y_is_height_deficit(self, rig, g):
         # a point at ego height g sits at virtual y = H - g
         point = np.array([12.0, 3.0, g])
-        t_ve = rig.t_virt_ego
-        virt = (point - t_ve.translation) @ t_ve.rotation
+        virt = (point - rig.camera_center) @ rig.virt_to_ego
         assert virt[1] == pytest.approx(rig.ground_height_H - g, abs=1e-9)
+
+    def test_replaced_extrinsics_rederive_the_frame(self):
+        # A rig copied with other extrinsics holds their frame, the one
+        # perturb_rig builds from the same angles, not the original's.
+        rig = overhead_rig(height=10.0, pitch_deg=25.0)
+        replaced = replace(rig, extrinsics=perturb_extrinsics(rig.extrinsics, 2.0, 3.0))
+        rebuilt = perturb_rig(rig, 2.0, 3.0)
+        assert not np.array_equal(replaced.t_cam_virt, rig.t_cam_virt)
+        assert np.array_equal(replaced.t_cam_virt, rebuilt.t_cam_virt)
+        assert np.array_equal(replaced.virt_to_ego, rebuilt.virt_to_ego)
+        assert replaced.ground_height_H == rebuilt.ground_height_H
+        assert np.array_equal(
+            lift_pixel_height(900.0, 800.0, 0.0, replaced),
+            lift_pixel_height(900.0, 800.0, 0.0, rebuilt),
+        )
 
     def test_straight_down_is_degenerate(self):
         extr = extrinsics_from_pose((0.0, 0.0, 5.0), pitch_deg=90.0)
         with pytest.raises(DegenerateOrientation):
-            build_virtual_frame(extr)
+            CameraRig(INTR_1000, extr)
 
     def test_camera_on_or_below_ground_rejected(self):
         for z in (0.0, -1.0):
             extr = extrinsics_from_pose((0.0, 0.0, z), pitch_deg=10.0)
             with pytest.raises(CameraBelowGround):
-                build_virtual_frame(extr)
+                CameraRig(INTR_1000, extr)
 
     def test_non_unit_normal_rejected(self):
         extr = extrinsics_from_pose((0.0, 0.0, 5.0), pitch_deg=10.0)
         with pytest.raises(ConfigError):
-            build_virtual_frame(extr, (0.0, 0.0, 2.0))
+            CameraRig(INTR_1000, extr, (0.0, 0.0, 2.0))
 
 
 class TestProjection:
@@ -244,7 +261,7 @@ class TestRigSerialization:
     def test_json_round_trip_is_exact(self):
         extr = extrinsics_from_pose((0.5, -1.5, 7.0), 18.0, 22.0, 3.0)
         for normal in GROUND_NORMALS:
-            rig = CameraRig.build(INTR_1000, extr, normal, rig_id="round-trip")
+            rig = CameraRig(INTR_1000, extr, normal, rig_id="round-trip")
             back = rig_from_json_dict(rig_to_json_dict(rig))
             # tolist/parse of float64 is lossless, so equality is exact
             assert np.array_equal(back.extrinsics.rotation, rig.extrinsics.rotation)
@@ -257,7 +274,7 @@ class TestRigSerialization:
     def test_save_and_load(self, tmp_path):
         extr = extrinsics_from_pose((0.0, 0.0, 5.0), pitch_deg=25.0)
         for k, normal in enumerate(GROUND_NORMALS):
-            rig = CameraRig.build(INTR_1000, extr, normal)
+            rig = CameraRig(INTR_1000, extr, normal)
             path = tmp_path / f"rig{k}.json"
             save_rig(rig, path)
             loaded = load_rig(path)

@@ -1,6 +1,7 @@
 """Serialization tests: CSV fields and byte stability, the tensor
 container, and the column tables of the pipeline artifacts."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from bevlift.bevpool import GridSpec, pool
 from bevlift.errors import PipelineError
 from bevlift.io import (
+    CSV_CHUNK_ROWS,
     TENSOR_MAGIC,
     bev_table,
     error_report_table,
@@ -90,6 +92,29 @@ class TestCsv:
         write_csv(a, ["i", "v"], rows, meta={"seed": 0})
         write_csv(b, ["i", "v"], rows, meta={"seed": 0})
         assert a.read_bytes() == b.read_bytes()
+
+    def test_table_longer_than_a_chunk_round_trips(self, tmp_path):
+        n = 2 * CSV_CHUNK_ROWS + 3
+        values = np.random.default_rng(0).standard_normal(n)
+        path = tmp_path / "t.csv"
+        write_csv(path, ["i", "v"], table_rows([np.arange(n), values]), meta={"seed": 0})
+        _, header, rows = read_csv(path)
+        assert header == ["i", "v"]
+        assert [int(r[0]) for r in rows] == list(range(n))
+        assert np.array_equal([float(r[1]) for r in rows], values)
+
+    def test_table_is_streamed(self, tmp_path):
+        # 60000 rows of 4 floats take about 22 MiB when held whole as
+        # Python floats and lines of text; streamed a chunk at a time they
+        # peak below 2 MiB.
+        columns = np.random.default_rng(1).standard_normal((4, 60000))
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"], table_rows(columns))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -37,7 +37,7 @@ EXTENT = (0.0, 98.0, -40.0, 40.0)
 
 def level_rig(height=5.0, pitch_deg=0.0):
     extr = extrinsics_from_pose((0.0, 0.0, height), pitch_deg=pitch_deg)
-    return CameraRig.build(INTR_1000, extr)
+    return CameraRig(INTR_1000, extr)
 
 
 def one_box_scene(box=None, extent=EXTENT):
@@ -165,7 +165,7 @@ class TestCastRaysFrozen:
 
     def test_box_behind_camera_ignored(self):
         scene = one_box_scene(Box3D(10.0, 0.0, 1.0, 2.0, 2.0, 2.0, 0.0), EXTENT)
-        rig = CameraRig.build(
+        rig = CameraRig(
             INTR_1000, extrinsics_from_pose((20.0, 0.0, 5.0))  # box now behind
         )
         depth, _, kind = cast_rays(scene, rig, 768.0, 932.0)
