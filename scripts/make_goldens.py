@@ -67,9 +67,8 @@ def sha(arr) -> str:
     return hashlib.sha256(arr.tobytes()).hexdigest()
 
 
-def lift_checksums(rig, scene) -> dict:
-    """Checksums of both wedge clouds and both pooled grids of the
-    committed lift experiment, the content of lift_checksums.json."""
+def lift_frame(rig, scene):
+    """(wedge_h, wedge_d, bev_h, bev_d) of the committed lift experiment."""
     maps = render(scene, rig, LIFT_STRIDE)
     ctx_rng = substream(LIFT_SEED, 101)
     ctx = ContextMap(
@@ -85,8 +84,12 @@ def lift_checksums(rig, scene) -> dict:
         DEPTH_BINS, rig, LIFT_STRIDE,
     )
     grid = GridSpec(0.0, 102.4, -51.2, 51.2, 0.8, 0.8, LIFT_CHANNELS)
-    bev_h = pool(wedge_h, grid)
-    bev_d = pool(wedge_d, grid)
+    return wedge_h, wedge_d, pool(wedge_h, grid), pool(wedge_d, grid)
+
+
+def frame_checksums(wedge_h, wedge_d, bev_h, bev_d) -> dict:
+    """Checksums of both wedge clouds and both pooled grids of a lift
+    frame; of lift_frame's, the content of lift_checksums.json."""
     return {
         "wedge_height_positions": sha(wedge_h.positions),
         "wedge_height_weights": sha(wedge_h.weights),
@@ -140,7 +143,7 @@ def main() -> None:
     write_csv(GOLDEN / "errors_seed7.csv", header, table_rows(columns))
 
     (GOLDEN / "lift_checksums.json").write_text(
-        json.dumps(lift_checksums(rig, scene), indent=2, sort_keys=True) + "\n"
+        json.dumps(frame_checksums(*lift_frame(rig, scene)), indent=2, sort_keys=True) + "\n"
     )
     (GOLDEN / "table_digests.json").write_text(
         json.dumps(table_digests(), indent=2, sort_keys=True) + "\n"

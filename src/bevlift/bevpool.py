@@ -7,10 +7,16 @@ cell; points outside the extent are dropped and counted, never fatal.
 Pooling goes by index.  A cloud's BEV index gives every point its flat
 cell ix * n_y + iy, or the overflow bin n_x * n_y when it lies outside
 the extent, together with the point count of every bin; the count in the
-overflow bin is the number of dropped points.  The index depends only on
-the positions and the GridSpec, so it is memoized in the cloud's
-bev_index, which all clouds of one lift plan share: on a fixed rig it is
-computed once per grid.
+overflow bin is the number of dropped points.  The index is built from
+the cloud's rays, not from positions: for a wedge, each axis of a run of
+points is origin + np.multiply.outer(dirs, steps) of its lift plan,
+written into a reused buffer and turned into cell coordinates in place,
+with the same operations and so the same bits as the positions would
+give; a cloud built by hand copies the axis from its positions.  So a
+frame that only pools never builds its (n, 3) positions.  The index
+depends only on the rays and the GridSpec, so it is memoized in the
+cloud's bev_index, which all clouds of one lift plan share: on a fixed
+rig it is computed once per grid.
 
 A cloud keeps each source cell's context once, so each frame forms, per
 channel, the products context[s, c] * weight[p] of every point p of
@@ -93,21 +99,47 @@ class BevGrid:
     dropped_points: int = 0
 
 
-def _bev_index(positions: np.ndarray, spec: GridSpec):
+# Points per pass of _bev_index: its four working buffers stay in cache.
+_INDEX_CHUNK = 32768
+
+
+def _bev_index(rays, spec: GridSpec):
     """(flat, counts): each point's flat cell, n_x * n_y for a point outside
     the extent, and the number of points in each of the n_x * n_y + 1 bins.
 
-    The cell coordinates are compared as floats, so a point far outside
-    the extent lands in the overflow bin without an integer cast.  Its
-    cell coordinate may overflow to inf, and its flat index to inf or
-    nan; np.where discards both, so those warnings are silenced.
+    rays (see lifting.WedgeCloud) writes one axis of a run of its rows of
+    points into a reused buffer, where the cell coordinate is then formed
+    in place, _INDEX_CHUNK points at a time.  The coordinates are
+    compared as floats, so a point far outside the extent lands in the
+    overflow bin without an integer cast.  Its cell coordinate may
+    overflow to inf, and its flat index to inf or nan; both are replaced
+    by the overflow bin, so those warnings are silenced.
     """
     n_cells = spec.n_x * spec.n_y
+    flat = np.empty(rays.n_points, dtype=np.intp)
+    rows = max(1, _INDEX_CHUNK // rays.row_size)
+    size = rows * rays.row_size
+    coords, flags = np.empty((2, size)), np.empty((2, size), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        fx = np.floor((positions[:, 0] - spec.x_min) / spec.res_x)
-        fy = np.floor((positions[:, 1] - spec.y_min) / spec.res_y)
-        inside = (fx >= 0) & (fx < spec.n_x) & (fy >= 0) & (fy < spec.n_y)
-        flat = np.where(inside, fx * spec.n_y + fy, n_cells).astype(np.intp)
+        for start in range(0, rays.n_rows, rows):
+            part = slice(start, min(start + rows, rays.n_rows))
+            points = slice(start * rays.row_size, part.stop * rays.row_size)
+            n = points.stop - points.start
+            x, y = coords[:, :n]
+            outside, test = flags[:, :n]
+            outside[...] = False
+            for axis, cell, lo, res, count in ((0, x, spec.x_min, spec.res_x, spec.n_x),
+                                               (1, y, spec.y_min, spec.res_y, spec.n_y)):
+                rays.axis_into(axis, part, cell)
+                cell -= lo
+                cell /= res
+                np.floor(cell, out=cell)
+                outside |= np.less(cell, 0, out=test)
+                outside |= np.greater_equal(cell, count, out=test)
+            x *= spec.n_y
+            x += y
+            np.copyto(x, n_cells, where=outside)
+            flat[points] = x
     counts = np.bincount(flat, minlength=n_cells + 1)
     flat.flags.writeable = counts.flags.writeable = False
     return flat, counts
@@ -121,7 +153,7 @@ def pool(cloud: WedgeCloud, spec: GridSpec) -> BevGrid:
         )
     index = cloud.bev_index.get(spec)
     if index is None:
-        index = cloud.bev_index[spec] = _bev_index(cloud.positions, spec)
+        index = cloud.bev_index[spec] = _bev_index(cloud.rays, spec)
     flat, counts = index
     n_cells = spec.n_x * spec.n_y
     context = cloud.context

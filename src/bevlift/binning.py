@@ -35,7 +35,6 @@ from .errors import (
 )
 
 STRATEGIES = ("UD", "SID", "LID", "DID", "DEPTH_UD")
-HEIGHT_STRATEGIES = ("UD", "SID", "LID", "DID")
 
 
 @dataclass(frozen=True)
@@ -65,9 +64,13 @@ class BinSpec:
     def span(self) -> float:
         return self.range_max - self.range_min
 
-    @property
-    def is_depth(self) -> bool:
-        return self.strategy == "DEPTH_UD"
+    def check_kind(self, kind: str, name: str) -> None:
+        """The rule on what a spec discretizes: heights ("height") take a
+        height strategy, depths ("depth") take DEPTH_UD.  Raises a
+        ConfigError naming the spec by name otherwise."""
+        if (self.strategy == "DEPTH_UD") != (kind == "depth"):
+            wanted = "the DEPTH_UD strategy" if kind == "depth" else "a height strategy"
+            raise ConfigError(f"{name} must use {wanted}, not {self.strategy}")
 
     @classmethod
     def from_json_dict(cls, doc: dict, path: str = "") -> "BinSpec":
@@ -108,7 +111,7 @@ def value_to_bin(value, spec: BinSpec):
     arr = np.asarray(value, dtype=np.float64)
     bad = (arr < spec.range_min) | (arr > spec.range_max) | ~np.isfinite(arr)
     if np.any(bad):
-        offender = arr[bad].flat[0] if arr.ndim else float(arr)
+        offender = float(arr[bad].flat[0])
         raise OutOfRange(
             f"value {offender!r} outside bin range [{spec.range_min}, {spec.range_max}]"
         )

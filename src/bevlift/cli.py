@@ -127,15 +127,19 @@ def _experiment(
     )
     if grid.channels != context_channels:
         raise ConfigError("bev_grid.channels must match context_channels")
+    height_bins = BinSpec.from_json_dict(
+        _DEFAULT_HEIGHT_BIN_SPEC if height_bins is None else height_bins, "height_bins"
+    )
+    height_bins.check_kind("height", "height_bins")
+    depth_bins = BinSpec.from_json_dict(
+        _DEFAULT_DEPTH_BIN_SPEC if depth_bins is None else depth_bins, "depth_bins"
+    )
+    depth_bins.check_kind("depth", "depth_bins")
     cfg = ExperimentConfig(
         rig=rig,
         scene=scene,
-        height_bins=BinSpec.from_json_dict(
-            _DEFAULT_HEIGHT_BIN_SPEC if height_bins is None else height_bins, "height_bins"
-        ),
-        depth_bins=BinSpec.from_json_dict(
-            _DEFAULT_DEPTH_BIN_SPEC if depth_bins is None else depth_bins, "depth_bins"
-        ),
+        height_bins=height_bins,
+        depth_bins=depth_bins,
         noise=NoiseModel.from_json_dict(_DEFAULT_NOISE if noise is None else noise, "noise"),
         disturbance=DisturbanceSpec.from_json_dict(
             {} if disturbance is None else disturbance, "disturbance", seed=seed

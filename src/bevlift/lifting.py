@@ -30,24 +30,28 @@ cell.  Feature cell (row r, col c) looks through the pixel at
 
 Where each (cell, bin) hypothesis lands depends only on the rig, the
 stride, the bins and the feature-grid size, never on the frame.  So the
-lifted positions are computed once, in a lift plan stored on the rig
+rays are factored once, in a lift plan stored on the rig
 (CameraRig._plans, at most one plan per hypothesis kind, replaced when
-the stride, bins or grid size change): each axis is one np.multiply.outer
-of the directions and the bin scalars, written into one read-only (3, n)
-array that is checked finite once.  Each frame only gathers its weights
-and keeps each cell's context vector once; per-point features are never
-formed on the pooling path.  The clouds built from one plan share its
-positions and its memo of BEV cell indices, one entry per GridSpec, which
-bevpool.pool fills on first use.  A plan lives exactly as long as its rig:
-a perturbed rig is a new rig and builds its own.
+the stride, bins or grid size change): the plan holds the directions
+dirs (m, 3), the bin scalars steps (B,) and the origin, and is checked
+finite from the per-axis extremes of dirs and steps alone.  bevpool.pool
+builds each BEV index straight from these factors, one axis at a time,
+and the clouds of one plan share that index, one entry per GridSpec.
+The (n, 3) positions are built only when read, by the lift command's
+wedge tables or by tests, and then kept on the plan, read-only.  Each
+frame only gathers its weights and keeps each cell's context vector
+once; per-point features are never formed on the pooling path.  A plan
+lives exactly as long as its rig: a perturbed rig is a new rig and
+builds its own.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .binning import BinSpec, HEIGHT_STRATEGIES, bin_midpoints
+from .binning import BinSpec, bin_midpoints
 from .errors import (
     AboveCamera,
     ConfigError,
@@ -155,54 +159,74 @@ def fuse(context: ContextMap, dist: DistributionMap) -> FusedMap:
     return FusedMap(context, dist)
 
 
+class _Points:
+    """The rays of a cloud built by hand: its (n, 3) ego-frame positions as
+    given, read-only (a writable input is copied) and checked finite; one
+    point per row."""
+
+    row_size = 1
+
+    def __init__(self, positions):
+        positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+        if positions.flags.writeable:
+            positions = positions.copy()
+            positions.flags.writeable = False
+        if not np.all(np.isfinite(positions)):
+            raise ConfigError("lifted positions must be finite")
+        self.positions = positions
+        self.n_points = self.n_rows = positions.shape[0]
+        self.bev_index = {}
+
+    def axis_into(self, axis: int, rows: slice, out: np.ndarray) -> None:
+        """Write coordinate axis of the points of rows into out."""
+        out[...] = self.positions[rows, axis]
+
+
 @dataclass
 class WedgeCloud:
     """Lifted points with their weights, kept factored by source cell.
 
     Each of the cloud's source cells emits points_per_cell consecutive
-    points.  positions are ego-frame xyz, one row per point, read-only (a
-    writable input is copied); context holds each source cell's feature
-    vector once, (source cells, channels); weights carry each point's bin
-    weight scaled by its cell weight.  A cloud built by hand from
-    per-point features is the case of one point per source cell.
+    points.  rays places the points in the ego frame: a wedge's lift plan,
+    or, for a cloud built by hand, its (n, 3) positions.  context holds
+    each source cell's feature vector once, (source cells, channels);
+    weights carry each point's bin weight scaled by its cell weight.  A
+    cloud built by hand from per-point features is the case of one point
+    per source cell.
+
+    Either kind of rays holds n_rows rows of row_size points, and
+    axis_into(axis, rows, out) writes one coordinate of the points of a
+    slice of rows into out: bevpool builds its index from that, never
+    from positions.  bev_index memoizes, per GridSpec, the BEV cell index
+    of the points (see bevpool.pool): clouds of one lift plan share it, a
+    cloud built by hand has its own.
 
     A wedge's context is a view of its frame's context map when no cell
-    was skipped, and its positions are its lift plan's, which were checked
-    finite when the plan was built (positions_checked).  skipped_cells
-    counts feature cells dropped because their ray could not carry height
-    hypotheses.  bev_index memoizes, per GridSpec, the BEV cell index of
-    the positions (see bevpool.pool): clouds of one lift plan share it,
-    any other cloud starts with an empty one.
+    was skipped.  skipped_cells counts feature cells dropped because their
+    ray could not carry height hypotheses.
     """
 
-    positions: np.ndarray
+    rays: "_LiftPlan | _Points"
     context: np.ndarray
     weights: np.ndarray
     skipped_cells: int = 0
     points_per_cell: int = 1
-    positions_checked: InitVar[bool] = False
-    bev_index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self, positions_checked):
-        self.positions = np.asarray(self.positions, dtype=np.float64).reshape(-1, 3)
-        if self.positions.flags.writeable:
-            self.positions = self.positions.copy()
-            self.positions.flags.writeable = False
+    def __post_init__(self):
+        if not isinstance(self.rays, _LiftPlan):
+            self.rays = _Points(self.rays)
         self.context = np.asarray(self.context, dtype=np.float64)
         self.weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        n_points = self.positions.shape[0]
         if (self.context.ndim != 2 or self.points_per_cell < 1
-                or self.context.shape[0] * self.points_per_cell != n_points):
+                or self.n_points != self.rays.n_points):
             raise ShapeMismatch(
                 "context must be (source cells, channels), with points_per_cell "
                 "points per source cell"
             )
-        if self.weights.shape[0] != n_points:
+        if self.weights.shape[0] != self.n_points:
             raise ShapeMismatch("weights must have one entry per point")
-        if not (positions_checked or np.all(np.isfinite(self.positions))):
-            raise ConfigError("lifted positions must be finite")
         # min and max are NaN when any weight is: two passes, no temporaries.
-        lo, hi = (self.weights.min(), self.weights.max()) if n_points else (0.0, 0.0)
+        lo, hi = (self.weights.min(), self.weights.max()) if self.n_points else (0.0, 0.0)
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ConfigError("point weights must be finite")
         if lo < 0:
@@ -210,11 +234,21 @@ class WedgeCloud:
 
     @property
     def n_points(self) -> int:
-        return self.positions.shape[0]
+        return self.context.shape[0] * self.points_per_cell
 
     @property
     def channels(self) -> int:
         return self.context.shape[1]
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Ego-frame xyz, one read-only row per point; a plan builds its
+        positions on the first read and keeps them."""
+        return self.rays.positions
+
+    @property
+    def bev_index(self) -> dict:
+        return self.rays.bev_index
 
     @property
     def features(self) -> np.ndarray:
@@ -319,25 +353,69 @@ def _check_grid(fused: FusedMap, rig: CameraRig, stride: int) -> None:
 @dataclass(frozen=True)
 class _LiftPlan:
     """The frame-independent part of a wedge: which cells emit points and
-    how many were skipped, where their (cell, bin) hypotheses land, and the
-    BEV cell indices of those positions, memoized per GridSpec."""
+    how many were skipped, the factored rays of their (cell, bin)
+    hypotheses, and the BEV cell indices of those points, memoized per
+    GridSpec.
+
+    Point (s, b) lies at origin + dirs[s] * steps[b]: dirs (m, 3) holds one
+    direction per valid cell, steps (B,) one scalar per bin.  The points
+    are finite exactly when the corner products {min, max}(dirs[:, a]) x
+    {min, max}(steps) + origin[a] are on every axis a: rounding is
+    monotone, so the extremes of the points are among the corners.
+    """
 
     key: tuple
     valid: np.ndarray
     skipped: int
-    positions: np.ndarray
+    dirs: np.ndarray
+    steps: np.ndarray
+    origin: np.ndarray
     bev_index: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not self.n_points:
+            return
+        step_ends = [self.steps.min(), self.steps.max()]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for axis in range(3):
+                column = self.dirs[:, axis]
+                corners = np.multiply.outer([column.min(), column.max()], step_ends)
+                if not np.all(np.isfinite(corners + self.origin[axis])):
+                    raise ConfigError("lifted positions must be finite")
+
+    @property
+    def n_rows(self) -> int:
+        return self.dirs.shape[0]
+
+    @property
+    def row_size(self) -> int:
+        return self.steps.size
+
+    @property
+    def n_points(self) -> int:
+        return self.n_rows * self.row_size
+
+    def axis_into(self, axis: int, rows: slice, out: np.ndarray) -> None:
+        """Write coordinate axis of the points of rows (valid cells) into
+        out: cells in order, bins ascending within a cell."""
+        np.multiply.outer(self.dirs[rows, axis], self.steps, out=out.reshape(-1, self.row_size))
+        out += self.origin[axis]
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """The (n, 3) transpose of one read-only (3, n) array, built on
+        first read and kept."""
+        rays = np.empty((3, self.n_points))
+        for axis in range(3):
+            self.axis_into(axis, slice(None), rays[axis])
+        rays.flags.writeable = False
+        return rays.T
 
 
 def _plan(kind: str, bins: BinSpec, rig: CameraRig, width: int, height: int,
           stride: int) -> _LiftPlan:
     """The rig's lift plan for one hypothesis kind, built on first use and
-    rebuilt when the bins, the feature-grid size or the stride change.
-
-    Its positions are the (n, 3) transpose of one read-only (3, n) array
-    whose row a is origin[a] + np.multiply.outer(dirs[:, a], steps): cells
-    row-major, bins ascending within a cell.
-    """
+    rebuilt when the bins, the feature-grid size or the stride change."""
     key = (kind, bins, width, height, stride)
     plan = rig._plans.get(kind)
     if plan is not None and plan.key == key:
@@ -360,15 +438,10 @@ def _plan(kind: str, bins: BinSpec, rig: CameraRig, width: int, height: int,
         dirs = pixel_to_ref_cam(us, vs, rig.intrinsics) @ rig.extrinsics.rotation
         steps = mids
     origin = rig.camera_center
-    rays = np.empty((3, dirs.shape[0] * steps.size))
-    for axis in range(3):
-        np.multiply.outer(dirs[:, axis], steps, out=rays[axis].reshape(-1, steps.size))
-        rays[axis] += origin[axis]
-    if not np.all(np.isfinite(rays)):
-        raise ConfigError("lifted positions must be finite")
-    rays.flags.writeable = valid.flags.writeable = False
+    for arr in (valid, dirs, steps, origin):
+        arr.flags.writeable = False
     skipped = int(np.count_nonzero(~valid))
-    plan = rig._plans[kind] = _LiftPlan(key, valid, skipped, rays.T)
+    plan = rig._plans[kind] = _LiftPlan(key, valid, skipped, dirs, steps, origin)
     return plan
 
 
@@ -379,6 +452,7 @@ def _wedge(kind: str, fused: FusedMap, bins: BinSpec, rig: CameraRig,
     Each valid cell emits n_bins points carrying its context vector and
     weights bin weight * cell weight; invalid cells count as skipped.
     """
+    bins.check_kind(kind, "bins")
     _check_grid(fused, rig, stride)
     plan = _plan(kind, bins, rig, fused.width, fused.height, stride)
     ctx = fused.context.data.reshape(-1, fused.context.channels)
@@ -387,10 +461,7 @@ def _wedge(kind: str, fused: FusedMap, bins: BinSpec, rig: CameraRig,
     if plan.skipped:
         ctx, dist, cell_w = ctx[plan.valid], dist[plan.valid], cell_w[plan.valid]
     weights = (dist * cell_w[:, None]).reshape(-1)
-    cloud = WedgeCloud(plan.positions, ctx, weights, plan.skipped, bins.n_bins,
-                       positions_checked=True)
-    cloud.bev_index = plan.bev_index
-    return cloud
+    return WedgeCloud(plan, ctx, weights, plan.skipped, bins.n_bins)
 
 
 def build_wedge(
@@ -407,8 +478,6 @@ def build_wedge(
     n_bins points, carrying its context vector, with weight = bin weight
     times the cell weight.
     """
-    if bins.strategy not in HEIGHT_STRATEGIES:
-        raise ConfigError(f"build_wedge needs a height strategy, got {bins.strategy}")
     return _wedge("height", fused, bins, rig, pixel_stride)
 
 
@@ -423,6 +492,4 @@ def build_wedge_depth(
     Every cell survives (depth hypotheses need no descending ray), so the
     cloud always holds width * height * n_bins points.
     """
-    if not bins.is_depth:
-        raise ConfigError(f"build_wedge_depth needs a DEPTH_UD spec, got {bins.strategy}")
     return _wedge("depth", fused, bins, rig, pixel_stride)

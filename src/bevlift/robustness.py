@@ -294,10 +294,8 @@ def localization_error(
     only by bin quantization.  Raises AboveCamera when a height bin
     reaches the camera, OutOfRange when a rendered value leaves its bins.
     """
-    if height_bins.is_depth:
-        raise ConfigError("height_bins must use a height strategy, not DEPTH_UD")
-    if not depth_bins.is_depth:
-        raise ConfigError("depth_bins must use the DEPTH_UD strategy")
+    height_bins.check_kind("height", "height_bins")
+    depth_bins.check_kind("depth", "depth_bins")
     mids_h = bin_midpoints(height_bins)
     mids_d = bin_midpoints(depth_bins)
     # perturb_rig keeps the camera height, so this covers every trial.

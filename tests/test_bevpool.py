@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bevlift.binning import BinSpec
+from bevlift import bevpool
 from bevlift.bevpool import GridSpec, grid_cell_of, pool
 from bevlift.errors import ConfigError, ShapeMismatch
 from bevlift.geometry import CameraRig, Intrinsics, extrinsics_from_pose
@@ -240,3 +241,55 @@ class TestPool:
         assert grid.dropped_points == 5
         assert grid.hit_count.sum() == 1
         assert grid.data.sum() == 1.0
+
+
+def index_of_positions(positions, spec):
+    """The BEV index rule written out on materialized (n, 3) positions."""
+    n_cells = spec.n_x * spec.n_y
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = np.floor((positions[:, 0] - spec.x_min) / spec.res_x)
+        fy = np.floor((positions[:, 1] - spec.y_min) / spec.res_y)
+        inside = (fx >= 0) & (fx < spec.n_x) & (fy >= 0) & (fy < spec.n_y)
+        flat = np.where(inside, fx * spec.n_y + fy, n_cells).astype(np.intp)
+    return flat, np.bincount(flat, minlength=n_cells + 1)
+
+
+class TestPlanIndex:
+    """The BEV index of a plan cloud comes from its factored rays; it must
+    equal, bit for bit, the index of the positions the plan builds."""
+
+    # Points fall outside this grid on every side: behind x_min, beyond
+    # x_max, and past both lateral edges.
+    CLIPPED = GridSpec(6.0, 30.0, -8.0, 8.0, 0.5, 0.5, 2)
+
+    @pytest.mark.parametrize("chunk", [None, 13])
+    def test_plan_index_equals_the_index_of_its_positions(self, monkeypatch, chunk):
+        if chunk is not None:  # many passes, and runs of rows that do not fill one
+            monkeypatch.setattr(bevpool, "_INDEX_CHUNK", chunk)
+        spec = self.CLIPPED
+        rng = np.random.default_rng(47)
+        base = CameraRig(INTR, extrinsics_from_pose((0.0, 0.0, 5.0), pitch_deg=20.0))
+        rigs = [base] + [perturb_rig(base, *rng.normal(0.0, 1.67, 2)) for _ in range(10)]
+        w, h = INTR.image_w // 32, INTR.image_h // 32
+        context = ContextMap(w, h, 2, rng.normal(size=(h, w, 2)))
+        lo, hi = np.full(2, np.inf), np.full(2, -np.inf)
+        for rig in rigs:
+            for build, bins in ((build_wedge, BinSpec("DID", 5, -0.2, 2.6, 1.2)),
+                                (build_wedge_depth, BinSpec("DEPTH_UD", 6, 1.0, 61.0))):
+                raw = rng.random((h, w, bins.n_bins)) + 1e-3
+                dist = DistributionMap(w, h, bins.n_bins, raw / raw.sum(-1, keepdims=True))
+                cloud = build(fuse(context, dist), bins, rig, 32)
+                grid = pool(cloud, spec)
+                flat, counts = cloud.bev_index[spec]
+                expected = index_of_positions(cloud.positions, spec)
+                assert flat.tobytes() == expected[0].tobytes()
+                assert counts.tobytes() == expected[1].tobytes()
+                by_hand = WedgeCloud(cloud.positions, cloud.features, cloud.weights)
+                hand_grid = pool(by_hand, spec)
+                for got, want in zip(by_hand.bev_index[spec], expected):
+                    assert got.tobytes() == want.tobytes()
+                assert hand_grid.data.tobytes() == grid.data.tobytes()
+                lo = np.minimum(lo, cloud.positions[:, :2].min(axis=0))
+                hi = np.maximum(hi, cloud.positions[:, :2].max(axis=0))
+        assert lo[0] < spec.x_min and hi[0] > spec.x_max
+        assert lo[1] < spec.y_min and hi[1] > spec.y_max

@@ -63,6 +63,16 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             BinSpec.from_json_dict({"strategy": "UD", "n_bins": "many"})
 
+    @pytest.mark.parametrize("strategy", ["UD", "SID", "LID", "DID", "DEPTH_UD"])
+    def test_kind_rule(self, strategy):
+        spec = BinSpec(strategy, 4, 1.0, 9.0, 1.2 if strategy == "DID" else None)
+        right, wrong = ("depth", "height") if strategy == "DEPTH_UD" else ("height", "depth")
+        spec.check_kind(right, "some_bins")
+        with pytest.raises(ConfigError) as err:
+            spec.check_kind(wrong, "some_bins")
+        wanted = "the DEPTH_UD strategy" if wrong == "depth" else "a height strategy"
+        assert str(err.value) == f"some_bins must use {wanted}, not {strategy}"
+
 
 class TestFrozenEdges:
     def test_ud_edges(self):
@@ -144,6 +154,12 @@ class TestFrozenIndices:
             value_to_bin(8.0 + 1e-9, spec)
         with pytest.raises(OutOfRange):
             value_to_bin(np.nan, spec)
+
+    @pytest.mark.parametrize("value", [0.0, np.float64(0.0), np.array([2.0, 0.0, -3.5])])
+    def test_out_of_range_message_prints_the_float(self, value):
+        with pytest.raises(OutOfRange) as err:
+            value_to_bin(value, BinSpec("DEPTH_UD", 30, 1.0, 121.0))
+        assert str(err.value) == "value 0.0 outside bin range [1.0, 121.0]"
 
     def test_array_input_with_one_offender(self):
         spec = BinSpec("UD", 4, 0.0, 8.0)

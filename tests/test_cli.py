@@ -411,6 +411,25 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("command", ["render", "lift", "robustness", "bench"])
+    @pytest.mark.parametrize("field, spec", [
+        # a DEPTH_UD range that misses every rendered height
+        ("height_bins", {"strategy": "DEPTH_UD", "n_bins": 30, "range_min": 1.0,
+                         "range_max": 121.0}),
+        ("depth_bins", {"strategy": "UD", "n_bins": 30, "range_min": 1.0,
+                        "range_max": 121.0}),
+    ])
+    def test_wrong_kind_bins_exit_2_before_any_work(self, tmp_path, capsys, command,
+                                                    field, spec):
+        path = write_config(tmp_path, **{field: spec})
+        out = tmp_path / "out"
+        code = main([command, "--config", str(path), "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError" and err["message"].startswith(f"{field} must use")
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("command", ["lift", "robustness"])
     def test_default_height_bins_hold_the_committed_scene(self, tmp_path, capsys, command):
         # Every surface of the committed corridor, boxes included, lies

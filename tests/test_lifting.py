@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bevlift import lifting
 from bevlift.bevpool import GridSpec, pool
 from bevlift.binning import BinSpec
 from bevlift.errors import (
@@ -480,7 +481,13 @@ class TestPlanGeometry:
         rig = horizon_rig()
         frames = [horizon_wedges(rig, seed) for seed in (3, 4, 5)]
         for kind, clouds in zip(("height", "depth"), zip(*frames)):
-            rays = rig._plans[kind].positions.base
+            plan = rig._plans[kind]
+            for factor in (plan.valid, plan.dirs, plan.steps, plan.origin):
+                assert not factor.flags.writeable
+            # built on the first read, then kept
+            assert "positions" not in vars(plan)
+            rays = plan.positions.base
+            assert plan.positions is plan.positions
             assert rays.shape == (3, clouds[0].n_points) and rays.flags.c_contiguous
             assert not rays.flags.writeable
             for cloud in clouds:
@@ -489,6 +496,48 @@ class TestPlanGeometry:
                 assert not cloud.positions.flags.writeable
                 with pytest.raises(ValueError):
                     cloud.positions[0, 0] = 0.0
+
+
+    def test_overflowing_depth_bins_are_rejected_without_positions(self, monkeypatch):
+        def built(plan):
+            pytest.fail("the finite check built the plan's positions")
+
+        monkeypatch.setattr(lifting._LiftPlan, "positions", property(built))
+        # A wide lens: the edge columns' directions are longer than 2, so
+        # the single finite bin depth of 8.5e307 lifts them past the
+        # largest double.
+        wide = Intrinsics(200.0, 200.0, 768.0, 432.0, 1536, 864)
+        rig = CameraRig(wide, extrinsics_from_pose((0.0, 0.0, 5.0), pitch_deg=20.0))
+        width, height = wide.image_w // HORIZON_STRIDE, wide.image_h // HORIZON_STRIDE
+        fused = random_fused(np.random.default_rng(6), width, height, 1, 3)
+        with pytest.raises(ConfigError, match="lifted positions must be finite"):
+            build_wedge_depth(fused, BinSpec("DEPTH_UD", 1, 1.0, 1.7e308), rig, HORIZON_STRIDE)
+        assert "depth" not in rig._plans
+
+    def test_finite_check_agrees_with_the_positions(self):
+        # Products and origins around the overflow threshold: some plans
+        # are finite, some overflow in a product, some only once the
+        # origin is added.
+        rng = np.random.default_rng(8)
+        outcomes = set()
+        for _ in range(400):
+            m, n_bins = rng.integers(1, 6, 2)
+            dirs = rng.normal(size=(m, 3)) * 10.0 ** rng.uniform(153, 154.3)
+            steps = rng.normal(size=n_bins) * 10.0 ** rng.uniform(153, 154.3)
+            origin = rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(306, 308.2, 3)
+            with np.errstate(over="ignore", invalid="ignore"):
+                products = [np.multiply.outer(dirs[:, a], steps) for a in range(3)]
+                positions = [products[a] + origin[a] for a in range(3)]
+            finite = bool(np.all(np.isfinite(positions)))
+            try:
+                lifting._LiftPlan(None, np.ones(m, dtype=bool), 0, dirs, steps, origin)
+            except ConfigError as exc:
+                assert not finite and str(exc) == "lifted positions must be finite"
+            else:
+                assert finite
+            outcomes.add("finite" if finite else
+                         "origin" if np.all(np.isfinite(products)) else "product")
+        assert outcomes == {"finite", "product", "origin"}
 
 
 class TestWedgeCloud:
