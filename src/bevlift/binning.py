@@ -59,6 +59,22 @@ class BinSpec:
                 raise ConfigError(f"alpha must be > 0 for the DID strategy, got {self.alpha}")
         elif self.alpha is not None:
             raise ConfigError(f"alpha is read only by the DID strategy, not by {self.strategy}")
+        # Finite bounds can still overflow the bin arithmetic: a span or
+        # LID base width past the largest double, or two adjacent edges
+        # whose sum is.  Each shows as a midpoint that is not finite (as is
+        # any next to an edge that is not), or as a range end that
+        # value_to_bin does not map to its end bin.
+        with np.errstate(all="ignore"):
+            ends = value_to_bin(np.array([self.range_min, self.range_max]), self)
+            sound = (
+                ends.tolist() == [0, self.n_bins - 1]
+                and np.isfinite(bin_midpoints(self)).all()
+            )
+        if not sound:
+            raise ConfigError(
+                f"range [{self.range_min!r}, {self.range_max!r}] overflows the "
+                f"{self.strategy} bin arithmetic"
+            )
 
     @property
     def span(self) -> float:

@@ -26,8 +26,10 @@ surface-versus-center offsets.  A pixel's estimate is the lift of its
 expected hypothesis, the distribution's mean bin midpoint: the lifted
 point is affine in the hypothesis value and each distribution sums to 1,
 so this is the bin-weighted centroid of the pixel's lifted bins without
-lifting every bin.  The expected hypothesis is read from one noise table
-per run, only at object pixels; no dense distribution map is built.
+lifting every bin.  Expected hypotheses are read from one noise table per
+run, only at object pixels, so no dense distribution map is built.  Each
+trial lifts all its object pixels once per parameterization and reduces
+them per object with np.bincount.
 """
 from __future__ import annotations
 
@@ -203,21 +205,20 @@ def scatter_overlap(
 @dataclass
 class ErrorReport:
     """Long-format localization errors: one row per (trial, object,
-    parameterization)."""
+    parameterization), held as equal-length columns."""
 
-    trials: list
-    objects: list
-    parameterizations: list
-    errors_m: list
-    true_distances_m: list
-    n_pixels: list
+    trials: np.ndarray
+    objects: np.ndarray
+    parameterizations: np.ndarray
+    errors_m: np.ndarray
+    true_distances_m: np.ndarray
+    n_pixels: np.ndarray
     camera_height_m: float = 0.0
     noise_kind: str = ""
     disturbed: bool = False
 
     def errors_for(self, parameterization: str) -> np.ndarray:
-        mask = [p == parameterization for p in self.parameterizations]
-        return np.asarray(self.errors_m)[np.asarray(mask)]
+        return self.errors_m[self.parameterizations == parameterization]
 
     def summary(self) -> dict:
         out = {
@@ -245,32 +246,42 @@ def _true_bin_map(values: np.ndarray, maps, bins: BinSpec, noise: NoiseModel) ->
     return out
 
 
-def _object_rows(maps, rig: CameraRig, scene: Scene, paths):
-    """One (object, param, error, reference distance, pixel count) row per
-    visible object and parameterization.
+def _object_rows(maps, rig: CameraRig, paths):
+    """Columns (object, param, error, reference distance, pixel count) of
+    one trial, a row per visible object and path, objects ascending.
 
     paths holds (param, lift, true_bin_map, table, mids) per
-    parameterization.  An object pixel's expected hypothesis is its noise
-    table row dotted with the bin midpoints, the same value as the
-    predicted distribution's row dotted with them, bit for bit.
+    parameterization.  The trial's object pixels are lifted once per path
+    and once at their rendered depths.  An object's centroid is its
+    np.bincount sum over its pixel count, which adds the same rows in the
+    same order as the mean of its points.
     """
+    on_object = maps.hit_kind > 0
+    label = maps.hit_kind[on_object] - 1
+    n_px = np.bincount(label)
+    objects = np.flatnonzero(n_px)
     uu, vv = maps.pixel_grid()
-    cam = rig.camera_center
-    rows = []
-    for k in range(len(scene.boxes)):
-        mask = maps.hit_kind == k + 1
-        n_px = int(np.count_nonzero(mask))
-        if n_px == 0:
-            continue
-        us, vs = uu[mask], vv[mask]
-        true_pts = lift_many_depth(us, vs, maps.depth[mask], rig)
-        d_ref = float(np.linalg.norm(true_pts.mean(axis=0) - cam))
+    us, vs = uu[on_object], vv[on_object]
 
-        for param, lift, true_bins, table, mids in paths:
-            est = lift(us, vs, table[true_bins[mask]] @ mids, rig).mean(axis=0)
-            err = abs(float(np.linalg.norm(est - cam)) - d_ref)
-            rows.append((k, param, err, d_ref, n_px))
-    return rows
+    def camera_distances(points):
+        sums = [np.bincount(label, points[:, a])[objects] for a in range(3)]
+        offset = np.stack(sums, axis=1) / n_px[objects, None] - rig.camera_center
+        # A dot product per row rounds as np.linalg.norm of that row does;
+        # norm(axis=1) does not.
+        return np.sqrt(offset[:, None, :] @ offset[:, :, None]).ravel()
+
+    d_ref = camera_distances(lift_many_depth(us, vs, maps.depth[on_object], rig))
+    errors = [
+        np.abs(camera_distances(lift(us, vs, table[true_bins[on_object]] @ mids, rig)) - d_ref)
+        for _, lift, true_bins, table, mids in paths
+    ]
+    return (
+        np.repeat(objects, len(paths)),
+        np.tile([param for param, *_ in paths], objects.size),
+        np.stack(errors, axis=1).ravel(),
+        np.repeat(d_ref, len(paths)),
+        np.repeat(n_px[objects], len(paths)),
+    )
 
 
 def localization_error(
@@ -287,12 +298,11 @@ def localization_error(
     Per trial the scene is rendered from the (possibly perturbed) rig,
     every non-sky pixel is binned under the noise model, and every
     object's center is estimated as the mean of its pixels each lifted at
-    its expected height or depth.  The expected hypotheses come from one
-    noise table per parameterization, so no dense distribution map is
-    built.  The reference for an object is the camera distance of the
-    exact surface centroid over the same pixels, so a noiseless run errs
-    only by bin quantization.  Raises AboveCamera when a height bin
-    reaches the camera, OutOfRange when a rendered value leaves its bins.
+    its expected height or depth.  The reference for an object is the
+    camera distance of the exact surface centroid over the same pixels, so
+    a noiseless run errs only by bin quantization.  Raises AboveCamera when
+    a height bin reaches the camera, OutOfRange when a rendered value
+    leaves its bins, and NoVisibleObjects when no trial sees an object.
     """
     height_bins.check_kind("height", "height_bins")
     depth_bins.check_kind("depth", "depth_bins")
@@ -303,19 +313,10 @@ def localization_error(
         raise AboveCamera("height bins reach the camera center height")
     table_h = _noise_table(height_bins, noise)
     table_d = _noise_table(depth_bins, noise)
-    if disturbance is None:
-        angle_list = np.zeros((1, 2))
-    else:
-        angle_list = sample_disturbances(disturbance)
+    angle_list = np.zeros((1, 2)) if disturbance is None else sample_disturbances(disturbance)
 
-    report = ErrorReport(
-        trials=[], objects=[], parameterizations=[], errors_m=[],
-        true_distances_m=[], n_pixels=[],
-        camera_height_m=rig.ground_height_H,
-        noise_kind=noise.kind,
-        disturbed=disturbance is not None,
-    )
-    for trial, (roll, pitch) in enumerate(angle_list):
+    trial_columns = []
+    for roll, pitch in angle_list:
         rig_t = rig if disturbance is None else perturb_rig(rig, roll, pitch)
         maps = render(scene, rig_t, sample_stride)
         paths = (
@@ -325,16 +326,14 @@ def localization_error(
             ("depth", lift_many_depth,
              _true_bin_map(maps.depth, maps, depth_bins, noise), table_d, mids_d),
         )
-        for k, param, err, d_ref, n_px in _object_rows(maps, rig_t, scene, paths):
-            report.trials.append(trial)
-            report.objects.append(k)
-            report.parameterizations.append(param)
-            report.errors_m.append(err)
-            report.true_distances_m.append(d_ref)
-            report.n_pixels.append(n_px)
-    if not report.errors_m:
+        trial_columns.append(_object_rows(maps, rig_t, paths))
+    objects, params, errors, d_ref, n_px = map(np.concatenate, zip(*trial_columns))
+    if errors.size == 0:
         raise NoVisibleObjects("no object rendered any pixels in any trial")
-    return report
+    trials = np.repeat(np.arange(len(angle_list)), [c[0].size for c in trial_columns])
+    return ErrorReport(trials, objects, params, errors, d_ref, n_px,
+                       camera_height_m=rig.ground_height_H, noise_kind=noise.kind,
+                       disturbed=disturbance is not None)
 
 
 def height_error_law(d: float, delta_h: float, H: float, h: float) -> float:

@@ -5,6 +5,7 @@ from the closed forms by hand, noted inline) plus a searchsorted oracle:
 for any in-range value, the analytic index must match the index found by
 scanning the edge array.
 """
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -46,6 +47,28 @@ class TestSpecValidation:
                "alpha": 1.2, field: bad}
         with pytest.raises(ConfigError, match=field):
             BinSpec.from_json_dict(doc)
+
+    @pytest.mark.parametrize("strategy, n_bins, lo, hi", [
+        # the span overflows
+        *((s, 6, -1.7e308, 1.7e308) for s in ("UD", "SID", "LID", "DID", "DEPTH_UD")),
+        # every edge is finite, but the last two sum past the largest double
+        ("DEPTH_UD", 6, 1.0, 1.7e308),
+        # the LID base width overflows, and with it the index of range_max
+        ("LID", 1, -1e308, 3.6),
+    ])
+    def test_rejects_bounds_that_overflow_the_bin_arithmetic(self, strategy, n_bins, lo, hi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=f"overflows the {strategy} bin arithmetic"):
+                BinSpec(strategy, n_bins, lo, hi, 1.2 if strategy == "DID" else None)
+
+    @pytest.mark.parametrize("strategy", ["UD", "SID", "DID", "DEPTH_UD"])
+    def test_a_single_huge_bin_is_sound(self, strategy):
+        # Its one midpoint, 8.5e307, is finite, and both ends map to bin 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = BinSpec(strategy, 1, 1.0, 1.7e308, 1.2 if strategy == "DID" else None)
+            assert value_to_bin([1.0, 1.7e308], spec).tolist() == [0, 0]
 
     def test_did_needs_alpha(self):
         with pytest.raises(ConfigError):

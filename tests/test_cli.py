@@ -430,6 +430,28 @@ class TestExitCodes:
         assert err["error"] == "ConfigError" and err["message"].startswith(f"{field} must use")
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["render", "lift", "robustness", "bench"])
+    @pytest.mark.parametrize("field, spec", [
+        # finite bounds whose last two bin edges sum past the largest double
+        ("depth_bins", {"strategy": "DEPTH_UD", "n_bins": 6, "range_min": 1.0,
+                        "range_max": 1.7e308}),
+        # a LID base width past the largest double, which bins every value
+        # as NaN
+        ("height_bins", {"strategy": "LID", "n_bins": 1, "range_min": -1e308,
+                         "range_max": 3.6}),
+    ])
+    def test_overflowing_bin_arithmetic_exits_2_before_any_work(self, tmp_path, capsys,
+                                                                command, field, spec):
+        path = write_config(tmp_path, **{field: spec})
+        out = tmp_path / "out"
+        code = main([command, "--config", str(path), "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError" and err["message"].startswith(f"{field}.range")
+        assert err["message"].endswith(f"overflows the {spec['strategy']} bin arithmetic")
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("command", ["lift", "robustness"])
     def test_default_height_bins_hold_the_committed_scene(self, tmp_path, capsys, command):
         # Every surface of the committed corridor, boxes included, lies

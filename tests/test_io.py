@@ -231,14 +231,19 @@ class TestRowGenerators:
 
     def test_error_report_rows(self):
         report = ErrorReport(
-            trials=[0, 0],
-            objects=[1, 1],
-            parameterizations=["height", "depth"],
-            errors_m=[0.1, 0.2],
-            true_distances_m=[20.0, 20.0],
-            n_pixels=[5, 5],
+            trials=np.array([0, 0]),
+            objects=np.array([1, 1]),
+            parameterizations=np.array(["height", "depth"]),
+            errors_m=np.array([0.1, 0.2]),
+            true_distances_m=np.array([20.0, 20.0]),
+            n_pixels=np.array([5, 5]),
         )
         header, columns = error_report_table(report)
+        assert all(c is getattr(report, name) for c, name in zip(columns, (
+            "trials", "objects", "parameterizations", "errors_m", "true_distances_m",
+            "n_pixels",
+        )))
+        np.testing.assert_array_equal(report.errors_for("depth"), [0.2])
         rows = list(table_rows(columns))
         assert header[:3] == ["trial", "object", "parameterization"]
         assert rows[0] == (0, 1, "height", 0.1, 20.0, 5)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from bevlift import robustness
 from bevlift.binning import BinSpec, bin_midpoints
 from bevlift.errors import (
     AboveCamera,
@@ -22,7 +23,7 @@ from bevlift.errors import (
 )
 from bevlift.geometry import Box3D, CameraRig, Intrinsics, extrinsics_from_pose
 from bevlift.io import error_report_table, table_rows, write_csv
-from bevlift.lifting import lift_many_depth, lift_many_height
+from bevlift.lifting import lift_many_depth, lift_many_height, lift_pixel_height
 from bevlift.robustness import (
     DisturbanceSpec,
     OverlapReport,
@@ -363,14 +364,14 @@ class TestLocalizationError:
         dist_d = predict_depth_distribution(maps, EXPERIMENT_DEPTH_BINS, noise)
         mids_h = bin_midpoints(EXPERIMENT_HEIGHT_BINS)
         mids_d = bin_midpoints(EXPERIMENT_DEPTH_BINS)
-        rows = _object_rows(maps, rig, corridor7, object_paths(maps, noise))
+        columns = _object_rows(maps, rig, object_paths(maps, noise))
         paths = {
             "height": (lift_many_height, dist_h, mids_h),
             "depth": (lift_many_depth, dist_d, mids_d),
         }
         uu, vv = maps.pixel_grid()
         cam = rig.camera_center
-        for k, param, err, d_ref, n_px in rows:
+        for k, param, err, d_ref, n_px in zip(*columns):
             lift, dist, mids = paths[param]
             mask = maps.hit_kind == k + 1
             pos = lift(
@@ -381,7 +382,7 @@ class TestLocalizationError:
             ).reshape(n_px, mids.size, 3)
             est = (dist.data[mask][:, :, None] * pos).sum(axis=(0, 1)) / n_px
             assert abs(abs(float(np.linalg.norm(est - cam)) - d_ref) - err) <= 1e-9
-        assert {param for _, param, *_ in rows} == {"height", "depth"}
+        assert set(columns[1]) == {"height", "depth"}
 
     @pytest.mark.parametrize("noise", [
         NoiseModel("one_hot_truth"),
@@ -389,25 +390,99 @@ class TestLocalizationError:
         NoiseModel("bias", bias_m=0.03),
     ], ids=lambda noise: noise.kind)
     def test_expected_hypotheses_equal_predicted_maps_exactly(self, corridor7, mast_rig, noise):
-        # The hypotheses _object_rows lifts are the rows of the predicted
-        # distribution maps dotted with the bin midpoints, bit for bit.
+        # The hypotheses _object_rows lifts, one batch of every object pixel
+        # per parameterization, are the rows of the predicted distribution
+        # maps dotted with the bin midpoints, bit for bit.
         rig = perturb_rig(mast_rig, -0.9, 1.4)
         maps = render(corridor7, rig, 16)
         seen_h, seen_d = [], []
         lifts = (recording(lift_many_height, seen_h), recording(lift_many_depth, seen_d))
-        rows = _object_rows(maps, rig, corridor7, object_paths(maps, noise, lifts))
-        visible = [k for k, param, *_ in rows if param == "height"]
-        assert len(visible) == len(seen_h) == len(seen_d) > 5
+        objects, *_ = _object_rows(maps, rig, object_paths(maps, noise, lifts))
+        assert len(seen_h) == len(seen_d) == 1 and np.unique(objects).size > 5
+        on_object = maps.hit_kind > 0
         for seen, predict, bins in (
             (seen_h, predict_height_distribution, EXPERIMENT_HEIGHT_BINS),
             (seen_d, predict_depth_distribution, EXPERIMENT_DEPTH_BINS),
         ):
-            data = predict(maps, bins, noise).data
-            mids = bin_midpoints(bins)
-            for k, hypotheses in zip(visible, seen):
-                want = data[maps.hit_kind == k + 1] @ mids
-                assert hypotheses.dtype == want.dtype
-                assert hypotheses.tobytes() == want.tobytes()
+            want = predict(maps, bins, noise).data[on_object] @ bin_midpoints(bins)
+            assert seen[0].dtype == want.dtype
+            assert seen[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scene_name", ["corridor7", "intersection11", "corridor13"])
+    def test_object_reductions_equal_per_object_mean_and_norm(self, request, scene_name,
+                                                              mast_rig):
+        # An object's centroid is its bincount sum over its pixel count and
+        # its distance a per-row dot product: bit for bit the mean and
+        # np.linalg.norm of that object's lifted points, 1-pixel objects
+        # included.
+        scene = request.getfixturevalue(scene_name)
+        noise = NoiseModel("gaussian_bin_blur", sigma_bins=1.0)
+        single_pixel = 0
+        for roll, pitch in ((0.0, 0.0), (-0.9, 1.4), (1.2, -0.8)):
+            rig = perturb_rig(mast_rig, roll, pitch)
+            maps = render(scene, rig, 16)
+            seen_h, seen_d = [], []
+            lifts = (recording(lift_many_height, seen_h), recording(lift_many_depth, seen_d))
+            columns = _object_rows(maps, rig, object_paths(maps, noise, lifts))
+            on_object = maps.hit_kind > 0
+            uu, vv = maps.pixel_grid()
+            us, vs = uu[on_object], vv[on_object]
+            kind = maps.hit_kind[on_object]
+            points = {
+                "reference": lift_many_depth(us, vs, maps.depth[on_object], rig),
+                "height": lift_many_height(us, vs, seen_h[0], rig),
+                "depth": lift_many_depth(us, vs, seen_d[0], rig),
+            }
+
+            def distance(source, k):
+                centroid = points[source][kind == k + 1].mean(axis=0)
+                return float(np.linalg.norm(centroid - rig.camera_center))
+
+            for k, param, err, d_ref, n_px in zip(*columns):
+                assert n_px == np.count_nonzero(kind == k + 1)
+                assert d_ref == distance("reference", k)
+                assert err == abs(distance(param, k) - d_ref)
+                single_pixel += n_px == 1
+        assert single_pixel > 0
+
+    def test_a_trial_lifts_three_times_and_skips_when_nothing_is_visible(
+        self, monkeypatch, mast_rig
+    ):
+        # A small box at the bottom edge of the image: some disturbed
+        # trials see it and some do not.  Every trial lifts its object
+        # pixels once per parameterization plus once at the rendered
+        # depths, and a trial that sees no object adds no row.
+        intr = mast_rig.intrinsics
+        x_edge = lift_pixel_height(intr.cx, intr.image_h, 0.0, mast_rig)[0]
+        scene = Scene((Box3D(x_edge - 0.3, 0.0, 0.1, 0.4, 0.4, 0.2, 0.0),),
+                      (0.0, 98.0, -40.0, 40.0), 0)
+        spec = DisturbanceSpec(1.67, 1.67, seed=0, n_trials=6)
+        seen = []
+        monkeypatch.setattr(robustness, "lift_many_height", recording(lift_many_height, seen))
+        monkeypatch.setattr(robustness, "lift_many_depth", recording(lift_many_depth, seen))
+        report = localization_error(scene, mast_rig, EXPERIMENT_HEIGHT_BINS,
+                                    EXPERIMENT_DEPTH_BINS, EXPERIMENT_NOISE, spec, 16)
+        assert len(seen) == 3 * spec.n_trials
+        visible = [
+            np.count_nonzero(render(scene, perturb_rig(mast_rig, roll, pitch), 16).hit_kind > 0)
+            for roll, pitch in sample_disturbances(spec)
+        ]
+        assert 0 < visible.count(0) < spec.n_trials
+        assert [h.size for h in seen] == np.repeat(visible, 3).tolist()
+        trials = [t for t, n in enumerate(visible) if n]
+        np.testing.assert_array_equal(report.trials, np.repeat(trials, 2))
+        np.testing.assert_array_equal(report.objects, np.zeros(2 * len(trials), dtype=int))
+        np.testing.assert_array_equal(report.parameterizations,
+                                      ["height", "depth"] * len(trials))
+        np.testing.assert_array_equal(report.n_pixels,
+                                      np.repeat([visible[t] for t in trials], 2))
+
+    def test_a_scene_without_boxes_gives_empty_columns(self, mast_rig):
+        bare = Scene((), (0.0, 98.0, -40.0, 40.0), 0)
+        maps = render(bare, mast_rig, 16)
+        columns = _object_rows(maps, mast_rig, object_paths(maps, NoiseModel("one_hot_truth")))
+        assert [c.size for c in columns] == [0] * 5
+        assert [c.dtype.kind for c in columns] == ["i", "U", "f", "f", "i"]
 
     def test_ground_pixel_out_of_range_raises(self, mast_rig):
         # Depth bins that cover every object pixel but not the far ground:
