@@ -63,12 +63,15 @@ class BinSpec:
         # LID base width past the largest double, or two adjacent edges
         # whose sum is.  Each shows as a midpoint that is not finite (as is
         # any next to an edge that is not), or as a range end that
-        # value_to_bin does not map to its end bin.
+        # value_to_bin does not map to its end bin.  LID's value_to_bin
+        # also forms 8 * (value - range_min), which can overflow inside the
+        # range while both ends still bin right; its largest is 8 * span.
         with np.errstate(all="ignore"):
             ends = value_to_bin(np.array([self.range_min, self.range_max]), self)
             sound = (
                 ends.tolist() == [0, self.n_bins - 1]
                 and np.isfinite(bin_midpoints(self)).all()
+                and (self.strategy != "LID" or np.isfinite(8.0 * self.span))
             )
         if not sound:
             raise ConfigError(

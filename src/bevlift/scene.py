@@ -2,13 +2,16 @@
 
 A Scene is a flat ground plane (z = 0) plus yaw-oriented boxes inside a
 rectangular ego-frame extent.  Rendering casts each pixel's ray against
-the ground and every box and keeps the nearest hit, producing per-pixel
+the ground and the boxes and keeps the nearest hit, producing per-pixel
 depth (camera-frame z), height above ground (ego z), and the kind of
-surface hit.  Ground is only sensed inside the scene extent, mirroring a
-bounded sensing range; rays that miss everything are sky.  Because the
-pixel reference point has camera depth 1, the ray parameter of a hit IS
-its depth, and heights come directly from ego z - no learned model is
-involved anywhere.
+surface hit.  Boxes are tested in one vectorized slab pass over candidate
+(box, ray) pairs, the rays inside each box's projected rectangle found by
+a range search on the rays sorted by v.  On a tie the lower box index
+wins, and the ground wins over a box.  Ground is only sensed inside the
+scene extent, mirroring a bounded sensing range; rays that miss
+everything are sky.  Because the pixel reference point has camera depth
+1, the ray parameter of a hit IS its depth, and heights come directly
+from ego z - no learned model is involved anywhere.
 
 Truth-conditioned bin distributions are derived from the rendered maps by
 the predict_* functions under a configurable noise model, replacing a
@@ -255,14 +258,16 @@ _CORNER_SIGNS = np.array(
 )
 
 
-def _box_ray_selectors(centers, cos_t, sin_t, half, us, vs, rig: CameraRig):
-    """For each box, the rays that can hit it.
+def _box_ray_pairs(centers, cos_t, sin_t, half, us, vs, rig: CameraRig):
+    """The (box, ray) index pairs whose ray can hit the box, box-major.
 
     A ray hits a box only through a point inside it; when every corner of
     the box lies in front of the camera, that point projects inside the
     convex hull of the projected corners, hence inside their bounding
     rectangle.  The rectangle is padded by 1 px against rounding.  A box
-    with a corner at or behind the camera plane gets every ray.
+    with a corner at or behind the camera plane gets every ray.  Rays
+    sorted by v give each box its rows by a range search; its columns are
+    then tested pair by pair, with the same comparisons as a full scan.
     """
     # Box3D.corners for all boxes at once.
     local = _CORNER_SIGNS * half[:, None, :]
@@ -273,13 +278,17 @@ def _box_ray_selectors(centers, cos_t, sin_t, half, us, vs, rig: CameraRig):
     front = np.all(depth > 0, axis=1)
     u_lo, u_hi = cu.min(axis=1) - 1.0, cu.max(axis=1) + 1.0
     v_lo, v_hi = cv.min(axis=1) - 1.0, cv.max(axis=1) + 1.0
-    for k in range(len(centers)):
-        if front[k]:
-            yield np.flatnonzero(
-                (us >= u_lo[k]) & (us <= u_hi[k]) & (vs >= v_lo[k]) & (vs <= v_hi[k])
-            )
-        else:
-            yield slice(None)
+    u_lo[~front] = v_lo[~front] = -np.inf
+    u_hi[~front] = v_hi[~front] = np.inf
+    order = np.argsort(vs, kind="stable")
+    v_sorted = vs[order]
+    start = np.searchsorted(v_sorted, v_lo, "left")
+    counts = np.searchsorted(v_sorted, v_hi, "right") - start
+    box = np.repeat(np.arange(len(counts)), counts)
+    # A pair's place in order: its box's start plus its rank in the box's run.
+    ray = order[np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)]
+    keep = (us[ray] >= u_lo[box]) & (us[ray] <= u_hi[box])
+    return box[keep], ray[keep]
 
 
 def cast_rays(scene: Scene, rig: CameraRig, us, vs):
@@ -287,9 +296,10 @@ def cast_rays(scene: Scene, rig: CameraRig, us, vs):
 
     Returns (depth, height, hit_kind) arrays shaped like the input.  The
     ray direction keeps camera z = 1, so the nearest-hit parameter equals
-    camera depth directly.  Each box is tested only against the rays
-    inside its projected bounds (see _box_ray_selectors); the per-ray
-    arithmetic is the same whichever rays a box is tested against.
+    camera depth directly.  One slab test runs over all candidate pairs of
+    _box_ray_pairs; each ray keeps its nearest box hit, the lowest box
+    index on a tie, when strictly nearer than the ground: bit for bit a
+    box-by-box loop keeping each hit with t < best over every ray.
     """
     us = np.asarray(us, dtype=np.float64)
     vs = np.asarray(vs, dtype=np.float64)
@@ -319,37 +329,34 @@ def cast_rays(scene: Scene, rig: CameraRig, us, vs):
 
     if scene.boxes:
         centers, cos_t, sin_t, half = _box_frames(scene.boxes)
-        selectors = _box_ray_selectors(centers, cos_t, sin_t, half, us, vs, rig)
-        for k, rays in enumerate(selectors):
-            ray_dirs = dirs[rays]
-            rel = origin - centers[k]
-            # Rotate ray into the box frame (undo the yaw).
-            ox = cos_t[k] * rel[0] + sin_t[k] * rel[1]
-            oy = -sin_t[k] * rel[0] + cos_t[k] * rel[1]
-            oz = rel[2]
-            dx = cos_t[k] * ray_dirs[:, 0] + sin_t[k] * ray_dirs[:, 1]
-            dy = -sin_t[k] * ray_dirs[:, 0] + cos_t[k] * ray_dirs[:, 1]
-            dzb = ray_dirs[:, 2]
-            t_near = np.full(len(ray_dirs), -np.inf)
-            t_far = np.full(len(ray_dirs), np.inf)
-            for o, d, half_size in ((ox, dx, half[k, 0]), (oy, dy, half[k, 1]), (oz, dzb, half[k, 2])):
-                parallel = np.abs(d) < 1e-12
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t1 = (-half_size - o) / d
-                    t2 = (half_size - o) / d
-                lo = np.minimum(t1, t2)
-                hi = np.maximum(t1, t2)
-                inside = np.abs(o) <= half_size
-                lo = np.where(parallel, np.where(inside, -np.inf, np.inf), lo)
-                hi = np.where(parallel, np.where(inside, np.inf, -np.inf), hi)
-                t_near = np.maximum(t_near, lo)
-                t_far = np.minimum(t_far, hi)
-            hit = (t_near <= t_far) & (t_far > _RAY_T_MIN)
-            t_hit = np.where(t_near > _RAY_T_MIN, t_near, t_far)
-            current = best_t[rays]
-            better = hit & (t_hit < current)
-            best_t[rays] = np.where(better, t_hit, current)
-            kind[rays] = np.where(better, k + 1, kind[rays])
+        box, ray = _box_ray_pairs(centers, cos_t, sin_t, half, us, vs, rig)
+        # The ray origin per box and each pair's direction in the box frame
+        # (undo the yaw), and per box the slab faces relative to the origin.
+        rel = origin - centers
+        ox, oy = cos_t * rel[:, 0] + sin_t * rel[:, 1], -sin_t * rel[:, 0] + cos_t * rel[:, 1]
+        o = np.stack([ox, oy, rel[:, 2]], axis=1)
+        face_lo, face_hi, inside = -half - o, half - o, np.abs(o) <= half
+        d, c, s = dirs[ray], cos_t[box], sin_t[box]
+        pair_dirs = (c * d[:, 0] + s * d[:, 1], -s * d[:, 0] + c * d[:, 1], d[:, 2])
+        t_near, t_far = -np.inf, np.inf
+        for axis, d_axis in enumerate(pair_dirs):
+            parallel = np.abs(d_axis) < 1e-12
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t1, t2 = face_lo[box, axis] / d_axis, face_hi[box, axis] / d_axis
+            lo, hi = np.minimum(t1, t2), np.maximum(t1, t2)
+            lo = np.where(parallel, np.where(inside[box, axis], -np.inf, np.inf), lo)
+            hi = np.where(parallel, np.where(inside[box, axis], np.inf, -np.inf), hi)
+            t_near, t_far = np.maximum(t_near, lo), np.minimum(t_far, hi)
+        hit = (t_near <= t_far) & (t_far > _RAY_T_MIN)
+        t_hit = np.where(t_near > _RAY_T_MIN, t_near, t_far)[hit]
+        box, ray = box[hit], ray[hit]
+        box_t, first = np.full(len(us), np.inf), np.full(len(us), len(centers))
+        np.minimum.at(box_t, ray, t_hit)
+        nearest = t_hit == box_t[ray]
+        np.minimum.at(first, ray[nearest], box[nearest])
+        better = box_t < best_t
+        best_t = np.where(better, box_t, best_t)
+        kind = np.where(better, first + 1, kind)
 
     sky = ~np.isfinite(best_t)
     depth = np.where(sky, np.nan, best_t)

@@ -55,6 +55,9 @@ class TestSpecValidation:
         ("DEPTH_UD", 6, 1.0, 1.7e308),
         # the LID base width overflows, and with it the index of range_max
         ("LID", 1, -1e308, 3.6),
+        # both ends bin right, but 8 * (value - range_min) overflows inside
+        # the range: 3e307 would bin last, where its edges give bin 4
+        ("LID", 6, 0.0, 5e307),
     ])
     def test_rejects_bounds_that_overflow_the_bin_arithmetic(self, strategy, n_bins, lo, hi):
         with warnings.catch_warnings():

@@ -439,6 +439,9 @@ class TestExitCodes:
         # as NaN
         ("height_bins", {"strategy": "LID", "n_bins": 1, "range_min": -1e308,
                          "range_max": 3.6}),
+        # a LID range inside which 8 * (value - range_min) overflows
+        ("height_bins", {"strategy": "LID", "n_bins": 6, "range_min": 0.0,
+                         "range_max": 5e307}),
     ])
     def test_overflowing_bin_arithmetic_exits_2_before_any_work(self, tmp_path, capsys,
                                                                 command, field, spec):

@@ -350,6 +350,7 @@ BORDER_BOX = Box3D(20.0, 16.0, 1.0, 4.0, 4.0, 2.0, 0.0)
 BEHIND_BOX = Box3D(1.0, -3.0, 5.0, 6.0, 2.0, 10.0, 0.3)
 OFFSCREEN_BOX = Box3D(20.0, 35.0, 1.0, 4.0, 4.0, 2.0, 0.0)
 CULLING_SCENE = Scene((BORDER_BOX, BEHIND_BOX, OFFSCREEN_BOX), EXTENT, rng_seed=0)
+TIED_BOX = Box3D(20.0, 0.0, 1.0, 4.0, 2.0, 2.0, 0.2)
 
 
 class TestCastRaysCulling:
@@ -391,6 +392,38 @@ class TestCastRaysCulling:
         vs = rng.uniform(-50.0, intr.image_h + 50.0, 20000)
         for scene in (corridor7, CULLING_SCENE):
             assert_culling_exact(scene, mast_rig, us, vs)
+
+    @pytest.mark.parametrize("tied_first", [True, False])
+    def test_tied_boxes_resolve_to_the_lower_index(self, tied_first):
+        # Two copies of one box tie on every ray that hits either; a third
+        # box puts the pair first, then last, in the box list.
+        twin, other = TIED_BOX, Box3D(30.0, 4.0, 1.5, 4.0, 2.0, 3.0, 0.4)
+        scene = Scene((twin, twin, other) if tied_first else (other, twin, twin), EXTENT)
+        rig = perturb_rig(level_rig(), 1.0, -2.0)
+        uu, vv = render(scene, rig, sample_stride=4).pixel_grid()
+        kind = assert_culling_exact(scene, rig, uu, vv)
+        lower, upper, rest = (1, 2, 3) if tied_first else (2, 3, 1)
+        assert np.any(kind == lower) and np.any(kind == rest)
+        assert not np.any(kind == upper)
+
+    def test_permuted_grid_gives_the_permuted_render(self, corridor7, mast_rig):
+        rig = perturb_rig(mast_rig, -1.5, 2.0)
+        uu, vv = render(corridor7, rig, sample_stride=8).pixel_grid()
+        perm = np.random.default_rng(3).permutation(uu.size)
+        us, vs = uu.ravel()[perm], vv.ravel()[perm]
+        assert_culling_exact(corridor7, rig, us, vs)
+        for got, grid in zip(cast_rays(corridor7, rig, us, vs), cast_rays(corridor7, rig, uu, vv)):
+            assert got.tobytes() == grid.ravel()[perm].tobytes()
+
+    @pytest.mark.parametrize(
+        "boxes", [(OFFSCREEN_BOX, Box3D(20.0, -35.0, 1.0, 4.0, 4.0, 2.0, 0.5)), ()]
+    )
+    def test_no_candidate_pairs(self, boxes):
+        # boxes wholly off-screen, or none: the ground and sky alone
+        rig, scene = level_rig(), Scene(boxes, EXTENT)
+        uu, vv = render(scene, rig, sample_stride=8).pixel_grid()
+        kind = assert_culling_exact(scene, rig, uu, vv)
+        assert set(np.unique(kind).tolist()) == {HIT_SKY, HIT_GROUND}
 
     def test_reprojected_coordinates(self, corridor7, mast_rig):
         # the non-grid coordinates matched_surface_points casts through
