@@ -6,7 +6,8 @@ For a checkout of bevlift (this repository by default) it writes, as JSON:
 * the end-to-end benchmark metrics per workload: the median over the
   untraced perfbench runs found in the checkout's .bench_out/results/
   (optionally only the given seeds), with the seeds, run seconds and
-  failed-item count;
+  failed-item count.  The runs of one workload must share one length
+  (--seconds); it exits naming the workload and the lengths otherwise;
 * the whole-process wall time of `render`, `lift` (csv, json and bin),
   `robustness` and `bench` on their committed configs;
 * the wall time and pass count of the Tier-1 suite;
@@ -55,20 +56,26 @@ CLI_RUNS = (
 
 
 def benchmark_medians(checkout: Path, seeds) -> dict:
-    """Median of each end-to-end metric over the untraced runs per workload."""
+    """Median of each end-to-end metric over the untraced runs per workload.
+    Exits when one workload's runs differ in length."""
+    results = checkout / ".bench_out" / "results"
     runs: dict[str, list] = {}
-    for path in sorted((checkout / ".bench_out" / "results").glob("*.json")):
+    for path in sorted(results.glob("*.json")):
         report = json.loads(path.read_text())
         if report["trace"] != 0 or (seeds and report["seed"] not in seeds):
             continue
         runs.setdefault(report["workload"], []).append(report)
     out = {}
     for workload, reports in sorted(runs.items()):
+        seconds = sorted({r["seconds"] for r in reports})
+        if len(seconds) > 1:
+            raise SystemExit(f"{workload}: runs of {seconds} s in {results}; a median "
+                             "takes runs of one length (pick them with --seeds)")
         names = reports[0]["metrics"].keys()
         out[workload] = {
             "runs": len(reports),
             "seeds": sorted(r["seed"] for r in reports),
-            "seconds": sorted({r["seconds"] for r in reports}),
+            "seconds": seconds,
             "failed": sum(r["failed"] for r in reports),
             "median": {
                 name: statistics.median(r["metrics"][name]["value"] for r in reports)

@@ -8,15 +8,14 @@ Pooling goes by index.  A cloud's BEV index gives every point its flat
 cell ix * n_y + iy, or the overflow bin n_x * n_y when it lies outside
 the extent, together with the point count of every bin; the count in the
 overflow bin is the number of dropped points.  The index is built from
-the cloud's rays, not from positions: for a wedge, each axis of a run of
-points is origin + np.multiply.outer(dirs, steps) of its lift plan,
-written into a reused buffer and turned into cell coordinates in place,
-with the same operations and so the same bits as the positions would
-give; a cloud built by hand copies the axis from its positions.  So a
-frame that only pools never builds its (n, 3) positions.  The index
-depends only on the rays and the GridSpec, so it is memoized in the
-cloud's bev_index, which all clouds of one lift plan share: on a fixed
-rig it is computed once per grid.
+the cloud's lift plan, not from positions: each axis of a run of points
+is origin + np.multiply.outer(dirs, steps), written into a reused buffer
+and turned into cell coordinates in place, with the same operations and
+so the same bits as the positions would give.  So a frame that only
+pools never builds its (n, 3) positions.  The index depends only on the
+plan and the GridSpec, so it is memoized in the plan's bev_index, which
+all clouds of one plan share: on a fixed rig it is computed once per
+grid.
 
 A cloud keeps each source cell's context once, so each frame forms, per
 channel, the products context[s, c] * weight[p] of every point p of
@@ -103,34 +102,35 @@ class BevGrid:
 _INDEX_CHUNK = 32768
 
 
-def _bev_index(rays, spec: GridSpec):
+def _bev_index(plan, spec: GridSpec):
     """(flat, counts): each point's flat cell, n_x * n_y for a point outside
     the extent, and the number of points in each of the n_x * n_y + 1 bins.
 
-    rays (see lifting.WedgeCloud) writes one axis of a run of its rows of
-    points into a reused buffer, where the cell coordinate is then formed
-    in place, _INDEX_CHUNK points at a time.  The coordinates are
-    compared as floats, so a point far outside the extent lands in the
-    overflow bin without an integer cast.  Its cell coordinate may
+    The lift plan (see lifting._LiftPlan) writes one axis of the points of
+    a run of its rows (cells) into a reused buffer, where the cell
+    coordinate is then formed in place, _INDEX_CHUNK points at a time.
+    The coordinates are compared as floats, so a point far outside the
+    extent lands in the overflow bin without an integer cast.  Its cell coordinate may
     overflow to inf, and its flat index to inf or nan; both are replaced
     by the overflow bin, so those warnings are silenced.
     """
     n_cells = spec.n_x * spec.n_y
-    flat = np.empty(rays.n_points, dtype=np.intp)
-    rows = max(1, _INDEX_CHUNK // rays.row_size)
-    size = rows * rays.row_size
+    flat = np.empty(plan.n_points, dtype=np.intp)
+    n_rows, row_size = plan.dirs.shape[0], plan.steps.size
+    rows = max(1, _INDEX_CHUNK // row_size)
+    size = rows * row_size
     coords, flags = np.empty((2, size)), np.empty((2, size), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, rays.n_rows, rows):
-            part = slice(start, min(start + rows, rays.n_rows))
-            points = slice(start * rays.row_size, part.stop * rays.row_size)
+        for start in range(0, n_rows, rows):
+            part = slice(start, min(start + rows, n_rows))
+            points = slice(start * row_size, part.stop * row_size)
             n = points.stop - points.start
             x, y = coords[:, :n]
             outside, test = flags[:, :n]
             outside[...] = False
             for axis, cell, lo, res, count in ((0, x, spec.x_min, spec.res_x, spec.n_x),
                                                (1, y, spec.y_min, spec.res_y, spec.n_y)):
-                rays.axis_into(axis, part, cell)
+                plan.axis_into(axis, part, cell)
                 cell -= lo
                 cell /= res
                 np.floor(cell, out=cell)
@@ -151,9 +151,9 @@ def pool(cloud: WedgeCloud, spec: GridSpec) -> BevGrid:
         raise ShapeMismatch(
             f"cloud has {cloud.channels} channels but the grid expects {spec.channels}"
         )
-    index = cloud.bev_index.get(spec)
+    index = cloud.plan.bev_index.get(spec)
     if index is None:
-        index = cloud.bev_index[spec] = _bev_index(cloud.rays, spec)
+        index = cloud.plan.bev_index[spec] = _bev_index(cloud.plan, spec)
     flat, counts = index
     n_cells = spec.n_x * spec.n_y
     context = cloud.context

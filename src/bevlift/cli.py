@@ -10,8 +10,9 @@ Subcommands
 Every run resolves one JSON experiment config, hashes it, and stamps the
 hash plus the effective seed into every artifact (CSV comment line, JSON
 field, or .meta.json sidecar next to binary tensors).  Exit codes: 0 on
-success, 2 for configuration problems, 3 for pipeline failures; errors
-are emitted to stderr as a one-line JSON record.
+success, 2 for configuration problems, 3 for pipeline failures and for
+running out of memory; errors are emitted to stderr as a one-line JSON
+record.
 """
 from __future__ import annotations
 
@@ -447,14 +448,11 @@ def main(argv=None) -> int:
             raise ConfigError(f"--out {args.out} is not a usable directory: {exc.strerror}") from exc
         meta = {"config_hash": digest, "seed": seed}
         _COMMANDS[args.command](cfg, args, meta)
-    except ConfigError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
-    except PipelineError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 3
+    except (ConfigError, PipelineError, MemoryError) as exc:
+        # numpy raises a private MemoryError subclass; report the public name
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
+        return 2 if isinstance(exc, ConfigError) else 3
     return 0
 
 

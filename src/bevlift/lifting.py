@@ -42,7 +42,9 @@ wedge tables or by tests, and then kept on the plan, read-only.  Each
 frame only gathers its weights and keeps each cell's context vector
 once; per-point features are never formed on the pooling path.  A plan
 lives exactly as long as its rig: a perturbed rig is a new rig and
-builds its own.
+builds its own.  A cloud built by hand from (n, 3) positions is a plan
+too, of one unit step along each position (see _points_plan), so every
+cloud pools the same way.
 """
 from __future__ import annotations
 
@@ -159,69 +161,35 @@ def fuse(context: ContextMap, dist: DistributionMap) -> FusedMap:
     return FusedMap(context, dist)
 
 
-class _Points:
-    """The rays of a cloud built by hand: its (n, 3) ego-frame positions as
-    given, read-only (a writable input is copied) and checked finite; one
-    point per row."""
-
-    row_size = 1
-
-    def __init__(self, positions):
-        positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-        if positions.flags.writeable:
-            positions = positions.copy()
-            positions.flags.writeable = False
-        if not np.all(np.isfinite(positions)):
-            raise ConfigError("lifted positions must be finite")
-        self.positions = positions
-        self.n_points = self.n_rows = positions.shape[0]
-        self.bev_index = {}
-
-    def axis_into(self, axis: int, rows: slice, out: np.ndarray) -> None:
-        """Write coordinate axis of the points of rows into out."""
-        out[...] = self.positions[rows, axis]
-
-
 @dataclass
 class WedgeCloud:
     """Lifted points with their weights, kept factored by source cell.
 
-    Each of the cloud's source cells emits points_per_cell consecutive
-    points.  rays places the points in the ego frame: a wedge's lift plan,
-    or, for a cloud built by hand, its (n, 3) positions.  context holds
-    each source cell's feature vector once, (source cells, channels);
-    weights carry each point's bin weight scaled by its cell weight.  A
-    cloud built by hand from per-point features is the case of one point
-    per source cell.
-
-    Either kind of rays holds n_rows rows of row_size points, and
-    axis_into(axis, rows, out) writes one coordinate of the points of a
-    slice of rows into out: bevpool builds its index from that, never
-    from positions.  bev_index memoizes, per GridSpec, the BEV cell index
-    of the points (see bevpool.pool): clouds of one lift plan share it, a
-    cloud built by hand has its own.
+    plan places the points in the ego frame: each of its rows is one
+    source cell, emitting points_per_cell consecutive points (see
+    _LiftPlan).  context holds each source cell's feature vector once,
+    (source cells, channels); weights carry each point's bin weight scaled
+    by its cell weight.  A cloud built by hand passes its (n, 3) positions
+    as plan and per-point features as context: the positions become a plan
+    of one point per source cell (see _points_plan).
 
     A wedge's context is a view of its frame's context map when no cell
     was skipped.  skipped_cells counts feature cells dropped because their
     ray could not carry height hypotheses.
     """
 
-    rays: "_LiftPlan | _Points"
+    plan: "_LiftPlan"
     context: np.ndarray
     weights: np.ndarray
-    skipped_cells: int = 0
-    points_per_cell: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.rays, _LiftPlan):
-            self.rays = _Points(self.rays)
+        if not isinstance(self.plan, _LiftPlan):
+            self.plan = _points_plan(self.plan)
         self.context = np.asarray(self.context, dtype=np.float64)
         self.weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        if (self.context.ndim != 2 or self.points_per_cell < 1
-                or self.n_points != self.rays.n_points):
+        if self.context.ndim != 2 or self.context.shape[0] != self.plan.dirs.shape[0]:
             raise ShapeMismatch(
-                "context must be (source cells, channels), with points_per_cell "
-                "points per source cell"
+                "context must be (source cells, channels), one source cell per row of the plan"
             )
         if self.weights.shape[0] != self.n_points:
             raise ShapeMismatch("weights must have one entry per point")
@@ -234,7 +202,15 @@ class WedgeCloud:
 
     @property
     def n_points(self) -> int:
-        return self.context.shape[0] * self.points_per_cell
+        return self.plan.n_points
+
+    @property
+    def points_per_cell(self) -> int:
+        return self.plan.steps.size
+
+    @property
+    def skipped_cells(self) -> int:
+        return self.plan.skipped
 
     @property
     def channels(self) -> int:
@@ -242,13 +218,9 @@ class WedgeCloud:
 
     @property
     def positions(self) -> np.ndarray:
-        """Ego-frame xyz, one read-only row per point; a plan builds its
+        """Ego-frame xyz, one read-only row per point; the plan builds its
         positions on the first read and keeps them."""
-        return self.rays.positions
-
-    @property
-    def bev_index(self) -> dict:
-        return self.rays.bev_index
+        return self.plan.positions
 
     @property
     def features(self) -> np.ndarray:
@@ -352,10 +324,11 @@ def _check_grid(fused: FusedMap, rig: CameraRig, stride: int) -> None:
 
 @dataclass(frozen=True)
 class _LiftPlan:
-    """The frame-independent part of a wedge: which cells emit points and
+    """The frame-independent part of a cloud: which cells emit points and
     how many were skipped, the factored rays of their (cell, bin)
     hypotheses, and the BEV cell indices of those points, memoized per
-    GridSpec.
+    GridSpec.  key identifies a rig's plan (see _plan); it is None for
+    the plan of a cloud built by hand.
 
     Point (s, b) lies at origin + dirs[s] * steps[b]: dirs (m, 3) holds one
     direction per valid cell, steps (B,) one scalar per bin.  The points
@@ -384,21 +357,13 @@ class _LiftPlan:
                     raise ConfigError("lifted positions must be finite")
 
     @property
-    def n_rows(self) -> int:
-        return self.dirs.shape[0]
-
-    @property
-    def row_size(self) -> int:
-        return self.steps.size
-
-    @property
     def n_points(self) -> int:
-        return self.n_rows * self.row_size
+        return self.dirs.shape[0] * self.steps.size
 
     def axis_into(self, axis: int, rows: slice, out: np.ndarray) -> None:
         """Write coordinate axis of the points of rows (valid cells) into
         out: cells in order, bins ascending within a cell."""
-        np.multiply.outer(self.dirs[rows, axis], self.steps, out=out.reshape(-1, self.row_size))
+        np.multiply.outer(self.dirs[rows, axis], self.steps, out=out.reshape(-1, self.steps.size))
         out += self.origin[axis]
 
     @cached_property
@@ -410,6 +375,24 @@ class _LiftPlan:
             self.axis_into(axis, slice(None), rays[axis])
         rays.flags.writeable = False
         return rays.T
+
+
+_UNIT_STEP, _ORIGIN_OF_POSITIONS = np.ones(1), np.full(3, -0.0)
+_UNIT_STEP.flags.writeable = _ORIGIN_OF_POSITIONS.flags.writeable = False
+
+
+def _points_plan(positions) -> _LiftPlan:
+    """The plan of a cloud built by hand: one unit step from -0.0 along each
+    of its (n, 3) ego-frame positions (a writable input is copied).  x * 1.0
+    and x + -0.0 are x exactly, signed zeros included (+0.0 is not), so the
+    points are the positions bit for bit and the finite check is np.isfinite
+    of every point."""
+    dirs = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    if dirs.flags.writeable:
+        dirs = dirs.copy()
+        dirs.flags.writeable = False
+    return _LiftPlan(None, np.ones(dirs.shape[0], dtype=bool), 0, dirs,
+                     _UNIT_STEP, _ORIGIN_OF_POSITIONS)
 
 
 def _plan(kind: str, bins: BinSpec, rig: CameraRig, width: int, height: int,
@@ -461,7 +444,7 @@ def _wedge(kind: str, fused: FusedMap, bins: BinSpec, rig: CameraRig,
     if plan.skipped:
         ctx, dist, cell_w = ctx[plan.valid], dist[plan.valid], cell_w[plan.valid]
     weights = (dist * cell_w[:, None]).reshape(-1)
-    return WedgeCloud(plan, ctx, weights, plan.skipped, bins.n_bins)
+    return WedgeCloud(plan, ctx, weights)
 
 
 def build_wedge(

@@ -51,7 +51,7 @@ from .errors import (
 from .geometry import CameraRig, Extrinsics, _rot_x, _rot_z, project_ego
 from .lifting import lift_many_depth, lift_many_height
 from .rng import substream
-from .scene import NoiseModel, Scene, _noise_table, _true_bins, cast_rays, render
+from .scene import NoiseModel, Scene, _noise_table, _true_bin_map, cast_rays, render
 
 # Histogram grid of the scatter overlap metric.
 V_BIN_PX = 16.0
@@ -237,15 +237,6 @@ class ErrorReport:
         return out
 
 
-def _true_bin_map(values: np.ndarray, maps, bins: BinSpec, noise: NoiseModel) -> np.ndarray:
-    """Each pixel's true bin (0 on sky).  Every non-sky pixel is binned, so
-    any of them leaving the bin range raises OutOfRange, as predicting the
-    full distribution map would."""
-    out = np.zeros(values.shape, dtype=np.int64)
-    out[maps.non_sky] = _true_bins(values[maps.non_sky], bins, noise)
-    return out
-
-
 def _object_rows(maps, rig: CameraRig, paths):
     """Columns (object, param, error, reference distance, pixel count) of
     one trial, a row per visible object and path, objects ascending.
@@ -321,10 +312,10 @@ def localization_error(
         maps = render(scene, rig_t, sample_stride)
         paths = (
             ("height", lift_many_height,
-             _true_bin_map(maps.height_above_ground, maps, height_bins, noise),
+             _true_bin_map(maps.height_above_ground, maps.non_sky, height_bins, noise),
              table_h, mids_h),
             ("depth", lift_many_depth,
-             _true_bin_map(maps.depth, maps, depth_bins, noise), table_d, mids_d),
+             _true_bin_map(maps.depth, maps.non_sky, depth_bins, noise), table_d, mids_d),
         )
         trial_columns.append(_object_rows(maps, rig_t, paths))
     objects, params, errors, d_ref, n_px = map(np.concatenate, zip(*trial_columns))

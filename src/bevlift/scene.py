@@ -449,32 +449,29 @@ def _noise_table(bins: BinSpec, noise: NoiseModel) -> np.ndarray:
     return table
 
 
-def _true_bins(values: np.ndarray, bins: BinSpec, noise: NoiseModel) -> np.ndarray:
-    """Bin index of each rendered value after the noise model's bias.
-    Raises OutOfRange when a value leaves the bin range."""
-    shifted = values + noise.bias_m if noise.kind == "bias" else values
+def _true_bin_map(values: np.ndarray, valid: np.ndarray, bins: BinSpec,
+                  noise: NoiseModel) -> np.ndarray:
+    """Each pixel's bin after the noise model's bias, 0 where not valid.
+    Raises OutOfRange when any valid value leaves the bin range."""
+    shifted = values[valid] + noise.bias_m if noise.kind == "bias" else values[valid]
+    out = np.zeros(values.shape, dtype=np.int64)
     try:
-        return value_to_bin(shifted, bins)
+        out[valid] = value_to_bin(shifted, bins)
     except OutOfRange as exc:
         raise OutOfRange(f"rendered values do not fit the bin range: {exc}") from exc
+    return out
 
 
 def _distribution_from_values(
     values: np.ndarray, valid: np.ndarray, bins: BinSpec, noise: NoiseModel
 ) -> DistributionMap:
+    """The noise table's row of each valid cell's true bin, with cell
+    weight 1; other cells are uniform with cell weight 0."""
     height, width = values.shape
     n = bins.n_bins
-    data = np.full((height * width, n), 1.0 / n)
-    cell_weight = np.zeros(height * width)
-    flat_valid = valid.ravel()
-    vals = values.ravel()[flat_valid]
-    if vals.size:
-        true_bins = _true_bins(vals, bins, noise)
-        data[flat_valid] = _noise_table(bins, noise)[true_bins]
-        cell_weight[flat_valid] = 1.0
-    return DistributionMap(
-        width, height, n, data.reshape(height, width, n), cell_weight.reshape(height, width)
-    )
+    data = _noise_table(bins, noise)[_true_bin_map(values, valid, bins, noise)]
+    data[~valid] = 1.0 / n
+    return DistributionMap(width, height, n, data, valid.astype(np.float64))
 
 
 def predict_height_distribution(

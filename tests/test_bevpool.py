@@ -183,7 +183,7 @@ class TestPool:
         coarse = GridSpec(0.0, 64.0, -32.0, 32.0, 4.0, 4.0, 2)
         fine = GridSpec(0.0, 40.0, -10.0, 10.0, 0.5, 0.5, 2)
         grids = [pool(cloud, spec) for spec in (coarse, fine, coarse)]
-        assert set(cloud.bev_index) == {coarse, fine}
+        assert set(cloud.plan.bev_index) == {coarse, fine}
         for spec, grid in zip((coarse, fine, coarse), grids):
             fresh = pool(build_wedge_depth(fused, bins, replace(mast_rig), 64), spec)
             assert grid.data.tobytes() == fresh.data.tobytes()
@@ -280,13 +280,13 @@ class TestPlanIndex:
                 dist = DistributionMap(w, h, bins.n_bins, raw / raw.sum(-1, keepdims=True))
                 cloud = build(fuse(context, dist), bins, rig, 32)
                 grid = pool(cloud, spec)
-                flat, counts = cloud.bev_index[spec]
+                flat, counts = cloud.plan.bev_index[spec]
                 expected = index_of_positions(cloud.positions, spec)
                 assert flat.tobytes() == expected[0].tobytes()
                 assert counts.tobytes() == expected[1].tobytes()
                 by_hand = WedgeCloud(cloud.positions, cloud.features, cloud.weights)
                 hand_grid = pool(by_hand, spec)
-                for got, want in zip(by_hand.bev_index[spec], expected):
+                for got, want in zip(by_hand.plan.bev_index[spec], expected):
                     assert got.tobytes() == want.tobytes()
                 assert hand_grid.data.tobytes() == grid.data.tobytes()
                 lo = np.minimum(lo, cloud.positions[:, :2].min(axis=0))

@@ -401,6 +401,17 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "OutOfRange"
 
+    def test_grid_too_fine_to_index_is_3(self, tmp_path, capsys):
+        # 100000 cells per metre on each axis of the default extent: the BEV
+        # index asks for hundreds of TiB, more than any address space holds
+        grid = {"channels": 2, "res_x": 1e-5, "res_y": 1e-5}
+        path = write_config(tmp_path, bev_grid=grid)
+        code = main(["lift", "--config", str(path), "--out", str(tmp_path / "out")])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 3 and len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "MemoryError" and "TiB" in err["message"]
+
     @pytest.mark.parametrize("command", ["lift", "bench", "robustness"])
     def test_depth_strategy_as_height_bins_is_2(self, tmp_path, capsys, command):
         # The range holds every rendered height, so only the strategy is wrong.

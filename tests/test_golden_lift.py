@@ -27,7 +27,7 @@ def test_lift_checksums_match_golden(mast_rig, corridor7):
     frame = module.lift_frame(replace(mast_rig), corridor7)  # a rig with no plan yet
     for wedge in frame[:2]:
         # the plan holds factored rays: pooling built no (n, 3) positions
-        assert wedge.n_points > 0 and "positions" not in vars(wedge.rays)
+        assert wedge.n_points > 0 and "positions" not in vars(wedge.plan)
     assert len(golden) == 8
     assert module.frame_checksums(*frame) == golden
 

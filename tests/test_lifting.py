@@ -385,8 +385,8 @@ class TestLiftPlan:
         # the second frame reused the first frame's geometry and BEV index
         for first, second in zip(*frames):
             assert np.shares_memory(second.positions, first.positions)
-            assert second.bev_index is first.bev_index
-            assert list(second.bev_index) == [PLAN_GRID]
+            assert second.plan.bev_index is first.plan.bev_index
+            assert list(second.plan.bev_index) == [PLAN_GRID]
 
     def test_perturbed_rig_gets_its_own_positions(self):
         rig = level_rig(pitch_deg=20.0)
@@ -396,7 +396,7 @@ class TestLiftPlan:
         for cloud, swayed_cloud, fresh_cloud in zip(
                 clouds, swayed_clouds, both_wedges(replace(swayed), 3)):
             assert not np.shares_memory(cloud.positions, swayed_cloud.positions)
-            assert swayed_cloud.bev_index is not cloud.bev_index
+            assert swayed_cloud.plan.bev_index is not cloud.plan.bev_index
             assert_clouds_equal(swayed_cloud, fresh_cloud)
             if cloud.n_points == swayed_cloud.n_points:
                 assert not np.array_equal(cloud.positions, swayed_cloud.positions)
@@ -547,10 +547,16 @@ class TestWedgeCloud:
         assert cloud.points_per_cell == 1
         np.testing.assert_array_equal(cloud.context, features)
         np.testing.assert_array_equal(cloud.features, features)
+        # signed zeros and the smallest subnormals read back bit for bit
+        tiny = 5e-324
+        positions = np.array([[0.0, -0.0, tiny], [-tiny, -0.0, 0.0], [1.5, -tiny, -0.0]])
+        cloud = WedgeCloud(positions, features, np.ones(3))
+        assert cloud.positions.tobytes() == positions.tobytes()
+        assert cloud.points_per_cell == 1 and cloud.skipped_cells == 0
 
     def test_rejects_context_that_does_not_tile_the_points(self):
         with pytest.raises(ShapeMismatch):
-            WedgeCloud(np.zeros((5, 3)), np.ones((2, 1)), np.ones(5), points_per_cell=2)
+            WedgeCloud(np.zeros((5, 3)), np.ones((2, 1)), np.ones(5))
 
     def test_rejects_negative_weights(self):
         with pytest.raises(ConfigError):

@@ -28,7 +28,6 @@ from bevlift.robustness import (
     DisturbanceSpec,
     OverlapReport,
     _object_rows,
-    _true_bin_map,
     height_error_law,
     localization_error,
     matched_surface_points,
@@ -42,6 +41,7 @@ from bevlift.scene import (
     NoiseModel,
     Scene,
     _noise_table,
+    _true_bin_map,
     predict_depth_distribution,
     predict_height_distribution,
     render,
@@ -251,7 +251,7 @@ def object_paths(maps, noise, lifts=(lift_many_height, lift_many_depth)):
     """The (param, lift, true_bin_map, table, mids) paths localization_error
     hands _object_rows for one rendered trial of the committed bins."""
     return tuple(
-        (param, lift, _true_bin_map(values, maps, bins, noise),
+        (param, lift, _true_bin_map(values, maps.non_sky, bins, noise),
          _noise_table(bins, noise), bin_midpoints(bins))
         for param, lift, values, bins in (
             ("height", lifts[0], maps.height_above_ground, EXPERIMENT_HEIGHT_BINS),
