@@ -18,13 +18,27 @@ all clouds of one plan share: on a fixed rig it is computed once per
 grid.
 
 A cloud keeps each source cell's context once, so each frame forms, per
-channel, the products context[s, c] * weight[p] of every point p of
+channel, the products context[s, c] * weight[p] of the points p of
 every source cell s in one reused buffer, and np.add.at adds them into
 their cells; no per-point feature array is made.  np.add.at adds in
 index order, as np.bincount does, without bincount's scan of the whole
 index for its minimum and maximum on every channel.  Each cell sums its
 points' products in cloud order, so the result is bit-identical run to
 run and to a scalar loop over the points and their features.
+
+Only points with a nonzero weight carry anything, so the cost of the
+sums scales with the live points.  A blurred prediction's kernel
+underflows to 0.0 far from its true bin, sky cells have cell weight 0,
+and one-hot rows keep a single bin, so most points of a frame weigh
+exactly 0.  Skipping them keeps every bit: context is finite (WedgeCloud
+checks it), so a skipped product is +0.0 or -0.0; a sum that starts at
++0.0 never becomes -0.0 under round-to-nearest, so adding either zero
+changes no bit of it; and the live points keep cloud order.  When at
+most _LIVE_FRACTION of the points are live, pool gathers their cells
+and weights and repeats each source cell's context over its live
+points; otherwise it forms the products of every point, which is faster
+on a dense cloud than the gather.  Hit counts and dropped points count
+every point either way.
 """
 from __future__ import annotations
 
@@ -101,6 +115,13 @@ class BevGrid:
 # Points per pass of _bev_index: its four working buffers stay in cache.
 _INDEX_CHUNK = 32768
 
+# Largest share of live (nonzero-weight) points that pool gathers before
+# summing.  On a 2-CPU host with one depth cloud of 1067904 points, the
+# gathered pass beat the pass over every point at 45% live (13.9-16.8
+# against 20.3-21.6 ms), lost at 50% (23.6-25.3 against 21.5-22.2 ms) and
+# took 39 against 21 ms fully dense, so the crossover is near one half.
+_LIVE_FRACTION = 0.5
+
 
 def _bev_index(plan, spec: GridSpec):
     """(flat, counts): each point's flat cell, n_x * n_y for a point outside
@@ -146,7 +167,14 @@ def _bev_index(plan, spec: GridSpec):
 
 
 def pool(cloud: WedgeCloud, spec: GridSpec) -> BevGrid:
-    """Sum weight * feature of every in-extent point into its BEV cell."""
+    """Sum weight * feature of every in-extent point into its BEV cell.
+
+    Only points of nonzero weight are added: the others add +0.0 or -0.0
+    to a sum that starts at +0.0, which changes no bit.  Up to
+    _LIVE_FRACTION of the points live, the live ones are gathered first;
+    above it, every point's product is formed.  hit_count and
+    dropped_points count every point, live or not.
+    """
     if cloud.channels != spec.channels:
         raise ShapeMismatch(
             f"cloud has {cloud.channels} channels but the grid expects {spec.channels}"
@@ -157,12 +185,20 @@ def pool(cloud: WedgeCloud, spec: GridSpec) -> BevGrid:
     flat, counts = index
     n_cells = spec.n_x * spec.n_y
     context = cloud.context
-    weights = cloud.weights.reshape(context.shape[0], cloud.points_per_cell)
+    shape = (context.shape[0], cloud.points_per_cell)
+    n_live = np.count_nonzero(cloud.weights)
+    if n_live <= _LIVE_FRACTION * cloud.n_points:
+        live = cloud.weights != 0
+        cells, weights = flat[live], cloud.weights[live]
+        per_cell = np.count_nonzero(live.reshape(shape), axis=1)
+    else:
+        cells, weights, per_cell = flat, cloud.weights.reshape(shape), None
     products = np.empty(weights.shape)
     sums = np.zeros((spec.channels, n_cells + 1))
     for c in range(spec.channels):
-        np.multiply(context[:, c, None], weights, out=products)
-        np.add.at(sums[c], flat, products.reshape(-1))
+        feature = context[:, c, None] if per_cell is None else np.repeat(context[:, c], per_cell)
+        np.multiply(feature, weights, out=products)
+        np.add.at(sums[c], cells, products.reshape(-1))
     return BevGrid(
         spec,
         sums[:, :n_cells].T.reshape(spec.n_x, spec.n_y, spec.channels),

@@ -161,6 +161,16 @@ def fuse(context: ContextMap, dist: DistributionMap) -> FusedMap:
     return FusedMap(context, dist)
 
 
+def _finite_min(values: np.ndarray, name: str) -> float:
+    """The least of values (0.0 when there are none), after checking that
+    every value is finite: min and max are NaN when any value is, so two
+    passes and no temporaries."""
+    lo, hi = (values.min(), values.max()) if values.size else (0.0, 0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ConfigError(f"point {name} must be finite")
+    return lo
+
+
 @dataclass
 class WedgeCloud:
     """Lifted points with their weights, kept factored by source cell.
@@ -193,11 +203,10 @@ class WedgeCloud:
             )
         if self.weights.shape[0] != self.n_points:
             raise ShapeMismatch("weights must have one entry per point")
-        # min and max are NaN when any weight is: two passes, no temporaries.
-        lo, hi = (self.weights.min(), self.weights.max()) if self.n_points else (0.0, 0.0)
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ConfigError("point weights must be finite")
-        if lo < 0:
+        # Finite features make every zero weight's product a zero, which
+        # pool relies on to skip it.
+        _finite_min(self.context, "features")
+        if _finite_min(self.weights, "weights") < 0:
             raise ConfigError("point weights must be non-negative")
 
     @property

@@ -424,24 +424,39 @@ class NoiseModel:
                 config_floats(self, name, lo=lo)
             elif getattr(self, name) is not None:
                 raise ConfigError(f"{name} is read only by the {kind} kind, not by {self.kind}")
+        if self.kind == "gaussian_bin_blur" and self.sigma_bins > 0:
+            spread = _kernel_spread(self.sigma_bins)
+            if not (np.isfinite(spread) and spread > 0):
+                raise ConfigError(
+                    f"sigma_bins must make 2 * sigma_bins**2 a positive finite number, "
+                    f"got {self.sigma_bins!r}"
+                )
 
     @classmethod
     def from_json_dict(cls, doc: dict, path: str = "") -> "NoiseModel":
         return config_object(cls, doc, path)
 
 
+def _kernel_spread(sigma_bins: float) -> np.float64:
+    """2 * sigma_bins**2, the Gaussian kernel's divisor: inf where it
+    overflows, 0.0 where it underflows."""
+    with np.errstate(over="ignore", under="ignore"):
+        return 2.0 * np.float64(sigma_bins) ** 2
+
+
 def _noise_table(bins: BinSpec, noise: NoiseModel) -> np.ndarray:
     """The (n_bins, n_bins) table whose row i is the predicted distribution
     of a cell whose true bin is i: a normalized Gaussian kernel for
-    gaussian_bin_blur with sigma_bins > 0, else the identity.  It is checked
-    here under DistributionMap's rules, so rows gathered from it are valid
-    distributions."""
+    gaussian_bin_blur with sigma_bins > 0, else the identity.  A sigma_bins
+    so small that every off-diagonal quotient overflows gives the identity
+    too, silently.  It is checked here under DistributionMap's rules, so
+    rows gathered from it are valid distributions."""
     n = bins.n_bins
     if noise.kind == "gaussian_bin_blur" and noise.sigma_bins > 0:
         offsets = np.arange(n, dtype=np.float64)
-        table = np.exp(-((offsets[None, :] - offsets[:, None]) ** 2) / (
-            2.0 * noise.sigma_bins**2
-        ))
+        with np.errstate(over="ignore"):
+            table = np.exp(-((offsets[None, :] - offsets[:, None]) ** 2)
+                           / _kernel_spread(noise.sigma_bins))
         table /= table.sum(axis=1, keepdims=True)
     else:
         table = np.eye(n)

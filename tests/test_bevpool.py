@@ -159,15 +159,13 @@ class TestPool:
         with pytest.raises(ShapeMismatch):
             pool(cloud, SMALL)
 
-    @given(st.integers(0, 2**32 - 1))
-    def test_oracle_agreement_property(self, seed):
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_oracle_agreement_property(self, seed, sparse):
         rng = np.random.default_rng(seed)
         cloud = random_cloud(rng, int(rng.integers(0, 120)))
-        grid = pool(cloud, SMALL)
-        data, hits, dropped = pool_oracle(cloud, SMALL)
-        np.testing.assert_array_equal(grid.data, data)
-        np.testing.assert_array_equal(grid.hit_count, hits)
-        assert grid.dropped_points == dropped
+        if sparse:
+            cloud = sparsify(rng, cloud)
+        assert_pools_like_oracle(cloud, SMALL)
 
     def test_one_cloud_pools_into_two_grids(self, mast_rig):
         rng = np.random.default_rng(31)
@@ -230,6 +228,14 @@ class TestPool:
         with pytest.raises(ConfigError, match="positions must be finite"):
             WedgeCloud(positions, np.ones((4, 2)), np.ones(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_hand_built_cloud_rejects_non_finite_features(self, bad):
+        # a zero weight does not excuse the feature: inf * 0 is nan
+        features = np.ones((4, 2))
+        features[2, 1] = bad
+        with pytest.raises(ConfigError, match="point features must be finite"):
+            WedgeCloud(np.zeros((4, 3)), features, np.array([1.0, 1.0, 0.0, 1.0]))
+
     @pytest.mark.parametrize("spec", [SMALL, GridSpec(0.0, 4.0, -2.0, 2.0, 0.25, 0.25, 2)])
     def test_drops_far_points_without_warnings(self, spec):
         far = [[1e300, 0.0, 0.0], [-1e300, 0.0, 0.0], [0.5, 1e300, 0.0],
@@ -241,6 +247,109 @@ class TestPool:
         assert grid.dropped_points == 5
         assert grid.hit_count.sum() == 1
         assert grid.data.sum() == 1.0
+
+
+def with_weights(cloud, weights, context=None):
+    return WedgeCloud(cloud.plan, cloud.context if context is None else context, weights)
+
+
+def sparsify(rng, cloud):
+    """cloud's weights with about three fifths of its source cells zeroed
+    whole, a run of zeros in each of the rest when a cell has more than
+    one point, and -0.0 for about half of all the zeros; its context with
+    about a tenth of its features -0.0 (the rest keep their signs)."""
+    m, k = cloud.context.shape[0], cloud.points_per_cell
+    weights = cloud.weights.reshape(m, k).copy()
+    weights[rng.random(m) < 0.6] = 0.0
+    if k > 1:
+        start = rng.integers(0, k, m)
+        stop = start + rng.integers(1, k, m)
+        bins = np.arange(k)
+        weights[(bins >= start[:, None]) & (bins < stop[:, None])] = 0.0
+    weights[(weights == 0) & (rng.random(weights.shape) < 0.5)] = -0.0
+    context = np.where(rng.random(cloud.context.shape) < 0.1, -0.0, cloud.context)
+    return with_weights(cloud, weights, context)
+
+
+def plan_clouds(rig, rng, channels=3):
+    """A height and a depth cloud at stride 32 on rig, every point of
+    positive weight."""
+    w, h = INTR.image_w // 32, INTR.image_h // 32
+    context = ContextMap(w, h, channels, rng.normal(size=(h, w, channels)))
+    for build, bins in ((build_wedge, BinSpec("DID", 5, -0.2, 2.6, 1.2)),
+                        (build_wedge_depth, BinSpec("DEPTH_UD", 6, 1.0, 61.0))):
+        raw = rng.random((h, w, bins.n_bins)) + 1e-3
+        dist = DistributionMap(w, h, bins.n_bins, raw / raw.sum(-1, keepdims=True),
+                               cell_weight=rng.random((h, w)) + 1e-3)
+        yield build(fuse(context, dist), bins, rig, 32)
+
+
+class TestSparseWeights:
+    """Pooling skips the points of zero weight; the grids it makes must
+    equal the oracle's, which adds every point, byte for byte."""
+
+    PLAN_SPEC = GridSpec(0.0, 64.0, -32.0, 32.0, 2.0, 2.0, 3)
+    STATIC = CameraRig(INTR, extrinsics_from_pose((0.0, 0.0, 5.0), pitch_deg=20.0))
+
+    def test_hand_built_cloud(self):
+        rng = np.random.default_rng(53)
+        cloud = sparsify(rng, random_cloud(rng, 600, channels=3))
+        assert 0 < np.count_nonzero(cloud.weights) <= bevpool._LIVE_FRACTION * cloud.n_points
+        assert np.signbit(cloud.weights[cloud.weights == 0]).any()
+        assert_pools_like_oracle(cloud, replace(SMALL, channels=3))
+
+    @pytest.mark.parametrize("sway", [None, (3.0, -0.5)])
+    def test_plan_clouds(self, sway):
+        rig = self.STATIC if sway is None else perturb_rig(self.STATIC, *sway)
+        rng = np.random.default_rng(59)
+        for cloud in plan_clouds(rig, rng):
+            sparse = sparsify(rng, cloud)
+            live = np.count_nonzero(sparse.weights)
+            assert 0 < live <= bevpool._LIVE_FRACTION * sparse.n_points
+            grid = assert_pools_like_oracle(sparse, self.PLAN_SPEC)
+            assert 0 < grid.dropped_points < sparse.n_points
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_both_passes_on_one_sparse_cloud(self, monkeypatch, fraction):
+        # 0.0 takes every point's product, 1.0 gathers the live points
+        monkeypatch.setattr(bevpool, "_LIVE_FRACTION", fraction)
+        rng = np.random.default_rng(61)
+        for cloud in plan_clouds(perturb_rig(self.STATIC, -2.0, 1.0), rng):
+            assert_pools_like_oracle(sparsify(rng, cloud), self.PLAN_SPEC)
+
+    @pytest.mark.parametrize("sign", [0.0, -0.0])
+    def test_all_zero_cloud(self, sign):
+        rng = np.random.default_rng(67)
+        for cloud in plan_clouds(self.STATIC, rng):
+            dense = pool(cloud, self.PLAN_SPEC)
+            zero = with_weights(cloud, np.full(cloud.n_points, sign), -cloud.context)
+            grid = assert_pools_like_oracle(zero, self.PLAN_SPEC)
+            assert grid.data.tobytes() == bytes(grid.data.nbytes)
+            assert grid.hit_count.tobytes() == dense.hit_count.tobytes()
+            assert grid.dropped_points == dense.dropped_points > 0
+
+    @pytest.mark.parametrize("extra, gathered", [(0, True), (1, False)])
+    def test_live_fraction_threshold(self, monkeypatch, extra, gathered):
+        # n_live = n / 2 gathers the live points; one more takes the products
+        # of every point.  np.repeat is called only by the gathered pass.
+        rng = np.random.default_rng(71)
+        cloud = random_cloud(rng, 500, channels=3)
+        n_live = int(bevpool._LIVE_FRACTION * cloud.n_points) + extra
+        weights = cloud.weights.copy()
+        weights[rng.permutation(cloud.n_points)[n_live:]] = -0.0
+        sparse = with_weights(cloud, weights)
+        assert np.count_nonzero(sparse.weights) == n_live
+        repeats, real_repeat = [], np.repeat
+
+        def repeat(*args, **kwargs):
+            repeats.append(args)
+            return real_repeat(*args, **kwargs)
+
+        monkeypatch.setattr(np, "repeat", repeat)
+        pool(sparse, replace(SMALL, channels=3))
+        monkeypatch.undo()
+        assert bool(repeats) == gathered
+        assert_pools_like_oracle(sparse, replace(SMALL, channels=3))
 
 
 def index_of_positions(positions, spec):

@@ -1,6 +1,7 @@
 """Command-line interface tests: config resolution, exit codes, artifact
 formats, and run-to-run determinism on a deliberately tiny workload."""
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -496,6 +497,43 @@ class TestExitCodes:
         code = main(["robustness", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("command", ["lift", "robustness"])
+    @pytest.mark.parametrize("sigma", [1e308, 1e-300])  # 2 sigma**2 overflows, underflows
+    def test_noise_sigma_outside_the_kernel_arithmetic_exits_2_before_any_work(
+            self, tmp_path, capsys, command, sigma):
+        path = write_config(tmp_path, noise={"kind": "gaussian_bin_blur", "sigma_bins": sigma})
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(path), "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(lines) == 1 and caught == []
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("noise.sigma_bins must make 2 * sigma_bins**2")
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["lift", "robustness"])
+    def test_tiny_noise_sigma_blurs_like_the_identity_without_warnings(self, tmp_path, capsys,
+                                                                       command):
+        # 2 sigma**2 is a positive subnormal; every off-diagonal quotient
+        # overflows to -inf, so the kernel is the identity
+        outs = []
+        for noise in ({"kind": "gaussian_bin_blur", "sigma_bins": 1e-160},
+                      {"kind": "one_hot_truth"}):
+            # close boxes + finer stride keep every trial's objects visible
+            path = write_config(tmp_path, noise=noise, scene=CLOSE_BOXES_SCENE,
+                                sample_stride=16 if command == "robustness" else 64)
+            outs.append(tmp_path / noise["kind"])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([command, "--config", str(path), "--out", str(outs[-1])])
+            assert (code, capsys.readouterr().err, caught) == (0, "", [])
+        table = "bev_depth.csv" if command == "lift" else "errors_disturbed.csv"
+        rows = [[line for line in (out / table).read_text().splitlines()
+                 if not line.startswith("#")] for out in outs]
+        assert rows[0] == rows[1]
 
     def test_infinite_depth_range_is_2(self, tmp_path, capsys):
         depth_bins = {**BASE_CONFIG["depth_bins"], "range_max": float("inf")}
