@@ -33,12 +33,17 @@ and one-hot rows keep a single bin, so most points of a frame weigh
 exactly 0.  Skipping them keeps every bit: context is finite (WedgeCloud
 checks it), so a skipped product is +0.0 or -0.0; a sum that starts at
 +0.0 never becomes -0.0 under round-to-nearest, so adding either zero
-changes no bit of it; and the live points keep cloud order.  When at
-most _LIVE_FRACTION of the points are live, pool gathers their cells
-and weights and repeats each source cell's context over its live
-points; otherwise it forms the products of every point, which is faster
-on a dense cloud than the gather.  Hit counts and dropped points count
-every point either way.
+changes no bit of it; and the live points keep cloud order.  A cloud
+keeps its weights factored, table[rows[s], b] * cell_weight[s], so the
+live points are found without forming any weight: each source cell of
+nonzero cell weight takes the nonzero entries of its table row.  A
+product of two nonzero factors that underflows is listed too, and adds
+a zero like any skipped point.  When at most _LIVE_FRACTION of the
+points are live, pool lists them this way, gathers their cells and
+forms their weights, and repeats each source cell's context over its
+live points; otherwise it forms the products of every point, which is
+faster on a dense cloud than the gather.  Hit counts and dropped points
+count every point either way.
 """
 from __future__ import annotations
 
@@ -75,6 +80,11 @@ class GridSpec:
                 raise ConfigError(
                     f"{axis}_max - {axis}_min must be a positive whole number of res_{axis} cells"
                 )
+        if self.n_x * self.n_y + 1 > np.iinfo(np.intp).max:
+            raise ConfigError(
+                f"x_max - x_min and y_max - y_min give {self.n_x} x {self.n_y} cells, "
+                f"more than a flat cell index holds"
+            )
 
     @property
     def n_x(self) -> int:
@@ -169,11 +179,14 @@ def _bev_index(plan, spec: GridSpec):
 def pool(cloud: WedgeCloud, spec: GridSpec) -> BevGrid:
     """Sum weight * feature of every in-extent point into its BEV cell.
 
-    Only points of nonzero weight are added: the others add +0.0 or -0.0
-    to a sum that starts at +0.0, which changes no bit.  Up to
-    _LIVE_FRACTION of the points live, the live ones are gathered first;
-    above it, every point's product is formed.  hit_count and
-    dropped_points count every point, live or not.
+    Only points whose table entry and cell weight are both nonzero are
+    added: the others add +0.0 or -0.0 to a sum that starts at +0.0,
+    which changes no bit, and so do the live points whose product
+    underflows.  Up to _LIVE_FRACTION of the points live, the live ones
+    are listed from the table's nonzeros and the source cells of nonzero
+    cell weight, so every step after that costs the live points; above
+    it, every point's product is formed.  hit_count and dropped_points
+    count every point, live or not.
     """
     if cloud.channels != spec.channels:
         raise ShapeMismatch(
@@ -184,15 +197,24 @@ def pool(cloud: WedgeCloud, spec: GridSpec) -> BevGrid:
         index = cloud.plan.bev_index[spec] = _bev_index(cloud.plan, spec)
     flat, counts = index
     n_cells = spec.n_x * spec.n_y
-    context = cloud.context
-    shape = (context.shape[0], cloud.points_per_cell)
-    n_live = np.count_nonzero(cloud.weights)
+    context, table, rows = cloud.context, cloud.table, cloud.rows
+    m, k = context.shape[0], cloud.points_per_cell
+    nonzero = table != 0
+    row_live = nonzero.sum(axis=1)
+    per_cell = np.where(cloud.cell_weight != 0, row_live[rows], 0)
+    n_live = int(per_cell.sum())
     if n_live <= _LIVE_FRACTION * cloud.n_points:
-        live = cloud.weights != 0
-        cells, weights = flat[live], cloud.weights[live]
-        per_cell = np.count_nonzero(live.reshape(shape), axis=1)
+        # The table's nonzeros, row by row.  A live point's place among
+        # them is its rank among the live points plus its source cell's
+        # shift: its row's first nonzero minus the live points before it.
+        nz_bin, nz_value = np.nonzero(nonzero)[1], table[nonzero]
+        first = np.cumsum(row_live) - row_live
+        shift = first[rows] - np.cumsum(per_cell) + per_cell
+        live = np.repeat(shift, per_cell) + np.arange(n_live)
+        cells = flat[np.repeat(np.arange(0, m * k, k), per_cell) + nz_bin[live]]
+        weights = nz_value[live] * np.repeat(cloud.cell_weight, per_cell)
     else:
-        cells, weights, per_cell = flat, cloud.weights.reshape(shape), None
+        cells, weights, per_cell = flat, cloud.weights.reshape(m, k), None
     products = np.empty(weights.shape)
     sums = np.zeros((spec.channels, n_cells + 1))
     for c in range(spec.channels):

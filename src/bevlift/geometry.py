@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -80,6 +81,12 @@ class Intrinsics:
         for name, size in (("cx", self.image_w), ("cy", self.image_h)):
             if not 0 <= getattr(self, name) < size:
                 raise ConfigError(f"{name} must lie inside the image, in [0, {size})")
+        # pixel_to_ref_cam divides offsets of up to the image size by fx, fy.
+        for name, size in (("fx", "image_w"), ("fy", "image_h")):
+            if not math.isfinite(getattr(self, size) / getattr(self, name)):
+                raise ConfigError(
+                    f"{name} must make {size} / {name} finite, got {getattr(self, name)!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -92,9 +99,14 @@ class Extrinsics:
     def __post_init__(self):
         rot = _as_matrix(self.rotation, (3, 3), "rotation")
         tra = _as_matrix(self.translation, (3,), "translation")
-        if np.max(np.abs(rot @ rot.T - np.eye(3))) > _ORTHO_TOL:
+        # Finite entries far from unit size overflow these products; inf
+        # and nan fail the <= tests, so the rig is rejected without warnings.
+        with np.errstate(all="ignore"):
+            orthonormal = np.max(np.abs(rot @ rot.T - np.eye(3))) <= _ORTHO_TOL
+            proper = abs(np.linalg.det(rot) - 1.0) <= _ORTHO_TOL
+        if not orthonormal:
             raise ConfigError("rotation is not orthonormal within 1e-9")
-        if abs(np.linalg.det(rot) - 1.0) > _ORTHO_TOL:
+        if not proper:
             raise ConfigError("rotation determinant must be +1 within 1e-9")
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", tra)
@@ -189,7 +201,9 @@ class CameraRig:
 
     def __post_init__(self):
         normal = _as_matrix(self.ground_normal, (3,), "ground_normal")
-        if abs(np.linalg.norm(normal) - 1.0) > 1e-9:
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, not a unit
+            unit = abs(np.linalg.norm(normal) - 1.0) <= 1e-9
+        if not unit:
             raise ConfigError("ground_normal must be a unit vector")
         extr = self.extrinsics
         center = extr.camera_center

@@ -39,8 +39,9 @@ builds each BEV index straight from these factors, one axis at a time,
 and the clouds of one plan share that index, one entry per GridSpec.
 The (n, 3) positions are built only when read, by the lift command's
 wedge tables or by tests, and then kept on the plan, read-only.  Each
-frame only gathers its weights and keeps each cell's context vector
-once; per-point features are never formed on the pooling path.  A plan
+frame keeps each cell's context vector once, and its weights as the
+distribution map's table with each cell's row index and cell weight;
+per-point features and weights are never formed on the pooling path.  A plan
 lives exactly as long as its rig: a perturbed rig is a new rig and
 builds its own.  A cloud built by hand from (n, 3) positions is a plan
 too, of one unit step along each position (see _points_plan), so every
@@ -90,7 +91,16 @@ class ContextMap:
 
 @dataclass
 class DistributionMap:
-    """Per-cell categorical weights over bins, shaped (height, width, n_bins).
+    """Per-cell categorical weights over bins, kept as the rows of a table:
+    cell (r, c) predicts the distribution table[rows[r, c]].
+
+    A map built by hand passes its (height, width, n_bins) data as table
+    and no rows; it becomes a table of one row per cell, rows =
+    arange(height * width).  A predicted map passes a short table (its
+    noise table plus one uniform row, see scene._distribution_from_values)
+    and each cell's row index.  Either way the bin rule runs over the
+    table's rows only, and data, the (height, width, n_bins) map, is
+    gathered from the table on each read.
 
     cell_weight scales each cell's contribution when points are emitted;
     cells with nothing to say (e.g. sky pixels) carry a uniform
@@ -100,27 +110,56 @@ class DistributionMap:
     width: int
     height: int
     n_bins: int
-    data: np.ndarray
+    table: np.ndarray
     cell_weight: np.ndarray | None = None
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.shape != (self.height, self.width, self.n_bins):
-            raise ShapeMismatch(
-                f"distribution data shape {self.data.shape} != "
-                f"({self.height}, {self.width}, {self.n_bins})"
-            )
+        shape = (self.height, self.width)
+        self.table = np.asarray(self.table, dtype=np.float64)
+        if self.rows is None:
+            if self.table.shape != (*shape, self.n_bins):
+                raise ShapeMismatch(
+                    f"distribution data shape {self.table.shape} != "
+                    f"({self.height}, {self.width}, {self.n_bins})"
+                )
+            self.table = self.table.reshape(-1, self.n_bins)
+            self.rows = np.arange(self.table.shape[0]).reshape(shape)
+        else:
+            self.rows = _table_rows(self.rows, self.table, self.n_bins, shape)
         if self.cell_weight is None:
-            self.cell_weight = np.ones((self.height, self.width))
+            self.cell_weight = np.ones(shape)
         else:
             self.cell_weight = np.asarray(self.cell_weight, dtype=np.float64)
-            if self.cell_weight.shape != (self.height, self.width):
+            if self.cell_weight.shape != shape:
                 raise ShapeMismatch("cell_weight shape does not match the map")
             if not np.all(np.isfinite(self.cell_weight)):
                 raise ConfigError("cell weights must be finite")
         if np.any(self.cell_weight < 0):
             raise ConfigError("distribution weights must be non-negative")
-        _check_bin_weights(self.data)
+        _check_bin_weights(self.table)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The (height, width, n_bins) map, read-only.  Gathered anew on
+        every access: nothing on the frame path reads it, so no frame
+        keeps a (cells, n_bins) array alive."""
+        data = self.table[self.rows]
+        data.flags.writeable = False
+        return data
+
+
+def _table_rows(rows, table: np.ndarray, n_bins: int, shape: tuple) -> np.ndarray:
+    """rows as an integer array of the given shape, after checking that
+    table is (rows, n_bins) and that every entry indexes one of its rows."""
+    rows = np.asarray(rows)
+    if table.ndim != 2 or table.shape[1] != n_bins:
+        raise ShapeMismatch(f"table shape {table.shape} is not (rows, {n_bins})")
+    if rows.shape != shape or rows.dtype.kind not in "iu":
+        raise ShapeMismatch(f"rows must be integers shaped {shape}")
+    if rows.size and not (rows.min() >= 0 and rows.max() < table.shape[0]):
+        raise ShapeMismatch(f"rows must index the {table.shape[0]} rows of the table")
+    return rows
 
 
 def _check_bin_weights(data: np.ndarray) -> None:
@@ -161,14 +200,14 @@ def fuse(context: ContextMap, dist: DistributionMap) -> FusedMap:
     return FusedMap(context, dist)
 
 
-def _finite_min(values: np.ndarray, name: str) -> float:
-    """The least of values (0.0 when there are none), after checking that
-    every value is finite: min and max are NaN when any value is, so two
-    passes and no temporaries."""
+def _finite_range(values: np.ndarray, name: str) -> tuple[float, float]:
+    """The least and the largest of values ((0.0, 0.0) when there are
+    none), after checking that every value is finite: min and max are NaN
+    when any value is, so two passes and no temporaries."""
     lo, hi = (values.min(), values.max()) if values.size else (0.0, 0.0)
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ConfigError(f"point {name} must be finite")
-    return lo
+    return lo, hi
 
 
 @dataclass
@@ -178,10 +217,16 @@ class WedgeCloud:
     plan places the points in the ego frame: each of its rows is one
     source cell, emitting points_per_cell consecutive points (see
     _LiftPlan).  context holds each source cell's feature vector once,
-    (source cells, channels); weights carry each point's bin weight scaled
-    by its cell weight.  A cloud built by hand passes its (n, 3) positions
-    as plan and per-point features as context: the positions become a plan
-    of one point per source cell (see _points_plan).
+    (source cells, channels).  The weight of point b of source cell s is
+    table[rows[s], b] * cell_weight[s]: a wedge passes its distribution
+    map's table with the row index and cell weight of each source cell,
+    so its points' weights are never formed on the pooling path.
+
+    A cloud built by hand passes its (n, 3) positions as plan, per-point
+    features as context and per-point weights as table: the positions
+    become a plan of one point per source cell (see _points_plan), and the
+    weights a table of one row per source cell, with unit cell weights.
+    x * 1.0 is x exactly, so weights reads them back bit for bit.
 
     A wedge's context is a view of its frame's context map when no cell
     was skipped.  skipped_cells counts feature cells dropped because their
@@ -190,24 +235,56 @@ class WedgeCloud:
 
     plan: "_LiftPlan"
     context: np.ndarray
-    weights: np.ndarray
+    table: np.ndarray
+    cell_weight: np.ndarray | None = None
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
         if not isinstance(self.plan, _LiftPlan):
             self.plan = _points_plan(self.plan)
         self.context = np.asarray(self.context, dtype=np.float64)
-        self.weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        if self.context.ndim != 2 or self.context.shape[0] != self.plan.dirs.shape[0]:
+        m, k = self.plan.dirs.shape[0], self.points_per_cell
+        if self.context.ndim != 2 or self.context.shape[0] != m:
             raise ShapeMismatch(
                 "context must be (source cells, channels), one source cell per row of the plan"
             )
-        if self.weights.shape[0] != self.n_points:
-            raise ShapeMismatch("weights must have one entry per point")
+        self.table = np.asarray(self.table, dtype=np.float64)
+        if self.rows is None:
+            if self.table.size != self.n_points:
+                raise ShapeMismatch("weights must have one entry per point")
+            self.table = self.table.reshape(m, k)
+            self.rows = np.arange(m)
+        else:
+            self.rows = _table_rows(self.rows, self.table, k, (m,))
+        if self.cell_weight is None:
+            self.cell_weight = np.ones(m)
+        else:
+            self.cell_weight = np.asarray(self.cell_weight, dtype=np.float64)
+            if self.cell_weight.shape != (m,):
+                raise ShapeMismatch("cell_weight must have one entry per source cell")
         # Finite features make every zero weight's product a zero, which
         # pool relies on to skip it.
-        _finite_min(self.context, "features")
-        if _finite_min(self.weights, "weights") < 0:
+        _finite_range(self.context, "features")
+        table_lo, table_hi = _finite_range(self.table, "weights")
+        cell_lo, cell_hi = _finite_range(self.cell_weight, "weights")
+        if min(table_lo, cell_lo) < 0:
             raise ConfigError("point weights must be non-negative")
+        # Rounding is monotone, so with non-negative factors no weight
+        # exceeds table_hi * cell_hi, and a source cell's largest weight is
+        # its row's largest entry times its cell weight.  The rows are
+        # searched only when the bound overflows.
+        with np.errstate(over="ignore"):
+            if not np.isfinite(table_hi * cell_hi):
+                _finite_range(self.table.max(axis=1)[self.rows] * self.cell_weight, "weights")
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Per-point weights, (n_points,): each source cell's table row times
+        its cell weight, built on first read and kept, read-only."""
+        weights = self.table[self.rows]
+        weights *= self.cell_weight[:, None]
+        weights.flags.writeable = False
+        return weights.reshape(-1)
 
     @property
     def n_points(self) -> int:
@@ -447,13 +524,12 @@ def _wedge(kind: str, fused: FusedMap, bins: BinSpec, rig: CameraRig,
     bins.check_kind(kind, "bins")
     _check_grid(fused, rig, stride)
     plan = _plan(kind, bins, rig, fused.width, fused.height, stride)
+    dist = fused.dist
     ctx = fused.context.data.reshape(-1, fused.context.channels)
-    dist = fused.dist.data.reshape(-1, bins.n_bins)
-    cell_w = fused.dist.cell_weight.reshape(-1)
+    rows, cell_w = dist.rows.reshape(-1), dist.cell_weight.reshape(-1)
     if plan.skipped:
-        ctx, dist, cell_w = ctx[plan.valid], dist[plan.valid], cell_w[plan.valid]
-    weights = (dist * cell_w[:, None]).reshape(-1)
-    return WedgeCloud(plan, ctx, weights)
+        ctx, rows, cell_w = ctx[plan.valid], rows[plan.valid], cell_w[plan.valid]
+    return WedgeCloud(plan, ctx, dist.table, cell_w, rows)
 
 
 def build_wedge(

@@ -450,13 +450,18 @@ def _noise_table(bins: BinSpec, noise: NoiseModel) -> np.ndarray:
     gaussian_bin_blur with sigma_bins > 0, else the identity.  A sigma_bins
     so small that every off-diagonal quotient overflows gives the identity
     too, silently.  It is checked here under DistributionMap's rules, so
-    rows gathered from it are valid distributions."""
+    rows gathered from it are valid distributions.
+
+    The kernel is evaluated once per offset |i - j| and gathered: the
+    squared difference of two small whole numbers is exact, so each entry
+    has the bits of exp(-((j - i) ** 2) / spread) evaluated pair by pair."""
     n = bins.n_bins
     if noise.kind == "gaussian_bin_blur" and noise.sigma_bins > 0:
         offsets = np.arange(n, dtype=np.float64)
         with np.errstate(over="ignore"):
-            table = np.exp(-((offsets[None, :] - offsets[:, None]) ** 2)
-                           / _kernel_spread(noise.sigma_bins))
+            kernel = np.exp(-(offsets ** 2) / _kernel_spread(noise.sigma_bins))
+        index = np.arange(n)
+        table = kernel[np.abs(index[None, :] - index[:, None])]
         table /= table.sum(axis=1, keepdims=True)
     else:
         table = np.eye(n)
@@ -481,12 +486,15 @@ def _distribution_from_values(
     values: np.ndarray, valid: np.ndarray, bins: BinSpec, noise: NoiseModel
 ) -> DistributionMap:
     """The noise table's row of each valid cell's true bin, with cell
-    weight 1; other cells are uniform with cell weight 0."""
+    weight 1; other cells take a uniform row with cell weight 0.  The map
+    holds the noise table plus the uniform row and each cell's row index,
+    so its bin rule runs over n_bins + 1 rows, not over every cell."""
     height, width = values.shape
     n = bins.n_bins
-    data = _noise_table(bins, noise)[_true_bin_map(values, valid, bins, noise)]
-    data[~valid] = 1.0 / n
-    return DistributionMap(width, height, n, data, valid.astype(np.float64))
+    table = np.vstack([_noise_table(bins, noise), np.full(n, 1.0 / n)])
+    rows = _true_bin_map(values, valid, bins, noise)
+    rows[~valid] = n
+    return DistributionMap(width, height, n, table, valid.astype(np.float64), rows)
 
 
 def predict_height_distribution(

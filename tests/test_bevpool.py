@@ -21,6 +21,12 @@ from bevlift.lifting import (
     fuse,
 )
 from bevlift.robustness import perturb_rig
+from bevlift.scene import (
+    NoiseModel,
+    predict_depth_distribution,
+    predict_height_distribution,
+    render,
+)
 
 SMALL = GridSpec(0.0, 4.0, -2.0, 2.0, 1.0, 1.0, 2)
 INTR = Intrinsics(1000.0, 1000.0, 768.0, 432.0, 1536, 864)
@@ -350,6 +356,74 @@ class TestSparseWeights:
         monkeypatch.undo()
         assert bool(repeats) == gathered
         assert_pools_like_oracle(sparse, replace(SMALL, channels=3))
+
+
+class TestFactoredWeights:
+    """A predicted map reaches pool as its table rows, each source cell's
+    row index and its cell weight.  Its grids must equal, byte for byte,
+    those of the same map built by hand from its dense data, and those of
+    the pass over every point."""
+
+    SPEC = GridSpec(0.0, 102.4, -51.2, 51.2, 0.8, 0.8, 3)
+
+    @staticmethod
+    def assert_same_grid(grid, other):
+        assert grid.data.tobytes() == other.data.tobytes()
+        assert grid.hit_count.tobytes() == other.hit_count.tobytes()
+        assert grid.dropped_points == other.dropped_points
+
+    @pytest.mark.parametrize("sway", [None, (1.5, -1.0)])
+    @pytest.mark.parametrize("noise", [
+        NoiseModel("one_hot_truth"),
+        NoiseModel("gaussian_bin_blur", sigma_bins=1.0),
+        NoiseModel("gaussian_bin_blur", sigma_bins=3.7),
+        NoiseModel("bias", bias_m=0.1),
+    ], ids=lambda n: f"{n.kind}-{n.sigma_bins}")
+    def test_predicted_map_pools_like_its_dense_data(self, monkeypatch, mast_rig, corridor7,
+                                                     noise, sway):
+        rig = mast_rig if sway is None else perturb_rig(mast_rig, *sway)
+        maps = render(corridor7, rig, 32)
+        rng = np.random.default_rng(73)
+        shape = (maps.height, maps.width, self.SPEC.channels)
+        context = ContextMap(maps.width, maps.height, shape[2], rng.normal(size=shape))
+        for predict, build, bins in (
+                (predict_height_distribution, build_wedge, BinSpec("DID", 90, -0.2, 3.6, 1.2)),
+                (predict_depth_distribution, build_wedge_depth,
+                 BinSpec("DEPTH_UD", 206, 1.0, 104.0))):
+            dist = predict(maps, bins, noise)
+            by_hand = DistributionMap(dist.width, dist.height, dist.n_bins, dist.data,
+                                      dist.cell_weight)
+            cloud = build(fuse(context, dist), bins, rig, 32)
+            hand_cloud = build(fuse(context, by_hand), bins, rig, 32)
+            assert cloud.table.shape[0] == bins.n_bins + 1
+            assert hand_cloud.table.shape[0] == maps.width * maps.height
+            assert cloud.weights.tobytes() == hand_cloud.weights.tobytes()
+            grid = pool(cloud, self.SPEC)
+            self.assert_same_grid(grid, pool(hand_cloud, self.SPEC))
+            monkeypatch.setattr(bevpool, "_LIVE_FRACTION", 0.0)
+            self.assert_same_grid(grid, pool(cloud, self.SPEC))
+            monkeypatch.undo()
+            assert 0 < grid.dropped_points < cloud.n_points
+
+    def test_products_that_underflow_keep_the_bits(self):
+        # 1e-200 * 1e-200 underflows to 0.0: the point is listed as live
+        # from its factors, adds +-0.0 and changes no bit of the sums
+        rng = np.random.default_rng(79)
+        w, h, n_bins = INTR.image_w // 32, INTR.image_h // 32, 6
+        table = np.zeros((3, n_bins))
+        table[0, :2] = [1e-200, 1.0]
+        table[1, 3:5] = 0.5
+        table[2, 5] = 1.0
+        dist = DistributionMap(w, h, n_bins, table, rng.choice([0.0, 1e-200, 1.0], (h, w)),
+                               rng.integers(0, 3, (h, w)))
+        context = ContextMap(w, h, 2, rng.normal(size=(h, w, 2)))
+        cloud = build_wedge_depth(fuse(context, dist), BinSpec("DEPTH_UD", n_bins, 1.0, 61.0),
+                                  TestSparseWeights.STATIC, 32)
+        weights = cloud.weights.reshape(-1, n_bins)
+        factors_live = (table[cloud.rows] != 0) & (cloud.cell_weight[:, None] != 0)
+        assert (factors_live & (weights == 0)).any()
+        assert np.count_nonzero(factors_live) <= bevpool._LIVE_FRACTION * cloud.n_points
+        assert_pools_like_oracle(cloud, replace(TestSparseWeights.PLAN_SPEC, channels=2))
 
 
 def index_of_positions(positions, spec):

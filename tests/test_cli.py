@@ -198,6 +198,33 @@ def write_config(tmp_path, name="exp.json", **overrides):
     return path
 
 
+def rig_doc(section=None, **fields):
+    """RIG_DOC with the given fields replaced, in section when one is named."""
+    if section is None:
+        return {**RIG_DOC, **fields}
+    return {**RIG_DOC, section: {**RIG_DOC[section], **fields}}
+
+
+ROTATION = RIG_DOC["extrinsics"]["rotation"]
+
+# Rig and grid fields that pass the per-field checks but whose derived
+# arithmetic overflows: probe id -> (config overrides, start of the
+# message the error must carry).
+OVERFLOW_PROBES = {
+    "grid-x_max": ({"bev_grid": {"channels": 2, "x_max": 1e20}},
+                   "bev_grid.x_max - x_min and y_max - y_min give"),
+    "rotation": ({"rig": rig_doc("extrinsics", rotation=[[1e308, *ROTATION[0][1:]],
+                                                         *ROTATION[1:]])},
+                 "rig.extrinsics.rotation is not orthonormal"),
+    "ground_normal": ({"rig": rig_doc(ground_normal=[1e308, 0.0, 1.0])},
+                      "rig.ground_normal must be a unit vector"),
+    "fx": ({"rig": rig_doc("intrinsics", fx=1e-308)},
+           "rig.intrinsics.fx must make image_w / fx finite"),
+    "fy": ({"rig": rig_doc("intrinsics", fy=1e-308)},
+           "rig.intrinsics.fy must make image_h / fy finite"),
+}
+
+
 class TestConfigFloat:
     @pytest.mark.parametrize("value", [0, 3, -2.5, 1e300])
     def test_accepts_finite_numbers(self, value):
@@ -465,6 +492,22 @@ class TestExitCodes:
         err = json.loads(lines[0])
         assert err["error"] == "ConfigError" and err["message"].startswith(f"{field}.range")
         assert err["message"].endswith(f"overflows the {spec['strategy']} bin arithmetic")
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["render", "lift", "robustness", "bench"])
+    @pytest.mark.parametrize("probe", OVERFLOW_PROBES)
+    def test_overflowing_rig_or_grid_exits_2_before_any_work(self, tmp_path, capsys, command,
+                                                             probe):
+        overrides, message = OVERFLOW_PROBES[probe]
+        path = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(path), "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(lines) == 1 and caught == []
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError" and err["message"].startswith(message)
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command", ["lift", "robustness"])

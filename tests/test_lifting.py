@@ -176,25 +176,25 @@ class TestVectorizedLift:
 class TestMaps:
     def test_distribution_rows_must_normalize(self):
         data = np.full((2, 2, 4), 0.3)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^per-cell bin weights must sum to 1 within 1e-6$"):
             DistributionMap(2, 2, 4, data)
 
     def test_distribution_rejects_negative(self):
         data = np.zeros((1, 1, 2))
         data[0, 0] = [1.5, -0.5]
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^distribution weights must be non-negative$"):
             DistributionMap(1, 1, 2, data)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_distribution_rejects_nonfinite_bin_weights(self, bad):
         data = np.full((1, 2, 2), 0.5)
         data[0, 1] = [bad, 0.5]
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^per-cell bin weights must sum to 1 within 1e-6$"):
             DistributionMap(2, 1, 2, data)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_distribution_rejects_nonfinite_cell_weight(self, bad):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^cell weights must be finite$"):
             DistributionMap(2, 1, 2, np.full((1, 2, 2), 0.5),
                             cell_weight=np.array([[1.0, bad]]))
 
@@ -203,8 +203,41 @@ class TestMaps:
         np.testing.assert_array_equal(dist.cell_weight, np.ones((1, 2)))
 
     def test_cell_weight_shape_checked(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match="^cell_weight shape does not match the map$"):
             DistributionMap(2, 1, 2, np.full((1, 2, 2), 0.5), cell_weight=np.ones(3))
+
+    def test_distribution_data_shape_checked(self):
+        with pytest.raises(ShapeMismatch, match=r"^distribution data shape \(2, 4\) != \(1, 2, 4\)$"):
+            DistributionMap(2, 1, 4, np.full((2, 4), 0.25))
+
+    def test_hand_built_map_is_a_table_of_one_row_per_cell(self):
+        data = np.random.default_rng(5).dirichlet(np.ones(3), (2, 4))
+        dist = DistributionMap(4, 2, 3, data)
+        assert dist.table.shape == (8, 3)
+        np.testing.assert_array_equal(dist.rows, np.arange(8).reshape(2, 4))
+        assert dist.data.tobytes() == data.tobytes() and not dist.data.flags.writeable
+
+    def test_table_map_reads_back_its_rows(self):
+        table = np.array([[1.0, 0.0], [0.25, 0.75], [0.5, 0.5]])
+        rows = np.array([[2, 0, 0], [1, 2, 1]])
+        dist = DistributionMap(3, 2, 2, table, rows=rows)
+        assert dist.data.tobytes() == table[rows].tobytes()
+
+    @pytest.mark.parametrize("table, rows, message", [
+        (np.full((2, 3), 1 / 3), np.zeros((1, 2), dtype=int), r"table shape \(2, 3\) is not"),
+        (np.full((2, 2), 0.5), np.zeros((2, 1), dtype=int), "rows must be integers shaped"),
+        (np.full((2, 2), 0.5), np.zeros((1, 2)), "rows must be integers shaped"),
+        (np.full((2, 2), 0.5), np.array([[0, 2]]), "rows must index the 2 rows"),
+        (np.full((2, 2), 0.5), np.array([[-1, 0]]), "rows must index the 2 rows"),
+    ])
+    def test_rows_must_index_the_table(self, table, rows, message):
+        with pytest.raises(ShapeMismatch, match=message):
+            DistributionMap(2, 1, 2, table, rows=rows)
+
+    def test_table_rows_obey_the_bin_rule(self):
+        with pytest.raises(ConfigError, match="^per-cell bin weights must sum to 1"):
+            DistributionMap(2, 1, 2, np.array([[0.5, 0.5], [0.5, 0.4]]),
+                            rows=np.array([[0, 0]]))
 
     def test_context_shape_checked(self):
         with pytest.raises(ShapeMismatch):
@@ -566,6 +599,38 @@ class TestWedgeCloud:
     def test_rejects_nonfinite_weights(self, bad):
         with pytest.raises(ConfigError):
             WedgeCloud(np.zeros((1, 3)), np.ones((1, 1)), np.array([bad]))
+
+    def test_weights_are_table_rows_times_cell_weights(self):
+        # three source cells of two points each
+        plan = lifting._LiftPlan(None, np.ones(3, dtype=bool), 0, np.zeros((3, 3)), np.ones(2),
+                                 np.zeros(3))
+        table = np.array([[0.5, 0.5], [1.0, 0.0]])
+        cloud = WedgeCloud(plan, np.ones((3, 1)), table, np.array([2.0, 0.0, 3.0]),
+                           np.array([1, 0, 0]))
+        np.testing.assert_array_equal(cloud.weights, [2.0, 0.0, 0.0, 0.0, 1.5, 1.5])
+        assert not cloud.weights.flags.writeable
+
+    def test_rejects_weights_whose_product_overflows(self):
+        with pytest.raises(ConfigError, match="^point weights must be finite$"):
+            WedgeCloud(np.zeros((1, 3)), np.ones((1, 1)), np.array([[2.0]]),
+                       np.array([1e308]), np.array([0]))
+
+    def test_unused_table_rows_do_not_bound_the_weights(self):
+        # 2.0 * 1e308 overflows, but no source cell takes the row of 2.0
+        cloud = WedgeCloud(np.zeros((1, 3)), np.ones((1, 1)), np.array([[2.0], [0.5]]),
+                           np.array([1e308]), np.array([1]))
+        assert cloud.weights.tolist() == [0.5e308]
+
+    @pytest.mark.parametrize("cell_weight", [np.array([-1.0]), np.array([np.inf])])
+    def test_rejects_bad_cell_weights(self, cell_weight):
+        with pytest.raises(ConfigError, match="^point weights must be"):
+            WedgeCloud(np.zeros((1, 3)), np.ones((1, 1)), np.ones((1, 1)), cell_weight,
+                       np.array([0]))
+
+    def test_rejects_cell_weights_of_other_source_cells(self):
+        with pytest.raises(ShapeMismatch, match="one entry per source cell"):
+            WedgeCloud(np.zeros((2, 3)), np.ones((2, 1)), np.ones((1, 1)), np.ones(3),
+                       np.array([0, 0]))
 
     def test_rejects_nonfinite_positions(self):
         with pytest.raises(ConfigError):

@@ -13,6 +13,7 @@ import pytest
 from bevlift.binning import BinSpec, value_to_bin
 from bevlift.errors import ConfigError, EmptyInput, ExtentTooSmall, OutOfRange, ShapeMismatch
 from bevlift.geometry import Box3D, CameraRig, Intrinsics, extrinsics_from_pose, project_ego
+from bevlift import lifting
 from bevlift.lifting import lift_many_depth
 from bevlift.robustness import perturb_rig
 from bevlift.scene import (
@@ -27,6 +28,8 @@ from bevlift.scene import (
     load_scene,
     predict_depth_distribution,
     predict_height_distribution,
+    _noise_table,
+    _true_bin_map,
     render,
     save_scene,
 )
@@ -652,3 +655,61 @@ class TestPredictDistributions:
         )
         assert dist.cell_weight[0, 0] == 0.0
         np.testing.assert_allclose(dist.data[0, 0], 0.25)
+
+
+# Noise models of every kind; the blur at two widths.
+NOISE_MODELS = [
+    NoiseModel("one_hot_truth"),
+    NoiseModel("gaussian_bin_blur", sigma_bins=1.0),
+    NoiseModel("gaussian_bin_blur", sigma_bins=3.7),
+    NoiseModel("bias", bias_m=0.1),
+]
+
+
+class TestFactoredPrediction:
+    """A predicted map is its noise table plus a uniform row, indexed per
+    cell; read densely it is the old per-cell gather, byte for byte."""
+
+    BINS = (BinSpec("DID", 90, -0.2, 3.6, 1.2), BinSpec("DEPTH_UD", 206, 1.0, 104.0))
+
+    @pytest.mark.parametrize("n_bins", [90, 206])
+    @pytest.mark.parametrize("sigma", [1.0, 3.7])
+    def test_noise_table_equals_the_pairwise_kernel(self, n_bins, sigma):
+        offsets = np.arange(n_bins, dtype=np.float64)
+        table = np.exp(-((offsets[None, :] - offsets[:, None]) ** 2) / (2.0 * sigma**2))
+        table /= table.sum(axis=1, keepdims=True)
+        noise = NoiseModel("gaussian_bin_blur", sigma_bins=sigma)
+        got = _noise_table(BinSpec("UD", n_bins, 0.0, 1.0), noise)
+        assert got.tobytes() == table.tobytes()
+
+    @pytest.mark.parametrize("noise", NOISE_MODELS, ids=lambda n: f"{n.kind}-{n.sigma_bins}")
+    def test_data_is_the_dense_gather_with_uniform_sky_rows(self, mast_rig, corridor7, noise):
+        maps = render(corridor7, mast_rig, 32)
+        assert maps.non_sky.any() and not maps.non_sky.all()
+        for predict, values, bins in ((predict_height_distribution, maps.height_above_ground,
+                                       self.BINS[0]),
+                                      (predict_depth_distribution, maps.depth, self.BINS[1])):
+            dist = predict(maps, bins, noise)
+            dense = _noise_table(bins, noise)[_true_bin_map(values, maps.non_sky, bins, noise)]
+            dense[~maps.non_sky] = 1.0 / bins.n_bins
+            assert dist.data.tobytes() == dense.tobytes()
+            assert dist.data.shape == (maps.height, maps.width, bins.n_bins)
+            assert not dist.data.flags.writeable
+            assert dist.table.shape == (bins.n_bins + 1, bins.n_bins)
+            assert dist.cell_weight.tobytes() == maps.non_sky.astype(np.float64).tobytes()
+
+    def test_bin_rule_runs_over_the_table_rows_only(self, monkeypatch, mast_rig, corridor7):
+        seen, check = [], lifting._check_bin_weights
+
+        def spy(data):
+            seen.append(data.shape)
+            check(data)
+
+        monkeypatch.setattr(lifting, "_check_bin_weights", spy)
+        maps = render(corridor7, mast_rig, 32)
+        for predict, bins in zip((predict_height_distribution, predict_depth_distribution),
+                                 self.BINS):
+            seen.clear()
+            predict(maps, bins, NoiseModel("gaussian_bin_blur", sigma_bins=1.0))
+            assert seen == [(bins.n_bins + 1, bins.n_bins)]
+            assert maps.width * maps.height > bins.n_bins + 1
