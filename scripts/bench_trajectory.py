@@ -9,7 +9,9 @@ For a checkout of bevlift (this repository by default) it writes, as JSON:
   failed-item count.  The runs of one workload must share one length
   (--seconds); it exits naming the workload and the lengths otherwise;
 * the whole-process wall time of `render`, `lift` (csv, json and bin),
-  `robustness` and `bench` on their committed configs;
+  `robustness` and `bench` on their committed configs, and the sha256
+  of every file one run of each writes (but `bench.json`, which holds
+  timings), so two records show whether the artifacts' bits moved;
 * the wall time and pass count of the Tier-1 suite;
 * the numpy version and CPU count of the interpreter running it all.
 
@@ -26,6 +28,7 @@ checkout's src/, one after the other; the output goes to BENCH_<N>.json
 at the root of this repository.
 """
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -89,8 +92,19 @@ def _env(checkout: Path) -> dict:
     return {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
 
 
+def artifact_digests(out: Path) -> dict:
+    """sha256 of every file under out, keyed by its path relative to out,
+    except bench.json, whose timings differ from run to run."""
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.name != "bench.json"
+    }
+
+
 def cli_walls(checkout: Path) -> dict:
-    """Median whole-process wall time of each CLI run."""
+    """Median whole-process wall time of each CLI run, and the digests of
+    the artifacts of its first run."""
     out = {}
     for name, command, config, flags in CLI_RUNS:
         walls = []
@@ -103,9 +117,12 @@ def cli_walls(checkout: Path) -> dict:
                 done = subprocess.run(argv, cwd=checkout, env=_env(checkout),
                                       capture_output=True, text=True)
                 walls.append(time.perf_counter() - start)
+                if len(walls) == 1:
+                    digests = artifact_digests(Path(tmp))
             if done.returncode != 0:
                 raise SystemExit(f"{name} exited {done.returncode}: {done.stderr.strip()}")
-        out[name] = {"median_s": statistics.median(walls), "runs_s": walls}
+        out[name] = {"median_s": statistics.median(walls), "runs_s": walls,
+                     "artifacts_sha256": digests}
     return out
 
 

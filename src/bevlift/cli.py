@@ -50,10 +50,9 @@ from .robustness import (
     DEPTH_BIN_M,
     HEIGHT_BIN_M,
     DisturbanceSpec,
+    law_check,
     localization_error,
     scatter_overlap,
-    simulate_range_bias,
-    height_error_law,
 )
 from .scene import (
     NoiseModel,
@@ -186,31 +185,6 @@ def _require_scene(cfg: ExperimentConfig) -> Scene:
     return cfg.scene
 
 
-def _write_table(out: Path, stem: str, fmt: str, header, columns, meta: dict) -> Path:
-    """Write a numeric table, given as equal-length 1-D columns, in the
-    requested format.
-
-    csv keeps the meta comment line; json wraps meta, header, and rows in
-    one object; bin stores a float32 (rows, columns) matrix plus a
-    .meta.json sidecar.
-    """
-    if fmt == "csv":
-        target = out / f"{stem}.csv"
-        artio.write_csv(target, header, artio.table_rows(columns), meta)
-        return target
-    if fmt not in ("json", "bin"):
-        raise ConfigError(f"unknown format {fmt!r}")
-    matrix = np.column_stack(columns).astype(np.float64)
-    if fmt == "json":
-        target = out / f"{stem}.json"
-        artio.write_json(target, {"meta": meta, "header": list(header), "rows": matrix.tolist()})
-    else:
-        target = out / f"{stem}.btf"
-        artio.write_tensor(target, matrix)
-        artio.write_json(out / f"{stem}.meta.json", {"meta": meta, "header": list(header)})
-    return target
-
-
 def _context_map(cfg: ExperimentConfig, maps, seed: int) -> ContextMap:
     rng = substream(seed, _CTX_STREAM)
     data = rng.standard_normal((maps.height, maps.width, cfg.context_channels))
@@ -221,7 +195,7 @@ def cmd_render(cfg: ExperimentConfig, args, meta: dict) -> dict:
     scene = _require_scene(cfg)
     maps = render(scene, cfg.rig, cfg.sample_stride)
     out = Path(args.out)
-    _write_table(out, "maps", args.format, *artio.maps_table(maps), meta)
+    artio.write_table(out, "maps", args.format, *artio.maps_table(maps), meta)
 
     finite = maps.non_sky
     summary = {
@@ -241,24 +215,20 @@ def cmd_render(cfg: ExperimentConfig, args, meta: dict) -> dict:
             vals = arr[finite]
             summary[f"{key}_min"] = float(vals.min())
             summary[f"{key}_max"] = float(vals.max())
-            _write_table(out, stem, "csv", *artio.histogram_table(histogram(vals, width)), meta)
+            hist = artio.histogram_table(histogram(vals, width))
+            artio.write_table(out, stem, "csv", *hist, meta)
     artio.write_json(out / "render_summary.json", summary)
     return summary
-
-
-def _lift_once(cfg: ExperimentConfig, maps, ctx: ContextMap):
-    dist_h = predict_height_distribution(maps, cfg.height_bins, cfg.noise)
-    dist_d = predict_depth_distribution(maps, cfg.depth_bins, cfg.noise)
-    wedge_h = build_wedge(fuse(ctx, dist_h), cfg.height_bins, cfg.rig, cfg.sample_stride)
-    wedge_d = build_wedge_depth(fuse(ctx, dist_d), cfg.depth_bins, cfg.rig, cfg.sample_stride)
-    return wedge_h, wedge_d
 
 
 def cmd_lift(cfg: ExperimentConfig, args, meta: dict) -> dict:
     scene = _require_scene(cfg)
     maps = render(scene, cfg.rig, cfg.sample_stride)
     ctx = _context_map(cfg, maps, meta["seed"])
-    wedge_h, wedge_d = _lift_once(cfg, maps, ctx)
+    dist_h = predict_height_distribution(maps, cfg.height_bins, cfg.noise)
+    dist_d = predict_depth_distribution(maps, cfg.depth_bins, cfg.noise)
+    wedge_h = build_wedge(fuse(ctx, dist_h), cfg.height_bins, cfg.rig, cfg.sample_stride)
+    wedge_d = build_wedge_depth(fuse(ctx, dist_d), cfg.depth_bins, cfg.rig, cfg.sample_stride)
     bev_h = pool(wedge_h, cfg.bev_grid)
     bev_d = pool(wedge_d, cfg.bev_grid)
 
@@ -269,7 +239,7 @@ def cmd_lift(cfg: ExperimentConfig, args, meta: dict) -> dict:
         ("bev_height", artio.bev_table(bev_h)),
         ("bev_depth", artio.bev_table(bev_d)),
     ):
-        _write_table(out, stem, args.format, *table, meta)
+        artio.write_table(out, stem, args.format, *table, meta)
 
     summary = dict(meta)
     for key, wedge, bev in (("height", wedge_h, bev_h), ("depth", wedge_d, bev_d)):
@@ -282,28 +252,6 @@ def cmd_lift(cfg: ExperimentConfig, args, meta: dict) -> dict:
         }
     artio.write_json(out / "lift_summary.json", summary)
     return summary
-
-
-# Probe grid of the law check: image columns x heights x biases.
-_LAW_FRACTIONS = (0.3, 0.5, 0.8)
-_LAW_HEIGHTS = (0.0, 0.5, 1.2)
-_LAW_BIASES = (0.05, 0.1, 0.25)
-
-
-def _law_rows(rig: CameraRig):
-    intr = rig.intrinsics
-    H = rig.ground_height_H
-    rows = []
-    v = 0.85 * intr.image_h  # low row: every probe ray points below the horizon
-    for fu in _LAW_FRACTIONS:
-        u = fu * intr.image_w
-        for h in _LAW_HEIGHTS:
-            for dh in _LAW_BIASES:
-                d_true, simulated = simulate_range_bias(rig, u, v, h, dh)
-                predicted = height_error_law(d_true, dh, H, h)
-                rows.append((u, v, h, dh, d_true, predicted, simulated,
-                             abs(predicted - simulated)))
-    return rows
 
 
 def cmd_robustness(cfg: ExperimentConfig, args, meta: dict) -> dict:
@@ -321,12 +269,10 @@ def cmd_robustness(cfg: ExperimentConfig, args, meta: dict) -> dict:
         cfg.disturbance, cfg.sample_stride,
     )
     for stem, report in (("errors_clean", clean), ("errors_disturbed", disturbed)):
-        _write_table(out, stem, "csv", *artio.error_report_table(report), meta)
+        artio.write_table(out, stem, "csv", *artio.error_report_table(report), meta)
 
-    law_header = ["u", "v", "h", "delta_h", "d_true", "predicted_m",
-                  "simulated_m", "abs_diff_m"]
-    law = np.array(_law_rows(cfg.rig))
-    _write_table(out, "law_check", "csv", law_header, law.T, meta)
+    law = law_check(cfg.rig)
+    artio.write_table(out, "law_check", "csv", *artio.law_check_table(law), meta)
 
     summary = {
         **meta,
@@ -336,7 +282,7 @@ def cmd_robustness(cfg: ExperimentConfig, args, meta: dict) -> dict:
         "n_trials": cfg.disturbance.n_trials,
         "clean": clean.summary(),
         "disturbed": disturbed.summary(),
-        "law_max_abs_diff_m": float(law[:, -1].max()),
+        "law_max_abs_diff_m": float(law[-1].max()),
     }
     artio.write_json(out / "robustness_summary.json", summary)
     return summary
@@ -359,7 +305,9 @@ def cmd_bench(cfg: ExperimentConfig, args, meta: dict) -> dict:
     isolates bin-count economics from scene content.  plan_seconds is the
     lift and pool of a frame on a copy of the rig that holds no lift plan,
     so it includes building the plan and its BEV index; lift_seconds and
-    pool_seconds are the per-frame times once the plan exists.
+    pool_seconds are the per-frame times once the plan exists.  Each
+    repeat lifts a fresh cloud and pools it, so pool_seconds includes
+    forming the cloud's per-point weights, as a new frame does.
     """
     intr = cfg.rig.intrinsics
     width = intr.image_w // cfg.sample_stride
@@ -392,12 +340,16 @@ def cmd_bench(cfg: ExperimentConfig, args, meta: dict) -> dict:
             lambda: pool(builder(fused, bins, replace(cfg.rig), cfg.sample_stride), cfg.bev_grid),
             cfg.bench_repeats,
         )
-        cloud = builder(fused, bins, cfg.rig, cfg.sample_stride)
-        pool(cloud, cfg.bev_grid)  # builds the BEV index, so pool_seconds is per frame
-        t_lift = _time_best(
-            lambda: builder(fused, bins, cfg.rig, cfg.sample_stride), cfg.bench_repeats
-        )
-        t_pool = _time_best(lambda: pool(cloud, cfg.bev_grid), cfg.bench_repeats)
+        # Builds the plan and its BEV index, so the repeats below are per frame.
+        pool(builder(fused, bins, cfg.rig, cfg.sample_stride), cfg.bev_grid)
+        t_lift = t_pool = float("inf")
+        for _ in range(cfg.bench_repeats):
+            start = time.perf_counter()
+            cloud = builder(fused, bins, cfg.rig, cfg.sample_stride)
+            lifted = time.perf_counter()
+            pool(cloud, cfg.bev_grid)
+            t_lift = min(t_lift, lifted - start)
+            t_pool = min(t_pool, time.perf_counter() - lifted)
         report[name] = {
             "n_bins": bins.n_bins,
             "n_points": cloud.n_points,

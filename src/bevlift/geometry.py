@@ -207,6 +207,15 @@ class CameraRig:
             raise ConfigError("ground_normal must be a unit vector")
         extr = self.extrinsics
         center = extr.camera_center
+        # Distances from the camera are square roots of dot products (see
+        # robustness), and a far camera overflows the render arithmetic.
+        with np.errstate(over="ignore"):
+            near = np.isfinite(center @ center)
+        if not near:
+            raise ConfigError(
+                "extrinsics place the camera center too far from the ego origin: "
+                "its squared distance overflows"
+            )
         height = float(center @ normal)
         if height <= 0.0:
             raise CameraBelowGround(f"camera center height {height:.6g} m is not above ground")
@@ -264,7 +273,9 @@ def project_ego(points: np.ndarray, intrinsics: Intrinsics, extrinsics: Extrinsi
     """
     cam = extrinsics.ego_to_cam(points)
     depth = cam[..., 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A point at depth 0, or whose pixel coordinate overflows, is off the
+    # image: its u or v is inf or nan, which visible rejects.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = intrinsics.fx * cam[..., 0] / depth + intrinsics.cx
         v = intrinsics.fy * cam[..., 1] / depth + intrinsics.cy
     visible = (

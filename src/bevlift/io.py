@@ -3,8 +3,9 @@ and a small binary tensor container.
 
 A table is a header plus one equal-length 1-D column per header entry;
 the *_table functions build them from pipeline results without a
-per-row loop.  Every CSV starts with one comment line carrying the run's
-config hash and seed so artifacts stay traceable without a sidecar file.
+per-row loop, and write_table writes one in any of the three formats.
+Every CSV starts with one comment line carrying the run's config hash
+and seed so artifacts stay traceable without a sidecar file.
 A CSV field is str of the Python scalar the column holds (table_rows),
 which for a float is its repr: it round-trips float64 exactly and keeps
 files byte-stable across runs.  The tensor container is magic + dims +
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .bevpool import BevGrid
-from .errors import PipelineError
+from .errors import ConfigError, PipelineError
 from .lifting import WedgeCloud
 from .robustness import DEPTH_BIN_M, HEIGHT_BIN_M, V_BIN_PX, ErrorReport, OverlapReport
 from .scene import Histogram, PixelMaps
@@ -92,6 +93,26 @@ def read_tensor(path) -> np.ndarray:
     return payload.reshape(tuple(int(s) for s in shape)).astype(np.float64)
 
 
+def write_table(out: Path, stem: str, fmt: str, header, columns, meta: dict) -> Path:
+    """Write a table in the format fmt and return its path: csv as
+    out/stem.csv with the meta comment line; json as out/stem.json, one
+    object of meta, header and rows; bin as a float32 (rows, columns)
+    matrix out/stem.btf plus out/stem.meta.json of meta and header."""
+    if fmt not in ("csv", "json", "bin"):
+        raise ConfigError(f"unknown format {fmt!r}")
+    target = out / f"{stem}.{'btf' if fmt == 'bin' else fmt}"
+    if fmt == "csv":
+        write_csv(target, header, table_rows(columns), meta)
+        return target
+    matrix = np.column_stack(columns).astype(np.float64)
+    if fmt == "json":
+        write_json(target, {"meta": meta, "header": list(header), "rows": matrix.tolist()})
+    else:
+        write_tensor(target, matrix)
+        write_json(out / f"{stem}.meta.json", {"meta": meta, "header": list(header)})
+    return target
+
+
 def table_rows(columns):
     """Rows of Python scalars from a table's equal-length 1-D columns,
     the rows write_csv takes, converted CSV_CHUNK_ROWS rows at a time."""
@@ -139,6 +160,11 @@ def error_report_table(report: ErrorReport):
         report.true_distances_m,
         report.n_pixels,
     ]
+
+
+def law_check_table(columns):
+    header = ["u", "v", "h", "delta_h", "d_true", "predicted_m", "simulated_m", "abs_diff_m"]
+    return header, list(columns)
 
 
 def overlap_report_dict(report: OverlapReport) -> dict:

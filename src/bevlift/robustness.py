@@ -327,34 +327,57 @@ def localization_error(
                        disturbed=disturbance is not None)
 
 
-def height_error_law(d: float, delta_h: float, H: float, h: float) -> float:
+def height_error_law(d, delta_h, H: float, h):
     """Ground-range error caused by a height bias: d * delta_h / (H - h).
 
     d is the true ground range of the point, h its true height, delta_h
-    the bias, H the camera height above ground.  Requires the biased
-    height to stay below the camera (H > h + delta_h) and h < H.
+    the bias, H the camera height above ground; d, delta_h and h are
+    scalars or arrays.  Requires the biased height to stay below the
+    camera (H > h + delta_h) and h < H.
     """
-    if H <= h or H <= h + delta_h:
+    if np.any(H <= h) or np.any(H <= h + delta_h):
         raise InvalidGeometry(
             f"camera height {H} must exceed both h={h} and h+delta_h={h + delta_h}"
         )
     return d * delta_h / (H - h)
 
 
-def simulate_range_bias(rig: CameraRig, u: float, v: float, h: float, delta_h: float):
-    """Lift a pixel at its true height and at a biased height.
+def simulate_range_bias(rig: CameraRig, u, v, h, delta_h):
+    """Lift pixels at their true height and at a biased height.
 
     Returns (d_true, simulated_error): the true ground range of the pixel
     at height h and the drop in ground range caused by the bias, measured
-    from the camera's ground projection.  Matches height_error_law exactly
-    because the lift is linear in the height.
+    from the camera's ground projection, for scalars or arrays of one
+    shape.  Matches height_error_law exactly because the lift is linear
+    in the height.
     """
     cam = rig.camera_center
-    p_true = lift_many_height([u], [v], [h], rig)[0]
-    p_bias = lift_many_height([u], [v], [h + delta_h], rig)[0]
-    d_true = float(np.hypot(p_true[0] - cam[0], p_true[1] - cam[1]))
-    d_bias = float(np.hypot(p_bias[0] - cam[0], p_bias[1] - cam[1]))
+    p_true = lift_many_height(u, v, h, rig)
+    p_bias = lift_many_height(u, v, h + delta_h, rig)
+    d_true = np.hypot(p_true[..., 0] - cam[0], p_true[..., 1] - cam[1])
+    d_bias = np.hypot(p_bias[..., 0] - cam[0], p_bias[..., 1] - cam[1])
     return d_true, d_true - d_bias
+
+
+# Probe grid of the law check: image columns x heights x biases.
+_LAW_FRACTIONS = (0.3, 0.5, 0.8)
+_LAW_HEIGHTS = (0.0, 0.5, 1.2)
+_LAW_BIASES = (0.05, 0.1, 0.25)
+
+
+def law_check(rig: CameraRig):
+    """The lever law against the simulated lift at 27 probes: the columns
+    u, v, h, delta_h, d_true, the law's error, the simulated error and
+    their absolute difference, a row per (image column, height, bias) in
+    that nesting order.  The probes share one low image row, so every
+    probe ray points below the horizon."""
+    fu, h, dh = (a.ravel() for a in np.meshgrid(
+        _LAW_FRACTIONS, _LAW_HEIGHTS, _LAW_BIASES, indexing="ij"))
+    u = fu * rig.intrinsics.image_w
+    v = np.full_like(u, 0.85 * rig.intrinsics.image_h)
+    d_true, simulated = simulate_range_bias(rig, u, v, h, dh)
+    predicted = height_error_law(d_true, dh, rig.ground_height_H, h)
+    return u, v, h, dh, d_true, predicted, simulated, np.abs(predicted - simulated)
 
 
 @dataclass

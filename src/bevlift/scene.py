@@ -95,6 +95,18 @@ class Scene:
             config_float(f"boxes[{i}].z", box.z, lo=0.0)
             if not (x_min <= box.x <= x_max and y_min <= box.y <= y_max):
                 raise ConfigError(f"boxes[{i}] has its center outside the extent")
+        # Finite fields can still place a corner so far out that the render
+        # arithmetic (projection, slab divisions) overflows; the squared
+        # distance of such a corner from the ego origin overflows first.
+        if self.boxes:
+            with np.errstate(over="ignore"):
+                reach = np.sum(_box_corners(*_box_frames(self.boxes)) ** 2, axis=(1, 2))
+            far = np.flatnonzero(~np.isfinite(reach))
+            if far.size:
+                raise ConfigError(
+                    f"boxes[{far[0]}].corners must have a finite squared distance "
+                    "from the ego origin"
+                )
 
     def to_json_dict(self) -> dict:
         return {
@@ -258,6 +270,14 @@ _CORNER_SIGNS = np.array(
 )
 
 
+def _box_corners(centers, cos_t, sin_t, half) -> np.ndarray:
+    """Box3D.corners of every box at once, (n_boxes, 8, 3)."""
+    local = _CORNER_SIGNS * half[:, None, :]
+    x = cos_t[:, None] * local[..., 0] - sin_t[:, None] * local[..., 1]
+    y = sin_t[:, None] * local[..., 0] + cos_t[:, None] * local[..., 1]
+    return np.stack([x, y, local[..., 2]], axis=-1) + centers[:, None, :]
+
+
 def _box_ray_pairs(centers, cos_t, sin_t, half, us, vs, rig: CameraRig):
     """The (box, ray) index pairs whose ray can hit the box, box-major.
 
@@ -269,11 +289,7 @@ def _box_ray_pairs(centers, cos_t, sin_t, half, us, vs, rig: CameraRig):
     sorted by v give each box its rows by a range search; its columns are
     then tested pair by pair, with the same comparisons as a full scan.
     """
-    # Box3D.corners for all boxes at once.
-    local = _CORNER_SIGNS * half[:, None, :]
-    x = cos_t[:, None] * local[..., 0] - sin_t[:, None] * local[..., 1]
-    y = sin_t[:, None] * local[..., 0] + cos_t[:, None] * local[..., 1]
-    corners = np.stack([x, y, local[..., 2]], axis=-1) + centers[:, None, :]
+    corners = _box_corners(centers, cos_t, sin_t, half)
     cu, cv, depth, _ = project_ego(corners, rig.intrinsics, rig.extrinsics)
     front = np.all(depth > 0, axis=1)
     u_lo, u_hi = cu.min(axis=1) - 1.0, cu.max(axis=1) + 1.0

@@ -1,4 +1,6 @@
-"""scripts/bench_trajectory.py: the benchmark medians it records."""
+"""scripts/bench_trajectory.py: the benchmark medians and artifact
+digests it records."""
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -41,3 +43,16 @@ def test_runs_of_mixed_lengths_exit_naming_workload_and_lengths(tmp_path):
         module.benchmark_medians(tmp_path, set())
     # choosing the runs of one length by seed gives their median
     assert module.benchmark_medians(tmp_path, {1})["frames_sway"]["runs"] == 1
+
+
+def test_artifact_digests_cover_every_file_but_bench_json(tmp_path):
+    (tmp_path / "maps.csv").write_text("u,v\n1,2\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "wedge.btf").write_bytes(b"BTF1\x00")
+    (tmp_path / "bench.json").write_text('{"lift_seconds": 0.1}\n')
+    got = _bench_trajectory().artifact_digests(tmp_path)
+    assert got == {
+        "maps.csv": hashlib.sha256(b"u,v\n1,2\n").hexdigest(),
+        "sub/wedge.btf": hashlib.sha256(b"BTF1\x00").hexdigest(),
+    }
+    assert list(got) == sorted(got)

@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bevlift.cli as cli
+import bevlift.robustness as robustness
 from bevlift.bevpool import GridSpec
 from bevlift.binning import BinSpec
-from bevlift.cli import _write_table, config_hash, load_config, main
-from bevlift.errors import ConfigError, config_float, config_object
+from bevlift.cli import config_hash, load_config, main
+from bevlift.errors import ConfigError, PipelineError, config_float, config_object
 from bevlift.geometry import load_rig
-from bevlift.io import read_csv, read_json, read_tensor
+from bevlift.io import read_csv, read_json, read_tensor, write_table
 from bevlift.robustness import DisturbanceSpec
 from bevlift.scene import NoiseModel, load_scene
 
@@ -222,6 +224,12 @@ OVERFLOW_PROBES = {
            "rig.intrinsics.fx must make image_w / fx finite"),
     "fy": ({"rig": rig_doc("intrinsics", fy=1e-308)},
            "rig.intrinsics.fy must make image_h / fy finite"),
+    "translation[0]": ({"rig": rig_doc("extrinsics", translation=[1e308, 9.0, 4.2])},
+                       "rig.extrinsics place the camera center too far from the ego origin"),
+    "translation[1]": ({"rig": rig_doc("extrinsics", translation=[0.0, 1e308, 4.2])},
+                       "rig.extrinsics place the camera center too far from the ego origin"),
+    "box-h": ({"scene": _close_boxes_with({"h": 1e308})},
+              "scene.boxes[0].corners must have a finite squared distance"),
 }
 
 
@@ -691,12 +699,84 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+# The fuzz config: every object inlined and every key given, the scene a
+# box document (a generator recipe would draw a scene at load).
+FUZZ_BASE = {
+    **SCENE_BASE,
+    "bench_repeats": 1,
+    "bev_grid": {"x_min": 0.0, "x_max": 102.4, "y_min": -51.2, "y_max": 51.2,
+                 "res_x": 3.2, "res_y": 3.2, "channels": 2},
+}
+FUZZ_FLOATS = (0.0, -1.0, 1e308, -1e308, 1e-308, 5e-324, 1e20)
+FUZZ_INTS = (0, -1, 2**40)
+# Counts whose run time or memory grows with their value: at 2**40 a run
+# takes hours or allocates terabytes, so those cases stop at load.
+FUZZ_SIZES = ("disturbance.n_trials", "bench_repeats",
+              "rig.intrinsics.image_w", "rig.intrinsics.image_h")
+FUZZ_COMMANDS = (("render",), ("lift", "--format", "bin"), ("robustness",), ("bench",))
+
+
+def _numeric_leaves(node, keys=()):
+    """The keys of every number (not a boolean) in a JSON document."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _numeric_leaves(child, (*keys, key))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield keys
+
+
+FUZZ_LEAVES = list(_numeric_leaves(FUZZ_BASE))
+
+
+class TestFuzzNumericLeaves:
+    """Each numeric leaf of a config in turn set to an edge value keeps the
+    exit-code contract: 0, 2 or 3; nothing on stderr but at most one JSON
+    record, and no warning; nothing in --out after an exit 2.  A case that
+    fails at load ends as main ends it, with the error's JSON record and
+    before --out is made, so it runs through load_config only.  A case
+    that loads runs one command, the four taking turns."""
+
+    @pytest.mark.parametrize("index", range(len(FUZZ_LEAVES)),
+                             ids=[_field_path(keys) for keys in FUZZ_LEAVES])
+    def test_edge_values_keep_the_exit_code_contract(self, tmp_path, capsys, index):
+        keys = FUZZ_LEAVES[index]
+        node = FUZZ_BASE
+        for key in keys:
+            node = node[key]
+        values = FUZZ_INTS if isinstance(node, int) else FUZZ_FLOATS
+        for turn, value in enumerate(values, start=index):
+            override = _overrides(FUZZ_BASE, keys, value) if keys[1:] else {keys[0]: value}
+            path = write_config(tmp_path, **{**FUZZ_BASE, **override})
+            out = tmp_path / f"out{turn}"
+            case = f"{_field_path(keys)} = {value!r}"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    load_config(path)
+                    runs = not (value == 2**40 and _field_path(keys) in FUZZ_SIZES)
+                except (PipelineError, MemoryError):
+                    runs = False
+                assert caught == [], (case, caught)
+                if not runs:
+                    continue
+                command, *flags = FUZZ_COMMANDS[turn % len(FUZZ_COMMANDS)]
+                code = main([command, "--config", str(path), "--out", str(out), *flags])
+            lines = capsys.readouterr().err.splitlines()
+            assert code in (0, 2, 3) and caught == [], (case, command, code, caught)
+            assert (code == 0) == (lines == []), (case, command, lines)
+            if lines:
+                assert len(lines) == 1 and "error" in json.loads(lines[0]), (case, lines)
+            if code == 2:
+                assert not out.exists() or not any(out.iterdir()), (case, command)
+
+
 class TestWriteTable:
     def test_zero_row_table_keeps_its_columns(self, tmp_path):
         header = ["x", "y", "z"]
         columns = [np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)]
         for fmt in ("csv", "json", "bin"):
-            _write_table(tmp_path, "t", fmt, header, columns, {"seed": 0})
+            write_table(tmp_path, "t", fmt, header, columns, {"seed": 0})
         assert read_csv(tmp_path / "t.csv") == ({"seed": "0"}, header, [])
         assert read_json(tmp_path / "t.json")["rows"] == []
         assert read_tensor(tmp_path / "t.btf").shape == (0, 3)
@@ -704,7 +784,7 @@ class TestWriteTable:
 
     def test_unknown_format_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
-            _write_table(tmp_path, "t", "xml", ["x"], [np.zeros(1)], {})
+            write_table(tmp_path, "t", "xml", ["x"], [np.zeros(1)], {})
 
 
 class TestRenderCommand:
@@ -821,6 +901,27 @@ class TestRobustnessCommand:
         assert {r[0] for r in rows} == {"0", "1"}
         _, _, law = read_csv(out / "law_check.csv")
         assert len(law) == 27  # 3 columns x 3 heights x 3 biases
+
+    def test_law_check_lifts_its_probes_in_two_calls(self, tmp_path, monkeypatch):
+        # One lift_many_height call at the true heights and one at the
+        # biased heights, each over all 27 probes.
+        shapes, in_check = [], []
+        lift, check = robustness.lift_many_height, robustness.law_check
+
+        def spy_lift(us, *args):
+            if in_check:
+                shapes.append(np.shape(us))
+            return lift(us, *args)
+
+        def spy_check(rig):
+            in_check.append(rig)
+            return check(rig)
+
+        monkeypatch.setattr(robustness, "lift_many_height", spy_lift)
+        monkeypatch.setattr(cli, "law_check", spy_check)
+        path = write_config(tmp_path, scene=CLOSE_BOXES_SCENE, sample_stride=16)
+        assert main(["robustness", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert len(in_check) == 1 and shapes == [(27,), (27,)]
 
 
 class TestBenchCommand:

@@ -4,6 +4,7 @@ The frozen expectations were derived by hand from the pinhole model and
 the frame construction rules in the module docstring; see the inline
 derivations next to each constant.
 """
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -192,6 +193,19 @@ class TestVirtualFrame:
         with pytest.raises(ConfigError):
             CameraRig(INTR_1000, extr, (0.0, 0.0, 2.0))
 
+    @pytest.mark.parametrize("position", [(1e308, 0.0, 5.0), (0.0, -1e308, 5.0),
+                                          (0.0, 0.0, 1e308), (1e154, 1e154, 5.0)])
+    def test_camera_whose_squared_distance_overflows_rejected(self, position):
+        extr = extrinsics_from_pose(position, pitch_deg=10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="camera center too far"):
+                CameraRig(INTR_1000, extr)
+
+    def test_far_camera_with_finite_squared_distance_kept(self):
+        rig = CameraRig(INTR_1000, extrinsics_from_pose((1e150, 0.0, 1e140), pitch_deg=10.0))
+        assert rig.ground_height_H > 0
+
 
 class TestProjection:
     def test_ref_point_frozen(self):
@@ -218,6 +232,16 @@ class TestProjection:
         assert d == pytest.approx(depth, rel=1e-9)
         recon = rig.extrinsics.cam_to_ego(pixel_to_ref_cam(u, v, rig.intrinsics) * d)
         np.testing.assert_allclose(recon, ego_pt, atol=1e-6)
+
+    def test_point_whose_pixel_overflows_is_not_visible_without_warning(self):
+        rig = CameraRig(Intrinsics(1e308, 1e308, 768.0, 432.0, 1536, 864),
+                        extrinsics_from_pose((0.0, 0.0, 5.0), pitch_deg=10.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, v, _, visible = project_ego(
+                np.array([[10.0, 3.0, 0.0], [10.0, -3.0, 0.0]]), rig.intrinsics, rig.extrinsics
+            )
+        assert np.isinf(u).all() and not visible.any()
 
     def test_point_behind_camera_not_visible(self):
         rig = overhead_rig(pitch_deg=10.0)

@@ -29,6 +29,7 @@ from bevlift.robustness import (
     OverlapReport,
     _object_rows,
     height_error_law,
+    law_check,
     localization_error,
     matched_surface_points,
     perturb_extrinsics,
@@ -232,6 +233,32 @@ class TestHeightErrorLaw:
             assume(False)
         predicted = height_error_law(d_true, dh, rig.ground_height_H, h)
         assert simulated == pytest.approx(predicted, rel=1e-6, abs=1e-9)
+
+    def test_array_law_rejects_any_probe_reaching_the_camera(self):
+        with pytest.raises(InvalidGeometry):
+            height_error_law(np.array([10.0, 10.0]), np.array([0.1, 0.6]), 2.0,
+                             np.array([0.5, 1.5]))
+
+    @pytest.mark.parametrize("rig_name", ["mast_rig", "truck_rig"])
+    def test_law_check_rows_are_the_per_probe_lifts(self, request, rig_name):
+        # Every row has the bits of its probe lifted on its own, in
+        # (column, height, bias) order.
+        rig = request.getfixturevalue(rig_name)
+        intr = rig.intrinsics
+        rows = []
+        for fu in (0.3, 0.5, 0.8):
+            for h in (0.0, 0.5, 1.2):
+                for dh in (0.05, 0.1, 0.25):
+                    u, v = fu * intr.image_w, 0.85 * intr.image_h
+                    p_true = lift_many_height([u], [v], [h], rig)[0]
+                    p_bias = lift_many_height([u], [v], [h + dh], rig)[0]
+                    cam = rig.camera_center
+                    d_true = float(np.hypot(p_true[0] - cam[0], p_true[1] - cam[1]))
+                    sim = d_true - float(np.hypot(p_bias[0] - cam[0], p_bias[1] - cam[1]))
+                    law = d_true * dh / (rig.ground_height_H - h)
+                    rows.append((u, v, h, dh, d_true, law, sim, abs(law - sim)))
+        got = np.column_stack(law_check(rig))
+        assert got.tobytes() == np.array(rows).tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ point must lie on the surface it claims (inside the box's slab bounds, or
 on the ground plane inside the extent), and marching along the ray must
 find no earlier surface.  A small frozen scene pins exact numbers.
 """
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -64,6 +65,18 @@ class TestSceneContainer:
     def test_rejects_box_outside_extent(self):
         with pytest.raises(ConfigError):
             Scene((Box3D(200, 0, 1, 2, 2, 2, 0),), EXTENT, 0)
+
+    @pytest.mark.parametrize("fields", [
+        dict(z=1e308), dict(l=1e308), dict(w=1e308), dict(h=1e308), dict(x=1.5e154),
+    ])
+    def test_rejects_box_whose_corners_overflow_their_squared_distance(self, fields):
+        # The second box breaks the rule; the first keeps it at 1e20.
+        box = dict(x=10.0, y=0.0, z=1.0, l=4.0, w=2.0, h=2.0, theta=0.3)
+        boxes = (Box3D(**{**box, "h": 1e20}), Box3D(**{**box, **fields}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"^boxes\[1\]\.corners must have a finite"):
+                Scene(boxes, (0.0, 2e154, -40.0, 40.0), 0)
 
     def test_json_round_trip_exact(self):
         scene = generate_scene("corridor", 6, seed=3)
