@@ -19,11 +19,9 @@ grid.
 
 A cloud keeps each source cell's context once, so each frame forms, per
 channel, the products context[s, c] * weight[p] of the points p of
-every source cell s in one reused buffer, and np.add.at adds them into
-their cells; no per-point feature array is made.  np.add.at adds in
-index order, as np.bincount does, without bincount's scan of the whole
-index for its minimum and maximum on every channel.  Each cell sums its
-points' products in cloud order, so the result is bit-identical run to
+every source cell s in one reused buffer and adds them into their cells;
+no per-point feature array is made.  Each cell sums its points' products
+in cloud order, starting from +0.0, so the result is bit-identical run to
 run and to a scalar loop over the points and their features.
 
 Only points with a nonzero weight carry anything, so the cost of the
@@ -35,15 +33,35 @@ checks it), so a skipped product is +0.0 or -0.0; a sum that starts at
 +0.0 never becomes -0.0 under round-to-nearest, so adding either zero
 changes no bit of it; and the live points keep cloud order.  A cloud
 keeps its weights factored, table[rows[s], b] * cell_weight[s], so the
-live points are found without forming any weight: each source cell of
-nonzero cell weight takes the nonzero entries of its table row.  A
-product of two nonzero factors that underflows is listed too, and adds
-a zero like any skipped point.  When at most _LIVE_FRACTION of the
-points are live, pool lists them this way, gathers their cells and
-forms their weights, and repeats each source cell's context over its
-live points; otherwise it forms the products of every point, which is
-faster on a dense cloud than the gather.  Hit counts and dropped points
-count every point either way.
+live points are found without forming any weight: point b of source
+cell s is live when table[rows[s], b] and cell_weight[s] are both
+nonzero (a -0.0 cell weight is zero).  A product of two nonzero factors
+that underflows is listed too, and adds a zero like any skipped point.
+
+When at most _LIVE_FRACTION of the points are live, pool takes the
+gathered pass, whose every step after the listing costs the live points:
+
+* one boolean compress of the live mask, (table != 0)[rows] &
+  (cell_weight != 0)[:, None] over the (source cell, bin) grid, lists the
+  live points' BEV cells in cloud order;
+* their weights are the table's nonzeros, row by row, times the cell
+  weights repeated over each source cell's live points; that product is
+  skipped when every weighted source cell weighs exactly 1.0, as every
+  predicted map's do, because x * 1.0 is x;
+* each channel's products, each source cell's context repeated over its
+  live points times their weights, are summed by np.bincount, which adds
+  in index order from +0.0, as np.add.at does: 0.60 against 0.79 ms per
+  channel over the 265303 live points of a static frame's depth cloud
+  (2-CPU host).
+
+Otherwise pool takes the pass over every point, which is faster on a
+dense cloud than any gather: products of the context broadcast over each
+source cell's points and the cloud's weights, summed by np.add.at, which
+beat np.bincount there: 3.8 against 4.4 ms per channel over a dense
+depth cloud of 1067904 points.  Out-of-extent points go to the overflow
+bin either way; the gathered pass adds only the live ones, 0.3-0.6% of
+the live depth points of a static frame.  Hit counts and dropped points
+count every point, live or not.
 """
 from __future__ import annotations
 
@@ -126,10 +144,13 @@ class BevGrid:
 _INDEX_CHUNK = 32768
 
 # Largest share of live (nonzero-weight) points that pool gathers before
-# summing.  On a 2-CPU host with one depth cloud of 1067904 points, the
-# gathered pass beat the pass over every point at 45% live (13.9-16.8
-# against 20.3-21.6 ms), lost at 50% (23.6-25.3 against 21.5-22.2 ms) and
-# took 39 against 21 ms fully dense, so the crossover is near one half.
+# summing.  On a 2-CPU host with one depth cloud of 1067904 points and
+# unit cell weights, the gathered pass beat the pass over every point at
+# 25% live (17.8-18.9 against 25.3-28.7 ms), tied at 45% (27.6-29.0
+# against 26.2-29.8 ms), lost at 50% (30.7-31.2 against 26.5-28.6 ms) and
+# took 57-58 against 26-27 ms fully dense, so the crossover is near one
+# half.  The pass over every point read weights already formed there; a
+# new frame also forms them, which favours the gathered pass.
 _LIVE_FRACTION = 0.5
 
 
@@ -182,10 +203,12 @@ def pool(cloud: WedgeCloud, spec: GridSpec) -> BevGrid:
     Only points whose table entry and cell weight are both nonzero are
     added: the others add +0.0 or -0.0 to a sum that starts at +0.0,
     which changes no bit, and so do the live points whose product
-    underflows.  Up to _LIVE_FRACTION of the points live, the live ones
-    are listed from the table's nonzeros and the source cells of nonzero
-    cell weight, so every step after that costs the live points; above
-    it, every point's product is formed.  hit_count and dropped_points
+    underflows.  Up to _LIVE_FRACTION of the points live, one mask over
+    the table's nonzeros and the nonzero cell weights lists the live
+    points, their weights skip the cell-weight product when every weighted
+    cell weighs exactly 1.0, and np.bincount sums each channel, so every
+    step after the mask costs the live points; above it, every point's
+    product is formed and np.add.at sums it.  hit_count and dropped_points
     count every point, live or not.
     """
     if cloud.channels != spec.channels:
@@ -197,30 +220,37 @@ def pool(cloud: WedgeCloud, spec: GridSpec) -> BevGrid:
         index = cloud.plan.bev_index[spec] = _bev_index(cloud.plan, spec)
     flat, counts = index
     n_cells = spec.n_x * spec.n_y
-    context, table, rows = cloud.context, cloud.table, cloud.rows
+    context, table, rows, cell_weight = cloud.context, cloud.table, cloud.rows, cloud.cell_weight
     m, k = context.shape[0], cloud.points_per_cell
-    nonzero = table != 0
+    nonzero, weighted = table != 0, cell_weight != 0
     row_live = nonzero.sum(axis=1)
-    per_cell = np.where(cloud.cell_weight != 0, row_live[rows], 0)
+    per_cell = np.where(weighted, row_live[rows], 0)
     n_live = int(per_cell.sum())
     if n_live <= _LIVE_FRACTION * cloud.n_points:
-        # The table's nonzeros, row by row.  A live point's place among
-        # them is its rank among the live points plus its source cell's
-        # shift: its row's first nonzero minus the live points before it.
-        nz_bin, nz_value = np.nonzero(nonzero)[1], table[nonzero]
+        # One compress of the live mask lists the live points' cells in
+        # cloud order.  Their weights are the table's nonzeros, row by row:
+        # a live point's place among them is its rank among the live points
+        # plus its source cell's shift, its row's first nonzero minus the
+        # live points before it.
+        cells = flat.reshape(m, k)[nonzero[rows] & weighted[:, None]]
         first = np.cumsum(row_live) - row_live
         shift = first[rows] - np.cumsum(per_cell) + per_cell
         live = np.repeat(shift, per_cell) + np.arange(n_live)
-        cells = flat[np.repeat(np.arange(0, m * k, k), per_cell) + nz_bin[live]]
-        weights = nz_value[live] * np.repeat(cloud.cell_weight, per_cell)
+        weights = table[nonzero][live]
+        # x * 1.0 is x: a predicted map weighs its cells 0 or 1.
+        if np.any(cell_weight[weighted] != 1.0):
+            weights *= np.repeat(cell_weight, per_cell)
     else:
         cells, weights, per_cell = flat, cloud.weights.reshape(m, k), None
     products = np.empty(weights.shape)
     sums = np.zeros((spec.channels, n_cells + 1))
     for c in range(spec.channels):
-        feature = context[:, c, None] if per_cell is None else np.repeat(context[:, c], per_cell)
-        np.multiply(feature, weights, out=products)
-        np.add.at(sums[c], cells, products.reshape(-1))
+        if per_cell is None:
+            np.multiply(context[:, c, None], weights, out=products)
+            np.add.at(sums[c], cells, products.reshape(-1))
+        else:
+            np.multiply(np.repeat(context[:, c], per_cell), weights, out=products)
+            sums[c] = np.bincount(cells, products, n_cells + 1)
     return BevGrid(
         spec,
         sums[:, :n_cells].T.reshape(spec.n_x, spec.n_y, spec.channels),

@@ -112,8 +112,9 @@ class DegenerateOrientation(PipelineError):
     """Camera optical axis is (numerically) parallel to the ground normal."""
 
 
-class CameraBelowGround(PipelineError):
-    """Camera center is on or below the ground plane."""
+class CameraBelowGround(ConfigError):
+    """Camera center is on or below the ground plane: a bad rig config,
+    so a ConfigError (exit 2)."""
 
 
 class HorizonRay(PipelineError):

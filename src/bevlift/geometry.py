@@ -182,8 +182,8 @@ class CameraRig:
 
     All arrays are read-only.  Raises DegenerateOrientation when the
     optical axis is within ~1e-6 rad of the ground normal (the virtual Z
-    axis vanishes), and CameraBelowGround when the center is on or below
-    the ground plane.
+    axis vanishes), and CameraBelowGround, a ConfigError, when the center
+    is on or below the ground plane.
 
     _plans holds the rig's lift plans, one per hypothesis kind (see
     lifting._plan): they live and die with the rig, and a copy made by
@@ -218,7 +218,10 @@ class CameraRig:
             )
         height = float(center @ normal)
         if height <= 0.0:
-            raise CameraBelowGround(f"camera center height {height:.6g} m is not above ground")
+            raise CameraBelowGround(
+                f"extrinsics and ground_normal put the camera center at height {height:.6g} m, "
+                f"on or below the ground"
+            )
         optical_axis = extr.rotation[2, :]  # camera +z expressed in ego
         z_proj = optical_axis - (optical_axis @ normal) * normal
         z_norm = np.linalg.norm(z_proj)

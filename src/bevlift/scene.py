@@ -19,6 +19,7 @@ trained categorical head with a controllable synthetic one.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -498,19 +499,32 @@ def _true_bin_map(values: np.ndarray, valid: np.ndarray, bins: BinSpec,
     return out
 
 
+@functools.lru_cache(maxsize=4)
+def _predicted_table(bins: BinSpec, noise: NoiseModel) -> np.ndarray:
+    """The table of every map predicted under bins and noise: the noise
+    table's n_bins rows, then the uniform row of a sky cell.  Read-only
+    and memoized for the last few (bins, noise) pairs, so the frames of one
+    config share one table and none rebuilds it."""
+    n = bins.n_bins
+    table = np.vstack([_noise_table(bins, noise), np.full(n, 1.0 / n)])
+    table.flags.writeable = False
+    return table
+
+
 def _distribution_from_values(
     values: np.ndarray, valid: np.ndarray, bins: BinSpec, noise: NoiseModel
 ) -> DistributionMap:
     """The noise table's row of each valid cell's true bin, with cell
     weight 1; other cells take a uniform row with cell weight 0.  The map
-    holds the noise table plus the uniform row and each cell's row index,
-    so its bin rule runs over n_bins + 1 rows, not over every cell."""
+    holds the shared predicted table (see _predicted_table) and each
+    cell's row index, so its bin rule runs over n_bins + 1 rows, not over
+    every cell."""
     height, width = values.shape
     n = bins.n_bins
-    table = np.vstack([_noise_table(bins, noise), np.full(n, 1.0 / n)])
     rows = _true_bin_map(values, valid, bins, noise)
     rows[~valid] = n
-    return DistributionMap(width, height, n, table, valid.astype(np.float64), rows)
+    return DistributionMap(width, height, n, _predicted_table(bins, noise),
+                           valid.astype(np.float64), rows)
 
 
 def predict_height_distribution(

@@ -426,6 +426,75 @@ class TestFactoredWeights:
         assert_pools_like_oracle(cloud, replace(TestSparseWeights.PLAN_SPEC, channels=2))
 
 
+def predicted_like_cloud(rng, cell_weights, n_bins=6):
+    """A depth cloud at stride 32 whose table is shaped like a predicted
+    map's: one-hot rows, one blurred row with zeros in its tails and a
+    uniform sky row; each source cell takes a random row of the first
+    n_bins + 1 and a cell weight drawn from cell_weights."""
+    w, h = INTR.image_w // 32, INTR.image_h // 32
+    table = np.vstack([np.eye(n_bins), np.full(n_bins, 1.0 / n_bins)])
+    table[1] = 0.0
+    table[1, :3] = [0.25, 0.5, 0.25]
+    dist = DistributionMap(w, h, n_bins, table, rng.choice(cell_weights, (h, w)),
+                           rng.integers(0, n_bins, (h, w)))
+    context = ContextMap(w, h, 2, rng.normal(size=(h, w, 2)))
+    return build_wedge_depth(fuse(context, dist), BinSpec("DEPTH_UD", n_bins, 1.0, 61.0),
+                             TestSparseWeights.STATIC, 32)
+
+
+class TestGatheredPass:
+    """The pass over the live points lists their cells with one mask,
+    multiplies by the cell weights only when one of them is not exactly
+    1.0, and sums by np.bincount: byte for byte the scalar oracle."""
+
+    SPEC = replace(TestSparseWeights.PLAN_SPEC, channels=2)
+
+    @staticmethod
+    def assert_gathered(cloud):
+        live = (cloud.table[cloud.rows] != 0) & (cloud.cell_weight[:, None] != 0)
+        assert np.count_nonzero(live) <= bevpool._LIVE_FRACTION * cloud.n_points
+        return np.count_nonzero(live)
+
+    @pytest.mark.parametrize("fraction", [None, 0.0])
+    def test_cell_weights_other_than_one(self, monkeypatch, fraction):
+        # 5e-324 * 0.25 underflows to 0.0, 5e-324 * 0.5 rounds to 0.0 and
+        # 5e-324 * 1.0 stays the smallest subnormal
+        rng = np.random.default_rng(83)
+        cloud = predicted_like_cloud(rng, [0.0, 1.0, 1.0, 0.5, 3.0, 5e-324])
+        assert self.assert_gathered(cloud) > 0
+        assert {0.5, 3.0, 5e-324} <= set(cloud.cell_weight.tolist())
+        if fraction is not None:  # the pass over every point
+            monkeypatch.setattr(bevpool, "_LIVE_FRACTION", fraction)
+        grid = assert_pools_like_oracle(cloud, self.SPEC)
+        # the cell weights move the sums, so skipping their product would show
+        unit = WedgeCloud(cloud.plan, cloud.context, cloud.table,
+                          (cloud.cell_weight != 0).astype(np.float64), cloud.rows)
+        assert pool(unit, self.SPEC).data.tobytes() != grid.data.tobytes()
+
+    @pytest.mark.parametrize("fraction", [None, 0.0])
+    def test_negative_zero_cell_weight(self, monkeypatch, fraction):
+        rng = np.random.default_rng(89)
+        cloud = predicted_like_cloud(rng, [-0.0, 0.0, 1.0])
+        assert np.signbit(cloud.cell_weight).any() and self.assert_gathered(cloud) > 0
+        if fraction is not None:
+            monkeypatch.setattr(bevpool, "_LIVE_FRACTION", fraction)
+        grid = assert_pools_like_oracle(cloud, self.SPEC)
+        # a -0.0 cell weight is no weight: its source cells add nothing
+        positive = WedgeCloud(cloud.plan, cloud.context, cloud.table,
+                              np.abs(cloud.cell_weight), cloud.rows)
+        assert pool(positive, self.SPEC).data.tobytes() == grid.data.tobytes()
+
+    @pytest.mark.parametrize("cell_weights", [[0.0], [-0.0, 0.0]])
+    def test_cloud_without_a_live_point(self, cell_weights):
+        rng = np.random.default_rng(97)
+        cloud = predicted_like_cloud(rng, cell_weights)
+        assert self.assert_gathered(cloud) == 0
+        grid = assert_pools_like_oracle(cloud, self.SPEC)
+        assert grid.data.dtype == np.float64
+        assert grid.data.tobytes() == bytes(grid.data.nbytes)
+        assert grid.hit_count.sum() + grid.dropped_points == cloud.n_points
+
+
 def index_of_positions(positions, spec):
     """The BEV index rule written out on materialized (n, 3) positions."""
     n_cells = spec.n_x * spec.n_y

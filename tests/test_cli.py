@@ -210,8 +210,9 @@ def rig_doc(section=None, **fields):
 ROTATION = RIG_DOC["extrinsics"]["rotation"]
 
 # Rig and grid fields that pass the per-field checks but whose derived
-# arithmetic overflows: probe id -> (config overrides, start of the
-# message the error must carry).
+# values break a rule (arithmetic that overflows, a camera on or below the
+# ground): probe id -> (config overrides, start of the message the error
+# must carry).
 OVERFLOW_PROBES = {
     "grid-x_max": ({"bev_grid": {"channels": 2, "x_max": 1e20}},
                    "bev_grid.x_max - x_min and y_max - y_min give"),
@@ -230,6 +231,14 @@ OVERFLOW_PROBES = {
                        "rig.extrinsics place the camera center too far from the ego origin"),
     "box-h": ({"scene": _close_boxes_with({"h": 1e308})},
               "scene.boxes[0].corners must have a finite squared distance"),
+    # A camera centre on or below the ground: a flipped normal, and a
+    # translation that puts the centre far below the ground while its
+    # squared distance still fits a double.
+    "ground_normal[2]": ({"rig": rig_doc(ground_normal=[0.0, 0.0, -1.0])},
+                         "rig.extrinsics and ground_normal put the camera center"),
+    "translation[2]": ({"rig": rig_doc("extrinsics", translation=[
+                            *RIG_DOC["extrinsics"]["translation"][:2], -1.3e154])},
+                       "rig.extrinsics and ground_normal put the camera center"),
 }
 
 

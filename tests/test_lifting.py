@@ -610,6 +610,36 @@ class TestWedgeCloud:
         np.testing.assert_array_equal(cloud.weights, [2.0, 0.0, 0.0, 0.0, 1.5, 1.5])
         assert not cloud.weights.flags.writeable
 
+    def test_dense_unit_weights_read_back_the_table(self):
+        # a hand-built cloud, and a wedge of a dense map with unit cell weights
+        rng = np.random.default_rng(5)
+        raw = rng.random((3, 4, 5))
+        dist = DistributionMap(4, 3, 5, raw / raw.sum(-1, keepdims=True))
+        plan = lifting._LiftPlan(None, np.ones(12, dtype=bool), 0, rng.normal(size=(12, 3)),
+                                 np.arange(1.0, 6.0), np.zeros(3))
+        clouds = [WedgeCloud(rng.normal(size=(7, 3)), np.ones((7, 2)), rng.random(7)),
+                  WedgeCloud(plan, np.ones((12, 1)), dist.table, dist.cell_weight.reshape(-1),
+                             dist.rows.reshape(-1))]
+        for cloud in clouds:
+            weights = cloud.weights
+            assert np.shares_memory(weights, cloud.table)
+            assert weights.tobytes() == cloud.table.tobytes()
+            assert not weights.flags.writeable and cloud.table.flags.writeable
+
+    @pytest.mark.parametrize("change", ["cell_weight", "rows"])
+    def test_weights_gather_unless_rows_are_the_identity_with_unit_cell_weights(self, change):
+        table = np.array([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]])
+        cell_weight, rows = np.ones(3), np.arange(3)
+        if change == "cell_weight":
+            cell_weight[1] = 0.5
+        else:
+            rows = np.array([2, 1, 0])
+        plan = lifting._LiftPlan(None, np.ones(3, dtype=bool), 0, np.zeros((3, 3)), np.ones(2),
+                                 np.zeros(3))
+        cloud = WedgeCloud(plan, np.ones((3, 1)), table, cell_weight, rows)
+        assert not np.shares_memory(cloud.weights, table)
+        assert cloud.weights.tobytes() == (table[rows] * cell_weight[:, None]).tobytes()
+
     def test_rejects_weights_whose_product_overflows(self):
         with pytest.raises(ConfigError, match="^point weights must be finite$"):
             WedgeCloud(np.zeros((1, 3)), np.ones((1, 1)), np.array([[2.0]]),

@@ -711,6 +711,30 @@ class TestFactoredPrediction:
             assert dist.table.shape == (bins.n_bins + 1, bins.n_bins)
             assert dist.cell_weight.tobytes() == maps.non_sky.astype(np.float64).tobytes()
 
+    @pytest.mark.parametrize("noise", NOISE_MODELS, ids=lambda n: f"{n.kind}-{n.sigma_bins}")
+    def test_equal_bins_and_noise_share_one_read_only_table(self, mast_rig, corridor7, noise):
+        maps = render(corridor7, mast_rig, 32)
+        for predict, values, bins in ((predict_height_distribution, maps.height_above_ground,
+                                       self.BINS[0]),
+                                      (predict_depth_distribution, maps.depth, self.BINS[1])):
+            # equal specs built anew each time, as each config load builds them
+            dists = [predict(maps, BinSpec(**asdict(bins)), NoiseModel(**asdict(noise)))
+                     for _ in range(3)]
+            table = dists[0].table
+            assert all(dist.table is table for dist in dists)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+            # the rows the map held before it shared its table, gathered per cell
+            rows = _true_bin_map(values, maps.non_sky, bins, noise)
+            rows[~maps.non_sky] = bins.n_bins
+            own = np.vstack([_noise_table(bins, noise), np.full(bins.n_bins, 1.0 / bins.n_bins)])
+            for dist in dists:
+                assert dist.data.tobytes() == own[rows].tobytes()
+        other = predict_height_distribution(maps, self.BINS[0],
+                                            NoiseModel("gaussian_bin_blur", sigma_bins=2.5))
+        assert other.table is not table and other.table is not dists[0].table
+
     def test_bin_rule_runs_over_the_table_rows_only(self, monkeypatch, mast_rig, corridor7):
         seen, check = [], lifting._check_bin_weights
 
