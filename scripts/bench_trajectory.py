@@ -11,7 +11,11 @@ For a checkout of bevlift (this repository by default) it writes, as JSON:
 * the whole-process wall time of `render`, `lift` (csv, json and bin),
   `robustness` and `bench` on their committed configs, and the sha256
   of every file one run of each writes (but `bench.json`, which holds
-  timings), so two records show whether the artifacts' bits moved;
+  timings), so two records show whether the artifacts' bits moved.
+  With --parent DIR the same runs are made in the parent checkout DIR
+  too, alternating with the measured checkout repeat by repeat (the side
+  that runs first alternates as well), and recorded under "parent", so
+  the two sides' walls share the host's drift;
 * the wall time and pass count of the Tier-1 suite;
 * the numpy version and CPU count of the interpreter running it all.
 
@@ -21,7 +25,7 @@ Run the benchmark in the checkout first, for example
 
 then, from this repository,
 
-    python3 scripts/bench_trajectory.py --pr N [--checkout DIR] [--seeds 1 2 3]
+    python3 scripts/bench_trajectory.py --pr N [--checkout DIR] [--parent DIR] [--seeds 1 2 3]
 
 Every command runs with this interpreter, PYTHONPATH set to the
 checkout's src/, one after the other; the output goes to BENCH_<N>.json
@@ -102,27 +106,44 @@ def artifact_digests(out: Path) -> dict:
     }
 
 
-def cli_walls(checkout: Path) -> dict:
-    """Median whole-process wall time of each CLI run, and the digests of
-    the artifacts of its first run."""
-    out = {}
+def run_order(sides, repeats: int):
+    """(repeat, side) in the order the runs are made: every repeat runs
+    each side once, and the side that runs first alternates."""
+    for repeat in range(repeats):
+        for side in (sides if repeat % 2 == 0 else sides[::-1]):
+            yield repeat, side
+
+
+def run_cli(checkout: Path, command: str, config: str, flags) -> tuple[float, dict]:
+    """Wall time of one whole-process CLI run in checkout, and the digests
+    of the artifacts it wrote.  Exits when the run fails."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [sys.executable, "-m", "bevlift", command,
+                "--config", str(checkout / "configs" / config), "--out", tmp, *flags]
+        start = time.perf_counter()
+        done = subprocess.run(argv, cwd=checkout, env=_env(checkout),
+                              capture_output=True, text=True)
+        wall = time.perf_counter() - start
+        if done.returncode != 0:
+            raise SystemExit(f"{command} in {checkout} exited {done.returncode}: "
+                             f"{done.stderr.strip()}")
+        return wall, artifact_digests(Path(tmp))
+
+
+def cli_walls(checkouts: dict) -> dict:
+    """Per checkout (a name -> path mapping), the median whole-process wall
+    time of each CLI run and the digests of the artifacts of its first run.
+    The checkouts take turns run by run (see run_order)."""
+    out: dict = {name: {} for name in checkouts}
     for name, command, config, flags in CLI_RUNS:
-        walls = []
-        for _ in range(CLI_REPEATS):
-            with tempfile.TemporaryDirectory() as tmp:
-                argv = [sys.executable, "-m", "bevlift", command,
-                        "--config", str(checkout / "configs" / config),
-                        "--out", tmp, *flags]
-                start = time.perf_counter()
-                done = subprocess.run(argv, cwd=checkout, env=_env(checkout),
-                                      capture_output=True, text=True)
-                walls.append(time.perf_counter() - start)
-                if len(walls) == 1:
-                    digests = artifact_digests(Path(tmp))
-            if done.returncode != 0:
-                raise SystemExit(f"{name} exited {done.returncode}: {done.stderr.strip()}")
-        out[name] = {"median_s": statistics.median(walls), "runs_s": walls,
-                     "artifacts_sha256": digests}
+        walls: dict = {side: [] for side in checkouts}
+        for repeat, side in run_order(list(checkouts), CLI_REPEATS):
+            wall, digests = run_cli(checkouts[side], command, config, flags)
+            walls[side].append(wall)
+            if repeat == 0:
+                out[side][name] = {"artifacts_sha256": digests}
+        for side, runs in walls.items():
+            out[side][name].update(median_s=statistics.median(runs), runs_s=runs)
     return out
 
 
@@ -145,21 +166,30 @@ def tier1_wall(checkout: Path) -> dict:
     }
 
 
+def git_head(checkout: Path):
+    """The short commit hash of checkout's HEAD, or None outside git."""
+    head = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
+                          capture_output=True, text=True)
+    return head.stdout.strip() if head.returncode == 0 else None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="trajectory index N of BENCH_N.json")
     parser.add_argument("--checkout", type=Path, default=ROOT, help="bevlift checkout to measure")
     parser.add_argument("--commit", default=None, help="commit label (default: git HEAD)")
+    parser.add_argument("--parent", type=Path, default=None,
+                        help="parent checkout whose CLI runs alternate with the checkout's")
     parser.add_argument("--seeds", type=int, nargs="*", default=None,
                         help="only benchmark runs with these seeds")
     args = parser.parse_args(argv)
 
     checkout = args.checkout.resolve()
-    commit = args.commit
-    if commit is None:
-        head = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
-                              capture_output=True, text=True)
-        commit = head.stdout.strip() if head.returncode == 0 else None
+    commit = args.commit if args.commit is not None else git_head(checkout)
+    checkouts = {"checkout": checkout}
+    if args.parent is not None:
+        checkouts["parent"] = args.parent.resolve()
+    walls = cli_walls(checkouts)
     record = {
         "pr": args.pr,
         "commit": commit,
@@ -169,9 +199,12 @@ def main(argv=None) -> int:
             "cpu_count": os.cpu_count(),
         },
         "benchmark": benchmark_medians(checkout, set(args.seeds or ())),
-        "cli_wall": cli_walls(checkout),
+        "cli_wall": walls["checkout"],
         "tier1": tier1_wall(checkout),
     }
+    if args.parent is not None:
+        record["parent"] = {"commit": git_head(checkouts["parent"]),
+                            "cli_wall": walls["parent"]}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")

@@ -20,7 +20,12 @@ from bevlift.cli import main as cli_main
 from bevlift.geometry import load_rig
 from bevlift.io import error_report_table, table_rows, write_csv
 from bevlift.lifting import ContextMap, build_wedge, build_wedge_depth, fuse
-from bevlift.robustness import DisturbanceSpec, localization_error, scatter_overlap
+from bevlift.robustness import (
+    DisturbanceSpec,
+    disturbance_trials,
+    localization_error,
+    scatter_overlap,
+)
 from bevlift.rng import substream
 from bevlift.scene import (
     NoiseModel,
@@ -128,7 +133,8 @@ def main() -> None:
     rig = load_rig(ROOT / "configs" / "rig_default.json")
     scene = load_scene(ROOT / "configs" / "scenes" / "corridor_seed7.json")
 
-    overlap = scatter_overlap(scene, rig, DISTURBANCE)
+    trials = disturbance_trials(rig, DISTURBANCE)
+    overlap = scatter_overlap(scene, rig, trials)
     (GOLDEN / "overlap_seed7.json").write_text(json.dumps({
         "overlap_depth": overlap.overlap_depth,
         "overlap_height": overlap.overlap_height,
@@ -137,7 +143,7 @@ def main() -> None:
     }, indent=2, sort_keys=True) + "\n")
 
     report = localization_error(
-        scene, rig, HEIGHT_BINS, DEPTH_BINS, NOISE, DISTURBANCE, ROBUSTNESS_STRIDE
+        scene, rig, HEIGHT_BINS, DEPTH_BINS, NOISE, trials, ROBUSTNESS_STRIDE
     )
     header, columns = error_report_table(report)
     write_csv(GOLDEN / "errors_seed7.csv", header, table_rows(columns))

@@ -43,8 +43,10 @@ from .lifting import (
 )
 from .robustness import (
     DisturbanceSpec,
+    DisturbanceTrials,
     ErrorReport,
     OverlapReport,
+    disturbance_trials,
     height_error_law,
     localization_error,
     matched_surface_points,

@@ -17,6 +17,7 @@ record.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -41,6 +42,7 @@ from .geometry import CameraRig, rig_from_json_dict
 from .lifting import (
     ContextMap,
     DistributionMap,
+    _plan,
     build_wedge,
     build_wedge_depth,
     fuse,
@@ -50,6 +52,7 @@ from .robustness import (
     DEPTH_BIN_M,
     HEIGHT_BIN_M,
     DisturbanceSpec,
+    disturbance_trials,
     law_check,
     localization_error,
     scatter_overlap,
@@ -191,6 +194,18 @@ def _context_map(cfg: ExperimentConfig, maps, seed: int) -> ContextMap:
     return ContextMap(maps.width, maps.height, cfg.context_channels, data)
 
 
+def _build_lift_plans(cfg: ExperimentConfig) -> tuple[int, int]:
+    """Build the rig's height and depth lift plans on the config's feature
+    grid and return its (width, height).  A plan depends on the config
+    alone, so lifted positions that are not finite exit 2 before any
+    frame is rendered; the frames then reuse the plans."""
+    width = cfg.rig.intrinsics.image_w // cfg.sample_stride
+    height = cfg.rig.intrinsics.image_h // cfg.sample_stride
+    for kind, bins in (("height", cfg.height_bins), ("depth", cfg.depth_bins)):
+        _plan(kind, bins, cfg.rig, width, height, cfg.sample_stride)
+    return width, height
+
+
 def cmd_render(cfg: ExperimentConfig, args, meta: dict) -> dict:
     scene = _require_scene(cfg)
     maps = render(scene, cfg.rig, cfg.sample_stride)
@@ -223,6 +238,7 @@ def cmd_render(cfg: ExperimentConfig, args, meta: dict) -> dict:
 
 def cmd_lift(cfg: ExperimentConfig, args, meta: dict) -> dict:
     scene = _require_scene(cfg)
+    _build_lift_plans(cfg)
     maps = render(scene, cfg.rig, cfg.sample_stride)
     ctx = _context_map(cfg, maps, meta["seed"])
     dist_h = predict_height_distribution(maps, cfg.height_bins, cfg.noise)
@@ -257,7 +273,8 @@ def cmd_lift(cfg: ExperimentConfig, args, meta: dict) -> dict:
 def cmd_robustness(cfg: ExperimentConfig, args, meta: dict) -> dict:
     scene = _require_scene(cfg)
     out = Path(args.out)
-    overlap = scatter_overlap(scene, cfg.rig, cfg.disturbance)
+    trials = disturbance_trials(cfg.rig, cfg.disturbance)
+    overlap = scatter_overlap(scene, cfg.rig, trials)
     artio.write_json(out / "overlap.json", {**meta, **artio.overlap_report_dict(overlap)})
 
     clean = localization_error(
@@ -266,7 +283,7 @@ def cmd_robustness(cfg: ExperimentConfig, args, meta: dict) -> dict:
     )
     disturbed = localization_error(
         scene, cfg.rig, cfg.height_bins, cfg.depth_bins, cfg.noise,
-        cfg.disturbance, cfg.sample_stride,
+        trials, cfg.sample_stride,
     )
     for stem, report in (("errors_clean", clean), ("errors_disturbed", disturbed)):
         artio.write_table(out, stem, "csv", *artio.error_report_table(report), meta)
@@ -309,9 +326,7 @@ def cmd_bench(cfg: ExperimentConfig, args, meta: dict) -> dict:
     repeat lifts a fresh cloud and pools it, so pool_seconds includes
     forming the cloud's per-point weights, as a new frame does.
     """
-    intr = cfg.rig.intrinsics
-    width = intr.image_w // cfg.sample_stride
-    height = intr.image_h // cfg.sample_stride
+    width, height = _build_lift_plans(cfg)
     rng = substream(meta["seed"], _CTX_STREAM)
     ctx = ContextMap(
         width, height, cfg.context_channels,
@@ -340,7 +355,7 @@ def cmd_bench(cfg: ExperimentConfig, args, meta: dict) -> dict:
             lambda: pool(builder(fused, bins, replace(cfg.rig), cfg.sample_stride), cfg.bev_grid),
             cfg.bench_repeats,
         )
-        # Builds the plan and its BEV index, so the repeats below are per frame.
+        # Builds the plan's BEV index, so the repeats below are per frame.
         pool(builder(fused, bins, cfg.rig, cfg.sample_stride), cfg.bev_grid)
         t_lift = t_pool = float("inf")
         for _ in range(cfg.bench_repeats):
@@ -372,7 +387,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: main runs once per
+    command, and a caller such as a test or a benchmark runs it many times."""
     parser = argparse.ArgumentParser(
         prog="bevlift",
         description="height-lift geometry engine and analysis runner",

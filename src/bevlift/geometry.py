@@ -62,7 +62,13 @@ def _as_matrix(value, shape, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Intrinsics:
-    """Pinhole camera intrinsics in pixels."""
+    """Pinhole camera intrinsics in pixels.
+
+    _grids holds the indexed rays of a render grid (see scene._grid_rays):
+    they depend on the intrinsics and the stride only, so every pose of
+    one camera shares them, and a copy made by dataclasses.replace starts
+    without any.
+    """
 
     fx: float
     fy: float
@@ -70,6 +76,7 @@ class Intrinsics:
     cy: float
     image_w: int
     image_h: int
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         config_floats(self, "fx", "fy", "cx", "cy")

@@ -280,14 +280,16 @@ class WedgeCloud:
     @cached_property
     def weights(self) -> np.ndarray:
         """Per-point weights, (n_points,): each source cell's table row times
-        its cell weight, built on first read and kept, read-only.  When each
-        source cell has its own row (rows is the identity) and every cell
-        weight is exactly 1.0, as for a map built by hand from dense data,
-        that is the table itself (x * 1.0 is x), read back as a view."""
+        its cell weight, built on first read and kept, read-only.  When the
+        source cells read consecutive rows (rows is one contiguous range, as
+        for a map built by hand from dense data, whose height plan may skip
+        the cells above the horizon) and every cell weight is exactly 1.0,
+        that is a slice of the table (x * 1.0 is x), read back as a view."""
         m = self.rows.size
-        if (self.table.shape[0] == m and np.all(self.cell_weight == 1.0)
-                and np.array_equal(self.rows, np.arange(m))):
-            weights = self.table.reshape(-1)
+        first = self.rows[0] if m else 0
+        if (m and np.all(self.cell_weight == 1.0)
+                and np.array_equal(self.rows, np.arange(first, first + m))):
+            weights = self.table[first:first + m].reshape(-1)
         else:
             weights = self.table[self.rows]
             weights *= self.cell_weight[:, None]

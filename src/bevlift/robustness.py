@@ -5,7 +5,9 @@ Disturbances rotate the camera about its own optical axis (roll) and
 lateral axis (pitch) while keeping the optical center fixed, the way a
 pole-mounted camera drifts without leaving its mount.  Angles are sampled
 from independent zero-mean normals in degrees, one reproducible substream
-per trial.
+per trial.  disturbance_trials builds each trial's perturbed rig once, and
+both studies take those rigs: every rig of a run shares the clean rig's
+intrinsics, and with them the memoized rays of its render grid.
 
 The scatter study mirrors a row-coordinate-versus-value view of the
 scene: for each rig it renders the scene and collects (v, depth) and
@@ -110,6 +112,27 @@ def sample_disturbances(spec: DisturbanceSpec) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class DisturbanceTrials:
+    """The trials of a disturbance plan: the (n_trials, 2) (roll_deg,
+    pitch_deg) draws and, per trial, the rig they perturb the clean rig
+    to."""
+
+    angles: np.ndarray
+    rigs: tuple[CameraRig, ...]
+
+
+def disturbance_trials(rig: CameraRig, spec: DisturbanceSpec) -> DisturbanceTrials:
+    """Each trial's perturbed rig, built once, for both studies of a run.
+
+    The rigs live as long as the returned trials and are memoized nowhere
+    else: a rig holds its own lift plans once lifted."""
+    angles = sample_disturbances(spec)
+    angles.flags.writeable = False
+    rigs = tuple(perturb_rig(rig, roll, pitch) for roll, pitch in angles)
+    return DisturbanceTrials(angles, rigs)
+
+
 def _pixel_observations(scene: Scene, rig: CameraRig, sample_stride: int):
     maps = render(scene, rig, sample_stride)
     mask = maps.non_sky
@@ -160,15 +183,15 @@ class OverlapReport:
 
 
 def scatter_overlap(
-    scene: Scene, rig: CameraRig, spec: DisturbanceSpec, sample_stride: int = 16
+    scene: Scene, rig: CameraRig, trials: DisturbanceTrials, sample_stride: int = 16
 ) -> OverlapReport:
     """Clean-versus-perturbed overlap of (v, depth) and (v, height) scatters.
 
     For every trial the scene is rendered through the clean rig and the
-    perturbed one; each parameterization's overlap is the intersection of
-    the two normalized 2D histograms over non-sky pixels.  Heights keep
-    occupying the same band of cells in every image column, while the
-    depth-versus-row curve moves with the rig.
+    trial's perturbed one; each parameterization's overlap is the
+    intersection of the two normalized 2D histograms over non-sky pixels.
+    Heights keep occupying the same band of cells in every image column,
+    while the depth-versus-row curve moves with the rig.
     """
     v0, d0, h0 = _pixel_observations(scene, rig, sample_stride)
     if v0.size == 0:
@@ -176,13 +199,11 @@ def scatter_overlap(
     p_depth = _hist_cells(v0, d0, DEPTH_BIN_M)
     p_height = _hist_cells(v0, h0, HEIGHT_BIN_M)
 
-    angles = sample_disturbances(spec)
-    od = np.empty(spec.n_trials)
-    oh = np.empty(spec.n_trials)
-    for k, (roll, pitch) in enumerate(angles):
-        v1, d1, h1 = _pixel_observations(
-            scene, perturb_rig(rig, roll, pitch), sample_stride
-        )
+    angles = trials.angles
+    od = np.empty(len(trials.rigs))
+    oh = np.empty(len(trials.rigs))
+    for k, rig_t in enumerate(trials.rigs):
+        v1, d1, h1 = _pixel_observations(scene, rig_t, sample_stride)
         if v1.size == 0:
             raise NoVisibleObjects(f"trial {k} renders no non-sky pixel")
         q_depth = _hist_cells(v1, d1, DEPTH_BIN_M)
@@ -281,15 +302,16 @@ def localization_error(
     height_bins: BinSpec,
     depth_bins: BinSpec,
     noise: NoiseModel,
-    disturbance: DisturbanceSpec | None = None,
+    trials: DisturbanceTrials | None = None,
     sample_stride: int = 16,
 ) -> ErrorReport:
     """Camera-origin distance error of each object's center estimate.
 
-    Per trial the scene is rendered from the (possibly perturbed) rig,
-    every non-sky pixel is binned under the noise model, and every
-    object's center is estimated as the mean of its pixels each lifted at
-    its expected height or depth.  The reference for an object is the
+    Per trial the scene is rendered from the trial's perturbed rig (one
+    trial from the clean rig when trials is None; trials are perturbations
+    of rig, see disturbance_trials), every non-sky pixel is binned under
+    the noise model, and every object's center is estimated as the mean of
+    its pixels each lifted at its expected height or depth.  The reference for an object is the
     camera distance of the exact surface centroid over the same pixels, so
     a noiseless run errs only by bin quantization.  Raises AboveCamera when
     a height bin reaches the camera, OutOfRange when a rendered value
@@ -304,11 +326,10 @@ def localization_error(
         raise AboveCamera("height bins reach the camera center height")
     table_h = _noise_table(height_bins, noise)
     table_d = _noise_table(depth_bins, noise)
-    angle_list = np.zeros((1, 2)) if disturbance is None else sample_disturbances(disturbance)
+    rigs = (rig,) if trials is None else trials.rigs
 
     trial_columns = []
-    for roll, pitch in angle_list:
-        rig_t = rig if disturbance is None else perturb_rig(rig, roll, pitch)
+    for rig_t in rigs:
         maps = render(scene, rig_t, sample_stride)
         paths = (
             ("height", lift_many_height,
@@ -321,10 +342,10 @@ def localization_error(
     objects, params, errors, d_ref, n_px = map(np.concatenate, zip(*trial_columns))
     if errors.size == 0:
         raise NoVisibleObjects("no object rendered any pixels in any trial")
-    trials = np.repeat(np.arange(len(angle_list)), [c[0].size for c in trial_columns])
-    return ErrorReport(trials, objects, params, errors, d_ref, n_px,
+    trial = np.repeat(np.arange(len(rigs)), [c[0].size for c in trial_columns])
+    return ErrorReport(trial, objects, params, errors, d_ref, n_px,
                        camera_height_m=rig.ground_height_H, noise_kind=noise.kind,
-                       disturbed=disturbance is not None)
+                       disturbed=trials is not None)
 
 
 def height_error_law(d, delta_h, H: float, h):

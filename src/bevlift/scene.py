@@ -6,10 +6,10 @@ the ground and the boxes and keeps the nearest hit, producing per-pixel
 depth (camera-frame z), height above ground (ego z), and the kind of
 surface hit.  Boxes are tested in one vectorized slab pass over candidate
 (box, ray) pairs, the rays inside each box's projected rectangle found by
-a range search on the rays sorted by v.  On a tie the lower box index
-wins, and the ground wins over a box.  Ground is only sensed inside the
-scene extent, mirroring a bounded sensing range; rays that miss
-everything are sky.  Because the pixel reference point has camera depth
+a range search over the rows (distinct v) and then the columns (distinct
+u) of the rays.  On a tie the lower box index wins, and the ground wins
+over a box.  Ground is only sensed inside the scene extent, mirroring a
+bounded sensing range; rays that miss everything are sky.  Because the pixel reference point has camera depth
 1, the ray parameter of a hit IS its depth, and heights come directly
 from ego z - no learned model is involved anywhere.
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +40,7 @@ from .errors import (
     config_seed,
     read_config_file,
 )
-from .geometry import Box3D, CameraRig, pixel_to_ref_cam, project_ego
+from .geometry import Box3D, CameraRig, Intrinsics, pixel_to_ref_cam, project_ego
 from .lifting import DistributionMap, _check_bin_weights, cell_pixel_centers
 from .rng import substream
 
@@ -72,12 +72,18 @@ def _extent(x_min, x_max, y_min, y_max):
 @dataclass(frozen=True)
 class Scene:
     """Boxes on a ground plane, bounded by an (x_min, x_max, y_min, y_max)
-    extent; rng_seed records the generator draw that produced it."""
+    extent; rng_seed records the generator draw that produced it.
+
+    The constructor derives _frames, the read-only (centers, cos, sin,
+    half sizes, corners) arrays of every box that each render reads (see
+    _box_frames), so a scene computes them once whatever the number of
+    poses it is rendered from."""
 
     boxes: tuple[Box3D, ...]
     extent: tuple[float, float, float, float]
     rng_seed: int = 0
     template: str = ""
+    _frames: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.extent, (tuple, list)) or len(self.extent) != 4:
@@ -99,15 +105,16 @@ class Scene:
         # Finite fields can still place a corner so far out that the render
         # arithmetic (projection, slab divisions) overflows; the squared
         # distance of such a corner from the ego origin overflows first.
-        if self.boxes:
-            with np.errstate(over="ignore"):
-                reach = np.sum(_box_corners(*_box_frames(self.boxes)) ** 2, axis=(1, 2))
-            far = np.flatnonzero(~np.isfinite(reach))
-            if far.size:
-                raise ConfigError(
-                    f"boxes[{far[0]}].corners must have a finite squared distance "
-                    "from the ego origin"
-                )
+        frames = _box_frames(self.boxes)
+        with np.errstate(over="ignore"):
+            reach = np.sum(frames[-1] ** 2, axis=(1, 2))
+        far = np.flatnonzero(~np.isfinite(reach))
+        if far.size:
+            raise ConfigError(
+                f"boxes[{far[0]}].corners must have a finite squared distance "
+                "from the ego origin"
+            )
+        object.__setattr__(self, "_frames", frames)
 
     def to_json_dict(self) -> dict:
         return {
@@ -258,11 +265,16 @@ class PixelMaps:
 
 
 def _box_frames(boxes: Sequence[Box3D]):
-    centers = np.array([[b.x, b.y, b.z] for b in boxes])
-    cos = np.cos([b.theta for b in boxes])
-    sin = np.sin([b.theta for b in boxes])
-    half = np.array([[b.l, b.w, b.h] for b in boxes]) * 0.5
-    return centers, cos, sin, half
+    """(centers, cos, sin, half sizes, corners) of the boxes, read-only:
+    (n, 3), (n,), (n,), (n, 3) and the (n, 8, 3) Box3D.corners."""
+    centers = np.array([[b.x, b.y, b.z] for b in boxes], dtype=np.float64).reshape(-1, 3)
+    cos = np.cos(np.array([b.theta for b in boxes], dtype=np.float64))
+    sin = np.sin(np.array([b.theta for b in boxes], dtype=np.float64))
+    half = np.array([[b.l, b.w, b.h] for b in boxes], dtype=np.float64).reshape(-1, 3) * 0.5
+    frames = (centers, cos, sin, half, _box_corners(centers, cos, sin, half))
+    for arr in frames:
+        arr.flags.writeable = False
+    return frames
 
 
 # Corner signs of a box in its own frame, in units of the half sizes.
@@ -279,74 +291,118 @@ def _box_corners(centers, cos_t, sin_t, half) -> np.ndarray:
     return np.stack([x, y, local[..., 2]], axis=-1) + centers[:, None, :]
 
 
-def _box_ray_pairs(centers, cos_t, sin_t, half, us, vs, rig: CameraRig):
+@dataclass(frozen=True)
+class _Rays:
+    """Pixel coordinates to cast rays through, indexed for the box range
+    search; every array is read-only.
+
+    ref_cam holds each ray's pixel_to_ref_cam reference point.  u_levels
+    and v_levels are the distinct u and v coordinates, ascending: the
+    columns and rows of the rays.  order lists the rays by (row, column)
+    and keys holds, in that order, each ray's row * len(u_levels) +
+    column, so the rays of one row between two columns are one range of
+    keys.  A render grid's rays are in that order already: order and keys
+    are then both arange."""
+
+    ref_cam: np.ndarray
+    u_levels: np.ndarray
+    v_levels: np.ndarray
+    order: np.ndarray
+    keys: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.ref_cam, self.u_levels, self.v_levels, self.order, self.keys):
+            arr.flags.writeable = False
+
+
+def _rays(us: np.ndarray, vs: np.ndarray, intrinsics: Intrinsics) -> _Rays:
+    """The indexed rays through the pixel coordinates (us, vs), 1-D."""
+    u_levels, column = np.unique(us, return_inverse=True)
+    v_levels, row = np.unique(vs, return_inverse=True)
+    keys = row * u_levels.size + column
+    order = np.argsort(keys, kind="stable")
+    return _Rays(pixel_to_ref_cam(us, vs, intrinsics), u_levels, v_levels, order, keys[order])
+
+
+def _grid_rays(intrinsics: Intrinsics, stride: int) -> _Rays:
+    """The indexed rays of the render grid at stride, memoized on the
+    intrinsics (Intrinsics._grids): every pose of one camera shares them.
+    The memo holds one grid, replaced when the stride changes, because a
+    grid at stride 1 takes tens of megabytes."""
+    rays = intrinsics._grids.get(stride)
+    if rays is None:
+        width, height = intrinsics.image_w // stride, intrinsics.image_h // stride
+        uu, vv = cell_pixel_centers(width, height, stride)
+        index = np.arange(uu.size)
+        # The grid's columns are the u of its first row, its rows the v of
+        # its first column (none when the stride leaves no cell).
+        rays = _Rays(pixel_to_ref_cam(uu.ravel(), vv.ravel(), intrinsics),
+                     uu[:1].ravel().copy(), vv[:, :1].ravel(), index, index)
+        intrinsics._grids.clear()
+        intrinsics._grids[stride] = rays
+    return rays
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ranges [start, start + count), in order."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
+def _box_ray_pairs(corners: np.ndarray, rays: _Rays, rig: CameraRig):
     """The (box, ray) index pairs whose ray can hit the box, box-major.
 
     A ray hits a box only through a point inside it; when every corner of
     the box lies in front of the camera, that point projects inside the
     convex hull of the projected corners, hence inside their bounding
     rectangle.  The rectangle is padded by 1 px against rounding.  A box
-    with a corner at or behind the camera plane gets every ray.  Rays
-    sorted by v give each box its rows by a range search; its columns are
-    then tested pair by pair, with the same comparisons as a full scan.
+    with a corner at or behind the camera plane gets every ray.  A range
+    search over the distinct v gives each box its rows (v_lo <= v <= v_hi),
+    one over the distinct u its columns (u_lo <= u <= u_hi), and one over
+    the keys the rays of each (box, row) run: the pairs a full scan with
+    those comparisons keeps, and no other.
     """
-    corners = _box_corners(centers, cos_t, sin_t, half)
     cu, cv, depth, _ = project_ego(corners, rig.intrinsics, rig.extrinsics)
     front = np.all(depth > 0, axis=1)
     u_lo, u_hi = cu.min(axis=1) - 1.0, cu.max(axis=1) + 1.0
     v_lo, v_hi = cv.min(axis=1) - 1.0, cv.max(axis=1) + 1.0
     u_lo[~front] = v_lo[~front] = -np.inf
     u_hi[~front] = v_hi[~front] = np.inf
-    order = np.argsort(vs, kind="stable")
-    v_sorted = vs[order]
-    start = np.searchsorted(v_sorted, v_lo, "left")
-    counts = np.searchsorted(v_sorted, v_hi, "right") - start
-    box = np.repeat(np.arange(len(counts)), counts)
-    # A pair's place in order: its box's start plus its rank in the box's run.
-    ray = order[np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)]
-    keep = (us[ray] >= u_lo[box]) & (us[ray] <= u_hi[box])
-    return box[keep], ray[keep]
+    row_lo = np.searchsorted(rays.v_levels, v_lo, "left")
+    n_rows = np.searchsorted(rays.v_levels, v_hi, "right") - row_lo
+    col_lo = np.searchsorted(rays.u_levels, u_lo, "left")
+    col_hi = np.searchsorted(rays.u_levels, u_hi, "right")
+    run_box = np.repeat(np.arange(len(corners)), n_rows)
+    run_key = _ranges(row_lo, n_rows) * rays.u_levels.size
+    start = np.searchsorted(rays.keys, run_key + col_lo[run_box], "left")
+    counts = np.searchsorted(rays.keys, run_key + col_hi[run_box], "left") - start
+    return np.repeat(run_box, counts), rays.order[_ranges(start, counts)]
 
 
-def cast_rays(scene: Scene, rig: CameraRig, us, vs):
-    """Cast rays through arbitrary pixel coordinates.
-
-    Returns (depth, height, hit_kind) arrays shaped like the input.  The
-    ray direction keeps camera z = 1, so the nearest-hit parameter equals
-    camera depth directly.  One slab test runs over all candidate pairs of
-    _box_ray_pairs; each ray keeps its nearest box hit, the lowest box
-    index on a tie, when strictly nearer than the ground: bit for bit a
-    box-by-box loop keeping each hit with t < best over every ray.
-    """
-    us = np.asarray(us, dtype=np.float64)
-    vs = np.asarray(vs, dtype=np.float64)
-    shape = us.shape
-    us, vs = us.ravel(), vs.ravel()
-    ref_cam = pixel_to_ref_cam(us, vs, rig.intrinsics)
-    dirs = ref_cam @ rig.extrinsics.rotation  # camera->ego rotation applied
+def _cast(scene: Scene, rig: CameraRig, rays: _Rays):
+    """(depth, height, hit_kind) of each ray, 1-D; see cast_rays."""
+    dirs = rays.ref_cam @ rig.extrinsics.rotation  # camera->ego rotation applied
     origin = rig.camera_center
 
-    # Ground plane z = 0, sensed only inside the scene extent.
-    dz = dirs[:, 2]
+    # Ground plane z = 0, sensed only inside the scene extent.  best_t
+    # starts as the ground's ray parameter; each pass writes in place.
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_ground = -origin[2] / dz
-        gx = origin[0] + t_ground * dirs[:, 0]
-        gy = origin[1] + t_ground * dirs[:, 1]
+        best_t = np.divide(-origin[2], dirs[:, 2])
+    ground = np.isfinite(best_t)
+    ground &= best_t > _RAY_T_MIN
+    reach = np.empty_like(best_t)
     x_min, x_max, y_min, y_max = scene.extent
-    ground_ok = (
-        (t_ground > _RAY_T_MIN)
-        & np.isfinite(t_ground)
-        & (gx >= x_min)
-        & (gx <= x_max)
-        & (gy >= y_min)
-        & (gy <= y_max)
-    )
-    best_t = np.where(ground_ok, t_ground, np.inf)
-    kind = np.where(ground_ok, HIT_GROUND, HIT_SKY)
+    for axis, lo, hi in ((0, x_min, x_max), (1, y_min, y_max)):
+        with np.errstate(invalid="ignore"):
+            np.multiply(best_t, dirs[:, axis], out=reach)
+        reach += origin[axis]
+        ground &= reach >= lo
+        ground &= reach <= hi
+    kind = np.where(ground, HIT_GROUND, HIT_SKY)
+    best_t[~ground] = np.inf
 
     if scene.boxes:
-        centers, cos_t, sin_t, half = _box_frames(scene.boxes)
-        box, ray = _box_ray_pairs(centers, cos_t, sin_t, half, us, vs, rig)
+        centers, cos_t, sin_t, half, corners = scene._frames
+        box, ray = _box_ray_pairs(corners, rays, rig)
         # The ray origin per box and each pair's direction in the box frame
         # (undo the yaw), and per box the slab faces relative to the origin.
         rel = origin - centers
@@ -367,30 +423,51 @@ def cast_rays(scene: Scene, rig: CameraRig, us, vs):
         hit = (t_near <= t_far) & (t_far > _RAY_T_MIN)
         t_hit = np.where(t_near > _RAY_T_MIN, t_near, t_far)[hit]
         box, ray = box[hit], ray[hit]
-        box_t, first = np.full(len(us), np.inf), np.full(len(us), len(centers))
+        box_t, first = np.full(len(best_t), np.inf), np.full(len(best_t), len(centers))
         np.minimum.at(box_t, ray, t_hit)
         nearest = t_hit == box_t[ray]
         np.minimum.at(first, ray[nearest], box[nearest])
         better = box_t < best_t
-        best_t = np.where(better, box_t, best_t)
-        kind = np.where(better, first + 1, kind)
+        np.copyto(best_t, box_t, where=better)
+        first += 1
+        np.copyto(kind, first, where=better)
 
     sky = ~np.isfinite(best_t)
-    depth = np.where(sky, np.nan, best_t)
     with np.errstate(invalid="ignore"):  # inf * 0 on discarded sky lanes
-        height = np.where(sky, np.nan, origin[2] + best_t * dirs[:, 2])
-    return depth.reshape(shape), height.reshape(shape), kind.reshape(shape)
+        height = np.multiply(best_t, dirs[:, 2])
+    height += origin[2]
+    best_t[sky] = height[sky] = np.nan
+    return best_t, height, kind
+
+
+def cast_rays(scene: Scene, rig: CameraRig, us, vs):
+    """Cast rays through arbitrary pixel coordinates.
+
+    Returns (depth, height, hit_kind) arrays shaped like the input.  The
+    ray direction keeps camera z = 1, so the nearest-hit parameter equals
+    camera depth directly.  One slab test runs over all candidate pairs of
+    _box_ray_pairs; each ray keeps its nearest box hit, the lowest box
+    index on a tie, when strictly nearer than the ground: bit for bit a
+    box-by-box loop keeping each hit with t < best over every ray.
+    """
+    us = np.asarray(us, dtype=np.float64)
+    vs = np.asarray(vs, dtype=np.float64)
+    shape = us.shape
+    hits = _cast(scene, rig, _rays(us.ravel(), vs.ravel(), rig.intrinsics))
+    return tuple(a.reshape(shape) for a in hits)
 
 
 def render(scene: Scene, rig: CameraRig, sample_stride: int = 1) -> PixelMaps:
-    """Render the scene on a regular pixel grid at the given stride."""
+    """Render the scene on a regular pixel grid at the given stride; the
+    grid's rays are built once per camera and stride (see _grid_rays)."""
     if sample_stride < 1:
         raise ConfigError("sample_stride must be >= 1")
     width = rig.intrinsics.image_w // sample_stride
     height = rig.intrinsics.image_h // sample_stride
-    uu, vv = cell_pixel_centers(width, height, sample_stride)
-    depth, hag, kind = cast_rays(scene, rig, uu, vv)
-    return PixelMaps(width, height, depth, hag, kind, sample_stride)
+    depth, hag, kind = _cast(scene, rig, _grid_rays(rig.intrinsics, sample_stride))
+    shape = (height, width)
+    return PixelMaps(width, height, depth.reshape(shape), hag.reshape(shape),
+                     kind.reshape(shape), sample_stride)
 
 
 @dataclass(frozen=True)
@@ -461,13 +538,16 @@ def _kernel_spread(sigma_bins: float) -> np.float64:
         return 2.0 * np.float64(sigma_bins) ** 2
 
 
+@functools.lru_cache(maxsize=4)
 def _noise_table(bins: BinSpec, noise: NoiseModel) -> np.ndarray:
     """The (n_bins, n_bins) table whose row i is the predicted distribution
     of a cell whose true bin is i: a normalized Gaussian kernel for
     gaussian_bin_blur with sigma_bins > 0, else the identity.  A sigma_bins
     so small that every off-diagonal quotient overflows gives the identity
     too, silently.  It is checked here under DistributionMap's rules, so
-    rows gathered from it are valid distributions.
+    rows gathered from it are valid distributions.  Read-only and memoized
+    for the last few (bins, noise) pairs, as _predicted_table is, so the
+    studies of one run build each table once.
 
     The kernel is evaluated once per offset |i - j| and gathered: the
     squared difference of two small whole numbers is exact, so each entry
@@ -483,6 +563,7 @@ def _noise_table(bins: BinSpec, noise: NoiseModel) -> np.ndarray:
     else:
         table = np.eye(n)
     _check_bin_weights(table)
+    table.flags.writeable = False
     return table
 
 

@@ -4,7 +4,12 @@ from pathlib import Path
 
 from bevlift.binning import BinSpec
 from bevlift.geometry import load_rig
-from bevlift.robustness import DisturbanceSpec, localization_error, scatter_overlap
+from bevlift.robustness import (
+    DisturbanceSpec,
+    disturbance_trials,
+    localization_error,
+    scatter_overlap,
+)
 from bevlift.scene import NoiseModel, load_scene
 
 settings.register_profile(
@@ -52,18 +57,25 @@ def corridor13():
 
 
 @pytest.fixture(scope="session")
-def overlap_seed7(corridor7, mast_rig):
-    """The committed 100-trial scatter overlap study (shared by the golden
-    comparison and the acceptance gate)."""
-    return scatter_overlap(corridor7, mast_rig, EXPERIMENT_DISTURBANCE)
+def experiment_trials(mast_rig):
+    """The perturbed rigs of the committed disturbance plan, which both
+    studies of a run share."""
+    return disturbance_trials(mast_rig, EXPERIMENT_DISTURBANCE)
 
 
 @pytest.fixture(scope="session")
-def disturbed_errors_seed7(corridor7, mast_rig):
+def overlap_seed7(corridor7, mast_rig, experiment_trials):
+    """The committed 100-trial scatter overlap study (shared by the golden
+    comparison and the acceptance gate)."""
+    return scatter_overlap(corridor7, mast_rig, experiment_trials)
+
+
+@pytest.fixture(scope="session")
+def disturbed_errors_seed7(corridor7, mast_rig, experiment_trials):
     """The committed 100-trial disturbed localization run (slowest shared
     computation in the suite; built once)."""
     return localization_error(
         corridor7, mast_rig,
         EXPERIMENT_HEIGHT_BINS, EXPERIMENT_DEPTH_BINS, EXPERIMENT_NOISE,
-        EXPERIMENT_DISTURBANCE, EXPERIMENT_STRIDE,
+        experiment_trials, EXPERIMENT_STRIDE,
     )

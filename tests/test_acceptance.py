@@ -18,7 +18,6 @@ import pytest
 
 from conftest import (
     EXPERIMENT_DEPTH_BINS,
-    EXPERIMENT_DISTURBANCE,
     EXPERIMENT_HEIGHT_BINS,
     EXPERIMENT_NOISE,
     EXPERIMENT_STRIDE,
@@ -310,7 +309,7 @@ def test_height_path_emits_fewer_points_and_benches_faster(mast_rig, tmp_path):
 
 
 def test_disturbed_height_medians_beat_depth_on_all_scenes(
-    request, mast_rig, intersection11, corridor13
+    request, mast_rig, intersection11, corridor13, experiment_trials
 ):
     """Under noisy truth-conditioned predictions and roll+pitch
     disturbance, median localization error of the height path stays below
@@ -321,7 +320,7 @@ def test_disturbed_height_medians_beat_depth_on_all_scenes(
         reports[name] = localization_error(
             scene, mast_rig,
             EXPERIMENT_HEIGHT_BINS, EXPERIMENT_DEPTH_BINS, EXPERIMENT_NOISE,
-            EXPERIMENT_DISTURBANCE, EXPERIMENT_STRIDE,
+            experiment_trials, EXPERIMENT_STRIDE,
         )
     margins = []
     for name, report in reports.items():

@@ -56,3 +56,37 @@ def test_artifact_digests_cover_every_file_but_bench_json(tmp_path):
         "sub/wedge.btf": hashlib.sha256(b"BTF1\x00").hexdigest(),
     }
     assert list(got) == sorted(got)
+
+
+def test_run_order_alternates_the_side_that_runs_first():
+    module = _bench_trajectory()
+    assert list(module.run_order(["checkout", "parent"], 4)) == [
+        (0, "checkout"), (0, "parent"), (1, "parent"), (1, "checkout"),
+        (2, "checkout"), (2, "parent"), (3, "parent"), (3, "checkout"),
+    ]
+    assert list(module.run_order(["checkout"], 2)) == [(0, "checkout"), (1, "checkout")]
+
+
+def test_cli_walls_alternate_checkouts_run_by_run(monkeypatch):
+    module = _bench_trajectory()
+    calls = []
+
+    def fake_run(checkout, command, config, flags):
+        calls.append((checkout.name, command, tuple(flags)))
+        return float(len(calls)), {"f": checkout.name}
+
+    monkeypatch.setattr(module, "run_cli", fake_run)
+    monkeypatch.setattr(module, "CLI_REPEATS", 3)
+    got = module.cli_walls({"checkout": Path("new"), "parent": Path("old")})
+    runs = [(name, command, tuple(flags)) for name, command, _, flags in module.CLI_RUNS]
+    assert calls == [
+        (side, command, flags)
+        for _, command, flags in runs
+        for side in ("new", "old", "old", "new", "new", "old")
+    ]
+    first = got["checkout"][runs[0][0]]
+    assert first["runs_s"] == [1.0, 4.0, 5.0] and first["median_s"] == 4.0
+    assert got["parent"][runs[0][0]]["runs_s"] == [2.0, 3.0, 6.0]
+    assert {side: got[side][runs[-1][0]]["artifacts_sha256"] for side in got} == {
+        "checkout": {"f": "new"}, "parent": {"f": "old"},
+    }

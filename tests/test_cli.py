@@ -9,6 +9,7 @@ import pytest
 
 import bevlift.cli as cli
 import bevlift.robustness as robustness
+import bevlift.scene as scene_module
 from bevlift.bevpool import GridSpec
 from bevlift.binning import BinSpec
 from bevlift.cli import config_hash, load_config, main
@@ -527,6 +528,26 @@ class TestExitCodes:
         assert err["error"] == "ConfigError" and err["message"].startswith(message)
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["lift", "bench"])
+    def test_lifted_positions_that_overflow_exit_2_before_rendering(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # A height bin so far below the ground that its lifted points
+        # overflow; every rendered height still fits the range.
+        height_bins = {"strategy": "UD", "n_bins": 2, "range_min": -1e308, "range_max": 3.6}
+        path = write_config(tmp_path, height_bins=height_bins)
+        rendered = []
+        monkeypatch.setattr(cli, "render", lambda *args: rendered.append(args))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(path), "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(lines) == 1 and caught == [] and rendered == []
+        assert json.loads(lines[0]) == {"error": "ConfigError",
+                                        "message": "lifted positions must be finite"}
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("command", ["lift", "robustness"])
     def test_default_height_bins_hold_the_committed_scene(self, tmp_path, capsys, command):
         # Every surface of the committed corridor, boxes included, lies
@@ -910,6 +931,26 @@ class TestRobustnessCommand:
         assert {r[0] for r in rows} == {"0", "1"}
         _, _, law = read_csv(out / "law_check.csv")
         assert len(law) == 27  # 3 columns x 3 heights x 3 biases
+
+    def test_each_trial_rig_and_noise_table_is_built_once(self, tmp_path, monkeypatch):
+        # Both studies share each trial's perturbed rig, and the two
+        # localization runs share the height and depth noise tables.
+        perturbed = []
+        perturb = robustness.perturb_rig
+
+        def spy_perturb(rig, roll, pitch):
+            perturbed.append([roll, pitch])
+            return perturb(rig, roll, pitch)
+
+        monkeypatch.setattr(robustness, "perturb_rig", spy_perturb)
+        scene_module._noise_table.cache_clear()
+        disturbance = {**BASE_CONFIG["disturbance"], "n_trials": 3}
+        path = write_config(tmp_path, scene=CLOSE_BOXES_SCENE, sample_stride=16,
+                            disturbance=disturbance)
+        assert main(["robustness", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        angles = robustness.sample_disturbances(DisturbanceSpec(**disturbance))
+        assert perturbed == angles.tolist()
+        assert scene_module._noise_table.cache_info().misses == 2
 
     def test_law_check_lifts_its_probes_in_two_calls(self, tmp_path, monkeypatch):
         # One lift_many_height call at the true heights and one at the

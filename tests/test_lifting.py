@@ -626,6 +626,24 @@ class TestWedgeCloud:
             assert weights.tobytes() == cloud.table.tobytes()
             assert not weights.flags.writeable and cloud.table.flags.writeable
 
+    def test_consecutive_rows_with_unit_cell_weights_read_back_a_table_slice(self):
+        # A dense map built by hand on a level rig: the height plan skips the
+        # cells above the horizon, so the source cells read one contiguous
+        # range of rows that starts past the first.
+        rng = np.random.default_rng(8)
+        width, height, stride = INTR_1000.image_w // 64, INTR_1000.image_h // 64, 64
+        raw = rng.random((height, width, 5))
+        dist = DistributionMap(width, height, 5, raw / raw.sum(-1, keepdims=True))
+        ctx = ContextMap(width, height, 2, rng.normal(size=(height, width, 2)))
+        cloud = build_wedge(fuse(ctx, dist), BinSpec("UD", 5, 0.0, 2.0), level_rig(), stride)
+        rows = cloud.rows
+        assert cloud.skipped_cells > 0 and rows[0] > 0
+        assert np.array_equal(rows, np.arange(rows[0], rows[0] + rows.size))
+        gathered = (cloud.table[rows] * cloud.cell_weight[:, None]).reshape(-1)
+        assert np.shares_memory(cloud.weights, cloud.table)
+        assert cloud.weights.tobytes() == gathered.tobytes()
+        assert not cloud.weights.flags.writeable
+
     @pytest.mark.parametrize("change", ["cell_weight", "rows"])
     def test_weights_gather_unless_rows_are_the_identity_with_unit_cell_weights(self, change):
         table = np.array([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]])

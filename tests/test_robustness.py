@@ -27,6 +27,7 @@ from bevlift.lifting import lift_many_depth, lift_many_height, lift_pixel_height
 from bevlift.robustness import (
     DisturbanceSpec,
     OverlapReport,
+    disturbance_trials,
     _object_rows,
     height_error_law,
     law_check,
@@ -153,9 +154,8 @@ class TestSampleDisturbances:
 
 class TestScatterOverlap:
     def test_zero_disturbance_overlaps_are_total(self, corridor7, mast_rig):
-        report = scatter_overlap(
-            corridor7, mast_rig, DisturbanceSpec(0.0, 0.0, n_trials=3), sample_stride=32
-        )
+        trials = disturbance_trials(mast_rig, DisturbanceSpec(0.0, 0.0, n_trials=3))
+        report = scatter_overlap(corridor7, mast_rig, trials, sample_stride=32)
         # the summed fractions only miss 1.0 by accumulation rounding
         np.testing.assert_allclose(report.trial_overlap_depth, 1.0, atol=1e-12)
         np.testing.assert_allclose(report.trial_overlap_height, 1.0, atol=1e-12)
@@ -175,7 +175,8 @@ class TestScatterOverlap:
         # extent fully behind the camera: every ray is sky
         empty = Scene((), (-50.0, -40.0, -5.0, 5.0), 0)
         with pytest.raises(NoVisibleObjects):
-            scatter_overlap(empty, mast_rig, DisturbanceSpec(1.0, 1.0, n_trials=2))
+            scatter_overlap(empty, mast_rig,
+                            disturbance_trials(mast_rig, DisturbanceSpec(1.0, 1.0, n_trials=2)))
 
     def test_matches_golden_run(self, overlap_seed7):
         golden = json.loads((GOLDEN / "overlap_seed7.json").read_text())
@@ -269,7 +270,7 @@ def clean_run(corridor7, mast_rig):
         EXPERIMENT_HEIGHT_BINS,
         EXPERIMENT_DEPTH_BINS,
         NoiseModel("one_hot_truth"),
-        disturbance=None,
+        trials=None,
         sample_stride=16,
     )
 
@@ -488,7 +489,8 @@ class TestLocalizationError:
         monkeypatch.setattr(robustness, "lift_many_height", recording(lift_many_height, seen))
         monkeypatch.setattr(robustness, "lift_many_depth", recording(lift_many_depth, seen))
         report = localization_error(scene, mast_rig, EXPERIMENT_HEIGHT_BINS,
-                                    EXPERIMENT_DEPTH_BINS, EXPERIMENT_NOISE, spec, 16)
+                                    EXPERIMENT_DEPTH_BINS, EXPERIMENT_NOISE,
+                                    disturbance_trials(mast_rig, spec), 16)
         assert len(seen) == 3 * spec.n_trials
         visible = [
             np.count_nonzero(render(scene, perturb_rig(mast_rig, roll, pitch), 16).hit_kind > 0)

@@ -6,7 +6,7 @@ on the ground plane inside the extent), and marching along the ray must
 find no earlier surface.  A small frozen scene pins exact numbers.
 """
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from bevlift.binning import BinSpec, value_to_bin
 from bevlift.errors import ConfigError, EmptyInput, ExtentTooSmall, OutOfRange, ShapeMismatch
 from bevlift.geometry import Box3D, CameraRig, Intrinsics, extrinsics_from_pose, project_ego
 from bevlift import lifting
-from bevlift.lifting import lift_many_depth
+from bevlift.lifting import cell_pixel_centers, lift_many_depth
 from bevlift.robustness import perturb_rig
 from bevlift.scene import (
     HIT_GROUND,
@@ -33,6 +33,10 @@ from bevlift.scene import (
     _true_bin_map,
     render,
     save_scene,
+    _box_frames,
+    _box_ray_pairs,
+    _grid_rays,
+    _rays,
 )
 
 INTR_1000 = Intrinsics(1000.0, 1000.0, 768.0, 432.0, 1536, 864)
@@ -453,6 +457,125 @@ class TestCastRaysCulling:
         assert np.count_nonzero(kind > 0) > 100
 
 
+def box_ray_pairs_by_v_runs(corners, us, vs, rig):
+    """Every ray of each box's v run, kept when its u passes the box's u
+    bounds: the candidate search _box_ray_pairs replaced, kept as its
+    reference."""
+    cu, cv, depth, _ = project_ego(corners, rig.intrinsics, rig.extrinsics)
+    front = np.all(depth > 0, axis=1)
+    u_lo, u_hi = cu.min(axis=1) - 1.0, cu.max(axis=1) + 1.0
+    v_lo, v_hi = cv.min(axis=1) - 1.0, cv.max(axis=1) + 1.0
+    u_lo[~front] = v_lo[~front] = -np.inf
+    u_hi[~front] = v_hi[~front] = np.inf
+    order = np.argsort(vs, kind="stable")
+    v_sorted = vs[order]
+    start = np.searchsorted(v_sorted, v_lo, "left")
+    counts = np.searchsorted(v_sorted, v_hi, "right") - start
+    box = np.repeat(np.arange(len(counts)), counts)
+    ray = order[np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)]
+    keep = (us[ray] >= u_lo[box]) & (us[ray] <= u_hi[box])
+    return box[keep], ray[keep]
+
+
+def assert_same_pairs(scene, rig, us, vs, rays):
+    """_box_ray_pairs over rays keeps exactly the reference's pairs; returns
+    how many."""
+    corners = scene._frames[-1]
+    box, ray = _box_ray_pairs(corners, rays, rig)
+    want_box, want_ray = box_ray_pairs_by_v_runs(corners, us, vs, rig)
+    got, want = np.lexsort((ray, box)), np.lexsort((want_ray, want_box))
+    assert box[got].tobytes() == want_box[want].tobytes()
+    assert ray[got].tobytes() == want_ray[want].tobytes()
+    return box.size
+
+
+class TestBoxRayPairs:
+    @pytest.mark.parametrize("rig_name", ["mast_rig", "truck_rig"])
+    def test_grids_of_the_committed_scenes_and_rigs(
+        self, request, rig_name, corridor7, intersection11, corridor13
+    ):
+        rig = request.getfixturevalue(rig_name)
+        intr = rig.intrinsics
+        poses = [rig, perturb_rig(rig, 2.5, -1.5)]
+        for stride in (1, 4, 8, 16):
+            uu, vv = cell_pixel_centers(intr.image_w // stride, intr.image_h // stride, stride)
+            us, vs = uu.ravel(), vv.ravel()
+            for scene in (corridor7, intersection11, corridor13):
+                for pose in poses:
+                    rays = _grid_rays(pose.intrinsics, stride)
+                    assert assert_same_pairs(scene, pose, us, vs, rays) > 0
+                    # a grid's rays are in (v, u) order already: box-major,
+                    # rays ascending within a box, as the reference lists them
+                    box, ray = _box_ray_pairs(scene._frames[-1], rays, pose)
+                    want_box, want_ray = box_ray_pairs_by_v_runs(scene._frames[-1], us, vs, pose)
+                    assert box.tobytes() == want_box.tobytes()
+                    assert ray.tobytes() == want_ray.tobytes()
+
+    def test_arbitrary_coordinates(self, corridor7, mast_rig):
+        rng = np.random.default_rng(4)
+        intr = mast_rig.intrinsics
+        us = rng.uniform(-50.0, intr.image_w + 50.0, 20000)
+        vs = rng.uniform(-50.0, intr.image_h + 50.0, 20000)
+        # repeated coordinates share their row or column
+        us[:500], vs[500:1000] = us[500:1000], vs[:500]
+        for scene in (corridor7, CULLING_SCENE):
+            for pose in (mast_rig, perturb_rig(mast_rig, -1.0, 2.0)):
+                # and coordinates on every box's padded rectangle, inside,
+                # on and just past each bound
+                cu, cv, _, _ = project_ego(scene._frames[-1], intr, pose.extrinsics)
+                u_edges = np.stack([cu.min(axis=1) - 1.0, cu.max(axis=1) + 1.0])
+                v_edges = np.stack([cv.min(axis=1) - 1.0, cv.max(axis=1) + 1.0])
+                u_on = np.concatenate([np.nextafter(u_edges, -np.inf), u_edges,
+                                       np.nextafter(u_edges, np.inf), u_edges.mean(0)[None]])
+                v_on = np.concatenate([np.nextafter(v_edges, -np.inf), v_edges,
+                                       np.nextafter(v_edges, np.inf), v_edges.mean(0)[None]])
+                u_on, v_on = (a.ravel() for a in np.meshgrid(u_on.ravel(), v_on.ravel()))
+                u_all, v_all = np.concatenate([us, u_on]), np.concatenate([vs, v_on])
+                rays = _rays(u_all, v_all, intr)
+                assert assert_same_pairs(scene, pose, u_all, v_all, rays) > 0
+
+    @pytest.mark.parametrize("roll, pitch", [(0.0, 0.0), (2.0, -1.0)])
+    def test_box_behind_the_camera_takes_every_ray(self, roll, pitch):
+        rig = perturb_rig(level_rig(), roll, pitch)
+        uu, vv = cell_pixel_centers(1536 // 8, 864 // 8, 8)
+        us, vs = uu.ravel(), vv.ravel()
+        assert_same_pairs(CULLING_SCENE, rig, us, vs, _grid_rays(rig.intrinsics, 8))
+        box, _ = _box_ray_pairs(CULLING_SCENE._frames[-1], _rays(us, vs, rig.intrinsics), rig)
+        assert np.count_nonzero(box == 1) == us.size
+
+    def test_grid_rays_are_the_rays_of_the_grid_coordinates(self, mast_rig):
+        intr = mast_rig.intrinsics
+        uu, vv = cell_pixel_centers(intr.image_w // 8, intr.image_h // 8, 8)
+        grid, rays = _grid_rays(intr, 8), _rays(uu.ravel(), vv.ravel(), intr)
+        for name in ("ref_cam", "u_levels", "v_levels", "order", "keys"):
+            assert getattr(grid, name).tobytes() == getattr(rays, name).tobytes(), name
+
+    def test_one_grid_per_camera_shared_by_its_poses(self, corridor7, mast_rig):
+        rig = replace(mast_rig, intrinsics=replace(mast_rig.intrinsics))
+        assert rig.intrinsics._grids == {}
+        rays = _grid_rays(rig.intrinsics, 8)
+        pose = perturb_rig(rig, 1.0, -2.0)
+        render(corridor7, pose, 8)
+        assert pose.intrinsics._grids == {8: rays} and _grid_rays(pose.intrinsics, 8) is rays
+        render(corridor7, pose, 16)
+        assert list(rig.intrinsics._grids) == [16]
+        assert replace(rig.intrinsics)._grids == {}
+
+    def test_memoized_inputs_are_read_only(self, corridor7, mast_rig):
+        rays = _grid_rays(mast_rig.intrinsics, 16)
+        noise = NoiseModel("gaussian_bin_blur", sigma_bins=1.0)
+        arrays = [rays.ref_cam, rays.u_levels, rays.v_levels, rays.order, rays.keys,
+                  *corridor7._frames, _noise_table(BinSpec("UD", 7, 0.0, 1.0), noise)]
+        assert [arr.flags.writeable for arr in arrays] == [False] * len(arrays)
+
+    def test_scene_derives_its_box_frames(self, corridor7):
+        for got, want in zip(corridor7._frames, _box_frames(corridor7.boxes)):
+            assert got.tobytes() == want.tobytes()
+        one = replace(corridor7, boxes=corridor7.boxes[:1])
+        assert [arr.shape[0] for arr in one._frames] == [1] * 5
+        assert Scene((), EXTENT)._frames[-1].shape == (0, 8, 3)
+
+
 class TestRender:
     def test_grid_shape_and_stride(self, corridor7, mast_rig):
         maps = render(corridor7, mast_rig, sample_stride=32)
@@ -496,6 +619,11 @@ class TestRender:
     def test_bad_stride(self, corridor7, mast_rig):
         with pytest.raises(ConfigError):
             render(corridor7, mast_rig, sample_stride=0)
+
+    @pytest.mark.parametrize("stride, shape", [(1000, (0, 1)), (2000, (0, 0))])
+    def test_stride_past_the_image_renders_no_cell(self, corridor7, mast_rig, stride, shape):
+        maps = render(corridor7, mast_rig, sample_stride=stride)
+        assert maps.depth.shape == maps.hit_kind.shape == shape
 
     def test_pixel_maps_shape_check(self):
         with pytest.raises(ShapeMismatch):
