@@ -63,14 +63,19 @@ class BinSpec:
         # LID base width past the largest double, or two adjacent edges
         # whose sum is.  Each shows as a midpoint that is not finite (as is
         # any next to an edge that is not), or as a range end that
-        # value_to_bin does not map to its end bin.  LID's value_to_bin
-        # also forms 8 * (value - range_min), which can overflow inside the
-        # range while both ends still bin right; its largest is 8 * span.
+        # value_to_bin does not map to its end bin.  The edges ascend, and
+        # so do the sums of adjacent ones, so only the first and the last
+        # midpoint can fail; the other edges are never built here.  LID's
+        # value_to_bin also forms 8 * (value - range_min), which can
+        # overflow inside the range while both ends still bin right; its
+        # largest is 8 * span.
+        n = self.n_bins
         with np.errstate(all="ignore"):
             ends = value_to_bin(np.array([self.range_min, self.range_max]), self)
+            edges = _edges(self, np.array([0.0, 1.0, n - 1.0, n]))
             sound = (
-                ends.tolist() == [0, self.n_bins - 1]
-                and np.isfinite(bin_midpoints(self)).all()
+                ends.tolist() == [0, n - 1]
+                and np.isfinite(0.5 * (edges[[0, 2]] + edges[[1, 3]])).all()
                 and (self.strategy != "LID" or np.isfinite(8.0 * self.span))
             )
         if not sound:
@@ -103,8 +108,13 @@ def _sid_shift(spec: BinSpec) -> float:
 
 def bin_edges(spec: BinSpec) -> np.ndarray:
     """All n_bins + 1 edges, strictly increasing, spanning the range."""
+    return _edges(spec, np.arange(spec.n_bins + 1, dtype=np.float64))
+
+
+def _edges(spec: BinSpec, i: np.ndarray) -> np.ndarray:
+    """The edges of indices i (floats in [0, n_bins]), each as bin_edges
+    computes it: index 0 is range_min and index n_bins range_max exactly."""
     n = spec.n_bins
-    i = np.arange(n + 1, dtype=np.float64)
     if spec.strategy in ("UD", "DEPTH_UD"):
         edges = spec.range_min + spec.span * (i / n)
     elif spec.strategy == "DID":
@@ -116,8 +126,8 @@ def bin_edges(spec: BinSpec) -> np.ndarray:
     else:  # LID
         base = 2.0 * spec.span / (n * (n + 1.0))
         edges = spec.range_min + base * (i * (i + 1.0) / 2.0)
-    edges[0] = spec.range_min
-    edges[-1] = spec.range_max
+    edges[i == 0] = spec.range_min
+    edges[i == n] = spec.range_max
     return edges
 
 

@@ -19,6 +19,11 @@ The virtual frame is what makes per-pixel heights liftable: a pixel's
 reference point at camera depth 1 is rotated into this frame, and scaling
 it so its Y coordinate equals (ground_height_H - h) lands the ray on the
 plane of height h.  See lifting.lift_pixel_height.
+
+Every product of 3-vectors with a rotation whose result reaches an
+artifact is _mat3's fixed-order one: three multiplies and two adds per
+entry, as separate numpy ufuncs, so the bits do not depend on which BLAS
+kernel the host picks, nor on how many rows go in one call.
 """
 from __future__ import annotations
 
@@ -43,6 +48,28 @@ from .errors import (
 
 _ORTHO_TOL = 1e-9
 _DEGENERATE_SIN = 1e-6
+
+
+def _mat3(a, m) -> np.ndarray:
+    """a @ m for rows of 3-vectors a (..., 3) and m of 3 rows: one matrix
+    (3, k), or one per row of a (..., 3, k).  Entry j of a row is (a0 * m0j
+    + a1 * m1j) + a2 * m2j, one ufunc per operation, which never fuse, so a
+    row has the same bits whatever the host's kernels and whatever rows
+    share its call.  The result is a (..., k) view of a (k, ...) array: each
+    output column is written whole, through out=, and reads contiguous."""
+    a = np.asarray(a, dtype=np.float64)
+    m = np.asarray(m)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    out = np.empty((m.shape[-1], *a0.shape))
+    term = np.empty(a0.shape)
+    for j in range(out.shape[0]):
+        column = out[j, ...]
+        np.multiply(a0, m[..., 0, j], out=column)
+        np.multiply(a1, m[..., 1, j], out=term)
+        column += term
+        np.multiply(a2, m[..., 2, j], out=term)
+        column += term
+    return out.transpose(*range(1, out.ndim), 0)
 
 
 def _as_matrix(value, shape, name: str) -> np.ndarray:
@@ -102,6 +129,7 @@ class Extrinsics:
 
     rotation: np.ndarray
     translation: np.ndarray
+    _center: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rot = _as_matrix(self.rotation, (3, 3), "rotation")
@@ -117,19 +145,23 @@ class Extrinsics:
             raise ConfigError("rotation determinant must be +1 within 1e-9")
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", tra)
+        # A translation far from unit size overflows to an inf center, which
+        # CameraRig rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            center = -_mat3(tra, rot)
+        center.flags.writeable = False
+        object.__setattr__(self, "_center", center)
 
     @property
     def camera_center(self) -> np.ndarray:
-        """Optical center in ego coordinates."""
-        return -self.rotation.T @ self.translation
+        """Optical center in ego coordinates, -t @ R, read-only."""
+        return self._center
 
     def ego_to_cam(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.rotation.T + self.translation
+        return _mat3(points, self.rotation.T) + self.translation
 
     def cam_to_ego(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        return (pts - self.translation) @ self.rotation
+        return _mat3(np.asarray(points, dtype=np.float64) - self.translation, self.rotation)
 
 
 @dataclass(frozen=True)
@@ -217,21 +249,21 @@ class CameraRig:
         # Distances from the camera are square roots of dot products (see
         # robustness), and a far camera overflows the render arithmetic.
         with np.errstate(over="ignore"):
-            near = np.isfinite(center @ center)
+            near = np.isfinite(_mat3(center, center[:, None])[0])
         if not near:
             raise ConfigError(
                 "extrinsics place the camera center too far from the ego origin: "
                 "its squared distance overflows"
             )
-        height = float(center @ normal)
+        height = float(_mat3(center, normal[:, None])[0])
         if height <= 0.0:
             raise CameraBelowGround(
                 f"extrinsics and ground_normal put the camera center at height {height:.6g} m, "
                 f"on or below the ground"
             )
         optical_axis = extr.rotation[2, :]  # camera +z expressed in ego
-        z_proj = optical_axis - (optical_axis @ normal) * normal
-        z_norm = np.linalg.norm(z_proj)
+        z_proj = optical_axis - _mat3(optical_axis, normal[:, None])[0] * normal
+        z_norm = np.sqrt(_mat3(z_proj, z_proj[:, None])[0])
         if z_norm < _DEGENERATE_SIN:
             raise DegenerateOrientation(
                 "optical axis is parallel to the ground normal; virtual Z undefined"
@@ -240,7 +272,7 @@ class CameraRig:
         y_axis = -normal
         x_axis = np.cross(y_axis, z_axis)
         virt_to_ego = np.stack([x_axis, y_axis, z_axis], axis=1)
-        t_cam_virt = virt_to_ego.T @ extr.rotation.T
+        t_cam_virt = _mat3(virt_to_ego.T, extr.rotation.T)
         virt_to_ego.flags.writeable = t_cam_virt.flags.writeable = False
         rig_id = self.rig_id
         if rig_id is None:
@@ -263,6 +295,53 @@ class CameraRig:
         return self.extrinsics.camera_center
 
 
+@dataclass(frozen=True)
+class _ExtrinsicsRows:
+    """Extrinsics with one rotation (n, 3, 3) and translation (n, 3) per
+    row of points; cam_to_ego is Extrinsics's, which reads only those."""
+
+    rotation: np.ndarray
+    translation: np.ndarray
+    cam_to_ego = Extrinsics.cam_to_ego
+
+
+@dataclass(frozen=True)
+class _RigRows:
+    """Rigs of one camera, one per row of pixels: what lifting's
+    lift_many_height and lift_many_depth read of a CameraRig, each array
+    with one entry per row.  Their products are _mat3's, so a row lifts
+    bit for bit as it does through its own rig, whatever rows share the
+    call."""
+
+    intrinsics: Intrinsics
+    extrinsics: _ExtrinsicsRows
+    t_cam_virt: np.ndarray
+    virt_to_ego: np.ndarray
+    camera_center: np.ndarray
+    ground_height_H: np.ndarray
+
+
+def _rig_rows(rigs: Sequence[CameraRig], index: np.ndarray) -> _RigRows:
+    """Row i holds the coefficients of rigs[index[i]]; the rigs must share
+    their intrinsics, as the perturbed rigs of one camera do."""
+    intrinsics = rigs[0].intrinsics
+    if any(rig.intrinsics != intrinsics for rig in rigs):
+        raise ValueError("rig rows need rigs that share their intrinsics")
+
+    def rows(values):
+        return np.stack(list(values))[index]
+
+    return _RigRows(
+        intrinsics,
+        _ExtrinsicsRows(rows(rig.extrinsics.rotation for rig in rigs),
+                        rows(rig.extrinsics.translation for rig in rigs)),
+        rows(rig.t_cam_virt for rig in rigs),
+        rows(rig.virt_to_ego for rig in rigs),
+        rows(rig.camera_center for rig in rigs),
+        rows(rig.ground_height_H for rig in rigs),
+    )
+
+
 def pixel_to_ref_cam(u, v, intrinsics: Intrinsics) -> np.ndarray:
     """Reference point of pixel (u, v) at camera depth 1.
 
@@ -272,7 +351,9 @@ def pixel_to_ref_cam(u, v, intrinsics: Intrinsics) -> np.ndarray:
     """
     x = (np.asarray(u, dtype=np.float64) - intrinsics.cx) / intrinsics.fx
     y = (np.asarray(v, dtype=np.float64) - intrinsics.cy) / intrinsics.fy
-    return np.stack([x, y, np.ones_like(x)], axis=-1)
+    # Stacked as columns, each contiguous, as _mat3 reads them.
+    ref = np.stack([x, y, np.ones_like(x)])
+    return ref.transpose(*range(1, ref.ndim), 0)
 
 
 def project_ego(points: np.ndarray, intrinsics: Intrinsics, extrinsics: Extrinsics):

@@ -21,7 +21,11 @@ Both forms recover the identical point when fed the true height or depth
 of a surface.  Rays that do not descend toward the ground (y_ref <= 1e-6)
 cannot carry height hypotheses; their cells are skipped and counted,
 never fatal.  lift_pixel_* and lift_many_* evaluate the same geometry
-step by step, pixel by pixel; they are the reference lifts.
+step by step, pixel by pixel; they are the reference lifts.  lift_many_*
+also take a geometry._RigRows, one rig per pixel.  Every rotation above is
+applied by geometry._mat3's fixed-order product, so a pixel's point has
+the same bits whatever the host's BLAS, the caller's array shape or the
+pixels lifted with it.
 
 build_wedge expands a fused feature map into a point cloud: one point per
 (feature cell, bin), ordered cells row-major with bins ascending within a
@@ -62,7 +66,7 @@ from .errors import (
     NonPositiveDepth,
     ShapeMismatch,
 )
-from .geometry import CameraRig, pixel_to_ref_cam
+from .geometry import CameraRig, _mat3, pixel_to_ref_cam
 
 EPS_HORIZON = 1e-6
 
@@ -327,10 +331,7 @@ class WedgeCloud:
 
 
 def _ref_virt(u, v, rig: CameraRig) -> np.ndarray:
-    ref_cam = pixel_to_ref_cam(u, v, rig.intrinsics)
-    # One (n, 3) product whatever the pixel shape: a stacked matmul rounds
-    # differently, and the horizon test must not depend on the caller's shape.
-    return (ref_cam.reshape(-1, 3) @ rig.t_cam_virt.T).reshape(ref_cam.shape)
+    return _mat3(pixel_to_ref_cam(u, v, rig.intrinsics), np.swapaxes(rig.t_cam_virt, -1, -2))
 
 
 def lift_pixel_height(u: float, v: float, h: float, rig: CameraRig) -> np.ndarray:
@@ -350,7 +351,7 @@ def lift_pixel_height(u: float, v: float, h: float, rig: CameraRig) -> np.ndarra
     if y_ref <= EPS_HORIZON:
         raise HorizonRay(f"pixel ({u}, {v}) looks at or above the horizon")
     scale = (rig.ground_height_H - h) / y_ref
-    return (scale * ref_virt) @ rig.virt_to_ego.T + rig.camera_center
+    return _mat3(scale * ref_virt, rig.virt_to_ego.T) + rig.camera_center
 
 
 def lift_pixel_height_composed(u: float, v: float, h: float, rig: CameraRig) -> np.ndarray:
@@ -382,7 +383,8 @@ def lift_pixel_depth(u: float, v: float, depth: float, rig: CameraRig) -> np.nda
 
 def lift_many_height(us, vs, hs, rig: CameraRig) -> np.ndarray:
     """Vectorized height lift; all rays must descend and heights sit below
-    the camera (callers mask first)."""
+    the camera (callers mask first).  rig may be a geometry._RigRows of
+    one rig per pixel."""
     hs = np.asarray(hs, dtype=np.float64)
     if np.any(hs >= rig.ground_height_H):
         raise AboveCamera("height at or above the camera center")
@@ -391,11 +393,12 @@ def lift_many_height(us, vs, hs, rig: CameraRig) -> np.ndarray:
     if np.any(y_ref <= EPS_HORIZON):
         raise HorizonRay("ray does not descend toward the ground")
     scale = (rig.ground_height_H - hs) / y_ref
-    return (scale[..., None] * ref_virt) @ rig.virt_to_ego.T + rig.camera_center
+    return _mat3(scale[..., None] * ref_virt, np.swapaxes(rig.virt_to_ego, -1, -2)) + rig.camera_center
 
 
 def lift_many_depth(us, vs, depths, rig: CameraRig) -> np.ndarray:
-    """Vectorized depth lift; depths must be strictly positive."""
+    """Vectorized depth lift; depths must be strictly positive.  rig may
+    be a geometry._RigRows of one rig per pixel."""
     depths = np.asarray(depths, dtype=np.float64)
     if np.any(depths <= 0):
         raise NonPositiveDepth("depth must be positive")
@@ -509,13 +512,13 @@ def _plan(kind: str, bins: BinSpec, rig: CameraRig, width: int, height: int,
         ref_virt = _ref_virt(us, vs, rig)
         y_ref = ref_virt[:, 1]
         valid = y_ref > EPS_HORIZON
-        dirs = (ref_virt[valid] / y_ref[valid, None]) @ rig.virt_to_ego.T
+        dirs = _mat3(ref_virt[valid] / y_ref[valid, None], rig.virt_to_ego.T)
         steps = rig.ground_height_H - mids
     else:
         if np.any(mids <= 0):
             raise NonPositiveDepth("depth must be positive")
         valid = np.ones(us.size, dtype=bool)
-        dirs = pixel_to_ref_cam(us, vs, rig.intrinsics) @ rig.extrinsics.rotation
+        dirs = _mat3(pixel_to_ref_cam(us, vs, rig.intrinsics), rig.extrinsics.rotation)
         steps = mids
     origin = rig.camera_center
     for arr in (valid, dirs, steps, origin):

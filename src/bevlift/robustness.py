@@ -13,7 +13,9 @@ The scatter study mirrors a row-coordinate-versus-value view of the
 scene: for each rig it renders the scene and collects (v, depth) and
 (v, height) pairs of every non-sky pixel, then measures how much the
 clean and perturbed point sets still overlap, as the intersection of
-normalized 2D histograms on a fixed grid.  Depth is tightly coupled to v
+normalized 2D histograms on a fixed grid.  The clean histogram is built
+once per run, and each trial's points are counted only at its cells.
+Depth is tightly coupled to v
 (for ground pixels it is an exact function of the row), and its
 sensitivity to a rig rotation grows with the square of distance, so a
 small disturbance slides the far part of the curve across many cells.
@@ -28,10 +30,15 @@ surface-versus-center offsets.  A pixel's estimate is the lift of its
 expected hypothesis, the distribution's mean bin midpoint: the lifted
 point is affine in the hypothesis value and each distribution sums to 1,
 so this is the bin-weighted centroid of the pixel's lifted bins without
-lifting every bin.  Expected hypotheses are read from one noise table per
-run, only at object pixels, so no dense distribution map is built.  Each
-trial lifts all its object pixels once per parameterization and reduces
-them per object with np.bincount.
+lifting every bin.  Each noise-table row's expected hypothesis is
+computed once per run and gathered at the object pixels only, so no
+dense distribution map is built, and only the object pixels are binned
+(a min and a max check the rest of the map against the bin range).  The
+object pixels of every trial are lifted together, once per
+parameterization and once at their rendered depths, each through its
+trial's rig, and reduced per (trial, object) with one np.bincount per
+axis.  The products are fixed-order (geometry._mat3), so joining the
+trials moves no bit.
 """
 from __future__ import annotations
 
@@ -39,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binning import BinSpec, bin_midpoints
+from .binning import BinSpec, bin_midpoints, value_to_bin
 from .errors import (
     AboveCamera,
     ConfigError,
@@ -50,7 +57,7 @@ from .errors import (
     config_object,
     config_seed,
 )
-from .geometry import CameraRig, Extrinsics, _rot_x, _rot_z, project_ego
+from .geometry import CameraRig, Extrinsics, _mat3, _rig_rows, _rot_x, _rot_z, project_ego
 from .lifting import lift_many_depth, lift_many_height
 from .rng import substream
 from .scene import NoiseModel, Scene, _noise_table, _true_bin_map, cast_rays, render
@@ -91,8 +98,8 @@ def perturb_extrinsics(extr: Extrinsics, roll_deg: float, pitch_deg: float) -> E
     D = Rx(pitch) @ Rz(roll), so rotation and translation both pick up D
     and the camera position -R^T t is unchanged.
     """
-    delta = _rot_x(np.deg2rad(pitch_deg)) @ _rot_z(np.deg2rad(roll_deg))
-    return Extrinsics(delta @ extr.rotation, delta @ extr.translation)
+    delta = _mat3(_rot_x(np.deg2rad(pitch_deg)), _rot_z(np.deg2rad(roll_deg)))
+    return Extrinsics(_mat3(delta, extr.rotation), _mat3(extr.translation, delta.T))
 
 
 def perturb_rig(rig: CameraRig, roll_deg: float, pitch_deg: float) -> CameraRig:
@@ -140,27 +147,44 @@ def _pixel_observations(scene: Scene, rig: CameraRig, sample_stride: int):
     return vv[mask], maps.depth[mask], maps.height_above_ground[mask]
 
 
-def _hist_cells(v_vals: np.ndarray, y_vals: np.ndarray, y_bin: float) -> dict:
-    """Point count per occupied (v, y) cell, keyed in order of each cell's
-    first point, the order _intersection sums in."""
-    vb = np.floor(v_vals / V_BIN_PX).astype(np.int64)
-    yb = np.floor(y_vals / y_bin).astype(np.int64)
-    # One int64 key per cell: rows are few and y levels at most one per
-    # point, so the key cannot overflow.
-    y_levels, y_index = np.unique(yb, return_inverse=True)
-    keys = (vb - vb.min()) * y_levels.size + y_index
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    first = first[order]
-    return dict(zip(zip(vb[first].tolist(), yb[first].tolist()), counts[order].tolist()))
+def _cell_bins(v_vals: np.ndarray, y_vals: np.ndarray, y_bin: float):
+    """The (v, y) histogram cell of each point, as row and y-level bins."""
+    return np.floor(v_vals / V_BIN_PX).astype(np.int64), np.floor(y_vals / y_bin).astype(np.int64)
 
 
-def _intersection(p: dict, n_p: int, q: dict, n_q: int) -> float:
-    shared = 0.0
-    for key, count in p.items():
-        if key in q:
-            shared += min(count / n_p, q[key] / n_q)
-    return shared
+class _CleanHistogram:
+    """The clean rig's histogram of one parameterization: its occupied
+    (v, y) cells in order of each cell's first point, with each cell's
+    share of the points, and a lookup from (row, y level) to cell.  The
+    lookup spans the clean points' rows and distinct y levels only, so its
+    size never follows the scene's extent."""
+
+    def __init__(self, v_vals: np.ndarray, y_vals: np.ndarray, y_bin: float):
+        vb, yb = _cell_bins(v_vals, y_vals, y_bin)
+        self.y_bin = y_bin
+        self.v_min = vb.min()
+        self.n_rows = vb.max() - self.v_min + 1
+        self.y_levels, y_index = np.unique(yb, return_inverse=True)
+        keys = (vb - self.v_min) * self.y_levels.size + y_index
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        self.cell = np.full(self.n_rows * self.y_levels.size, -1)
+        self.cell[keys[first[order]]] = np.arange(order.size)
+        self.share = counts[order] / v_vals.size
+
+    def overlap(self, v_vals: np.ndarray, y_vals: np.ndarray) -> float:
+        """The intersection of the clean and these points' normalized
+        histograms: min(clean share, share) summed over the clean cells in
+        their order, one at a time, as a loop over them would.  A cell these
+        points miss adds min(share, 0.0) = 0.0, which leaves the sum's bits
+        as they are."""
+        vb, yb = _cell_bins(v_vals, y_vals, self.y_bin)
+        row = vb - self.v_min
+        level = np.minimum(np.searchsorted(self.y_levels, yb), self.y_levels.size - 1)
+        known = (self.y_levels[level] == yb) & (row >= 0) & (row < self.n_rows)
+        cell = self.cell[row[known] * self.y_levels.size + level[known]]
+        counts = np.bincount(cell[cell >= 0], minlength=self.share.size)
+        return float(np.add.accumulate(np.minimum(self.share, counts / v_vals.size))[-1])
 
 
 @dataclass
@@ -196,8 +220,8 @@ def scatter_overlap(
     v0, d0, h0 = _pixel_observations(scene, rig, sample_stride)
     if v0.size == 0:
         raise NoVisibleObjects("the clean rig renders no non-sky pixel")
-    p_depth = _hist_cells(v0, d0, DEPTH_BIN_M)
-    p_height = _hist_cells(v0, h0, HEIGHT_BIN_M)
+    p_depth = _CleanHistogram(v0, d0, DEPTH_BIN_M)
+    p_height = _CleanHistogram(v0, h0, HEIGHT_BIN_M)
 
     angles = trials.angles
     od = np.empty(len(trials.rigs))
@@ -206,10 +230,8 @@ def scatter_overlap(
         v1, d1, h1 = _pixel_observations(scene, rig_t, sample_stride)
         if v1.size == 0:
             raise NoVisibleObjects(f"trial {k} renders no non-sky pixel")
-        q_depth = _hist_cells(v1, d1, DEPTH_BIN_M)
-        q_height = _hist_cells(v1, h1, HEIGHT_BIN_M)
-        od[k] = _intersection(p_depth, v0.size, q_depth, v1.size)
-        oh[k] = _intersection(p_height, v0.size, q_height, v1.size)
+        od[k] = p_depth.overlap(v1, d1)
+        oh[k] = p_height.overlap(v1, h1)
 
     return OverlapReport(
         overlap_depth=float(od.mean()),
@@ -258,41 +280,82 @@ class ErrorReport:
         return out
 
 
-def _object_rows(maps, rig: CameraRig, paths):
-    """Columns (object, param, error, reference distance, pixel count) of
-    one trial, a row per visible object and path, objects ascending.
+def _expected_hypotheses(bins: BinSpec, noise: NoiseModel) -> np.ndarray:
+    """Each noise-table row's expected hypothesis, its mean bin midpoint:
+    what a pixel of that true bin lifts at.  A row sum reduces a row the
+    same way wherever the row sits, so these are the bits of the predicted
+    map's row of each pixel times the midpoints, summed over its row."""
+    return (_noise_table(bins, noise) * bin_midpoints(bins)).sum(axis=1)
 
-    paths holds (param, lift, true_bin_map, table, mids) per
-    parameterization.  The trial's object pixels are lifted once per path
-    and once at their rendered depths.  An object's centroid is its
-    np.bincount sum over its pixel count, which adds the same rows in the
-    same order as the mean of its points.
-    """
+
+def _object_bins(values: np.ndarray, non_sky: np.ndarray, on_object: np.ndarray,
+                 bins: BinSpec, noise: NoiseModel) -> np.ndarray:
+    """The true bin of each object pixel's value, after the noise model's
+    bias.  Every non-sky value must fit the bin range, as when the whole
+    map is predicted.  That is checked from the least and the largest of
+    them, NaN included (rounding is monotone, so the bias shifts both as it
+    shifts each value); only a failing check bins the whole map, for
+    _true_bin_map's OutOfRange naming the first offender."""
+    bias = noise.bias_m if noise.kind == "bias" else None
+    lo = np.min(values, where=non_sky, initial=np.inf)
+    hi = np.max(values, where=non_sky, initial=-np.inf)
+    if bias is not None:
+        lo, hi = lo + bias, hi + bias
+    if not (bins.range_min <= lo and hi <= bins.range_max):
+        _true_bin_map(values, non_sky, bins, noise)  # raises OutOfRange
+    shifted = values[on_object] if bias is None else values[on_object] + bias
+    return value_to_bin(shifted, bins)
+
+
+def _trial_pixels(maps, paths, noise: NoiseModel):
+    """(label, u, v, depth, hypothesis per path) of one trial's object
+    pixels, row-major; label is the hit box.  paths holds (bins, expected
+    hypotheses) per parameterization, height first."""
     on_object = maps.hit_kind > 0
-    label = maps.hit_kind[on_object] - 1
-    n_px = np.bincount(label)
-    objects = np.flatnonzero(n_px)
     uu, vv = maps.pixel_grid()
-    us, vs = uu[on_object], vv[on_object]
+    hypotheses = [
+        expected[_object_bins(values, maps.non_sky, on_object, bins, noise)]
+        for values, (bins, expected) in zip((maps.height_above_ground, maps.depth), paths)
+    ]
+    return (maps.hit_kind[on_object] - 1, uu[on_object], vv[on_object],
+            maps.depth[on_object], *hypotheses)
+
+
+def _object_rows(rigs, n_objects: int, trial, label, us, vs, depth, paths):
+    """Columns (trial, object, param, error, reference distance, pixel
+    count), a row per (trial, visible object, path): trials ascending,
+    objects ascending within a trial, paths in order within an object.
+
+    Pixel i is trial[i]'s and sees box label[i].  paths holds (param, lift,
+    hypotheses) per parameterization.  The pixels of every trial are lifted
+    in one call per path and one at their rendered depths, each pixel
+    through its trial's rig (geometry._rig_rows): bit for bit a call per
+    trial.  An object's centroid is its np.bincount sum over its pixel
+    count, which adds the same rows in the same order as the mean of its
+    points, and its distance the square root of o0*o0 + o1*o1 + o2*o2."""
+    cell = trial * n_objects + label
+    n_px = np.bincount(cell)
+    cells = np.flatnonzero(n_px)
+    trials, objects, n_px = cells // n_objects, cells % n_objects, n_px[cells]
+    centers = np.stack([rig.camera_center for rig in rigs])[trials]
+    pixel_rigs = _rig_rows(rigs, trial)
 
     def camera_distances(points):
-        sums = [np.bincount(label, points[:, a])[objects] for a in range(3)]
-        offset = np.stack(sums, axis=1) / n_px[objects, None] - rig.camera_center
-        # A dot product per row rounds as np.linalg.norm of that row does;
-        # norm(axis=1) does not.
-        return np.sqrt(offset[:, None, :] @ offset[:, :, None]).ravel()
+        sums = [np.bincount(cell, points[:, a])[cells] for a in range(3)]
+        offset = np.stack(sums, axis=1) / n_px[:, None] - centers
+        return np.sqrt(_mat3(offset, offset[:, :, None])[:, 0])
 
-    d_ref = camera_distances(lift_many_depth(us, vs, maps.depth[on_object], rig))
-    errors = [
-        np.abs(camera_distances(lift(us, vs, table[true_bins[on_object]] @ mids, rig)) - d_ref)
-        for _, lift, true_bins, table, mids in paths
-    ]
+    d_ref = camera_distances(lift_many_depth(us, vs, depth, pixel_rigs))
+    errors = [np.abs(camera_distances(lift(us, vs, hypotheses, pixel_rigs)) - d_ref)
+              for _, lift, hypotheses in paths]
+    k = len(paths)
     return (
-        np.repeat(objects, len(paths)),
-        np.tile([param for param, *_ in paths], objects.size),
+        np.repeat(trials, k),
+        np.repeat(objects, k),
+        np.tile([param for param, *_ in paths], cells.size),
         np.stack(errors, axis=1).ravel(),
-        np.repeat(d_ref, len(paths)),
-        np.repeat(n_px[objects], len(paths)),
+        np.repeat(d_ref, k),
+        np.repeat(n_px, k),
     )
 
 
@@ -309,42 +372,35 @@ def localization_error(
 
     Per trial the scene is rendered from the trial's perturbed rig (one
     trial from the clean rig when trials is None; trials are perturbations
-    of rig, see disturbance_trials), every non-sky pixel is binned under
-    the noise model, and every object's center is estimated as the mean of
-    its pixels each lifted at its expected height or depth.  The reference for an object is the
+    of rig, see disturbance_trials), and every object's center is
+    estimated as the mean of its pixels, each lifted at its expected height
+    or depth under the noise model.  The reference for an object is the
     camera distance of the exact surface centroid over the same pixels, so
-    a noiseless run errs only by bin quantization.  Raises AboveCamera when
-    a height bin reaches the camera, OutOfRange when a rendered value
-    leaves its bins, and NoVisibleObjects when no trial sees an object.
+    a noiseless run errs only by bin quantization.  The object pixels of
+    every trial are lifted together (see _object_rows).  Raises AboveCamera
+    when a height bin reaches the camera, OutOfRange when any rendered
+    non-sky value leaves its bins, and NoVisibleObjects when no trial sees
+    an object.
     """
     height_bins.check_kind("height", "height_bins")
     depth_bins.check_kind("depth", "depth_bins")
-    mids_h = bin_midpoints(height_bins)
-    mids_d = bin_midpoints(depth_bins)
     # perturb_rig keeps the camera height, so this covers every trial.
-    if np.any(mids_h >= rig.ground_height_H):
+    if np.any(bin_midpoints(height_bins) >= rig.ground_height_H):
         raise AboveCamera("height bins reach the camera center height")
-    table_h = _noise_table(height_bins, noise)
-    table_d = _noise_table(depth_bins, noise)
+    paths = ((height_bins, _expected_hypotheses(height_bins, noise)),
+             (depth_bins, _expected_hypotheses(depth_bins, noise)))
     rigs = (rig,) if trials is None else trials.rigs
 
-    trial_columns = []
-    for rig_t in rigs:
-        maps = render(scene, rig_t, sample_stride)
-        paths = (
-            ("height", lift_many_height,
-             _true_bin_map(maps.height_above_ground, maps.non_sky, height_bins, noise),
-             table_h, mids_h),
-            ("depth", lift_many_depth,
-             _true_bin_map(maps.depth, maps.non_sky, depth_bins, noise), table_d, mids_d),
-        )
-        trial_columns.append(_object_rows(maps, rig_t, paths))
-    objects, params, errors, d_ref, n_px = map(np.concatenate, zip(*trial_columns))
-    if errors.size == 0:
+    pixels = [_trial_pixels(render(scene, rig_t, sample_stride), paths, noise)
+              for rig_t in rigs]
+    label, us, vs, depth, hyp_h, hyp_d = map(np.concatenate, zip(*pixels))
+    trial = np.repeat(np.arange(len(rigs)), [p[0].size for p in pixels])
+    columns = _object_rows(rigs, len(scene.boxes), trial, label, us, vs, depth,
+                           (("height", lift_many_height, hyp_h),
+                            ("depth", lift_many_depth, hyp_d)))
+    if columns[0].size == 0:
         raise NoVisibleObjects("no object rendered any pixels in any trial")
-    trial = np.repeat(np.arange(len(rigs)), [c[0].size for c in trial_columns])
-    return ErrorReport(trial, objects, params, errors, d_ref, n_px,
-                       camera_height_m=rig.ground_height_H, noise_kind=noise.kind,
+    return ErrorReport(*columns, camera_height_m=rig.ground_height_H, noise_kind=noise.kind,
                        disturbed=trials is not None)
 
 

@@ -40,7 +40,7 @@ from .errors import (
     config_seed,
     read_config_file,
 )
-from .geometry import Box3D, CameraRig, Intrinsics, pixel_to_ref_cam, project_ego
+from .geometry import Box3D, CameraRig, Intrinsics, _mat3, pixel_to_ref_cam, project_ego
 from .lifting import DistributionMap, _check_bin_weights, cell_pixel_centers
 from .rng import substream
 
@@ -380,7 +380,7 @@ def _box_ray_pairs(corners: np.ndarray, rays: _Rays, rig: CameraRig):
 
 def _cast(scene: Scene, rig: CameraRig, rays: _Rays):
     """(depth, height, hit_kind) of each ray, 1-D; see cast_rays."""
-    dirs = rays.ref_cam @ rig.extrinsics.rotation  # camera->ego rotation applied
+    dirs = _mat3(rays.ref_cam, rig.extrinsics.rotation)  # camera->ego rotation applied
     origin = rig.camera_center
 
     # Ground plane z = 0, sensed only inside the scene extent.  best_t

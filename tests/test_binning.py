@@ -5,6 +5,7 @@ from the closed forms by hand, noted inline) plus a searchsorted oracle:
 for any in-range value, the analytic index must match the index found by
 scanning the edge array.
 """
+import tracemalloc
 import warnings
 from dataclasses import asdict
 
@@ -72,6 +73,18 @@ class TestSpecValidation:
             warnings.simplefilter("error")
             spec = BinSpec(strategy, 1, 1.0, 1.7e308, 1.2 if strategy == "DID" else None)
             assert value_to_bin([1.0, 1.7e308], spec).tolist() == [0, 0]
+
+    @pytest.mark.parametrize("strategy", ["UD", "SID", "LID", "DID", "DEPTH_UD"])
+    def test_a_huge_bin_count_loads_without_building_its_edges(self, strategy):
+        # The load checks read the end edges only: 2**29 bins would take
+        # 4 GiB of edges and as much again of midpoints.
+        tracemalloc.start()
+        try:
+            BinSpec(strategy, 2**29, 0.0, 1.0, 1.2 if strategy == "DID" else None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_did_needs_alpha(self):
         with pytest.raises(ConfigError):

@@ -18,6 +18,8 @@ from bevlift.geometry import (
     CameraRig,
     Extrinsics,
     Intrinsics,
+    _mat3,
+    _rig_rows,
     extrinsics_from_pose,
     load_rig,
     pixel_to_ref_cam,
@@ -26,7 +28,7 @@ from bevlift.geometry import (
     rig_to_json_dict,
     save_rig,
 )
-from bevlift.lifting import lift_pixel_height
+from bevlift.lifting import lift_many_depth, lift_many_height, lift_pixel_height
 from bevlift.robustness import perturb_extrinsics, perturb_rig
 from strategies import rig_st
 
@@ -205,6 +207,59 @@ class TestVirtualFrame:
     def test_far_camera_with_finite_squared_distance_kept(self):
         rig = CameraRig(INTR_1000, extrinsics_from_pose((1e150, 0.0, 1e140), pitch_deg=10.0))
         assert rig.ground_height_H > 0
+
+
+class TestFixedOrderProduct:
+    """_mat3, the product of every 3-vector and rotation that reaches an
+    artifact: each entry is (a0 * m0j + a1 * m1j) + a2 * m2j, rounded after
+    every operation, whatever the rows' shape or company."""
+
+    def test_entries_round_after_every_operation(self):
+        rng = np.random.default_rng(3)
+        a, m = rng.standard_normal((50, 3)), rng.standard_normal((3, 3))
+        got = _mat3(a, m)
+        for row, out in zip(a.tolist(), got.tolist()):
+            # Python floats round every operation, in this order.
+            assert out == [(row[0] * m[0, j] + row[1] * m[1, j]) + row[2] * m[2, j]
+                           for j in range(3)]
+
+    def test_a_row_keeps_its_bits_whatever_shares_its_call(self):
+        rng = np.random.default_rng(4)
+        a, m = rng.standard_normal((24, 3)), rng.standard_normal((3, 3))
+        whole = _mat3(a, m)
+        assert _mat3(a.reshape(4, 6, 3), m).reshape(24, 3).tobytes() == whole.tobytes()
+        assert _mat3(a[7], m).tobytes() == whole[7].tobytes()
+        per_row = _mat3(a, np.broadcast_to(m, (24, 3, 3)))
+        assert per_row.tobytes() == whole.tobytes()
+
+    def test_one_matrix_per_row(self):
+        rng = np.random.default_rng(5)
+        a, m = rng.standard_normal((10, 3)), rng.standard_normal((10, 3, 3))
+        want = np.stack([_mat3(row, mat) for row, mat in zip(a, m)])
+        assert _mat3(a, m).tobytes() == want.tobytes()
+        # a column of m per row is a dot product per row
+        dots = _mat3(a, a[:, :, None])
+        assert dots.shape == (10, 1)
+        assert dots[:, 0].tolist() == [(x * x + y * y) + z * z for x, y, z in a.tolist()]
+
+    def test_rig_rows_lift_each_row_through_its_own_rig(self, mast_rig):
+        rigs = [perturb_rig(mast_rig, roll, pitch) for roll, pitch in ((0.5, -1.0), (-2.0, 0.3))]
+        index = np.array([1, 0, 0, 1, 1])
+        us = np.array([300.0, 700.0, 900.0, 1200.0, 640.0])
+        vs = np.array([700.0, 650.0, 800.0, 690.0, 710.0])
+        hyps = np.array([0.1, 0.7, 1.5, 0.0, 0.3])
+        rows = _rig_rows(rigs, index)
+        for lift in (lift_many_height, lift_many_depth):
+            got = lift(us, vs, hyps + (lift is lift_many_depth) * 20.0, rows)
+            for i, k in enumerate(index):
+                want = lift(us[i:i + 1], vs[i:i + 1],
+                            hyps[i:i + 1] + (lift is lift_many_depth) * 20.0, rigs[k])
+                assert got[i].tobytes() == want[0].tobytes()
+
+    def test_rig_rows_need_one_camera(self, mast_rig):
+        other = replace(mast_rig, intrinsics=replace(mast_rig.intrinsics, fx=900.0))
+        with pytest.raises(ValueError, match="share their intrinsics"):
+            _rig_rows([mast_rig, other], np.zeros(2, dtype=int))
 
 
 class TestProjection:

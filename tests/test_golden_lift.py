@@ -3,13 +3,30 @@ both rebuilt through scripts/make_goldens.py: the committed lift
 experiment must reproduce tests/golden/lift_checksums.json exactly, also
 when its positions are first read after pooling, and
 the files `render` and `lift` write in every format must reproduce
-tests/golden/table_digests.json."""
+tests/golden/table_digests.json.  Every golden test also passes under
+OpenBLAS's kernels without FMA, in a child process."""
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+import bevlift
+
 ROOT = Path(__file__).resolve().parent.parent
+
+# Every test that compares a fresh run with tests/golden.
+GOLDEN_TESTS = (
+    "tests/test_golden_lift.py::test_lift_checksums_match_golden",
+    "tests/test_golden_lift.py::test_table_digests_match_golden",
+    "tests/test_robustness.py::TestScatterOverlap::test_matches_golden_run",
+    "tests/test_robustness.py::TestLocalizationError::test_disturbed_run_matches_golden_table",
+)
 
 
 def _make_goldens():
@@ -37,3 +54,31 @@ def test_table_digests_match_golden():
     fresh = _make_goldens().table_digests()
     assert len(golden) == 32
     assert fresh == golden
+
+
+def _dynamic_arch_openblas() -> bool:
+    """Whether numpy runs on an OpenBLAS built with DYNAMIC_ARCH, the only
+    kind that reads OPENBLAS_CORETYPE."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config only
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(),
+                    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so "
+                           "OPENBLAS_CORETYPE would not change its kernels")
+def test_goldens_hold_under_the_blas_kernels_without_fma():
+    # Every product that reaches an artifact is a fixed-order one, so the
+    # goldens do not depend on which kernel OpenBLAS picks.  Only the child
+    # process's environment changes.
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge",
+           "PYTHONPATH": os.pathsep.join(filter(None, (
+               str(Path(bevlift.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))))}
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *GOLDEN_TESTS],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stdout[-3000:] + child.stderr[-3000:]
+    assert f"{len(GOLDEN_TESTS)} passed" in child.stdout

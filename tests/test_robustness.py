@@ -4,6 +4,7 @@ directly and compare ranges.  The expensive disturbed runs are pinned to
 golden files produced by scripts/make_goldens.py.
 """
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -26,9 +27,11 @@ from bevlift.io import error_report_table, table_rows, write_csv
 from bevlift.lifting import lift_many_depth, lift_many_height, lift_pixel_height
 from bevlift.robustness import (
     DisturbanceSpec,
+    DisturbanceTrials,
     OverlapReport,
     disturbance_trials,
     _object_rows,
+    _trial_pixels,
     height_error_law,
     law_check,
     localization_error,
@@ -42,8 +45,6 @@ from bevlift.robustness import (
 from bevlift.scene import (
     NoiseModel,
     Scene,
-    _noise_table,
-    _true_bin_map,
     predict_depth_distribution,
     predict_height_distribution,
     render,
@@ -275,25 +276,31 @@ def clean_run(corridor7, mast_rig):
     )
 
 
-def object_paths(maps, noise, lifts=(lift_many_height, lift_many_depth)):
-    """The (param, lift, true_bin_map, table, mids) paths localization_error
-    hands _object_rows for one rendered trial of the committed bins."""
-    return tuple(
-        (param, lift, _true_bin_map(values, maps.non_sky, bins, noise),
-         _noise_table(bins, noise), bin_midpoints(bins))
-        for param, lift, values, bins in (
-            ("height", lifts[0], maps.height_above_ground, EXPERIMENT_HEIGHT_BINS),
-            ("depth", lifts[1], maps.depth, EXPERIMENT_DEPTH_BINS),
-        )
-    )
-
-
 def recording(lift, seen):
     """lift, recording the hypotheses it is called with."""
     def wrapped(us, vs, hypotheses, rig):
         seen.append(hypotheses)
         return lift(us, vs, hypotheses, rig)
     return wrapped
+
+
+def recorded_run(monkeypatch, scene, rig, noise, trials=None):
+    """localization_error at stride 16 under the committed bins, with the
+    hypotheses of every lift it makes: (report, height lifts, depth lifts).
+    The depth lifts are the rendered depths', then the predicted ones'."""
+    seen_h, seen_d = [], []
+    monkeypatch.setattr(robustness, "lift_many_height", recording(lift_many_height, seen_h))
+    monkeypatch.setattr(robustness, "lift_many_depth", recording(lift_many_depth, seen_d))
+    report = localization_error(scene, rig, EXPERIMENT_HEIGHT_BINS, EXPERIMENT_DEPTH_BINS,
+                                noise, trials, 16)
+    return report, seen_h, seen_d
+
+
+def report_rows(report, keep=slice(None)):
+    """The report's rows, as tuples of Python values."""
+    return list(zip(*(np.asarray(column)[keep].tolist() for column in (
+        report.trials, report.objects, report.parameterizations, report.errors_m,
+        report.true_distances_m, report.n_pixels))))
 
 
 class TestLocalizationError:
@@ -392,14 +399,15 @@ class TestLocalizationError:
         dist_d = predict_depth_distribution(maps, EXPERIMENT_DEPTH_BINS, noise)
         mids_h = bin_midpoints(EXPERIMENT_HEIGHT_BINS)
         mids_d = bin_midpoints(EXPERIMENT_DEPTH_BINS)
-        columns = _object_rows(maps, rig, object_paths(maps, noise))
+        report = localization_error(corridor7, rig, EXPERIMENT_HEIGHT_BINS,
+                                    EXPERIMENT_DEPTH_BINS, noise, sample_stride=16)
         paths = {
             "height": (lift_many_height, dist_h, mids_h),
             "depth": (lift_many_depth, dist_d, mids_d),
         }
         uu, vv = maps.pixel_grid()
         cam = rig.camera_center
-        for k, param, err, d_ref, n_px in zip(*columns):
+        for _, k, param, err, d_ref, n_px in report_rows(report):
             lift, dist, mids = paths[param]
             mask = maps.hit_kind == k + 1
             pos = lift(
@@ -410,48 +418,46 @@ class TestLocalizationError:
             ).reshape(n_px, mids.size, 3)
             est = (dist.data[mask][:, :, None] * pos).sum(axis=(0, 1)) / n_px
             assert abs(abs(float(np.linalg.norm(est - cam)) - d_ref) - err) <= 1e-9
-        assert set(columns[1]) == {"height", "depth"}
+        assert set(report.parameterizations) == {"height", "depth"}
 
     @pytest.mark.parametrize("noise", [
         NoiseModel("one_hot_truth"),
         NoiseModel("gaussian_bin_blur", sigma_bins=1.0),
         NoiseModel("bias", bias_m=0.03),
     ], ids=lambda noise: noise.kind)
-    def test_expected_hypotheses_equal_predicted_maps_exactly(self, corridor7, mast_rig, noise):
-        # The hypotheses _object_rows lifts, one batch of every object pixel
-        # per parameterization, are the rows of the predicted distribution
-        # maps dotted with the bin midpoints, bit for bit.
+    def test_expected_hypotheses_equal_predicted_maps_exactly(self, monkeypatch, corridor7,
+                                                              mast_rig, noise):
+        # The hypotheses localization_error lifts, one batch of every object
+        # pixel per parameterization, are the rows of the predicted
+        # distribution maps times the bin midpoints, summed over each row,
+        # bit for bit.
         rig = perturb_rig(mast_rig, -0.9, 1.4)
         maps = render(corridor7, rig, 16)
-        seen_h, seen_d = [], []
-        lifts = (recording(lift_many_height, seen_h), recording(lift_many_depth, seen_d))
-        objects, *_ = _object_rows(maps, rig, object_paths(maps, noise, lifts))
-        assert len(seen_h) == len(seen_d) == 1 and np.unique(objects).size > 5
+        report, seen_h, seen_d = recorded_run(monkeypatch, corridor7, rig, noise)
+        assert len(seen_h) == 1 and len(seen_d) == 2 and np.unique(report.objects).size > 5
         on_object = maps.hit_kind > 0
         for seen, predict, bins in (
-            (seen_h, predict_height_distribution, EXPERIMENT_HEIGHT_BINS),
-            (seen_d, predict_depth_distribution, EXPERIMENT_DEPTH_BINS),
+            (seen_h[0], predict_height_distribution, EXPERIMENT_HEIGHT_BINS),
+            (seen_d[1], predict_depth_distribution, EXPERIMENT_DEPTH_BINS),
         ):
-            want = predict(maps, bins, noise).data[on_object] @ bin_midpoints(bins)
-            assert seen[0].dtype == want.dtype
-            assert seen[0].tobytes() == want.tobytes()
+            want = (predict(maps, bins, noise).data[on_object] * bin_midpoints(bins)).sum(axis=1)
+            assert seen.dtype == want.dtype
+            assert seen.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("scene_name", ["corridor7", "intersection11", "corridor13"])
-    def test_object_reductions_equal_per_object_mean_and_norm(self, request, scene_name,
-                                                              mast_rig):
+    def test_object_reductions_equal_per_object_mean_and_norm(self, request, monkeypatch,
+                                                              scene_name, mast_rig):
         # An object's centroid is its bincount sum over its pixel count and
-        # its distance a per-row dot product: bit for bit the mean and
-        # np.linalg.norm of that object's lifted points, 1-pixel objects
-        # included.
+        # its distance the square root of o0*o0 + o1*o1 + o2*o2: bit for bit
+        # the mean of that object's lifted points and that sum of squares,
+        # 1-pixel objects included.
         scene = request.getfixturevalue(scene_name)
         noise = NoiseModel("gaussian_bin_blur", sigma_bins=1.0)
         single_pixel = 0
         for roll, pitch in ((0.0, 0.0), (-0.9, 1.4), (1.2, -0.8)):
             rig = perturb_rig(mast_rig, roll, pitch)
             maps = render(scene, rig, 16)
-            seen_h, seen_d = [], []
-            lifts = (recording(lift_many_height, seen_h), recording(lift_many_depth, seen_d))
-            columns = _object_rows(maps, rig, object_paths(maps, noise, lifts))
+            report, seen_h, seen_d = recorded_run(monkeypatch, scene, rig, noise)
             on_object = maps.hit_kind > 0
             uu, vv = maps.pixel_grid()
             us, vs = uu[on_object], vv[on_object]
@@ -459,45 +465,40 @@ class TestLocalizationError:
             points = {
                 "reference": lift_many_depth(us, vs, maps.depth[on_object], rig),
                 "height": lift_many_height(us, vs, seen_h[0], rig),
-                "depth": lift_many_depth(us, vs, seen_d[0], rig),
+                "depth": lift_many_depth(us, vs, seen_d[1], rig),
             }
 
             def distance(source, k):
-                centroid = points[source][kind == k + 1].mean(axis=0)
-                return float(np.linalg.norm(centroid - rig.camera_center))
+                o = points[source][kind == k + 1].mean(axis=0) - rig.camera_center
+                return math.sqrt(o[0] * o[0] + o[1] * o[1] + o[2] * o[2])
 
-            for k, param, err, d_ref, n_px in zip(*columns):
+            for _, k, param, err, d_ref, n_px in report_rows(report):
                 assert n_px == np.count_nonzero(kind == k + 1)
                 assert d_ref == distance("reference", k)
                 assert err == abs(distance(param, k) - d_ref)
                 single_pixel += n_px == 1
         assert single_pixel > 0
 
-    def test_a_trial_lifts_three_times_and_skips_when_nothing_is_visible(
+    def test_every_trial_lifts_in_one_call_per_path_and_skips_when_nothing_is_visible(
         self, monkeypatch, mast_rig
     ):
         # A small box at the bottom edge of the image: some disturbed
-        # trials see it and some do not.  Every trial lifts its object
-        # pixels once per parameterization plus once at the rendered
-        # depths, and a trial that sees no object adds no row.
+        # trials see it and some do not.  The object pixels of every trial
+        # are lifted in one call per parameterization plus one at the
+        # rendered depths, and a trial that sees no object adds no row.
         intr = mast_rig.intrinsics
         x_edge = lift_pixel_height(intr.cx, intr.image_h, 0.0, mast_rig)[0]
         scene = Scene((Box3D(x_edge - 0.3, 0.0, 0.1, 0.4, 0.4, 0.2, 0.0),),
                       (0.0, 98.0, -40.0, 40.0), 0)
         spec = DisturbanceSpec(1.67, 1.67, seed=0, n_trials=6)
-        seen = []
-        monkeypatch.setattr(robustness, "lift_many_height", recording(lift_many_height, seen))
-        monkeypatch.setattr(robustness, "lift_many_depth", recording(lift_many_depth, seen))
-        report = localization_error(scene, mast_rig, EXPERIMENT_HEIGHT_BINS,
-                                    EXPERIMENT_DEPTH_BINS, EXPERIMENT_NOISE,
-                                    disturbance_trials(mast_rig, spec), 16)
-        assert len(seen) == 3 * spec.n_trials
+        report, seen_h, seen_d = recorded_run(monkeypatch, scene, mast_rig, EXPERIMENT_NOISE,
+                                              disturbance_trials(mast_rig, spec))
         visible = [
             np.count_nonzero(render(scene, perturb_rig(mast_rig, roll, pitch), 16).hit_kind > 0)
             for roll, pitch in sample_disturbances(spec)
         ]
         assert 0 < visible.count(0) < spec.n_trials
-        assert [h.size for h in seen] == np.repeat(visible, 3).tolist()
+        assert [h.size for h in seen_h + seen_d] == [sum(visible)] * 3
         trials = [t for t, n in enumerate(visible) if n]
         np.testing.assert_array_equal(report.trials, np.repeat(trials, 2))
         np.testing.assert_array_equal(report.objects, np.zeros(2 * len(trials), dtype=int))
@@ -506,16 +507,41 @@ class TestLocalizationError:
         np.testing.assert_array_equal(report.n_pixels,
                                       np.repeat([visible[t] for t in trials], 2))
 
+    @pytest.mark.parametrize("scene_name", ["corridor7", "intersection11"])
+    def test_a_batched_run_equals_its_trials_run_alone(self, request, scene_name, mast_rig):
+        # Lifting every trial's pixels in one call moves no bit: trial k's
+        # rows of the batched run are the rows of a run over trial k alone.
+        scene = request.getfixturevalue(scene_name)
+        trials = disturbance_trials(mast_rig, DisturbanceSpec(1.67, 1.67, seed=4, n_trials=5))
+        noise = NoiseModel("gaussian_bin_blur", sigma_bins=1.0)
+        batched = localization_error(scene, mast_rig, EXPERIMENT_HEIGHT_BINS,
+                                     EXPERIMENT_DEPTH_BINS, noise, trials, 16)
+        assert set(batched.trials.tolist()) == set(range(5))
+        for k in range(5):
+            alone = localization_error(
+                scene, mast_rig, EXPERIMENT_HEIGHT_BINS, EXPERIMENT_DEPTH_BINS, noise,
+                DisturbanceTrials(trials.angles[k:k + 1], trials.rigs[k:k + 1]), 16)
+            assert np.all(alone.trials == 0)
+            want = [(k, *row[1:]) for row in report_rows(alone)]
+            assert report_rows(batched, batched.trials == k) == want
+
     def test_a_scene_without_boxes_gives_empty_columns(self, mast_rig):
         bare = Scene((), (0.0, 98.0, -40.0, 40.0), 0)
-        maps = render(bare, mast_rig, 16)
-        columns = _object_rows(maps, mast_rig, object_paths(maps, NoiseModel("one_hot_truth")))
-        assert [c.size for c in columns] == [0] * 5
-        assert [c.dtype.kind for c in columns] == ["i", "U", "f", "f", "i"]
+        noise = NoiseModel("one_hot_truth")
+        paths = [(bins, robustness._expected_hypotheses(bins, noise))
+                 for bins in (EXPERIMENT_HEIGHT_BINS, EXPERIMENT_DEPTH_BINS)]
+        label, us, vs, depth, hyp_h, hyp_d = _trial_pixels(render(bare, mast_rig, 16), paths,
+                                                           noise)
+        columns = _object_rows((mast_rig,), 0, np.zeros(label.size, dtype=int), label, us, vs,
+                               depth, (("height", lift_many_height, hyp_h),
+                                       ("depth", lift_many_depth, hyp_d)))
+        assert [c.size for c in columns] == [0] * 6
+        assert [c.dtype.kind for c in columns] == ["i", "i", "U", "f", "f", "i"]
 
     def test_ground_pixel_out_of_range_raises(self, mast_rig):
         # Depth bins that cover every object pixel but not the far ground:
-        # the trial must still fail, as predicting the full map would.
+        # the trial must still fail, with the message predicting the full
+        # map gives.
         near = Scene(
             (Box3D(20.0, 0.0, 1.0, 4.0, 2.0, 2.0, 0.0), Box3D(26.0, 3.0, 1.0, 4.0, 2.0, 2.0, 0.3)),
             (0.0, 98.0, -40.0, 40.0),
@@ -529,11 +555,14 @@ class TestLocalizationError:
         assert ground_far > box_far + 2.0
         assert min(maps.depth[maps.non_sky].min(), 1.0) == 1.0
         depth_bins = BinSpec("DEPTH_UD", 50, 1.0, box_far + 1.0)
-        with pytest.raises(OutOfRange):
-            localization_error(
-                near, mast_rig, EXPERIMENT_HEIGHT_BINS, depth_bins,
-                NoiseModel("one_hot_truth"), sample_stride=16,
-            )
+        noise = NoiseModel("one_hot_truth")
+        with pytest.raises(OutOfRange) as predicted:
+            predict_depth_distribution(maps, depth_bins, noise)
+        with pytest.raises(OutOfRange) as studied:
+            localization_error(near, mast_rig, EXPERIMENT_HEIGHT_BINS, depth_bins, noise,
+                               sample_stride=16)
+        assert str(studied.value) == str(predicted.value)
+        assert str(studied.value).startswith("rendered values do not fit the bin range: value ")
 
     def test_disturbed_run_matches_golden_table(self, disturbed_errors_seed7, tmp_path):
         header, columns = error_report_table(disturbed_errors_seed7)

@@ -13,7 +13,14 @@ import pytest
 
 from bevlift.binning import BinSpec, value_to_bin
 from bevlift.errors import ConfigError, EmptyInput, ExtentTooSmall, OutOfRange, ShapeMismatch
-from bevlift.geometry import Box3D, CameraRig, Intrinsics, extrinsics_from_pose, project_ego
+from bevlift.geometry import (
+    Box3D,
+    CameraRig,
+    Intrinsics,
+    _mat3,
+    extrinsics_from_pose,
+    project_ego,
+)
 from bevlift import lifting
 from bevlift.lifting import cell_pixel_centers, lift_many_depth
 from bevlift.robustness import perturb_rig
@@ -303,7 +310,7 @@ def cast_rays_unculled(scene, rig, us, vs):
         ],
         axis=-1,
     )
-    dirs = ref_cam @ rig.extrinsics.rotation
+    dirs = _mat3(ref_cam, rig.extrinsics.rotation)
     origin = rig.camera_center
     best_t = np.full(us.size, np.inf)
     kind = np.full(us.size, HIT_SKY, dtype=np.int64)
