@@ -30,9 +30,6 @@ HEIGHT_BINS = {"strategy": "DID", "n_bins": 90, "range_min": -0.2,
                "range_max": 3.6, "alpha": 1.2}
 DEPTH_BINS = {"strategy": "DEPTH_UD", "n_bins": 206, "range_min": 1.0,
               "range_max": 104.0}
-# Operating bins of the latency comparison; the bench runs scene-free.
-BENCH_HEIGHT_BINS = {"strategy": "DID", "n_bins": 90, "range_min": -1.0,
-                     "range_max": 1.0, "alpha": 2.0}
 
 
 def build_rig(name: str, position, pitch_deg: float) -> CameraRig:
@@ -71,14 +68,7 @@ def main() -> None:
                         "seed": 0, "n_trials": 100},
     })
     write_json(CONFIGS / "experiment_bench.json", {
-        "rig": "rig_default.json",
-        "scene": None,
-        "height_bins": BENCH_HEIGHT_BINS,
-        "depth_bins": DEPTH_BINS,
-        "sample_stride": 16,
-        "context_channels": 4,
-        "bench_repeats": 3,
-        "seed": 0,
+        **common, "sample_stride": 16, "context_channels": 4, "bench_repeats": 3,
     })
     print(f"wrote configs under {CONFIGS}")
 

@@ -5,7 +5,9 @@ Subcommands
     lift        run both lift paths end to end and pool them onto the grid
     robustness  disturbance studies: scatter overlap, localization error,
                 and the analytic range-error law check
-    bench       workload comparison of the two lift paths
+    bench       time both lift paths on the frame lift builds
+
+Every subcommand needs a scene; lift and bench make a frame one way (_lift).
 
 Every run resolves one JSON experiment config, hashes it, and stamps the
 hash plus the effective seed into every artifact (CSV comment line, JSON
@@ -41,7 +43,7 @@ from .errors import (
 from .geometry import CameraRig, rig_from_json_dict
 from .lifting import (
     ContextMap,
-    DistributionMap,
+    WedgeCloud,
     _plan,
     build_wedge,
     build_wedge_depth,
@@ -194,16 +196,31 @@ def _context_map(cfg: ExperimentConfig, maps, seed: int) -> ContextMap:
     return ContextMap(maps.width, maps.height, cfg.context_channels, data)
 
 
-def _build_lift_plans(cfg: ExperimentConfig) -> tuple[int, int]:
+def _paths(cfg: ExperimentConfig) -> tuple:
+    """The two hypothesis paths of a frame under cfg, height first: (name,
+    bins, distribution predictor, lift)."""
+    return (
+        ("height", cfg.height_bins, predict_height_distribution, build_wedge),
+        ("depth", cfg.depth_bins, predict_depth_distribution, build_wedge_depth),
+    )
+
+
+def _build_lift_plans(cfg: ExperimentConfig) -> None:
     """Build the rig's height and depth lift plans on the config's feature
-    grid and return its (width, height).  A plan depends on the config
-    alone, so lifted positions that are not finite exit 2 before any
-    frame is rendered; the frames then reuse the plans."""
+    grid.  A plan depends on the config alone, so lifted positions that
+    are not finite exit 2 before any frame is rendered; the frames then
+    reuse the plans."""
     width = cfg.rig.intrinsics.image_w // cfg.sample_stride
     height = cfg.rig.intrinsics.image_h // cfg.sample_stride
-    for kind, bins in (("height", cfg.height_bins), ("depth", cfg.depth_bins)):
+    for kind, bins, _, _ in _paths(cfg):
         _plan(kind, bins, cfg.rig, width, height, cfg.sample_stride)
-    return width, height
+
+
+def _lift(cfg: ExperimentConfig, path, maps, ctx: ContextMap, rig: CameraRig) -> WedgeCloud:
+    """One path of _paths on a rendered frame: predict its distribution
+    under the config's bins and noise, fuse it with ctx and lift it."""
+    _, bins, predict, build = path
+    return build(fuse(ctx, predict(maps, bins, cfg.noise)), bins, rig, cfg.sample_stride)
 
 
 def cmd_render(cfg: ExperimentConfig, args, meta: dict) -> dict:
@@ -241,25 +258,15 @@ def cmd_lift(cfg: ExperimentConfig, args, meta: dict) -> dict:
     _build_lift_plans(cfg)
     maps = render(scene, cfg.rig, cfg.sample_stride)
     ctx = _context_map(cfg, maps, meta["seed"])
-    dist_h = predict_height_distribution(maps, cfg.height_bins, cfg.noise)
-    dist_d = predict_depth_distribution(maps, cfg.depth_bins, cfg.noise)
-    wedge_h = build_wedge(fuse(ctx, dist_h), cfg.height_bins, cfg.rig, cfg.sample_stride)
-    wedge_d = build_wedge_depth(fuse(ctx, dist_d), cfg.depth_bins, cfg.rig, cfg.sample_stride)
-    bev_h = pool(wedge_h, cfg.bev_grid)
-    bev_d = pool(wedge_d, cfg.bev_grid)
+    wedges = {path[0]: _lift(cfg, path, maps, ctx, cfg.rig) for path in _paths(cfg)}
+    bevs = {name: pool(wedge, cfg.bev_grid) for name, wedge in wedges.items()}
 
     out = Path(args.out)
-    for stem, table in (
-        ("wedge_height", artio.wedge_table(wedge_h)),
-        ("wedge_depth", artio.wedge_table(wedge_d)),
-        ("bev_height", artio.bev_table(bev_h)),
-        ("bev_depth", artio.bev_table(bev_d)),
-    ):
-        artio.write_table(out, stem, args.format, *table, meta)
-
     summary = dict(meta)
-    for key, wedge, bev in (("height", wedge_h, bev_h), ("depth", wedge_d, bev_d)):
-        summary[key] = {
+    for (name, wedge), bev in zip(wedges.items(), bevs.values()):
+        artio.write_table(out, f"wedge_{name}", args.format, *artio.wedge_table(wedge), meta)
+        artio.write_table(out, f"bev_{name}", args.format, *artio.bev_table(bev), meta)
+        summary[name] = {
             "n_points": wedge.n_points,
             "skipped_cells": wedge.skipped_cells,
             "dropped_points": bev.dropped_points,
@@ -305,73 +312,67 @@ def cmd_robustness(cfg: ExperimentConfig, args, meta: dict) -> dict:
     return summary
 
 
-def _time_best(fn, repeats: int) -> float:
+def _time_best(fn, repeats: int):
+    """(least seconds of repeats calls of fn, the last call's result)."""
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        fn()
+        result = fn()
         best = min(best, time.perf_counter() - start)
-    return best
+    return best, result
 
 
 def cmd_bench(cfg: ExperimentConfig, args, meta: dict) -> dict:
-    """Compare the two lift paths on synthetic inputs of operating size.
+    """Time both lift paths on the frame lift builds.
 
-    The workload is the full pixel cell grid of the rig at the configured
-    stride with random normalized distributions, so the comparison
-    isolates bin-count economics from scene content.  plan_seconds is the
-    lift and pool of a frame on a copy of the rig that holds no lift plan,
-    so it includes building the plan and its BEV index; lift_seconds and
-    pool_seconds are the per-frame times once the plan exists.  Each
-    repeat lifts a fresh cloud and pools it, so pool_seconds includes
-    forming the cloud's per-point weights, as a new frame does.
+    render_seconds times the render both paths share.  Per path,
+    lift_seconds times predict, fuse and lift and pool_seconds the pool,
+    once the rig's lift plan exists; plan_seconds times all four on a copy
+    of the rig without one, so building the plan and its BEV index
+    included.  Each repeat lifts a fresh cloud of each path in turn and
+    pools it, as a new frame does; every time is the best of bench_repeats.
     """
-    width, height = _build_lift_plans(cfg)
-    rng = substream(meta["seed"], _CTX_STREAM)
-    ctx = ContextMap(
-        width, height, cfg.context_channels,
-        rng.standard_normal((height, width, cfg.context_channels)),
+    scene = _require_scene(cfg)
+    _build_lift_plans(cfg)
+    t_render, maps = _time_best(
+        lambda: render(scene, cfg.rig, cfg.sample_stride), cfg.bench_repeats
     )
-
-    def random_dist(n_bins: int) -> DistributionMap:
-        raw = np.abs(rng.standard_normal((height, width, n_bins))) + 1e-9
-        return DistributionMap(width, height, n_bins, raw / raw.sum(axis=2, keepdims=True))
-
-    dist_h = random_dist(cfg.height_bins.n_bins)
-    dist_d = random_dist(cfg.depth_bins.n_bins)
+    ctx = _context_map(cfg, maps, meta["seed"])
 
     report: dict = {
         **meta,
-        "grid": [width, height],
+        "grid": [maps.width, maps.height],
         "repeats": cfg.bench_repeats,
         "numpy": np.__version__,
+        "render_seconds": t_render,
     }
-    for name, dist, bins, builder in (
-        ("height", dist_h, cfg.height_bins, build_wedge),
-        ("depth", dist_d, cfg.depth_bins, build_wedge_depth),
-    ):
-        fused = fuse(ctx, dist)
-        t_plan = _time_best(
-            lambda: pool(builder(fused, bins, replace(cfg.rig), cfg.sample_stride), cfg.bev_grid),
+    paths = _paths(cfg)
+    for path in paths:
+        t_plan, _ = _time_best(
+            lambda: pool(_lift(cfg, path, maps, ctx, replace(cfg.rig)), cfg.bev_grid),
             cfg.bench_repeats,
         )
         # Builds the plan's BEV index, so the repeats below are per frame.
-        pool(builder(fused, bins, cfg.rig, cfg.sample_stride), cfg.bev_grid)
-        t_lift = t_pool = float("inf")
-        for _ in range(cfg.bench_repeats):
-            start = time.perf_counter()
-            cloud = builder(fused, bins, cfg.rig, cfg.sample_stride)
-            lifted = time.perf_counter()
-            pool(cloud, cfg.bev_grid)
-            t_lift = min(t_lift, lifted - start)
-            t_pool = min(t_pool, time.perf_counter() - lifted)
-        report[name] = {
-            "n_bins": bins.n_bins,
+        cloud = _lift(cfg, path, maps, ctx, cfg.rig)
+        pool(cloud, cfg.bev_grid)
+        report[path[0]] = {
+            "n_bins": path[1].n_bins,
             "n_points": cloud.n_points,
             "plan_seconds": t_plan,
-            "lift_seconds": t_lift,
-            "pool_seconds": t_pool,
+            "lift_seconds": float("inf"),
+            "pool_seconds": float("inf"),
         }
+    # The paths take turns repeat by repeat: the first path timed in a
+    # process ran up to 1.6 times slower than the same path timed second.
+    for _ in range(cfg.bench_repeats):
+        for path in paths:
+            times = report[path[0]]
+            start = time.perf_counter()
+            cloud = _lift(cfg, path, maps, ctx, cfg.rig)
+            lifted = time.perf_counter()
+            pool(cloud, cfg.bev_grid)
+            times["lift_seconds"] = min(times["lift_seconds"], lifted - start)
+            times["pool_seconds"] = min(times["pool_seconds"], time.perf_counter() - lifted)
     report["point_ratio_depth_over_height"] = (
         report["depth"]["n_points"] / report["height"]["n_points"]
     )

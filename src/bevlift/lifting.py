@@ -284,20 +284,12 @@ class WedgeCloud:
     @cached_property
     def weights(self) -> np.ndarray:
         """Per-point weights, (n_points,): each source cell's table row times
-        its cell weight, built on first read and kept, read-only.  When the
-        source cells read consecutive rows (rows is one contiguous range, as
-        for a map built by hand from dense data, whose height plan may skip
-        the cells above the horizon) and every cell weight is exactly 1.0,
-        that is a slice of the table (x * 1.0 is x), read back as a view."""
-        m = self.rows.size
-        first = self.rows[0] if m else 0
-        if (m and np.all(self.cell_weight == 1.0)
-                and np.array_equal(self.rows, np.arange(first, first + m))):
-            weights = self.table[first:first + m].reshape(-1)
-        else:
-            weights = self.table[self.rows]
-            weights *= self.cell_weight[:, None]
-            weights = weights.reshape(-1)
+        its cell weight, a new array built on first read and kept,
+        read-only.  Unit cell weights give the table rows bit for bit (x *
+        1.0 is x)."""
+        weights = self.table[self.rows]
+        weights *= self.cell_weight[:, None]
+        weights = weights.reshape(-1)
         weights.flags.writeable = False
         return weights
 
@@ -542,7 +534,9 @@ def _wedge(kind: str, fused: FusedMap, bins: BinSpec, rig: CameraRig,
     ctx = fused.context.data.reshape(-1, fused.context.channels)
     rows, cell_w = dist.rows.reshape(-1), dist.cell_weight.reshape(-1)
     if plan.skipped:
-        ctx, rows, cell_w = ctx[plan.valid], rows[plan.valid], cell_w[plan.valid]
+        # np.compress: several times faster than a 2-D boolean index
+        ctx = np.compress(plan.valid, ctx, axis=0)
+        rows, cell_w = rows[plan.valid], cell_w[plan.valid]
     return WedgeCloud(plan, ctx, dist.table, cell_w, rows)
 
 

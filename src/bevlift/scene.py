@@ -437,6 +437,8 @@ def _cast(scene: Scene, rig: CameraRig, rays: _Rays):
         height = np.multiply(best_t, dirs[:, 2])
     height += origin[2]
     best_t[sky] = height[sky] = np.nan
+    # The ground is the plane z = 0, whatever origin + t * dir rounds to.
+    height[kind == HIT_GROUND] = 0.0
     return best_t, height, kind
 
 

@@ -268,11 +268,12 @@ def test_range_bias_follows_the_lever_law_and_worsens_for_low_cameras():
 def test_height_path_emits_fewer_points_and_benches_faster(mast_rig, tmp_path):
     """At the operating bin counts (90 height vs 206 depth hypotheses) the
     height path emits under 90/206 of the depth path's points and wins
-    the lift+pool wall-time comparison."""
+    the lift+pool wall-time comparison on a predicted frame of the
+    committed corridor."""
     stride = 8
     w = mast_rig.intrinsics.image_w // stride
     hgt = mast_rig.intrinsics.image_h // stride
-    hb = BinSpec("DID", 90, -1.0, 1.0, 1.2)
+    hb = BinSpec("DID", 90, -0.2, 3.6, 1.2)
     db = BinSpec("DEPTH_UD", 206, 1.0, 104.0)
     ctx = ContextMap(w, hgt, 2, np.zeros((hgt, w, 2)))
     dh = DistributionMap(w, hgt, 90, np.full((hgt, w, 90), 1.0 / 90))
@@ -285,8 +286,9 @@ def test_height_path_emits_fewer_points_and_benches_faster(mast_rig, tmp_path):
 
     cfg = {
         "rig": json.loads((ROOT / "configs" / "rig_default.json").read_text()),
-        "height_bins": {"strategy": "DID", "n_bins": 90, "range_min": -1.0,
-                        "range_max": 1.0, "alpha": 1.2},
+        "scene": json.loads((ROOT / "configs" / "scenes" / "corridor_seed7.json").read_text()),
+        "height_bins": {"strategy": "DID", "n_bins": 90, "range_min": -0.2,
+                        "range_max": 3.6, "alpha": 1.2},
         "depth_bins": {"strategy": "DEPTH_UD", "n_bins": 206, "range_min": 1.0,
                        "range_max": 104.0},
         "sample_stride": stride,

@@ -722,11 +722,14 @@ class TestExitCodes:
                   "--format", "bin"])
         assert exit_info.value.code == 2
 
-    def test_missing_scene_for_render_is_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["render", "lift", "robustness", "bench"])
+    def test_missing_scene_is_2(self, tmp_path, capsys, command):
         path = write_config(tmp_path, scene=None)
-        code = main(["render", "--config", str(path), "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        code = main([command, "--config", str(path), "--out", str(out)])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not any(out.iterdir())
 
 
 # The fuzz config: every object inlined and every key given, the scene a
@@ -977,10 +980,12 @@ class TestRobustnessCommand:
 class TestBenchCommand:
     def test_report_fields(self, tmp_path):
         out = tmp_path / "out"
-        path = write_config(tmp_path, bench_repeats=1, scene=None)
+        path = write_config(tmp_path, bench_repeats=1)
         assert main(["bench", "--config", str(path), "--out", str(out)]) == 0
         report = read_json(out / "bench.json")
         cells = (1536 // 64) * (864 // 64)
+        assert report["grid"] == [1536 // 64, 864 // 64]
+        assert report["render_seconds"] > 0
         assert report["height"]["n_bins"] == 12
         assert report["depth"]["n_bins"] == 30
         assert report["depth"]["n_points"] == cells * 30
@@ -989,4 +994,31 @@ class TestBenchCommand:
         assert report["depth"]["plan_seconds"] > 0
         assert report["point_ratio_depth_over_height"] == pytest.approx(
             report["depth"]["n_points"] / report["height"]["n_points"]
+        )
+
+    def test_bench_times_the_frame_lift_builds(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, bench_repeats=2)
+        assert main(["lift", "--config", str(path), "--out", str(tmp_path / "lift")]) == 0
+        lifted = read_json(tmp_path / "lift" / "lift_summary.json")
+
+        calls = []
+
+        def spy(predict):
+            def predict_spy(maps, bins, noise):
+                calls.append((predict.__name__, maps.sample_stride, bins.n_bins, noise))
+                return predict(maps, bins, noise)
+            return predict_spy
+
+        for name in ("predict_height_distribution", "predict_depth_distribution"):
+            monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+        out = tmp_path / "bench"
+        assert main(["bench", "--config", str(path), "--out", str(out)]) == 0
+        report = read_json(out / "bench.json")
+        for name in ("height", "depth"):
+            assert report[name]["n_points"] == lifted[name]["n_points"]
+        # per path: two plan repeats, the BEV index build and two frame repeats
+        noise = load_config(path)[0].noise
+        assert sorted(calls, key=lambda call: call[0]) == (
+            [("predict_depth_distribution", 64, 30, noise)] * 5
+            + [("predict_height_distribution", 64, 12, noise)] * 5
         )

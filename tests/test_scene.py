@@ -358,6 +358,7 @@ def cast_rays_unculled(scene, rig, us, vs):
     depth = np.where(sky, np.nan, best_t)
     with np.errstate(invalid="ignore"):
         height = np.where(sky, np.nan, origin[2] + best_t * dirs[:, 2])
+    height = np.where(kind == HIT_GROUND, 0.0, height)
     return depth.reshape(shape), height.reshape(shape), kind.reshape(shape)
 
 
@@ -605,10 +606,14 @@ class TestRender:
         assert a.hit_kind.tobytes() == b.hit_kind.tobytes()
 
     def test_ground_pixels_have_zero_height(self, corridor7, mast_rig):
-        maps = render(corridor7, mast_rig, sample_stride=16)
-        ground = maps.hit_kind == HIT_GROUND
-        assert np.count_nonzero(ground) > 0
-        assert np.max(np.abs(maps.height_above_ground[ground])) < 1e-9
+        # exactly +0.0, on the clean rig and on perturbed ones, whatever
+        # the rounding of origin + t * dir
+        for rig in (mast_rig, perturb_rig(mast_rig, 2.5, -1.5), perturb_rig(mast_rig, -3.0, 2.0)):
+            for stride in (4, 16):
+                maps = render(corridor7, rig, sample_stride=stride)
+                heights = maps.height_above_ground[maps.hit_kind == HIT_GROUND]
+                assert heights.size > 0
+                assert np.all(heights == 0.0) and not np.signbit(heights).any()
 
     def test_box_pixels_bounded_by_tallest_box(self, corridor7, mast_rig):
         maps = render(corridor7, mast_rig, sample_stride=16)
