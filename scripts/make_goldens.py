@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the golden files under tests/golden.
 
-Goldens freeze the exact numerical behavior of the committed experiment
-configuration: the overlap study, the disturbed localization error
-table, and checksums of the lifted clouds and pooled grids.  They also
+Goldens freeze the exact numerical behavior of the committed experiments,
+read with the CLI's own config loader: the overlap study and the disturbed
+localization error table of configs/experiment_robustness.json, and
+checksums of the lifted clouds and pooled grids of the frame `lift` builds
+for configs/experiment_lift.json.  They also
 pin the bytes of every artifact `render` and `lift` write, in each
 table format, for a tiny experiment.  The test
 suite compares fresh runs against these files byte for byte, so run this
@@ -14,43 +16,21 @@ import json
 import tempfile
 from pathlib import Path
 
-from bevlift.binning import BinSpec
-from bevlift.bevpool import GridSpec, pool
+from bevlift.bevpool import pool
+from bevlift.cli import _context_map, _lift, _paths, load_config
 from bevlift.cli import main as cli_main
-from bevlift.geometry import load_rig
 from bevlift.io import error_report_table, table_rows, write_csv
-from bevlift.lifting import ContextMap, build_wedge, build_wedge_depth, fuse
-from bevlift.robustness import (
-    DisturbanceSpec,
-    disturbance_trials,
-    localization_error,
-    scatter_overlap,
-)
-from bevlift.rng import substream
-from bevlift.scene import (
-    NoiseModel,
-    load_scene,
-    predict_depth_distribution,
-    predict_height_distribution,
-    render,
-)
+from bevlift.robustness import disturbance_trials, localization_error, scatter_overlap
+from bevlift.scene import render
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
-
-HEIGHT_BINS = BinSpec("DID", 90, -0.2, 3.6, 1.2)
-DEPTH_BINS = BinSpec("DEPTH_UD", 206, 1.0, 104.0)
-NOISE = NoiseModel("gaussian_bin_blur", sigma_bins=1.0)
-DISTURBANCE = DisturbanceSpec(1.67, 1.67, seed=0, n_trials=100)
-ROBUSTNESS_STRIDE = 8
-LIFT_STRIDE = 32
-LIFT_SEED = 0
-LIFT_CHANNELS = 4
+CONFIGS = ROOT / "configs"
 
 # The tiny experiment tests/test_cli.py runs (stride 64): every table of
 # `render` and `lift` in every format is written in about a second.
 TABLE_CONFIG = {
-    "rig": str(ROOT / "configs" / "rig_default.json"),
+    "rig": str(CONFIGS / "rig_default.json"),
     "scene": {"template": "corridor", "n_boxes": 4, "seed": 3},
     "height_bins": {"strategy": "DID", "n_bins": 12, "range_min": -0.2,
                     "range_max": 3.6, "alpha": 1.2},
@@ -73,23 +53,14 @@ def sha(arr) -> str:
 
 
 def lift_frame(rig, scene):
-    """(wedge_h, wedge_d, bev_h, bev_d) of the committed lift experiment."""
-    maps = render(scene, rig, LIFT_STRIDE)
-    ctx_rng = substream(LIFT_SEED, 101)
-    ctx = ContextMap(
-        maps.width, maps.height, LIFT_CHANNELS,
-        ctx_rng.standard_normal((maps.height, maps.width, LIFT_CHANNELS)),
-    )
-    wedge_h = build_wedge(
-        fuse(ctx, predict_height_distribution(maps, HEIGHT_BINS, NOISE)),
-        HEIGHT_BINS, rig, LIFT_STRIDE,
-    )
-    wedge_d = build_wedge_depth(
-        fuse(ctx, predict_depth_distribution(maps, DEPTH_BINS, NOISE)),
-        DEPTH_BINS, rig, LIFT_STRIDE,
-    )
-    grid = GridSpec(0.0, 102.4, -51.2, 51.2, 0.8, 0.8, LIFT_CHANNELS)
-    return wedge_h, wedge_d, pool(wedge_h, grid), pool(wedge_d, grid)
+    """(wedge_h, wedge_d, bev_h, bev_d) of the committed lift experiment,
+    configs/experiment_lift.json, on rig and scene: the frame `lift`
+    builds, through the CLI's own frame functions."""
+    cfg, _, seed = load_config(CONFIGS / "experiment_lift.json")
+    maps = render(scene, rig, cfg.sample_stride)
+    ctx = _context_map(cfg, maps, seed)
+    wedges = [_lift(cfg, path, maps, ctx, rig) for path in _paths(cfg)]
+    return (*wedges, *(pool(wedge, cfg.bev_grid) for wedge in wedges))
 
 
 def frame_checksums(wedge_h, wedge_d, bev_h, bev_d) -> dict:
@@ -130,11 +101,9 @@ def table_digests() -> dict:
 
 def main() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    rig = load_rig(ROOT / "configs" / "rig_default.json")
-    scene = load_scene(ROOT / "configs" / "scenes" / "corridor_seed7.json")
-
-    trials = disturbance_trials(rig, DISTURBANCE)
-    overlap = scatter_overlap(scene, rig, trials)
+    cfg, _, _ = load_config(CONFIGS / "experiment_robustness.json")
+    trials = disturbance_trials(cfg.rig, cfg.disturbance)
+    overlap = scatter_overlap(cfg.scene, cfg.rig, trials)
     (GOLDEN / "overlap_seed7.json").write_text(json.dumps({
         "overlap_depth": overlap.overlap_depth,
         "overlap_height": overlap.overlap_height,
@@ -142,14 +111,15 @@ def main() -> None:
         "n_points": overlap.n_points,
     }, indent=2, sort_keys=True) + "\n")
 
-    report = localization_error(
-        scene, rig, HEIGHT_BINS, DEPTH_BINS, NOISE, trials, ROBUSTNESS_STRIDE
-    )
+    report = localization_error(cfg.scene, cfg.rig, cfg.height_bins, cfg.depth_bins,
+                                cfg.noise, trials, cfg.sample_stride)
     header, columns = error_report_table(report)
     write_csv(GOLDEN / "errors_seed7.csv", header, table_rows(columns))
 
+    lift_cfg, _, _ = load_config(CONFIGS / "experiment_lift.json")
+    checksums = frame_checksums(*lift_frame(lift_cfg.rig, lift_cfg.scene))
     (GOLDEN / "lift_checksums.json").write_text(
-        json.dumps(frame_checksums(*lift_frame(rig, scene)), indent=2, sort_keys=True) + "\n"
+        json.dumps(checksums, indent=2, sort_keys=True) + "\n"
     )
     (GOLDEN / "table_digests.json").write_text(
         json.dumps(table_digests(), indent=2, sort_keys=True) + "\n"

@@ -12,9 +12,9 @@ Every subcommand needs a scene; lift and bench make a frame one way (_lift).
 Every run resolves one JSON experiment config, hashes it, and stamps the
 hash plus the effective seed into every artifact (CSV comment line, JSON
 field, or .meta.json sidecar next to binary tensors).  Exit codes: 0 on
-success, 2 for configuration problems, 3 for pipeline failures and for
-running out of memory; errors are emitted to stderr as a one-line JSON
-record.
+success, 2 for configuration problems, 3 for pipeline failures, for
+running out of memory and for an artifact that cannot be written; errors
+are emitted to stderr as a one-line JSON record.
 """
 from __future__ import annotations
 
@@ -418,7 +418,10 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"--out {args.out} is not a usable directory: {exc.strerror}") from exc
         meta = {"config_hash": digest, "seed": seed}
-        _COMMANDS[args.command](cfg, args, meta)
+        try:
+            _COMMANDS[args.command](cfg, args, meta)
+        except OSError as exc:  # the commands touch files only to write artifacts
+            raise PipelineError(f"cannot write an artifact: {exc}") from exc
     except (ConfigError, PipelineError, MemoryError) as exc:
         # numpy raises a private MemoryError subclass; report the public name
         name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__

@@ -295,53 +295,6 @@ class CameraRig:
         return self.extrinsics.camera_center
 
 
-@dataclass(frozen=True)
-class _ExtrinsicsRows:
-    """Extrinsics with one rotation (n, 3, 3) and translation (n, 3) per
-    row of points; cam_to_ego is Extrinsics's, which reads only those."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-    cam_to_ego = Extrinsics.cam_to_ego
-
-
-@dataclass(frozen=True)
-class _RigRows:
-    """Rigs of one camera, one per row of pixels: what lifting's
-    lift_many_height and lift_many_depth read of a CameraRig, each array
-    with one entry per row.  Their products are _mat3's, so a row lifts
-    bit for bit as it does through its own rig, whatever rows share the
-    call."""
-
-    intrinsics: Intrinsics
-    extrinsics: _ExtrinsicsRows
-    t_cam_virt: np.ndarray
-    virt_to_ego: np.ndarray
-    camera_center: np.ndarray
-    ground_height_H: np.ndarray
-
-
-def _rig_rows(rigs: Sequence[CameraRig], index: np.ndarray) -> _RigRows:
-    """Row i holds the coefficients of rigs[index[i]]; the rigs must share
-    their intrinsics, as the perturbed rigs of one camera do."""
-    intrinsics = rigs[0].intrinsics
-    if any(rig.intrinsics != intrinsics for rig in rigs):
-        raise ValueError("rig rows need rigs that share their intrinsics")
-
-    def rows(values):
-        return np.stack(list(values))[index]
-
-    return _RigRows(
-        intrinsics,
-        _ExtrinsicsRows(rows(rig.extrinsics.rotation for rig in rigs),
-                        rows(rig.extrinsics.translation for rig in rigs)),
-        rows(rig.t_cam_virt for rig in rigs),
-        rows(rig.virt_to_ego for rig in rigs),
-        rows(rig.camera_center for rig in rigs),
-        rows(rig.ground_height_H for rig in rigs),
-    )
-
-
 def pixel_to_ref_cam(u, v, intrinsics: Intrinsics) -> np.ndarray:
     """Reference point of pixel (u, v) at camera depth 1.
 

@@ -21,11 +21,10 @@ Both forms recover the identical point when fed the true height or depth
 of a surface.  Rays that do not descend toward the ground (y_ref <= 1e-6)
 cannot carry height hypotheses; their cells are skipped and counted,
 never fatal.  lift_pixel_* and lift_many_* evaluate the same geometry
-step by step, pixel by pixel; they are the reference lifts.  lift_many_*
-also take a geometry._RigRows, one rig per pixel.  Every rotation above is
-applied by geometry._mat3's fixed-order product, so a pixel's point has
-the same bits whatever the host's BLAS, the caller's array shape or the
-pixels lifted with it.
+step by step, pixel by pixel, through one rig; they are the reference
+lifts.  Every rotation above is applied by geometry._mat3's fixed-order
+product, so a pixel's point has the same bits whatever the host's BLAS,
+the caller's array shape or the pixels lifted with it.
 
 build_wedge expands a fused feature map into a point cloud: one point per
 (feature cell, bin), ordered cells row-major with bins ascending within a
@@ -323,7 +322,7 @@ class WedgeCloud:
 
 
 def _ref_virt(u, v, rig: CameraRig) -> np.ndarray:
-    return _mat3(pixel_to_ref_cam(u, v, rig.intrinsics), np.swapaxes(rig.t_cam_virt, -1, -2))
+    return _mat3(pixel_to_ref_cam(u, v, rig.intrinsics), rig.t_cam_virt.T)
 
 
 def lift_pixel_height(u: float, v: float, h: float, rig: CameraRig) -> np.ndarray:
@@ -374,9 +373,8 @@ def lift_pixel_depth(u: float, v: float, depth: float, rig: CameraRig) -> np.nda
 
 
 def lift_many_height(us, vs, hs, rig: CameraRig) -> np.ndarray:
-    """Vectorized height lift; all rays must descend and heights sit below
-    the camera (callers mask first).  rig may be a geometry._RigRows of
-    one rig per pixel."""
+    """Vectorized height lift through one rig; all rays must descend and
+    heights sit below the camera (callers mask first)."""
     hs = np.asarray(hs, dtype=np.float64)
     if np.any(hs >= rig.ground_height_H):
         raise AboveCamera("height at or above the camera center")
@@ -385,12 +383,12 @@ def lift_many_height(us, vs, hs, rig: CameraRig) -> np.ndarray:
     if np.any(y_ref <= EPS_HORIZON):
         raise HorizonRay("ray does not descend toward the ground")
     scale = (rig.ground_height_H - hs) / y_ref
-    return _mat3(scale[..., None] * ref_virt, np.swapaxes(rig.virt_to_ego, -1, -2)) + rig.camera_center
+    return _mat3(scale[..., None] * ref_virt, rig.virt_to_ego.T) + rig.camera_center
 
 
 def lift_many_depth(us, vs, depths, rig: CameraRig) -> np.ndarray:
-    """Vectorized depth lift; depths must be strictly positive.  rig may
-    be a geometry._RigRows of one rig per pixel."""
+    """Vectorized depth lift through one rig; depths must be strictly
+    positive."""
     depths = np.asarray(depths, dtype=np.float64)
     if np.any(depths <= 0):
         raise NonPositiveDepth("depth must be positive")

@@ -33,12 +33,13 @@ so this is the bin-weighted centroid of the pixel's lifted bins without
 lifting every bin.  Each noise-table row's expected hypothesis is
 computed once per run and gathered at the object pixels only, so no
 dense distribution map is built, and only the object pixels are binned
-(a min and a max check the rest of the map against the bin range).  The
-object pixels of every trial are lifted together, once per
-parameterization and once at their rendered depths, each through its
-trial's rig, and reduced per (trial, object) with one np.bincount per
-axis.  The products are fixed-order (geometry._mat3), so joining the
-trials moves no bit.
+(a min and a max check the rest of the map against the bin range).  Each
+trial that sees an object lifts its object pixels through its own rig,
+once per parameterization and once at their rendered depths; the points
+of every trial are joined in trial order and reduced per (trial, object)
+with one np.bincount per axis.  The products are fixed-order
+(geometry._mat3), so a trial's rows are bit for bit those of a run over
+that trial alone.
 """
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ from .errors import (
     config_object,
     config_seed,
 )
-from .geometry import CameraRig, Extrinsics, _mat3, _rig_rows, _rot_x, _rot_z, project_ego
+from .geometry import CameraRig, Extrinsics, _mat3, _rot_x, _rot_z, project_ego
 from .lifting import lift_many_depth, lift_many_height
 from .rng import substream
 from .scene import NoiseModel, Scene, _noise_table, _true_bin_map, cast_rays, render
@@ -326,27 +327,33 @@ def _object_rows(rigs, n_objects: int, trial, label, us, vs, depth, paths):
     count), a row per (trial, visible object, path): trials ascending,
     objects ascending within a trial, paths in order within an object.
 
-    Pixel i is trial[i]'s and sees box label[i].  paths holds (param, lift,
-    hypotheses) per parameterization.  The pixels of every trial are lifted
-    in one call per path and one at their rendered depths, each pixel
-    through its trial's rig (geometry._rig_rows): bit for bit a call per
-    trial.  An object's centroid is its np.bincount sum over its pixel
-    count, which adds the same rows in the same order as the mean of its
-    points, and its distance the square root of o0*o0 + o1*o1 + o2*o2."""
+    Pixel i is trial[i]'s, trials ascending, and sees box label[i].  paths
+    holds (param, lift, hypotheses) per parameterization.  Each trial that
+    sees an object lifts its pixels through its own rig, in one call per
+    path and one at their rendered depths, and the points of every trial
+    are joined in trial order.  An object's centroid is its np.bincount sum
+    over its pixel count, which adds the same rows in the same order as the
+    mean of its points, and its distance the square root of o0*o0 + o1*o1 +
+    o2*o2."""
     cell = trial * n_objects + label
     n_px = np.bincount(cell)
     cells = np.flatnonzero(n_px)
     trials, objects, n_px = cells // n_objects, cells % n_objects, n_px[cells]
     centers = np.stack([rig.camera_center for rig in rigs])[trials]
-    pixel_rigs = _rig_rows(rigs, trial)
+    bounds = np.searchsorted(trial, np.arange(len(rigs) + 1))
+    spans = [(rigs[t], slice(bounds[t], bounds[t + 1])) for t in np.unique(trials)]
+
+    def lifted(lift, values):
+        points = [lift(us[s], vs[s], values[s], rig) for rig, s in spans]
+        return np.concatenate(points) if points else np.empty((0, 3))
 
     def camera_distances(points):
         sums = [np.bincount(cell, points[:, a])[cells] for a in range(3)]
         offset = np.stack(sums, axis=1) / n_px[:, None] - centers
         return np.sqrt(_mat3(offset, offset[:, :, None])[:, 0])
 
-    d_ref = camera_distances(lift_many_depth(us, vs, depth, pixel_rigs))
-    errors = [np.abs(camera_distances(lift(us, vs, hypotheses, pixel_rigs)) - d_ref)
+    d_ref = camera_distances(lifted(lift_many_depth, depth))
+    errors = [np.abs(camera_distances(lifted(lift, hypotheses)) - d_ref)
               for _, lift, hypotheses in paths]
     k = len(paths)
     return (
@@ -376,8 +383,8 @@ def localization_error(
     estimated as the mean of its pixels, each lifted at its expected height
     or depth under the noise model.  The reference for an object is the
     camera distance of the exact surface centroid over the same pixels, so
-    a noiseless run errs only by bin quantization.  The object pixels of
-    every trial are lifted together (see _object_rows).  Raises AboveCamera
+    a noiseless run errs only by bin quantization.  Each trial lifts its
+    object pixels through its own rig (see _object_rows).  Raises AboveCamera
     when a height bin reaches the camera, OutOfRange when any rendered
     non-sky value leaves its bins, and NoVisibleObjects when no trial sees
     an object.

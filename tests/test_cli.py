@@ -458,6 +458,24 @@ class TestExitCodes:
         err = json.loads(lines[0])
         assert err["error"] == "MemoryError" and "TiB" in err["message"]
 
+    @pytest.mark.parametrize("command, artifact", [
+        ("render", "maps.csv"),
+        ("lift", "wedge_height.csv"),
+        ("robustness", "overlap.json"),
+        ("bench", "bench.json"),
+    ])
+    def test_unwritable_artifact_is_3(self, tmp_path, capsys, command, artifact):
+        # A directory where the command's first artifact goes.
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        code = main([command, "--config", str(write_config(tmp_path)), "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 3 and len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "PipelineError"
+        assert err["message"].startswith("cannot write an artifact: ")
+        assert str(out / artifact) in err["message"]
+
     @pytest.mark.parametrize("command", ["lift", "bench", "robustness"])
     def test_depth_strategy_as_height_bins_is_2(self, tmp_path, capsys, command):
         # The range holds every rendered height, so only the strategy is wrong.

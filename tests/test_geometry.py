@@ -19,7 +19,6 @@ from bevlift.geometry import (
     Extrinsics,
     Intrinsics,
     _mat3,
-    _rig_rows,
     extrinsics_from_pose,
     load_rig,
     pixel_to_ref_cam,
@@ -28,7 +27,7 @@ from bevlift.geometry import (
     rig_to_json_dict,
     save_rig,
 )
-from bevlift.lifting import lift_many_depth, lift_many_height, lift_pixel_height
+from bevlift.lifting import lift_pixel_height
 from bevlift.robustness import perturb_extrinsics, perturb_rig
 from strategies import rig_st
 
@@ -241,25 +240,6 @@ class TestFixedOrderProduct:
         dots = _mat3(a, a[:, :, None])
         assert dots.shape == (10, 1)
         assert dots[:, 0].tolist() == [(x * x + y * y) + z * z for x, y, z in a.tolist()]
-
-    def test_rig_rows_lift_each_row_through_its_own_rig(self, mast_rig):
-        rigs = [perturb_rig(mast_rig, roll, pitch) for roll, pitch in ((0.5, -1.0), (-2.0, 0.3))]
-        index = np.array([1, 0, 0, 1, 1])
-        us = np.array([300.0, 700.0, 900.0, 1200.0, 640.0])
-        vs = np.array([700.0, 650.0, 800.0, 690.0, 710.0])
-        hyps = np.array([0.1, 0.7, 1.5, 0.0, 0.3])
-        rows = _rig_rows(rigs, index)
-        for lift in (lift_many_height, lift_many_depth):
-            got = lift(us, vs, hyps + (lift is lift_many_depth) * 20.0, rows)
-            for i, k in enumerate(index):
-                want = lift(us[i:i + 1], vs[i:i + 1],
-                            hyps[i:i + 1] + (lift is lift_many_depth) * 20.0, rigs[k])
-                assert got[i].tobytes() == want[0].tobytes()
-
-    def test_rig_rows_need_one_camera(self, mast_rig):
-        other = replace(mast_rig, intrinsics=replace(mast_rig.intrinsics, fx=900.0))
-        with pytest.raises(ValueError, match="share their intrinsics"):
-            _rig_rows([mast_rig, other], np.zeros(2, dtype=int))
 
 
 class TestProjection:

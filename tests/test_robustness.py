@@ -479,37 +479,48 @@ class TestLocalizationError:
                 single_pixel += n_px == 1
         assert single_pixel > 0
 
-    def test_every_trial_lifts_in_one_call_per_path_and_skips_when_nothing_is_visible(
+    def test_every_visible_trial_lifts_through_its_own_rig_and_skips_when_nothing_is_visible(
         self, monkeypatch, mast_rig
     ):
         # A small box at the bottom edge of the image: some disturbed
-        # trials see it and some do not.  The object pixels of every trial
-        # are lifted in one call per parameterization plus one at the
-        # rendered depths, and a trial that sees no object adds no row.
+        # trials see it and some do not.  Each trial that sees it lifts its
+        # object pixels through its own rig, once at the rendered depths and
+        # once per parameterization, and a trial that sees no object makes
+        # no lift and adds no row.
         intr = mast_rig.intrinsics
         x_edge = lift_pixel_height(intr.cx, intr.image_h, 0.0, mast_rig)[0]
         scene = Scene((Box3D(x_edge - 0.3, 0.0, 0.1, 0.4, 0.4, 0.2, 0.0),),
                       (0.0, 98.0, -40.0, 40.0), 0)
         spec = DisturbanceSpec(1.67, 1.67, seed=0, n_trials=6)
-        report, seen_h, seen_d = recorded_run(monkeypatch, scene, mast_rig, EXPERIMENT_NOISE,
-                                              disturbance_trials(mast_rig, spec))
-        visible = [
-            np.count_nonzero(render(scene, perturb_rig(mast_rig, roll, pitch), 16).hit_kind > 0)
-            for roll, pitch in sample_disturbances(spec)
-        ]
+        trials = disturbance_trials(mast_rig, spec)
+        calls = []
+
+        def recording_rig(name, lift):
+            def wrapped(us, vs, hypotheses, rig):
+                calls.append((name, rig, hypotheses.size))
+                return lift(us, vs, hypotheses, rig)
+            return wrapped
+
+        monkeypatch.setattr(robustness, "lift_many_height",
+                            recording_rig("height", lift_many_height))
+        monkeypatch.setattr(robustness, "lift_many_depth", recording_rig("depth", lift_many_depth))
+        report = localization_error(scene, mast_rig, EXPERIMENT_HEIGHT_BINS,
+                                    EXPERIMENT_DEPTH_BINS, EXPERIMENT_NOISE, trials, 16)
+        visible = [np.count_nonzero(render(scene, rig, 16).hit_kind > 0) for rig in trials.rigs]
         assert 0 < visible.count(0) < spec.n_trials
-        assert [h.size for h in seen_h + seen_d] == [sum(visible)] * 3
-        trials = [t for t, n in enumerate(visible) if n]
-        np.testing.assert_array_equal(report.trials, np.repeat(trials, 2))
-        np.testing.assert_array_equal(report.objects, np.zeros(2 * len(trials), dtype=int))
-        np.testing.assert_array_equal(report.parameterizations,
-                                      ["height", "depth"] * len(trials))
-        np.testing.assert_array_equal(report.n_pixels,
-                                      np.repeat([visible[t] for t in trials], 2))
+        seen = [t for t, n in enumerate(visible) if n]
+        want = [(name, t) for name in ("depth", "height", "depth") for t in seen]
+        assert len(calls) == len(want)
+        for (name, rig, size), (want_name, t) in zip(calls, want):
+            assert name == want_name and rig is trials.rigs[t] and size == visible[t]
+        np.testing.assert_array_equal(report.trials, np.repeat(seen, 2))
+        np.testing.assert_array_equal(report.objects, np.zeros(2 * len(seen), dtype=int))
+        np.testing.assert_array_equal(report.parameterizations, ["height", "depth"] * len(seen))
+        np.testing.assert_array_equal(report.n_pixels, np.repeat([visible[t] for t in seen], 2))
 
     @pytest.mark.parametrize("scene_name", ["corridor7", "intersection11"])
     def test_a_batched_run_equals_its_trials_run_alone(self, request, scene_name, mast_rig):
-        # Lifting every trial's pixels in one call moves no bit: trial k's
+        # Reducing every trial's points together moves no bit: trial k's
         # rows of the batched run are the rows of a run over trial k alone.
         scene = request.getfixturevalue(scene_name)
         trials = disturbance_trials(mast_rig, DisturbanceSpec(1.67, 1.67, seed=4, n_trials=5))
