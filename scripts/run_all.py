@@ -2,31 +2,24 @@
 """Run every CLI experiment with the committed configs into out/.
 
 Convenience driver for a full artifact refresh; equivalent to invoking
-the four subcommands by hand.
+each subcommand by hand on its configs/experiment_<command>.json.
 """
 import sys
 from pathlib import Path
 
-from bevlift.cli import main
+from bevlift.cli import _COMMANDS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "out"
 
-RUNS = (
-    ("render", "experiment_render.json"),
-    ("lift", "experiment_lift.json"),
-    ("robustness", "experiment_robustness.json"),
-    ("bench", "experiment_bench.json"),
-)
-
 
 def run() -> int:
-    for command, config in RUNS:
+    for command in _COMMANDS:
         out_dir = OUT / command
         print(f"== bevlift {command} -> {out_dir}")
         code = main([
             command,
-            "--config", str(ROOT / "configs" / config),
+            "--config", str(ROOT / "configs" / f"experiment_{command}.json"),
             "--out", str(out_dir),
         ])
         if code != 0:

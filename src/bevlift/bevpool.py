@@ -18,8 +18,8 @@ all clouds of one plan share: on a fixed rig it is computed once per
 grid.
 
 A cloud keeps each source cell's context once, so each frame forms, per
-channel, the products context[s, c] * weight[p] of the points p of
-every source cell s in one reused buffer and adds them into their cells;
+channel, the products context[s, c] * weight[p] of the live points p
+of every source cell s in one reused buffer and adds them into their cells;
 no per-point feature array is made.  Each cell sums its points' products
 in cloud order, starting from +0.0, so the result is bit-identical run to
 run and to a scalar loop over the points and their features.
@@ -38,8 +38,8 @@ cell s is live when table[rows[s], b] and cell_weight[s] are both
 nonzero (a -0.0 cell weight is zero).  A product of two nonzero factors
 that underflows is listed too, and adds a zero like any skipped point.
 
-When at most _LIVE_FRACTION of the points are live, pool takes the
-gathered pass, whose every step after the listing costs the live points:
+pool makes one pass over the live points of every cloud, and every step
+after the listing costs the live points:
 
 * one boolean compress of the live mask, (table != 0)[rows] &
   (cell_weight != 0)[:, None] over the (source cell, bin) grid, lists the
@@ -50,18 +50,12 @@ gathered pass, whose every step after the listing costs the live points:
   predicted map's do, because x * 1.0 is x;
 * each channel's products, each source cell's context repeated over its
   live points times their weights, are summed by np.bincount, which adds
-  in index order from +0.0, as np.add.at does: 0.60 against 0.79 ms per
-  channel over the 265303 live points of a static frame's depth cloud
-  (2-CPU host).
+  each bin's weights in index order starting from +0.0, so each cell's
+  sum is the scalar loop's.
 
-Otherwise pool takes the pass over every point, which is faster on a
-dense cloud than any gather: products of the context broadcast over each
-source cell's points and the cloud's weights, summed by np.add.at, which
-beat np.bincount there: 3.8 against 4.4 ms per channel over a dense
-depth cloud of 1067904 points.  Out-of-extent points go to the overflow
-bin either way; the gathered pass adds only the live ones, 0.3-0.6% of
-the live depth points of a static frame.  Hit counts and dropped points
-count every point, live or not.
+Out-of-extent points go to the overflow bin; only the live ones are
+added there.  Hit counts and dropped points count every point, live or
+not.  No per-point feature or weight array is formed.
 """
 from __future__ import annotations
 
@@ -143,16 +137,6 @@ class BevGrid:
 # Points per pass of _bev_index: its four working buffers stay in cache.
 _INDEX_CHUNK = 32768
 
-# Largest share of live (nonzero-weight) points that pool gathers before
-# summing.  On a 2-CPU host with one depth cloud of 1067904 points and
-# unit cell weights, the gathered pass beat the pass over every point at
-# 25% live (17.8-18.9 against 25.3-28.7 ms), tied at 45% (27.6-29.0
-# against 26.2-29.8 ms), lost at 50% (30.7-31.2 against 26.5-28.6 ms) and
-# took 57-58 against 26-27 ms fully dense, so the crossover is near one
-# half.  The pass over every point read weights already formed there; a
-# new frame also forms them, which favours the gathered pass.
-_LIVE_FRACTION = 0.5
-
 
 def _bev_index(plan, spec: GridSpec):
     """(flat, counts): each point's flat cell, n_x * n_y for a point outside
@@ -203,13 +187,11 @@ def pool(cloud: WedgeCloud, spec: GridSpec) -> BevGrid:
     Only points whose table entry and cell weight are both nonzero are
     added: the others add +0.0 or -0.0 to a sum that starts at +0.0,
     which changes no bit, and so do the live points whose product
-    underflows.  Up to _LIVE_FRACTION of the points live, one mask over
-    the table's nonzeros and the nonzero cell weights lists the live
-    points, their weights skip the cell-weight product when every weighted
-    cell weighs exactly 1.0, and np.bincount sums each channel, so every
-    step after the mask costs the live points; above it, every point's
-    product is formed and np.add.at sums it.  hit_count and dropped_points
-    count every point, live or not.
+    underflows.  One mask over the table's nonzeros and the nonzero cell
+    weights lists the live points, their weights skip the cell-weight
+    product when every weighted cell weighs exactly 1.0, and np.bincount
+    sums each channel, so every step after the mask costs the live
+    points.  hit_count and dropped_points count every point, live or not.
     """
     if cloud.channels != spec.channels:
         raise ShapeMismatch(
@@ -226,31 +208,24 @@ def pool(cloud: WedgeCloud, spec: GridSpec) -> BevGrid:
     row_live = nonzero.sum(axis=1)
     per_cell = np.where(weighted, row_live[rows], 0)
     n_live = int(per_cell.sum())
-    if n_live <= _LIVE_FRACTION * cloud.n_points:
-        # One compress of the live mask lists the live points' cells in
-        # cloud order.  Their weights are the table's nonzeros, row by row:
-        # a live point's place among them is its rank among the live points
-        # plus its source cell's shift, its row's first nonzero minus the
-        # live points before it.
-        cells = flat.reshape(m, k)[nonzero[rows] & weighted[:, None]]
-        first = np.cumsum(row_live) - row_live
-        shift = first[rows] - np.cumsum(per_cell) + per_cell
-        live = np.repeat(shift, per_cell) + np.arange(n_live)
-        weights = table[nonzero][live]
-        # x * 1.0 is x: a predicted map weighs its cells 0 or 1.
-        if np.any(cell_weight[weighted] != 1.0):
-            weights *= np.repeat(cell_weight, per_cell)
-    else:
-        cells, weights, per_cell = flat, cloud.weights.reshape(m, k), None
-    products = np.empty(weights.shape)
+    # One compress of the live mask lists the live points' cells in cloud
+    # order.  Their weights are the table's nonzeros, row by row: a live
+    # point's place among them is its rank among the live points plus its
+    # source cell's shift, its row's first nonzero minus the live points
+    # before it.
+    cells = flat.reshape(m, k)[nonzero[rows] & weighted[:, None]]
+    first = np.cumsum(row_live) - row_live
+    shift = first[rows] - np.cumsum(per_cell) + per_cell
+    live = np.repeat(shift, per_cell) + np.arange(n_live)
+    weights = table[nonzero][live]
+    # x * 1.0 is x: a predicted map weighs its cells 0 or 1.
+    if np.any(cell_weight[weighted] != 1.0):
+        weights *= np.repeat(cell_weight, per_cell)
+    products = np.empty(n_live)
     sums = np.zeros((spec.channels, n_cells + 1))
     for c in range(spec.channels):
-        if per_cell is None:
-            np.multiply(context[:, c, None], weights, out=products)
-            np.add.at(sums[c], cells, products.reshape(-1))
-        else:
-            np.multiply(np.repeat(context[:, c], per_cell), weights, out=products)
-            sums[c] = np.bincount(cells, products, n_cells + 1)
+        np.multiply(np.repeat(context[:, c], per_cell), weights, out=products)
+        sums[c] = np.bincount(cells, products, n_cells + 1)
     return BevGrid(
         spec,
         sums[:, :n_cells].T.reshape(spec.n_x, spec.n_y, spec.channels),

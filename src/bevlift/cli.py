@@ -34,6 +34,7 @@ from .bevpool import GridSpec, pool
 from .binning import BinSpec
 from .errors import (
     ConfigError,
+    EmptyInput,
     PipelineError,
     config_int,
     config_object,
@@ -362,6 +363,11 @@ def cmd_bench(cfg: ExperimentConfig, args, meta: dict) -> dict:
             "lift_seconds": float("inf"),
             "pool_seconds": float("inf"),
         }
+    if report["height"]["n_points"] == 0:
+        raise EmptyInput(
+            "the height path lifts no point on this rig and height_bins, "
+            "so bench has no depth over height point ratio"
+        )
     # The paths take turns repeat by repeat: the first path timed in a
     # process ran up to 1.6 times slower than the same path timed second.
     for _ in range(cfg.bench_repeats):

@@ -300,7 +300,7 @@ class TestSparseWeights:
     def test_hand_built_cloud(self):
         rng = np.random.default_rng(53)
         cloud = sparsify(rng, random_cloud(rng, 600, channels=3))
-        assert 0 < np.count_nonzero(cloud.weights) <= bevpool._LIVE_FRACTION * cloud.n_points
+        assert 0 < np.count_nonzero(cloud.weights) < cloud.n_points
         assert np.signbit(cloud.weights[cloud.weights == 0]).any()
         assert_pools_like_oracle(cloud, replace(SMALL, channels=3))
 
@@ -311,17 +311,22 @@ class TestSparseWeights:
         for cloud in plan_clouds(rig, rng):
             sparse = sparsify(rng, cloud)
             live = np.count_nonzero(sparse.weights)
-            assert 0 < live <= bevpool._LIVE_FRACTION * sparse.n_points
+            assert 0 < live < sparse.n_points
             grid = assert_pools_like_oracle(sparse, self.PLAN_SPEC)
             assert 0 < grid.dropped_points < sparse.n_points
 
-    @pytest.mark.parametrize("fraction", [0.0, 1.0])
-    def test_both_passes_on_one_sparse_cloud(self, monkeypatch, fraction):
-        # 0.0 takes every point's product, 1.0 gathers the live points
-        monkeypatch.setattr(bevpool, "_LIVE_FRACTION", fraction)
+    def test_dense_cloud_forms_no_weights(self):
+        # every point of a plan cloud is live; pool still reads only the
+        # factors, so the cached per-point weights are never built
         rng = np.random.default_rng(61)
         for cloud in plan_clouds(perturb_rig(self.STATIC, -2.0, 1.0), rng):
-            assert_pools_like_oracle(sparsify(rng, cloud), self.PLAN_SPEC)
+            assert (cloud.table[cloud.rows] != 0).all() and (cloud.cell_weight != 0).all()
+            grid = pool(cloud, self.PLAN_SPEC)
+            assert "weights" not in vars(cloud)
+            data, hits, dropped = pool_oracle(cloud, self.PLAN_SPEC)
+            assert grid.data.tobytes() == data.tobytes()
+            assert grid.hit_count.tobytes() == hits.tobytes()
+            assert grid.dropped_points == dropped
 
     @pytest.mark.parametrize("sign", [0.0, -0.0])
     def test_all_zero_cloud(self, sign):
@@ -334,35 +339,11 @@ class TestSparseWeights:
             assert grid.hit_count.tobytes() == dense.hit_count.tobytes()
             assert grid.dropped_points == dense.dropped_points > 0
 
-    @pytest.mark.parametrize("extra, gathered", [(0, True), (1, False)])
-    def test_live_fraction_threshold(self, monkeypatch, extra, gathered):
-        # n_live = n / 2 gathers the live points; one more takes the products
-        # of every point.  np.repeat is called only by the gathered pass.
-        rng = np.random.default_rng(71)
-        cloud = random_cloud(rng, 500, channels=3)
-        n_live = int(bevpool._LIVE_FRACTION * cloud.n_points) + extra
-        weights = cloud.weights.copy()
-        weights[rng.permutation(cloud.n_points)[n_live:]] = -0.0
-        sparse = with_weights(cloud, weights)
-        assert np.count_nonzero(sparse.weights) == n_live
-        repeats, real_repeat = [], np.repeat
-
-        def repeat(*args, **kwargs):
-            repeats.append(args)
-            return real_repeat(*args, **kwargs)
-
-        monkeypatch.setattr(np, "repeat", repeat)
-        pool(sparse, replace(SMALL, channels=3))
-        monkeypatch.undo()
-        assert bool(repeats) == gathered
-        assert_pools_like_oracle(sparse, replace(SMALL, channels=3))
-
 
 class TestFactoredWeights:
     """A predicted map reaches pool as its table rows, each source cell's
     row index and its cell weight.  Its grids must equal, byte for byte,
-    those of the same map built by hand from its dense data, and those of
-    the pass over every point."""
+    those of the same map built by hand from its dense data."""
 
     SPEC = GridSpec(0.0, 102.4, -51.2, 51.2, 0.8, 0.8, 3)
 
@@ -379,8 +360,7 @@ class TestFactoredWeights:
         NoiseModel("gaussian_bin_blur", sigma_bins=3.7),
         NoiseModel("bias", bias_m=0.1),
     ], ids=lambda n: f"{n.kind}-{n.sigma_bins}")
-    def test_predicted_map_pools_like_its_dense_data(self, monkeypatch, mast_rig, corridor7,
-                                                     noise, sway):
+    def test_predicted_map_pools_like_its_dense_data(self, mast_rig, corridor7, noise, sway):
         rig = mast_rig if sway is None else perturb_rig(mast_rig, *sway)
         maps = render(corridor7, rig, 32)
         rng = np.random.default_rng(73)
@@ -400,9 +380,6 @@ class TestFactoredWeights:
             assert cloud.weights.tobytes() == hand_cloud.weights.tobytes()
             grid = pool(cloud, self.SPEC)
             self.assert_same_grid(grid, pool(hand_cloud, self.SPEC))
-            monkeypatch.setattr(bevpool, "_LIVE_FRACTION", 0.0)
-            self.assert_same_grid(grid, pool(cloud, self.SPEC))
-            monkeypatch.undo()
             assert 0 < grid.dropped_points < cloud.n_points
 
     def test_products_that_underflow_keep_the_bits(self):
@@ -422,7 +399,7 @@ class TestFactoredWeights:
         weights = cloud.weights.reshape(-1, n_bins)
         factors_live = (table[cloud.rows] != 0) & (cloud.cell_weight[:, None] != 0)
         assert (factors_live & (weights == 0)).any()
-        assert np.count_nonzero(factors_live) <= bevpool._LIVE_FRACTION * cloud.n_points
+        assert 0 < np.count_nonzero(factors_live)
         assert_pools_like_oracle(cloud, replace(TestSparseWeights.PLAN_SPEC, channels=2))
 
 
@@ -450,34 +427,26 @@ class TestGatheredPass:
     SPEC = replace(TestSparseWeights.PLAN_SPEC, channels=2)
 
     @staticmethod
-    def assert_gathered(cloud):
-        live = (cloud.table[cloud.rows] != 0) & (cloud.cell_weight[:, None] != 0)
-        assert np.count_nonzero(live) <= bevpool._LIVE_FRACTION * cloud.n_points
-        return np.count_nonzero(live)
+    def n_live(cloud):
+        return np.count_nonzero((cloud.table[cloud.rows] != 0) & (cloud.cell_weight[:, None] != 0))
 
-    @pytest.mark.parametrize("fraction", [None, 0.0])
-    def test_cell_weights_other_than_one(self, monkeypatch, fraction):
+    def test_cell_weights_other_than_one(self):
         # 5e-324 * 0.25 underflows to 0.0, 5e-324 * 0.5 rounds to 0.0 and
         # 5e-324 * 1.0 stays the smallest subnormal
         rng = np.random.default_rng(83)
         cloud = predicted_like_cloud(rng, [0.0, 1.0, 1.0, 0.5, 3.0, 5e-324])
-        assert self.assert_gathered(cloud) > 0
+        assert self.n_live(cloud) > 0
         assert {0.5, 3.0, 5e-324} <= set(cloud.cell_weight.tolist())
-        if fraction is not None:  # the pass over every point
-            monkeypatch.setattr(bevpool, "_LIVE_FRACTION", fraction)
         grid = assert_pools_like_oracle(cloud, self.SPEC)
         # the cell weights move the sums, so skipping their product would show
         unit = WedgeCloud(cloud.plan, cloud.context, cloud.table,
                           (cloud.cell_weight != 0).astype(np.float64), cloud.rows)
         assert pool(unit, self.SPEC).data.tobytes() != grid.data.tobytes()
 
-    @pytest.mark.parametrize("fraction", [None, 0.0])
-    def test_negative_zero_cell_weight(self, monkeypatch, fraction):
+    def test_negative_zero_cell_weight(self):
         rng = np.random.default_rng(89)
         cloud = predicted_like_cloud(rng, [-0.0, 0.0, 1.0])
-        assert np.signbit(cloud.cell_weight).any() and self.assert_gathered(cloud) > 0
-        if fraction is not None:
-            monkeypatch.setattr(bevpool, "_LIVE_FRACTION", fraction)
+        assert np.signbit(cloud.cell_weight).any() and self.n_live(cloud) > 0
         grid = assert_pools_like_oracle(cloud, self.SPEC)
         # a -0.0 cell weight is no weight: its source cells add nothing
         positive = WedgeCloud(cloud.plan, cloud.context, cloud.table,
@@ -488,7 +457,7 @@ class TestGatheredPass:
     def test_cloud_without_a_live_point(self, cell_weights):
         rng = np.random.default_rng(97)
         cloud = predicted_like_cloud(rng, cell_weights)
-        assert self.assert_gathered(cloud) == 0
+        assert self.n_live(cloud) == 0
         grid = assert_pools_like_oracle(cloud, self.SPEC)
         assert grid.data.dtype == np.float64
         assert grid.data.tobytes() == bytes(grid.data.nbytes)

@@ -14,7 +14,13 @@ from bevlift.bevpool import GridSpec
 from bevlift.binning import BinSpec
 from bevlift.cli import config_hash, load_config, main
 from bevlift.errors import ConfigError, PipelineError, config_float, config_object
-from bevlift.geometry import load_rig
+from bevlift.geometry import (
+    CameraRig,
+    Intrinsics,
+    extrinsics_from_pose,
+    load_rig,
+    rig_to_json_dict,
+)
 from bevlift.io import read_csv, read_json, read_tensor, write_table
 from bevlift.robustness import DisturbanceSpec
 from bevlift.scene import NoiseModel, load_scene
@@ -457,6 +463,20 @@ class TestExitCodes:
         assert code == 3 and len(lines) == 1
         err = json.loads(lines[0])
         assert err["error"] == "MemoryError" and "TiB" in err["message"]
+
+    def test_bench_without_height_points_is_3(self, tmp_path, capsys):
+        # A camera pitched 40 degrees up: no feature cell's ray carries a
+        # height hypothesis, so the height path lifts no point.
+        rig = CameraRig(Intrinsics(700, 700, 768, 432, 1536, 864),
+                        extrinsics_from_pose((0, 0, 10), pitch_deg=-40))
+        out = tmp_path / "out"
+        code = main(["bench", "--config", str(write_config(tmp_path, rig=rig_to_json_dict(rig))),
+                     "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 3 and len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "EmptyInput" and "height path" in err["message"]
+        assert not (out / "bench.json").exists()
 
     @pytest.mark.parametrize("command, artifact", [
         ("render", "maps.csv"),
