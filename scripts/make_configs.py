@@ -4,10 +4,11 @@
 The scene JSONs double as golden inputs; regeneration is deterministic,
 so running this script must leave a clean checkout unchanged.
 """
-import json
 from pathlib import Path
 
+from bevlift.cli import _DEFAULT_DEPTH_BIN_SPEC, _DEFAULT_HEIGHT_BIN_SPEC
 from bevlift.geometry import CameraRig, Intrinsics, extrinsics_from_pose, save_rig
+from bevlift.io import write_json
 from bevlift.scene import generate_scene, save_scene
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,20 +27,11 @@ SCENES = (
     ("corridor_seed13", "corridor", 24, 13),
 )
 
-HEIGHT_BINS = {"strategy": "DID", "n_bins": 90, "range_min": -0.2,
-               "range_max": 3.6, "alpha": 1.2}
-DEPTH_BINS = {"strategy": "DEPTH_UD", "n_bins": 206, "range_min": 1.0,
-              "range_max": 104.0}
-
 
 def build_rig(name: str, position, pitch_deg: float) -> CameraRig:
     intr = Intrinsics(700.0, 700.0, 768.0, 432.0, 1536, 864)
     extr = extrinsics_from_pose(position, pitch_deg=pitch_deg)
     return CameraRig(intr, extr, rig_id=name)
-
-
-def write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def main() -> None:
@@ -52,8 +44,8 @@ def main() -> None:
     common = {
         "rig": "rig_default.json",
         "scene": "scenes/corridor_seed7.json",
-        "height_bins": HEIGHT_BINS,
-        "depth_bins": DEPTH_BINS,
+        "height_bins": _DEFAULT_HEIGHT_BIN_SPEC,
+        "depth_bins": _DEFAULT_DEPTH_BIN_SPEC,
         "noise": {"kind": "gaussian_bin_blur", "sigma_bins": 1.0},
         "seed": 0,
     }

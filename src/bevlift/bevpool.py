@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatch, config_floats, config_int, config_object
-from .lifting import WedgeCloud
+from .lifting import WedgeCloud, _ranges
 
 
 @dataclass(frozen=True)
@@ -207,21 +207,17 @@ def pool(cloud: WedgeCloud, spec: GridSpec) -> BevGrid:
     nonzero, weighted = table != 0, cell_weight != 0
     row_live = nonzero.sum(axis=1)
     per_cell = np.where(weighted, row_live[rows], 0)
-    n_live = int(per_cell.sum())
     # One compress of the live mask lists the live points' cells in cloud
     # order.  Their weights are the table's nonzeros, row by row: a live
-    # point's place among them is its rank among the live points plus its
-    # source cell's shift, its row's first nonzero minus the live points
-    # before it.
+    # source cell's points take the run of its row's nonzeros, from the
+    # row's first.
     cells = flat.reshape(m, k)[nonzero[rows] & weighted[:, None]]
     first = np.cumsum(row_live) - row_live
-    shift = first[rows] - np.cumsum(per_cell) + per_cell
-    live = np.repeat(shift, per_cell) + np.arange(n_live)
-    weights = table[nonzero][live]
+    weights = table[nonzero][_ranges(first[rows], per_cell)]
     # x * 1.0 is x: a predicted map weighs its cells 0 or 1.
     if np.any(cell_weight[weighted] != 1.0):
         weights *= np.repeat(cell_weight, per_cell)
-    products = np.empty(n_live)
+    products = np.empty(weights.size)
     sums = np.zeros((spec.channels, n_cells + 1))
     for c in range(spec.channels):
         np.multiply(np.repeat(context[:, c], per_cell), weights, out=products)

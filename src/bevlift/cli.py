@@ -7,7 +7,8 @@ Subcommands
                 and the analytic range-error law check
     bench       time both lift paths on the frame lift builds
 
-Every subcommand needs a scene; lift and bench make a frame one way (_lift).
+Every config needs a scene, so a config without one exits 2 at load; lift
+and bench make a frame one way (_lift).
 
 Every run resolves one JSON experiment config, hashes it, and stamps the
 hash plus the effective seed into every artifact (CSV comment line, JSON
@@ -92,7 +93,7 @@ _DEFAULT_NOISE = {"kind": "one_hot_truth"}
 @dataclass
 class ExperimentConfig:
     rig: CameraRig
-    scene: Scene | None
+    scene: Scene
     height_bins: BinSpec
     depth_bins: BinSpec
     noise: NoiseModel
@@ -109,7 +110,7 @@ def config_hash(doc: dict) -> str:
 
 
 def _experiment(
-    rig, scene=None, seed=0, sample_stride=16, context_channels=4, bench_repeats=3,
+    rig, scene, seed=0, sample_stride=16, context_channels=4, bench_repeats=3,
     height_bins=None, depth_bins=None, noise=None, disturbance=None, bev_grid=None,
 ):
     """(config, seed) of a resolved config document; the parameters are its
@@ -125,7 +126,7 @@ def _experiment(
         raise ConfigError(f"sample_stride {sample_stride} leaves no pixel cell in the image")
     if isinstance(scene, dict) and "boxes" in scene:
         scene = Scene.from_json_dict(scene, "scene")
-    elif scene is not None:
+    else:
         scene = config_object(generate_scene, scene, "scene", seed=seed)
     grid = GridSpec.from_json_dict(
         {} if bev_grid is None else bev_grid, "bev_grid",
@@ -185,12 +186,6 @@ def load_config(path, seed_override: int | None = None):
     return cfg, config_hash(doc), seed
 
 
-def _require_scene(cfg: ExperimentConfig) -> Scene:
-    if cfg.scene is None:
-        raise ConfigError("this subcommand needs a 'scene' entry in the config")
-    return cfg.scene
-
-
 def _context_map(cfg: ExperimentConfig, maps, seed: int) -> ContextMap:
     rng = substream(seed, _CTX_STREAM)
     data = rng.standard_normal((maps.height, maps.width, cfg.context_channels))
@@ -225,15 +220,14 @@ def _lift(cfg: ExperimentConfig, path, maps, ctx: ContextMap, rig: CameraRig) ->
 
 
 def cmd_render(cfg: ExperimentConfig, args, meta: dict) -> dict:
-    scene = _require_scene(cfg)
-    maps = render(scene, cfg.rig, cfg.sample_stride)
+    maps = render(cfg.scene, cfg.rig, cfg.sample_stride)
     out = Path(args.out)
     artio.write_table(out, "maps", args.format, *artio.maps_table(maps), meta)
 
     finite = maps.non_sky
     summary = {
         **meta,
-        "n_boxes": len(scene.boxes),
+        "n_boxes": len(cfg.scene.boxes),
         "grid": [maps.width, maps.height],
         "sample_stride": cfg.sample_stride,
         "fraction_sky": float(np.mean(~finite)),
@@ -255,9 +249,8 @@ def cmd_render(cfg: ExperimentConfig, args, meta: dict) -> dict:
 
 
 def cmd_lift(cfg: ExperimentConfig, args, meta: dict) -> dict:
-    scene = _require_scene(cfg)
     _build_lift_plans(cfg)
-    maps = render(scene, cfg.rig, cfg.sample_stride)
+    maps = render(cfg.scene, cfg.rig, cfg.sample_stride)
     ctx = _context_map(cfg, maps, meta["seed"])
     wedges = {path[0]: _lift(cfg, path, maps, ctx, cfg.rig) for path in _paths(cfg)}
     bevs = {name: pool(wedge, cfg.bev_grid) for name, wedge in wedges.items()}
@@ -279,18 +272,17 @@ def cmd_lift(cfg: ExperimentConfig, args, meta: dict) -> dict:
 
 
 def cmd_robustness(cfg: ExperimentConfig, args, meta: dict) -> dict:
-    scene = _require_scene(cfg)
     out = Path(args.out)
     trials = disturbance_trials(cfg.rig, cfg.disturbance)
-    overlap = scatter_overlap(scene, cfg.rig, trials)
+    overlap = scatter_overlap(cfg.scene, cfg.rig, trials)
     artio.write_json(out / "overlap.json", {**meta, **artio.overlap_report_dict(overlap)})
 
     clean = localization_error(
-        scene, cfg.rig, cfg.height_bins, cfg.depth_bins, cfg.noise,
+        cfg.scene, cfg.rig, cfg.height_bins, cfg.depth_bins, cfg.noise,
         None, cfg.sample_stride,
     )
     disturbed = localization_error(
-        scene, cfg.rig, cfg.height_bins, cfg.depth_bins, cfg.noise,
+        cfg.scene, cfg.rig, cfg.height_bins, cfg.depth_bins, cfg.noise,
         trials, cfg.sample_stride,
     )
     for stem, report in (("errors_clean", clean), ("errors_disturbed", disturbed)):
@@ -333,10 +325,9 @@ def cmd_bench(cfg: ExperimentConfig, args, meta: dict) -> dict:
     included.  Each repeat lifts a fresh cloud of each path in turn and
     pools it, as a new frame does; every time is the best of bench_repeats.
     """
-    scene = _require_scene(cfg)
     _build_lift_plans(cfg)
     t_render, maps = _time_best(
-        lambda: render(scene, cfg.rig, cfg.sample_stride), cfg.bench_repeats
+        lambda: render(cfg.scene, cfg.rig, cfg.sample_stride), cfg.bench_repeats
     )
     ctx = _context_map(cfg, maps, meta["seed"])
 

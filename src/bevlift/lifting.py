@@ -165,6 +165,11 @@ def _table_rows(rows, table: np.ndarray, n_bins: int, shape: tuple) -> np.ndarra
     return rows
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ranges [start, start + count), in order."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
 def _check_bin_weights(data: np.ndarray) -> None:
     """The rule every bin distribution (last axis of data) obeys: weights
     are non-negative and sum to 1 within 1e-6, which NaN weights fail."""

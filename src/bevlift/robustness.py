@@ -35,9 +35,9 @@ computed once per run and gathered at the object pixels only, so no
 dense distribution map is built, and only the object pixels are binned
 (a min and a max check the rest of the map against the bin range).  Each
 trial that sees an object lifts its object pixels through its own rig,
-once per parameterization and once at their rendered depths; the points
-of every trial are joined in trial order and reduced per (trial, object)
-with one np.bincount per axis.  The products are fixed-order
+once per parameterization and once at their rendered depths, and reduces
+them per object with one np.bincount per axis; the study joins the rows
+of its trials in trial order.  The products are fixed-order
 (geometry._mat3), so a trial's rows are bit for bit those of a run over
 that trial alone.
 """
@@ -308,58 +308,45 @@ def _object_bins(values: np.ndarray, non_sky: np.ndarray, on_object: np.ndarray,
     return value_to_bin(shifted, bins)
 
 
-def _trial_pixels(maps, paths, noise: NoiseModel):
-    """(label, u, v, depth, hypothesis per path) of one trial's object
-    pixels, row-major; label is the hit box.  paths holds (bins, expected
-    hypotheses) per parameterization, height first."""
+def _trial_rows(maps, rig: CameraRig, paths, noise: NoiseModel):
+    """Columns (object, param, error, reference distance, pixel count) of
+    one trial rendered into maps, a row per (visible object, path):
+    objects ascending, paths in order within an object.  paths holds
+    (param, bins, expected hypotheses, lift) per parameterization, height
+    first.
+
+    A trial that sees an object lifts its object pixels through its rig,
+    once at their rendered depths and once per path; one that sees none
+    lifts nothing.  An object's centroid is its np.bincount sum over its
+    pixel count, which adds the same rows in the same order as the mean of
+    its points, and its distance the square root of o0*o0 + o1*o1 + o2*o2."""
     on_object = maps.hit_kind > 0
-    uu, vv = maps.pixel_grid()
     hypotheses = [
         expected[_object_bins(values, maps.non_sky, on_object, bins, noise)]
-        for values, (bins, expected) in zip((maps.height_above_ground, maps.depth), paths)
+        for values, (_, bins, expected, _) in zip((maps.height_above_ground, maps.depth), paths)
     ]
-    return (maps.hit_kind[on_object] - 1, uu[on_object], vv[on_object],
-            maps.depth[on_object], *hypotheses)
+    label = maps.hit_kind[on_object] - 1
+    n_px = np.bincount(label)
+    objects = np.flatnonzero(n_px)
+    n_px = n_px[objects]
+    uu, vv = maps.pixel_grid()
+    us, vs = uu[on_object], vv[on_object]
 
-
-def _object_rows(rigs, n_objects: int, trial, label, us, vs, depth, paths):
-    """Columns (trial, object, param, error, reference distance, pixel
-    count), a row per (trial, visible object, path): trials ascending,
-    objects ascending within a trial, paths in order within an object.
-
-    Pixel i is trial[i]'s, trials ascending, and sees box label[i].  paths
-    holds (param, lift, hypotheses) per parameterization.  Each trial that
-    sees an object lifts its pixels through its own rig, in one call per
-    path and one at their rendered depths, and the points of every trial
-    are joined in trial order.  An object's centroid is its np.bincount sum
-    over its pixel count, which adds the same rows in the same order as the
-    mean of its points, and its distance the square root of o0*o0 + o1*o1 +
-    o2*o2."""
-    cell = trial * n_objects + label
-    n_px = np.bincount(cell)
-    cells = np.flatnonzero(n_px)
-    trials, objects, n_px = cells // n_objects, cells % n_objects, n_px[cells]
-    centers = np.stack([rig.camera_center for rig in rigs])[trials]
-    bounds = np.searchsorted(trial, np.arange(len(rigs) + 1))
-    spans = [(rigs[t], slice(bounds[t], bounds[t + 1])) for t in np.unique(trials)]
-
-    def lifted(lift, values):
-        points = [lift(us[s], vs[s], values[s], rig) for rig, s in spans]
-        return np.concatenate(points) if points else np.empty((0, 3))
-
-    def camera_distances(points):
-        sums = [np.bincount(cell, points[:, a])[cells] for a in range(3)]
-        offset = np.stack(sums, axis=1) / n_px[:, None] - centers
+    def camera_distances(lift, values):
+        if objects.size == 0:
+            return np.empty(0)
+        points = lift(us, vs, values, rig)
+        sums = [np.bincount(label, points[:, a])[objects] for a in range(3)]
+        offset = np.stack(sums, axis=1) / n_px[:, None] - rig.camera_center
         return np.sqrt(_mat3(offset, offset[:, :, None])[:, 0])
 
-    d_ref = camera_distances(lifted(lift_many_depth, depth))
-    errors = [np.abs(camera_distances(lifted(lift, hypotheses)) - d_ref)
-              for _, lift, hypotheses in paths]
+    d_ref = camera_distances(lift_many_depth, maps.depth[on_object])
+    errors = [np.abs(camera_distances(lift, values) - d_ref)
+              for (*_, lift), values in zip(paths, hypotheses)]
     k = len(paths)
     return (
-        np.repeat(trials, k),
         np.repeat(objects, k),
-        np.tile([param for param, *_ in paths], cells.size),
+        np.tile([param for param, *_ in paths], objects.size),
         np.stack(errors, axis=1).ravel(),
         np.repeat(d_ref, k),
         np.repeat(n_px, k),
@@ -383,31 +370,28 @@ def localization_error(
     estimated as the mean of its pixels, each lifted at its expected height
     or depth under the noise model.  The reference for an object is the
     camera distance of the exact surface centroid over the same pixels, so
-    a noiseless run errs only by bin quantization.  Each trial lifts its
-    object pixels through its own rig (see _object_rows).  Raises AboveCamera
-    when a height bin reaches the camera, OutOfRange when any rendered
-    non-sky value leaves its bins, and NoVisibleObjects when no trial sees
-    an object.
+    a noiseless run errs only by bin quantization.  Each trial's rows come
+    from its own render and rig (see _trial_rows), and the rows of every
+    trial are joined in trial order.  Raises AboveCamera when a height bin
+    reaches the camera, OutOfRange when any rendered non-sky value leaves
+    its bins, and NoVisibleObjects when no trial sees an object.
     """
     height_bins.check_kind("height", "height_bins")
     depth_bins.check_kind("depth", "depth_bins")
     # perturb_rig keeps the camera height, so this covers every trial.
     if np.any(bin_midpoints(height_bins) >= rig.ground_height_H):
         raise AboveCamera("height bins reach the camera center height")
-    paths = ((height_bins, _expected_hypotheses(height_bins, noise)),
-             (depth_bins, _expected_hypotheses(depth_bins, noise)))
+    paths = (("height", height_bins, _expected_hypotheses(height_bins, noise), lift_many_height),
+             ("depth", depth_bins, _expected_hypotheses(depth_bins, noise), lift_many_depth))
     rigs = (rig,) if trials is None else trials.rigs
-
-    pixels = [_trial_pixels(render(scene, rig_t, sample_stride), paths, noise)
-              for rig_t in rigs]
-    label, us, vs, depth, hyp_h, hyp_d = map(np.concatenate, zip(*pixels))
-    trial = np.repeat(np.arange(len(rigs)), [p[0].size for p in pixels])
-    columns = _object_rows(rigs, len(scene.boxes), trial, label, us, vs, depth,
-                           (("height", lift_many_height, hyp_h),
-                            ("depth", lift_many_depth, hyp_d)))
-    if columns[0].size == 0:
+    rows = [_trial_rows(render(scene, rig_t, sample_stride), rig_t, paths, noise)
+            for rig_t in rigs]
+    n_rows = [objects.size for objects, *_ in rows]
+    if sum(n_rows) == 0:
         raise NoVisibleObjects("no object rendered any pixels in any trial")
-    return ErrorReport(*columns, camera_height_m=rig.ground_height_H, noise_kind=noise.kind,
+    columns = [np.concatenate(column) for column in zip(*rows)]
+    return ErrorReport(np.repeat(np.arange(len(rigs)), n_rows), *columns,
+                       camera_height_m=rig.ground_height_H, noise_kind=noise.kind,
                        disturbed=trials is not None)
 
 

@@ -41,7 +41,7 @@ from .errors import (
     read_config_file,
 )
 from .geometry import Box3D, CameraRig, Intrinsics, _mat3, pixel_to_ref_cam, project_ego
-from .lifting import DistributionMap, _check_bin_weights, cell_pixel_centers
+from .lifting import DistributionMap, _check_bin_weights, _ranges, cell_pixel_centers
 from .rng import substream
 
 HIT_SKY = -1
@@ -341,11 +341,6 @@ def _grid_rays(intrinsics: Intrinsics, stride: int) -> _Rays:
         intrinsics._grids.clear()
         intrinsics._grids[stride] = rays
     return rays
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The concatenated ranges [start, start + count), in order."""
-    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
 
 def _box_ray_pairs(corners: np.ndarray, rays: _Rays, rig: CameraRig):

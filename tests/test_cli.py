@@ -315,6 +315,16 @@ class TestLoadConfig:
         _, _, seed = load_config(write_config(tmp_path), seed_override=99)
         assert seed == 99
 
+    def test_digest_covers_the_file_seed_not_the_override(self, tmp_path):
+        # --seed changes the run's seed and leaves the digest; the file's
+        # own seed key is part of the document the digest covers.
+        path = write_config(tmp_path)
+        _, digest, _ = load_config(path)
+        _, overridden, seed = load_config(path, seed_override=99)
+        assert seed == 99 and overridden == digest
+        _, reseeded, seed = load_config(write_config(tmp_path, "reseeded.json", seed=6))
+        assert seed == 6 and reseeded != digest
+
     def test_seed_defaults_to_zero(self, tmp_path):
         path = write_config(tmp_path)
         doc = json.loads(path.read_text())
@@ -766,8 +776,9 @@ class TestExitCodes:
         out = tmp_path / "out"
         code = main([command, "--config", str(path), "--out", str(out)])
         assert code == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
-        assert not any(out.iterdir())
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "ConfigError", "message": "scene is required"}
+        assert not out.exists()
 
 
 # The fuzz config: every object inlined and every key given, the scene a

@@ -29,9 +29,8 @@ from bevlift.robustness import (
     DisturbanceSpec,
     DisturbanceTrials,
     OverlapReport,
+    _trial_rows,
     disturbance_trials,
-    _object_rows,
-    _trial_pixels,
     height_error_law,
     law_check,
     localization_error,
@@ -485,8 +484,8 @@ class TestLocalizationError:
         # A small box at the bottom edge of the image: some disturbed
         # trials see it and some do not.  Each trial that sees it lifts its
         # object pixels through its own rig, once at the rendered depths and
-        # once per parameterization, and a trial that sees no object makes
-        # no lift and adds no row.
+        # once per parameterization, before the next trial lifts; a trial
+        # that sees no object makes no lift and adds no row.
         intr = mast_rig.intrinsics
         x_edge = lift_pixel_height(intr.cx, intr.image_h, 0.0, mast_rig)[0]
         scene = Scene((Box3D(x_edge - 0.3, 0.0, 0.1, 0.4, 0.4, 0.2, 0.0),),
@@ -509,7 +508,7 @@ class TestLocalizationError:
         visible = [np.count_nonzero(render(scene, rig, 16).hit_kind > 0) for rig in trials.rigs]
         assert 0 < visible.count(0) < spec.n_trials
         seen = [t for t, n in enumerate(visible) if n]
-        want = [(name, t) for name in ("depth", "height", "depth") for t in seen]
+        want = [(name, t) for t in seen for name in ("depth", "height", "depth")]
         assert len(calls) == len(want)
         for (name, rig, size), (want_name, t) in zip(calls, want):
             assert name == want_name and rig is trials.rigs[t] and size == visible[t]
@@ -519,35 +518,39 @@ class TestLocalizationError:
         np.testing.assert_array_equal(report.n_pixels, np.repeat([visible[t] for t in seen], 2))
 
     @pytest.mark.parametrize("scene_name", ["corridor7", "intersection11"])
-    def test_a_batched_run_equals_its_trials_run_alone(self, request, scene_name, mast_rig):
-        # Reducing every trial's points together moves no bit: trial k's
-        # rows of the batched run are the rows of a run over trial k alone.
+    def test_a_run_of_many_trials_equals_its_trials_run_alone(self, request, scene_name,
+                                                              mast_rig):
+        # Joining the trials' rows moves no bit: trial k's rows of a
+        # five-trial run are the rows of a run over trial k alone.
         scene = request.getfixturevalue(scene_name)
         trials = disturbance_trials(mast_rig, DisturbanceSpec(1.67, 1.67, seed=4, n_trials=5))
         noise = NoiseModel("gaussian_bin_blur", sigma_bins=1.0)
-        batched = localization_error(scene, mast_rig, EXPERIMENT_HEIGHT_BINS,
-                                     EXPERIMENT_DEPTH_BINS, noise, trials, 16)
-        assert set(batched.trials.tolist()) == set(range(5))
+        joined = localization_error(scene, mast_rig, EXPERIMENT_HEIGHT_BINS,
+                                    EXPERIMENT_DEPTH_BINS, noise, trials, 16)
+        assert set(joined.trials.tolist()) == set(range(5))
         for k in range(5):
             alone = localization_error(
                 scene, mast_rig, EXPERIMENT_HEIGHT_BINS, EXPERIMENT_DEPTH_BINS, noise,
                 DisturbanceTrials(trials.angles[k:k + 1], trials.rigs[k:k + 1]), 16)
             assert np.all(alone.trials == 0)
             want = [(k, *row[1:]) for row in report_rows(alone)]
-            assert report_rows(batched, batched.trials == k) == want
+            assert report_rows(joined, joined.trials == k) == want
 
     def test_a_scene_without_boxes_gives_empty_columns(self, mast_rig):
         bare = Scene((), (0.0, 98.0, -40.0, 40.0), 0)
         noise = NoiseModel("one_hot_truth")
-        paths = [(bins, robustness._expected_hypotheses(bins, noise))
-                 for bins in (EXPERIMENT_HEIGHT_BINS, EXPERIMENT_DEPTH_BINS)]
-        label, us, vs, depth, hyp_h, hyp_d = _trial_pixels(render(bare, mast_rig, 16), paths,
-                                                           noise)
-        columns = _object_rows((mast_rig,), 0, np.zeros(label.size, dtype=int), label, us, vs,
-                               depth, (("height", lift_many_height, hyp_h),
-                                       ("depth", lift_many_depth, hyp_d)))
-        assert [c.size for c in columns] == [0] * 6
-        assert [c.dtype.kind for c in columns] == ["i", "i", "U", "f", "f", "i"]
+        paths = [(param, bins, robustness._expected_hypotheses(bins, noise), lift)
+                 for param, bins, lift in (("height", EXPERIMENT_HEIGHT_BINS, lift_many_height),
+                                           ("depth", EXPERIMENT_DEPTH_BINS, lift_many_depth))]
+        maps = render(bare, mast_rig, 16)
+        columns = _trial_rows(maps, mast_rig, paths, noise)
+        assert [c.size for c in columns] == [0] * 5
+        assert [c.dtype.kind for c in columns] == ["i", "U", "f", "f", "i"]
+        # A trial without objects still checks its ground against the bins.
+        near = BinSpec("DEPTH_UD", 50, 1.0, 20.0)
+        near_path = ("depth", near, robustness._expected_hypotheses(near, noise), lift_many_depth)
+        with pytest.raises(OutOfRange):
+            _trial_rows(maps, mast_rig, [paths[0], near_path], noise)
 
     def test_ground_pixel_out_of_range_raises(self, mast_rig):
         # Depth bins that cover every object pixel but not the far ground:
