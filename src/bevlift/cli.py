@@ -122,6 +122,8 @@ def _experiment(
                         ("bench_repeats", bench_repeats)):
         if config_int(name, value) < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
+    if bench_repeats > np.iinfo(np.intp).max:
+        raise ConfigError(f"bench_repeats must fit np.intp, got {bench_repeats}")
     if sample_stride > min(rig.intrinsics.image_w, rig.intrinsics.image_h):
         raise ConfigError(f"sample_stride {sample_stride} leaves no pixel cell in the image")
     if isinstance(scene, dict) and "boxes" in scene:
@@ -142,6 +144,13 @@ def _experiment(
         _DEFAULT_DEPTH_BIN_SPEC if depth_bins is None else depth_bins, "depth_bins"
     )
     depth_bins.check_kind("depth", "depth_bins")
+    cells = (rig.intrinsics.image_w // sample_stride) * (rig.intrinsics.image_h // sample_stride)
+    for name, bins in (("height_bins", height_bins), ("depth_bins", depth_bins)):
+        if cells * bins.n_bins * context_channels > np.iinfo(np.intp).max:
+            raise ConfigError(
+                f"{name}.n_bins x context_channels x feature cells at sample_stride "
+                f"must fit np.intp, got {bins.n_bins} x {context_channels} x {cells}"
+            )
     cfg = ExperimentConfig(
         rig=rig,
         scene=scene,

@@ -112,6 +112,10 @@ class Intrinsics:
         for name in ("fx", "fy", "image_w", "image_h"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.image_w * self.image_h > np.iinfo(np.intp).max:
+            raise ConfigError(
+                f"image_w x image_h must fit np.intp, got {self.image_w} x {self.image_h}"
+            )
         for name, size in (("cx", self.image_w), ("cy", self.image_h)):
             if not 0 <= getattr(self, name) < size:
                 raise ConfigError(f"{name} must lie inside the image, in [0, {size})")

@@ -46,9 +46,7 @@ frame keeps each cell's context vector once, and its weights as the
 distribution map's table with each cell's row index and cell weight;
 per-point features and weights are never formed on the pooling path.  A plan
 lives exactly as long as its rig: a perturbed rig is a new rig and
-builds its own.  A cloud built by hand from (n, 3) positions is a plan
-too, of one unit step along each position (see _points_plan), so every
-cloud pools the same way.
+builds its own.
 """
 from __future__ import annotations
 
@@ -97,13 +95,10 @@ class DistributionMap:
     """Per-cell categorical weights over bins, kept as the rows of a table:
     cell (r, c) predicts the distribution table[rows[r, c]].
 
-    A map built by hand passes its (height, width, n_bins) data as table
-    and no rows; it becomes a table of one row per cell, rows =
-    arange(height * width).  A predicted map passes a short table (its
-    noise table plus one uniform row, see scene._distribution_from_values)
-    and each cell's row index.  Either way the bin rule runs over the
-    table's rows only, and data, the (height, width, n_bins) map, is
-    gathered from the table on each read.
+    A predicted map passes a short table (its noise table plus one uniform
+    row, see scene._distribution_from_values) and each cell's row index.
+    The bin rule runs over the table's rows only, and data, the (height,
+    width, n_bins) map, is gathered from the table on each read.
 
     cell_weight scales each cell's contribution when points are emitted;
     cells with nothing to say (e.g. sky pixels) carry a uniform
@@ -114,30 +109,18 @@ class DistributionMap:
     height: int
     n_bins: int
     table: np.ndarray
-    cell_weight: np.ndarray | None = None
-    rows: np.ndarray | None = None
+    cell_weight: np.ndarray
+    rows: np.ndarray
 
     def __post_init__(self):
         shape = (self.height, self.width)
         self.table = np.asarray(self.table, dtype=np.float64)
-        if self.rows is None:
-            if self.table.shape != (*shape, self.n_bins):
-                raise ShapeMismatch(
-                    f"distribution data shape {self.table.shape} != "
-                    f"({self.height}, {self.width}, {self.n_bins})"
-                )
-            self.table = self.table.reshape(-1, self.n_bins)
-            self.rows = np.arange(self.table.shape[0]).reshape(shape)
-        else:
-            self.rows = _table_rows(self.rows, self.table, self.n_bins, shape)
-        if self.cell_weight is None:
-            self.cell_weight = np.ones(shape)
-        else:
-            self.cell_weight = np.asarray(self.cell_weight, dtype=np.float64)
-            if self.cell_weight.shape != shape:
-                raise ShapeMismatch("cell_weight shape does not match the map")
-            if not np.all(np.isfinite(self.cell_weight)):
-                raise ConfigError("cell weights must be finite")
+        self.rows = _table_rows(self.rows, self.table, self.n_bins, shape)
+        self.cell_weight = np.asarray(self.cell_weight, dtype=np.float64)
+        if self.cell_weight.shape != shape:
+            raise ShapeMismatch("cell_weight shape does not match the map")
+        if not np.all(np.isfinite(self.cell_weight)):
+            raise ConfigError("cell weights must be finite")
         if np.any(self.cell_weight < 0):
             raise ConfigError("distribution weights must be non-negative")
         _check_bin_weights(self.table)
@@ -230,26 +213,18 @@ class WedgeCloud:
     map's table with the row index and cell weight of each source cell,
     so its points' weights are never formed on the pooling path.
 
-    A cloud built by hand passes its (n, 3) positions as plan, per-point
-    features as context and per-point weights as table: the positions
-    become a plan of one point per source cell (see _points_plan), and the
-    weights a table of one row per source cell, with unit cell weights.
-    x * 1.0 is x exactly, so weights reads them back bit for bit.
-
     A wedge's context is a view of its frame's context map when no cell
     was skipped.  skipped_cells counts feature cells dropped because their
     ray could not carry height hypotheses.
     """
 
-    plan: "_LiftPlan"
+    plan: _LiftPlan
     context: np.ndarray
     table: np.ndarray
-    cell_weight: np.ndarray | None = None
-    rows: np.ndarray | None = None
+    cell_weight: np.ndarray
+    rows: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.plan, _LiftPlan):
-            self.plan = _points_plan(self.plan)
         self.context = np.asarray(self.context, dtype=np.float64)
         m, k = self.plan.dirs.shape[0], self.points_per_cell
         if self.context.ndim != 2 or self.context.shape[0] != m:
@@ -257,19 +232,10 @@ class WedgeCloud:
                 "context must be (source cells, channels), one source cell per row of the plan"
             )
         self.table = np.asarray(self.table, dtype=np.float64)
-        if self.rows is None:
-            if self.table.size != self.n_points:
-                raise ShapeMismatch("weights must have one entry per point")
-            self.table = self.table.reshape(m, k)
-            self.rows = np.arange(m)
-        else:
-            self.rows = _table_rows(self.rows, self.table, k, (m,))
-        if self.cell_weight is None:
-            self.cell_weight = np.ones(m)
-        else:
-            self.cell_weight = np.asarray(self.cell_weight, dtype=np.float64)
-            if self.cell_weight.shape != (m,):
-                raise ShapeMismatch("cell_weight must have one entry per source cell")
+        self.rows = _table_rows(self.rows, self.table, k, (m,))
+        self.cell_weight = np.asarray(self.cell_weight, dtype=np.float64)
+        if self.cell_weight.shape != (m,):
+            raise ShapeMismatch("cell_weight must have one entry per source cell")
         # Finite features make every zero weight's product a zero, which
         # pool relies on to skip it.
         _finite_range(self.context, "features")
@@ -422,8 +388,7 @@ class _LiftPlan:
     """The frame-independent part of a cloud: which cells emit points and
     how many were skipped, the factored rays of their (cell, bin)
     hypotheses, and the BEV cell indices of those points, memoized per
-    GridSpec.  key identifies a rig's plan (see _plan); it is None for
-    the plan of a cloud built by hand.
+    GridSpec.  key identifies a rig's plan (see _plan).
 
     Point (s, b) lies at origin + dirs[s] * steps[b]: dirs (m, 3) holds one
     direction per valid cell, steps (B,) one scalar per bin.  The points
@@ -470,24 +435,6 @@ class _LiftPlan:
             self.axis_into(axis, slice(None), rays[axis])
         rays.flags.writeable = False
         return rays.T
-
-
-_UNIT_STEP, _ORIGIN_OF_POSITIONS = np.ones(1), np.full(3, -0.0)
-_UNIT_STEP.flags.writeable = _ORIGIN_OF_POSITIONS.flags.writeable = False
-
-
-def _points_plan(positions) -> _LiftPlan:
-    """The plan of a cloud built by hand: one unit step from -0.0 along each
-    of its (n, 3) ego-frame positions (a writable input is copied).  x * 1.0
-    and x + -0.0 are x exactly, signed zeros included (+0.0 is not), so the
-    points are the positions bit for bit and the finite check is np.isfinite
-    of every point."""
-    dirs = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-    if dirs.flags.writeable:
-        dirs = dirs.copy()
-        dirs.flags.writeable = False
-    return _LiftPlan(None, np.ones(dirs.shape[0], dtype=bool), 0, dirs,
-                     _UNIT_STEP, _ORIGIN_OF_POSITIONS)
 
 
 def _plan(kind: str, bins: BinSpec, rig: CameraRig, width: int, height: int,

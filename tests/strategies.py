@@ -1,12 +1,48 @@
-"""Shared hypothesis strategies: rigs that always see the ground, bin
-specs with sane ranges, boxes inside the default extent."""
+"""Shared test builders: hypothesis strategies (rigs that always see the
+ground, bin specs with sane ranges, boxes inside the default extent), and
+distribution maps and clouds built by hand in the pipeline's table form."""
 import numpy as np
 from hypothesis import strategies as st
 
 from bevlift.binning import BinSpec
 from bevlift.geometry import Box3D, CameraRig, Intrinsics, extrinsics_from_pose
+from bevlift.lifting import DistributionMap, WedgeCloud, _LiftPlan
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def dense_map(width, height, n_bins, data, cell_weight=None):
+    """The map of dense (height, width, n_bins) data: a table of one row
+    per cell, rows = arange(height * width), unit cell weights by
+    default."""
+    table = np.asarray(data, dtype=np.float64).reshape(-1, n_bins)
+    rows = np.arange(height * width).reshape(height, width)
+    if cell_weight is None:
+        cell_weight = np.ones((height, width))
+    return DistributionMap(width, height, n_bins, table, cell_weight, rows)
+
+
+def points_plan(positions):
+    """The plan of (n, 3) ego-frame positions: one unit step from -0.0 along
+    each (a writable input is copied).  x * 1.0 and x + -0.0 are x exactly,
+    signed zeros included (+0.0 is not), so the points are the positions
+    bit for bit and the finite check is np.isfinite of every point."""
+    dirs = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    if dirs.flags.writeable:
+        dirs = dirs.copy()
+        dirs.flags.writeable = False
+    return _LiftPlan(None, np.ones(dirs.shape[0], dtype=bool), 0, dirs,
+                     np.ones(1), np.full(3, -0.0))
+
+
+def points_cloud(positions, features, weights):
+    """The cloud of per-point positions, features and weights: one point per
+    source cell, its weights a table of one row per point with unit cell
+    weights, so weights reads them back bit for bit."""
+    plan = points_plan(positions)
+    m = plan.dirs.shape[0]
+    table = np.asarray(weights, dtype=np.float64).reshape(m, 1)
+    return WedgeCloud(plan, features, table, np.ones(m), np.arange(m))
 
 
 @st.composite

@@ -37,7 +37,6 @@ from bevlift.geometry import (
 from bevlift.lifting import (
     ContextMap,
     DistributionMap,
-    WedgeCloud,
     build_wedge,
     build_wedge_depth,
     fuse,
@@ -54,6 +53,7 @@ from bevlift.robustness import (
     simulate_range_bias,
 )
 from bevlift.scene import render
+from strategies import points_cloud
 
 
 def test_height_lift_hits_requested_height_on_the_pixel_ray():
@@ -177,7 +177,7 @@ def test_pooling_conserves_mass_linearly_and_bit_exactly():
     w2 = rng.uniform(0.0, 2.0, n)
 
     def grid_of(w):
-        return pool(WedgeCloud(pos, feats, w), spec).data
+        return pool(points_cloud(pos, feats, w), spec).data
 
     g1, g2, g12 = grid_of(w1), grid_of(w2), grid_of(w1 + w2)
     total = g1.sum(axis=(0, 1))
@@ -276,8 +276,9 @@ def test_height_path_emits_fewer_points_and_benches_faster(mast_rig, tmp_path):
     hb = BinSpec("DID", 90, -0.2, 3.6, 1.2)
     db = BinSpec("DEPTH_UD", 206, 1.0, 104.0)
     ctx = ContextMap(w, hgt, 2, np.zeros((hgt, w, 2)))
-    dh = DistributionMap(w, hgt, 90, np.full((hgt, w, 90), 1.0 / 90))
-    dd = DistributionMap(w, hgt, 206, np.full((hgt, w, 206), 1.0 / 206))
+    rows, cell_weight = np.zeros((hgt, w), dtype=int), np.ones((hgt, w))
+    dh = DistributionMap(w, hgt, 90, np.full((1, 90), 1.0 / 90), cell_weight, rows)
+    dd = DistributionMap(w, hgt, 206, np.full((1, 206), 1.0 / 206), cell_weight, rows)
     cloud_h = build_wedge(fuse(ctx, dh), hb, mast_rig, stride)
     cloud_d = build_wedge_depth(fuse(ctx, dd), db, mast_rig, stride)
     ratio = cloud_h.n_points / cloud_d.n_points

@@ -20,6 +20,7 @@ from bevlift.lifting import (
     build_wedge_depth,
     fuse,
 )
+from strategies import dense_map, points_cloud
 from bevlift.robustness import perturb_rig
 from bevlift.scene import (
     NoiseModel,
@@ -58,7 +59,7 @@ def assert_pools_like_oracle(cloud, spec):
 
 
 def random_cloud(rng, n, channels=2, spread=6.0):
-    return WedgeCloud(
+    return points_cloud(
         rng.uniform(-spread / 2, spread, size=(n, 3)),
         rng.normal(size=(n, channels)),
         rng.random(n),
@@ -120,7 +121,7 @@ class TestPool:
         assert grid.dropped_points == dropped
 
     def test_empty_cloud(self):
-        cloud = WedgeCloud(np.zeros((0, 3)), np.zeros((0, 2)), np.zeros(0))
+        cloud = points_cloud(np.zeros((0, 3)), np.zeros((0, 2)), np.zeros(0))
         grid = pool(cloud, SMALL)
         assert grid.data.shape == (4, 4, 2)
         assert grid.dropped_points == 0
@@ -131,7 +132,7 @@ class TestPool:
         # total weight
         rng = np.random.default_rng(4)
         n = 1000
-        cloud = WedgeCloud(
+        cloud = points_cloud(
             np.column_stack([
                 rng.uniform(0.0, 3.999, n),
                 rng.uniform(-1.999, 1.999, n),
@@ -148,7 +149,7 @@ class TestPool:
     def test_linear_in_weights(self):
         rng = np.random.default_rng(9)
         cloud = random_cloud(rng, 300)
-        doubled = WedgeCloud(cloud.positions, cloud.features, cloud.weights * 2.0)
+        doubled = points_cloud(cloud.positions, cloud.features, cloud.weights * 2.0)
         a = pool(cloud, SMALL)
         b = pool(doubled, SMALL)
         np.testing.assert_allclose(b.data, 2.0 * a.data, rtol=1e-12, atol=1e-12)
@@ -179,7 +180,7 @@ class TestPool:
         raw = rng.random((h, w, n_bins)) + 1e-3
         fused = fuse(
             ContextMap(w, h, 2, rng.normal(size=(h, w, 2))),
-            DistributionMap(w, h, n_bins, raw / raw.sum(-1, keepdims=True)),
+            dense_map(w, h, n_bins, raw / raw.sum(-1, keepdims=True)),
         )
         bins = BinSpec("DEPTH_UD", n_bins, 1.0, 60.0)
         rig = replace(mast_rig)
@@ -213,8 +214,7 @@ class TestPool:
                             (build_wedge_depth, BinSpec("DEPTH_UD", 6, 1.0, 61.0))):
             raw = rng.random((h, w, bins.n_bins)) + 1e-3
             cell_weight = rng.random((h, w)) * (rng.random((h, w)) > 0.2)
-            dist = DistributionMap(w, h, bins.n_bins, raw / raw.sum(-1, keepdims=True),
-                                   cell_weight=cell_weight)
+            dist = dense_map(w, h, bins.n_bins, raw / raw.sum(-1, keepdims=True), cell_weight)
             cloud = build(fuse(context, dist), bins, rig, 32)
             assert cloud.points_per_cell == bins.n_bins
             grid = assert_pools_like_oracle(cloud, spec)
@@ -232,7 +232,7 @@ class TestPool:
         positions = np.zeros((4, 3))
         positions[2, 1] = bad
         with pytest.raises(ConfigError, match="positions must be finite"):
-            WedgeCloud(positions, np.ones((4, 2)), np.ones(4))
+            points_cloud(positions, np.ones((4, 2)), np.ones(4))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_hand_built_cloud_rejects_non_finite_features(self, bad):
@@ -240,13 +240,13 @@ class TestPool:
         features = np.ones((4, 2))
         features[2, 1] = bad
         with pytest.raises(ConfigError, match="point features must be finite"):
-            WedgeCloud(np.zeros((4, 3)), features, np.array([1.0, 1.0, 0.0, 1.0]))
+            points_cloud(np.zeros((4, 3)), features, np.array([1.0, 1.0, 0.0, 1.0]))
 
     @pytest.mark.parametrize("spec", [SMALL, GridSpec(0.0, 4.0, -2.0, 2.0, 0.25, 0.25, 2)])
     def test_drops_far_points_without_warnings(self, spec):
         far = [[1e300, 0.0, 0.0], [-1e300, 0.0, 0.0], [0.5, 1e300, 0.0],
                [0.5, -1e300, 0.0], [1.7e308, -1.7e308, 0.0]]
-        cloud = WedgeCloud(far + [[0.5, 0.5, 0.0]], np.ones((6, 2)), np.full(6, 0.5))
+        cloud = points_cloud(far + [[0.5, 0.5, 0.0]], np.ones((6, 2)), np.full(6, 0.5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             grid = pool(cloud, spec)
@@ -256,7 +256,11 @@ class TestPool:
 
 
 def with_weights(cloud, weights, context=None):
-    return WedgeCloud(cloud.plan, cloud.context if context is None else context, weights)
+    """cloud's plan with per-point weights: a table of one row per source
+    cell, with unit cell weights."""
+    m = cloud.context.shape[0]
+    return WedgeCloud(cloud.plan, cloud.context if context is None else context,
+                      np.reshape(weights, (m, cloud.points_per_cell)), np.ones(m), np.arange(m))
 
 
 def sparsify(rng, cloud):
@@ -285,8 +289,8 @@ def plan_clouds(rig, rng, channels=3):
     for build, bins in ((build_wedge, BinSpec("DID", 5, -0.2, 2.6, 1.2)),
                         (build_wedge_depth, BinSpec("DEPTH_UD", 6, 1.0, 61.0))):
         raw = rng.random((h, w, bins.n_bins)) + 1e-3
-        dist = DistributionMap(w, h, bins.n_bins, raw / raw.sum(-1, keepdims=True),
-                               cell_weight=rng.random((h, w)) + 1e-3)
+        dist = dense_map(w, h, bins.n_bins, raw / raw.sum(-1, keepdims=True),
+                         rng.random((h, w)) + 1e-3)
         yield build(fuse(context, dist), bins, rig, 32)
 
 
@@ -371,8 +375,8 @@ class TestFactoredWeights:
                 (predict_depth_distribution, build_wedge_depth,
                  BinSpec("DEPTH_UD", 206, 1.0, 104.0))):
             dist = predict(maps, bins, noise)
-            by_hand = DistributionMap(dist.width, dist.height, dist.n_bins, dist.data,
-                                      dist.cell_weight)
+            by_hand = dense_map(dist.width, dist.height, dist.n_bins, dist.data,
+                                dist.cell_weight)
             cloud = build(fuse(context, dist), bins, rig, 32)
             hand_cloud = build(fuse(context, by_hand), bins, rig, 32)
             assert cloud.table.shape[0] == bins.n_bins + 1
@@ -498,14 +502,14 @@ class TestPlanIndex:
             for build, bins in ((build_wedge, BinSpec("DID", 5, -0.2, 2.6, 1.2)),
                                 (build_wedge_depth, BinSpec("DEPTH_UD", 6, 1.0, 61.0))):
                 raw = rng.random((h, w, bins.n_bins)) + 1e-3
-                dist = DistributionMap(w, h, bins.n_bins, raw / raw.sum(-1, keepdims=True))
+                dist = dense_map(w, h, bins.n_bins, raw / raw.sum(-1, keepdims=True))
                 cloud = build(fuse(context, dist), bins, rig, 32)
                 grid = pool(cloud, spec)
                 flat, counts = cloud.plan.bev_index[spec]
                 expected = index_of_positions(cloud.positions, spec)
                 assert flat.tobytes() == expected[0].tobytes()
                 assert counts.tobytes() == expected[1].tobytes()
-                by_hand = WedgeCloud(cloud.positions, cloud.features, cloud.weights)
+                by_hand = points_cloud(cloud.positions, cloud.features, cloud.weights)
                 hand_grid = pool(by_hand, spec)
                 for got, want in zip(by_hand.plan.bev_index[spec], expected):
                     assert got.tobytes() == want.tobytes()

@@ -780,6 +780,28 @@ class TestExitCodes:
         assert record == {"error": "ConfigError", "message": "scene is required"}
         assert not out.exists()
 
+    # Counts that do not fit np.intp, each on a command that reads it: numpy
+    # would refuse to size an array by them with a raw ValueError, and bench
+    # would repeat without end.
+    @pytest.mark.parametrize("command, keys, value", [
+        ("robustness", ("disturbance", "n_trials"), 2**70),
+        ("bench", ("bench_repeats",), 2**70),
+        ("render", ("rig", "intrinsics", "image_w"), 2**70),
+        ("lift", ("rig", "intrinsics", "image_h"), 2**70),
+        ("robustness", ("rig", "intrinsics", "image_h"), 2**63),
+    ], ids=lambda x: _field_path(x) if isinstance(x, tuple)
+       else f"2**{x.bit_length() - 1}" if isinstance(x, int) else x)
+    def test_count_past_intp_is_2_at_load(self, tmp_path, capsys, command, keys, value):
+        override = _overrides(SCENE_BASE, keys, value) if keys[1:] else {keys[0]: value}
+        path = write_config(tmp_path, **{**SCENE_BASE, **override})
+        out = tmp_path / "out"
+        code = main([command, "--config", str(path), "--out", str(out)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError" and keys[-1] in record["message"]
+        assert "must fit np.intp" in record["message"]
+        assert not out.exists()
+
 
 # The fuzz config: every object inlined and every key given, the scene a
 # box document (a generator recipe would draw a scene at load).
@@ -790,9 +812,10 @@ FUZZ_BASE = {
                  "res_x": 3.2, "res_y": 3.2, "channels": 2},
 }
 FUZZ_FLOATS = (0.0, -1.0, 1e308, -1e308, 1e-308, 5e-324, 1e20)
-FUZZ_INTS = (0, -1, 2**40)
+FUZZ_INTS = (0, -1, 2**40, 2**70)
 # Counts whose run time or memory grows with their value: at 2**40 a run
-# takes hours or allocates terabytes, so those cases stop at load.
+# takes hours or allocates terabytes, so those cases stop after load; at
+# 2**70 they do not fit np.intp, and load must reject them.
 FUZZ_SIZES = ("disturbance.n_trials", "bench_repeats",
               "rig.intrinsics.image_w", "rig.intrinsics.image_h")
 FUZZ_COMMANDS = (("render",), ("lift", "--format", "bin"), ("robustness",), ("bench",))
@@ -831,16 +854,19 @@ class TestFuzzNumericLeaves:
             override = _overrides(FUZZ_BASE, keys, value) if keys[1:] else {keys[0]: value}
             path = write_config(tmp_path, **{**FUZZ_BASE, **override})
             out = tmp_path / f"out{turn}"
-            case = f"{_field_path(keys)} = {value!r}"
+            field = _field_path(keys)
+            case = f"{field} = {value!r}"
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 try:
                     load_config(path)
-                    runs = not (value == 2**40 and _field_path(keys) in FUZZ_SIZES)
-                except (PipelineError, MemoryError):
-                    runs = False
+                    error = None
+                except (PipelineError, MemoryError) as exc:
+                    error = exc
                 assert caught == [], (case, caught)
-                if not runs:
+                if value == 2**70 and field in FUZZ_SIZES:
+                    assert isinstance(error, ConfigError), (case, error)
+                if error is not None or (value == 2**40 and field in FUZZ_SIZES):
                     continue
                 command, *flags = FUZZ_COMMANDS[turn % len(FUZZ_COMMANDS)]
                 code = main([command, "--config", str(path), "--out", str(out), *flags])

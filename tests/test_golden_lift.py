@@ -4,7 +4,8 @@ experiment must reproduce tests/golden/lift_checksums.json exactly, also
 when its positions are first read after pooling, and
 the files `render` and `lift` write in every format must reproduce
 tests/golden/table_digests.json.  Every golden test also passes under
-OpenBLAS's kernels without FMA, in a child process."""
+OpenBLAS's kernels without FMA and under numpy's dispatch without AVX-512,
+each in a child process."""
 import importlib.util
 import json
 import os
@@ -27,6 +28,9 @@ GOLDEN_TESTS = (
     "tests/test_robustness.py::TestScatterOverlap::test_matches_golden_run",
     "tests/test_robustness.py::TestLocalizationError::test_disturbed_run_matches_golden_table",
 )
+
+# numpy's AVX-512 dispatch targets on x86-64.
+AVX512_FEATURES = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
 
 
 def _make_goldens():
@@ -66,14 +70,10 @@ def _dynamic_arch_openblas() -> bool:
     return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
-@pytest.mark.skipif(not _dynamic_arch_openblas(),
-                    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so "
-                           "OPENBLAS_CORETYPE would not change its kernels")
-def test_goldens_hold_under_the_blas_kernels_without_fma():
-    # Every product that reaches an artifact is a fixed-order one, so the
-    # goldens do not depend on which kernel OpenBLAS picks.  Only the child
-    # process's environment changes.
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge",
+def _golden_tests_pass_in_child(**env):
+    """Run GOLDEN_TESTS in a child process with env added to its
+    environment; only the child's environment changes."""
+    env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join(filter(None, (
                str(Path(bevlift.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))))}
     child = subprocess.run(
@@ -82,3 +82,31 @@ def test_goldens_hold_under_the_blas_kernels_without_fma():
     )
     assert child.returncode == 0, child.stdout[-3000:] + child.stderr[-3000:]
     assert f"{len(GOLDEN_TESTS)} passed" in child.stdout
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(),
+                    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so "
+                           "OPENBLAS_CORETYPE would not change its kernels")
+def test_goldens_hold_under_the_blas_kernels_without_fma():
+    # Every product that reaches an artifact is a fixed-order one, so the
+    # goldens do not depend on which kernel OpenBLAS picks.
+    _golden_tests_pass_in_child(OPENBLAS_CORETYPE="Sandybridge")
+
+
+def _avx512_features() -> list:
+    """The AVX512_FEATURES numpy dispatches to on this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy before 2.0
+        from numpy.core._multiarray_umath import __cpu_features__
+    return [name for name in AVX512_FEATURES if __cpu_features__.get(name)]
+
+
+@pytest.mark.skipif(not _avx512_features(),
+                    reason="numpy reports none of the AVX-512 features on this CPU, so "
+                           "NPY_DISABLE_CPU_FEATURES would not change its kernels")
+def test_goldens_hold_under_numpy_dispatch_without_avx512():
+    # numpy's exp, log and power (the noise kernel, the DID and SID edges)
+    # dispatch on the CPU; under AVX-512 some DID edges differ by one ulp
+    # from the AVX2 kernels', though no golden byte moves.
+    _golden_tests_pass_in_child(NPY_DISABLE_CPU_FEATURES=" ".join(_avx512_features()))

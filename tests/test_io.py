@@ -25,9 +25,9 @@ from bevlift.io import (
     write_json,
     write_tensor,
 )
-from bevlift.lifting import WedgeCloud
 from bevlift.robustness import ErrorReport, OverlapReport
 from bevlift.scene import HIT_GROUND, HIT_SKY, PixelMaps, histogram
+from strategies import points_cloud
 
 
 def csv_fields(tmp_path, *columns):
@@ -175,7 +175,7 @@ class TestRowGenerators:
     """The rows table_rows yields from each artifact table's columns."""
 
     def test_wedge_rows(self):
-        cloud = WedgeCloud(
+        cloud = points_cloud(
             np.array([[1.0, 2.0, 3.0]]), np.array([[0.5, -0.5]]), np.array([0.25])
         )
         header, columns = wedge_table(cloud)
@@ -184,7 +184,7 @@ class TestRowGenerators:
 
     def test_bev_rows_row_major_with_centers(self):
         spec = GridSpec(0.0, 2.0, 0.0, 2.0, 1.0, 1.0, 1)
-        cloud = WedgeCloud(
+        cloud = points_cloud(
             np.array([[0.5, 1.5, 0.0]]), np.array([[2.0]]), np.array([1.0])
         )
         grid = pool(cloud, spec)
@@ -197,7 +197,7 @@ class TestRowGenerators:
 
     def test_bev_centers_match_per_cell_arithmetic(self):
         spec = GridSpec(0.0, 102.4, -51.2, 51.2, 0.8, 0.8, 1)
-        cloud = WedgeCloud(np.zeros((0, 3)), np.zeros((0, 1)), np.zeros(0))
+        cloud = points_cloud(np.zeros((0, 3)), np.zeros((0, 1)), np.zeros(0))
         rows = list(table_rows(bev_table(pool(cloud, spec))[1]))
         expected = [
             (ix, iy, spec.x_min + (ix + 0.5) * spec.res_x, spec.y_min + (iy + 0.5) * spec.res_y)

@@ -40,7 +40,7 @@ from bevlift.lifting import (
     lift_pixel_height_composed,
 )
 from bevlift.robustness import perturb_rig
-from strategies import descending_pixel_st, rig_st
+from strategies import dense_map, descending_pixel_st, points_cloud, points_plan, rig_st
 
 INTR_1000 = Intrinsics(1000.0, 1000.0, 768.0, 432.0, 1536, 864)
 
@@ -177,50 +177,36 @@ class TestMaps:
     def test_distribution_rows_must_normalize(self):
         data = np.full((2, 2, 4), 0.3)
         with pytest.raises(ConfigError, match="^per-cell bin weights must sum to 1 within 1e-6$"):
-            DistributionMap(2, 2, 4, data)
+            dense_map(2, 2, 4, data)
 
     def test_distribution_rejects_negative(self):
         data = np.zeros((1, 1, 2))
         data[0, 0] = [1.5, -0.5]
         with pytest.raises(ConfigError, match="^distribution weights must be non-negative$"):
-            DistributionMap(1, 1, 2, data)
+            dense_map(1, 1, 2, data)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_distribution_rejects_nonfinite_bin_weights(self, bad):
         data = np.full((1, 2, 2), 0.5)
         data[0, 1] = [bad, 0.5]
         with pytest.raises(ConfigError, match="^per-cell bin weights must sum to 1 within 1e-6$"):
-            DistributionMap(2, 1, 2, data)
+            dense_map(2, 1, 2, data)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_distribution_rejects_nonfinite_cell_weight(self, bad):
         with pytest.raises(ConfigError, match="^cell weights must be finite$"):
-            DistributionMap(2, 1, 2, np.full((1, 2, 2), 0.5),
-                            cell_weight=np.array([[1.0, bad]]))
-
-    def test_cell_weight_defaults_to_ones(self):
-        dist = DistributionMap(2, 1, 2, np.full((1, 2, 2), 0.5))
-        np.testing.assert_array_equal(dist.cell_weight, np.ones((1, 2)))
+            DistributionMap(2, 1, 2, np.full((1, 2), 0.5), np.array([[1.0, bad]]),
+                            np.zeros((1, 2), dtype=int))
 
     def test_cell_weight_shape_checked(self):
         with pytest.raises(ShapeMismatch, match="^cell_weight shape does not match the map$"):
-            DistributionMap(2, 1, 2, np.full((1, 2, 2), 0.5), cell_weight=np.ones(3))
-
-    def test_distribution_data_shape_checked(self):
-        with pytest.raises(ShapeMismatch, match=r"^distribution data shape \(2, 4\) != \(1, 2, 4\)$"):
-            DistributionMap(2, 1, 4, np.full((2, 4), 0.25))
-
-    def test_hand_built_map_is_a_table_of_one_row_per_cell(self):
-        data = np.random.default_rng(5).dirichlet(np.ones(3), (2, 4))
-        dist = DistributionMap(4, 2, 3, data)
-        assert dist.table.shape == (8, 3)
-        np.testing.assert_array_equal(dist.rows, np.arange(8).reshape(2, 4))
-        assert dist.data.tobytes() == data.tobytes() and not dist.data.flags.writeable
+            DistributionMap(2, 1, 2, np.full((1, 2), 0.5), np.ones(3),
+                            np.zeros((1, 2), dtype=int))
 
     def test_table_map_reads_back_its_rows(self):
         table = np.array([[1.0, 0.0], [0.25, 0.75], [0.5, 0.5]])
         rows = np.array([[2, 0, 0], [1, 2, 1]])
-        dist = DistributionMap(3, 2, 2, table, rows=rows)
+        dist = DistributionMap(3, 2, 2, table, np.ones((2, 3)), rows)
         assert dist.data.tobytes() == table[rows].tobytes()
 
     @pytest.mark.parametrize("table, rows, message", [
@@ -232,12 +218,12 @@ class TestMaps:
     ])
     def test_rows_must_index_the_table(self, table, rows, message):
         with pytest.raises(ShapeMismatch, match=message):
-            DistributionMap(2, 1, 2, table, rows=rows)
+            DistributionMap(2, 1, 2, table, np.ones((1, 2)), rows)
 
     def test_table_rows_obey_the_bin_rule(self):
         with pytest.raises(ConfigError, match="^per-cell bin weights must sum to 1"):
-            DistributionMap(2, 1, 2, np.array([[0.5, 0.5], [0.5, 0.4]]),
-                            rows=np.array([[0, 0]]))
+            DistributionMap(2, 1, 2, np.array([[0.5, 0.5], [0.5, 0.4]]), np.ones((1, 2)),
+                            np.array([[0, 0]]))
 
     def test_context_shape_checked(self):
         with pytest.raises(ShapeMismatch):
@@ -245,7 +231,7 @@ class TestMaps:
 
     def test_fuse_grid_mismatch(self):
         ctx = ContextMap(2, 2, 1, np.zeros((2, 2, 1)))
-        dist = DistributionMap(3, 2, 2, np.full((2, 3, 2), 0.5))
+        dist = dense_map(3, 2, 2, np.full((2, 3, 2), 0.5))
         with pytest.raises(ShapeMismatch):
             fuse(ctx, dist)
 
@@ -256,9 +242,7 @@ def random_fused(rng, width, height, n_bins, channels, zero_weight_frac=0.0):
     cw = rng.random((height, width)) + 0.1
     if zero_weight_frac:
         cw[rng.random((height, width)) < zero_weight_frac] = 0.0
-    dist = DistributionMap(
-        width, height, n_bins, raw / raw.sum(-1, keepdims=True), cell_weight=cw
-    )
+    dist = dense_map(width, height, n_bins, raw / raw.sum(-1, keepdims=True), cw)
     return fuse(ctx, dist)
 
 
@@ -573,32 +557,45 @@ class TestPlanGeometry:
         assert outcomes == {"finite", "product", "origin"}
 
 
-class TestWedgeCloud:
-    def test_hand_built_cloud_has_one_point_per_source_cell(self):
+class TestTestBuilders:
+    """The hand-built maps and clouds of tests/strategies.py hold their
+    inputs bit for bit."""
+
+    def test_points_cloud_reads_back_its_points(self):
         features = np.arange(6.0).reshape(3, 2)
-        cloud = WedgeCloud(np.zeros((3, 3)), features, np.ones(3))
-        assert cloud.points_per_cell == 1
-        np.testing.assert_array_equal(cloud.context, features)
-        np.testing.assert_array_equal(cloud.features, features)
+        weights = np.array([0.25, -0.0, 5e-324])
         # signed zeros and the smallest subnormals read back bit for bit
         tiny = 5e-324
         positions = np.array([[0.0, -0.0, tiny], [-tiny, -0.0, 0.0], [1.5, -tiny, -0.0]])
-        cloud = WedgeCloud(positions, features, np.ones(3))
+        cloud = points_cloud(positions, features, weights)
         assert cloud.positions.tobytes() == positions.tobytes()
+        assert cloud.weights.tobytes() == weights.tobytes()
+        assert cloud.features.tobytes() == features.tobytes()
+        np.testing.assert_array_equal(cloud.context, features)
         assert cloud.points_per_cell == 1 and cloud.skipped_cells == 0
 
+    def test_dense_map_reads_back_its_data(self):
+        data = np.random.default_rng(5).dirichlet(np.ones(3), (2, 4))
+        dist = dense_map(4, 2, 3, data)
+        assert dist.table.shape == (8, 3)
+        np.testing.assert_array_equal(dist.rows, np.arange(8).reshape(2, 4))
+        np.testing.assert_array_equal(dist.cell_weight, np.ones((2, 4)))
+        assert dist.data.tobytes() == data.tobytes() and not dist.data.flags.writeable
+
+
+class TestWedgeCloud:
     def test_rejects_context_that_does_not_tile_the_points(self):
-        with pytest.raises(ShapeMismatch):
-            WedgeCloud(np.zeros((5, 3)), np.ones((2, 1)), np.ones(5))
+        with pytest.raises(ShapeMismatch, match="^context must be"):
+            points_cloud(np.zeros((5, 3)), np.ones((2, 1)), np.ones(5))
 
     def test_rejects_negative_weights(self):
-        with pytest.raises(ConfigError):
-            WedgeCloud(np.zeros((1, 3)), np.ones((1, 1)), np.array([-1.0]))
+        with pytest.raises(ConfigError, match="^point weights must be non-negative$"):
+            points_cloud(np.zeros((1, 3)), np.ones((1, 1)), np.array([-1.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_nonfinite_weights(self, bad):
-        with pytest.raises(ConfigError):
-            WedgeCloud(np.zeros((1, 3)), np.ones((1, 1)), np.array([bad]))
+        with pytest.raises(ConfigError, match="^point weights must be finite$"):
+            points_cloud(np.zeros((1, 3)), np.ones((1, 1)), np.array([bad]))
 
     def test_weights_are_table_rows_times_cell_weights(self):
         # three source cells of two points each
@@ -614,10 +611,10 @@ class TestWedgeCloud:
         # a hand-built cloud, and a wedge of a dense map with unit cell weights
         rng = np.random.default_rng(5)
         raw = rng.random((3, 4, 5))
-        dist = DistributionMap(4, 3, 5, raw / raw.sum(-1, keepdims=True))
+        dist = dense_map(4, 3, 5, raw / raw.sum(-1, keepdims=True))
         plan = lifting._LiftPlan(None, np.ones(12, dtype=bool), 0, rng.normal(size=(12, 3)),
                                  np.arange(1.0, 6.0), np.zeros(3))
-        clouds = [WedgeCloud(rng.normal(size=(7, 3)), np.ones((7, 2)), rng.random(7)),
+        clouds = [points_cloud(rng.normal(size=(7, 3)), np.ones((7, 2)), rng.random(7)),
                   WedgeCloud(plan, np.ones((12, 1)), dist.table, dist.cell_weight.reshape(-1),
                              dist.rows.reshape(-1))]
         for cloud in clouds:
@@ -633,7 +630,7 @@ class TestWedgeCloud:
         rng = np.random.default_rng(8)
         width, height, stride = INTR_1000.image_w // 64, INTR_1000.image_h // 64, 64
         raw = rng.random((height, width, 5))
-        dist = DistributionMap(width, height, 5, raw / raw.sum(-1, keepdims=True))
+        dist = dense_map(width, height, 5, raw / raw.sum(-1, keepdims=True))
         ctx = ContextMap(width, height, 2, rng.normal(size=(height, width, 2)))
         cloud = build_wedge(fuse(ctx, dist), BinSpec("UD", 5, 0.0, 2.0), level_rig(), stride)
         rows = cloud.rows
@@ -661,29 +658,29 @@ class TestWedgeCloud:
 
     def test_rejects_weights_whose_product_overflows(self):
         with pytest.raises(ConfigError, match="^point weights must be finite$"):
-            WedgeCloud(np.zeros((1, 3)), np.ones((1, 1)), np.array([[2.0]]),
+            WedgeCloud(points_plan(np.zeros((1, 3))), np.ones((1, 1)), np.array([[2.0]]),
                        np.array([1e308]), np.array([0]))
 
     def test_unused_table_rows_do_not_bound_the_weights(self):
         # 2.0 * 1e308 overflows, but no source cell takes the row of 2.0
-        cloud = WedgeCloud(np.zeros((1, 3)), np.ones((1, 1)), np.array([[2.0], [0.5]]),
-                           np.array([1e308]), np.array([1]))
+        cloud = WedgeCloud(points_plan(np.zeros((1, 3))), np.ones((1, 1)),
+                           np.array([[2.0], [0.5]]), np.array([1e308]), np.array([1]))
         assert cloud.weights.tolist() == [0.5e308]
 
     @pytest.mark.parametrize("cell_weight", [np.array([-1.0]), np.array([np.inf])])
     def test_rejects_bad_cell_weights(self, cell_weight):
         with pytest.raises(ConfigError, match="^point weights must be"):
-            WedgeCloud(np.zeros((1, 3)), np.ones((1, 1)), np.ones((1, 1)), cell_weight,
-                       np.array([0]))
+            WedgeCloud(points_plan(np.zeros((1, 3))), np.ones((1, 1)), np.ones((1, 1)),
+                       cell_weight, np.array([0]))
 
     def test_rejects_cell_weights_of_other_source_cells(self):
         with pytest.raises(ShapeMismatch, match="one entry per source cell"):
-            WedgeCloud(np.zeros((2, 3)), np.ones((2, 1)), np.ones((1, 1)), np.ones(3),
-                       np.array([0, 0]))
+            WedgeCloud(points_plan(np.zeros((2, 3))), np.ones((2, 1)), np.ones((1, 1)),
+                       np.ones(3), np.array([0, 0]))
 
     def test_rejects_nonfinite_positions(self):
-        with pytest.raises(ConfigError):
-            WedgeCloud(np.array([[np.inf, 0, 0]]), np.ones((1, 1)), np.ones(1))
+        with pytest.raises(ConfigError, match="^lifted positions must be finite$"):
+            points_cloud(np.array([[np.inf, 0, 0]]), np.ones((1, 1)), np.ones(1))
 
 
 def test_cell_pixel_centers_layout():
