@@ -8,14 +8,17 @@ For a checkout of bevlift (this repository by default) it writes, as JSON:
   (optionally only the given seeds), with the seeds, run seconds and
   failed-item count.  The runs of one workload must share one length
   (--seconds); it exits naming the workload and the lengths otherwise;
-* the whole-process wall time of `render`, `lift` (csv, json and bin),
-  `robustness` and `bench` on their committed configs, and the sha256
-  of every file one run of each writes (but `bench.json`, which holds
-  timings), so two records show whether the artifacts' bits moved.
+* the whole-process wall time and peak RSS of `render`, `lift` (csv,
+  json and bin), `robustness` and `bench` on their committed configs,
+  and the sha256 of every file one run of each writes (but `bench.json`,
+  which holds timings), so two records show whether the artifacts' bits
+  moved.
   With --parent DIR the same runs are made in the parent checkout DIR
   too, alternating with the measured checkout repeat by repeat (the side
   that runs first alternates as well), and recorded under "parent", so
-  the two sides' walls share the host's drift;
+  the two sides' walls share the host's drift.  A run's peak RSS is its
+  own process's high-water mark (ru_maxrss from os.wait4, Linux KiB),
+  never the running maximum over all children of RUSAGE_CHILDREN;
 * the wall time and pass count of the Tier-1 suite;
 * the numpy version and CPU count of the interpreter running it all.
 
@@ -48,7 +51,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Whole-process runs per CLI command; their median is recorded.
+# Whole-process runs per CLI command; their medians are recorded.
 CLI_REPEATS = 3
 
 # (name, command, committed config, extra flags)
@@ -96,11 +99,20 @@ def _env(checkout: Path) -> dict:
     return {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
 
 
+def _sha256(path: Path) -> str:
+    """sha256 of a file, read 1 MiB at a time."""
+    digest = hashlib.sha256()
+    with path.open("rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def artifact_digests(out: Path) -> dict:
     """sha256 of every file under out, keyed by its path relative to out,
     except bench.json, whose timings differ from run to run."""
     return {
-        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        path.relative_to(out).as_posix(): _sha256(path)
         for path in sorted(out.rglob("*"))
         if path.is_file() and path.name != "bench.json"
     }
@@ -114,36 +126,50 @@ def run_order(sides, repeats: int):
             yield repeat, side
 
 
-def run_cli(checkout: Path, command: str, config: str, flags) -> tuple[float, dict]:
-    """Wall time of one whole-process CLI run in checkout, and the digests
-    of the artifacts it wrote.  Exits when the run fails."""
-    with tempfile.TemporaryDirectory() as tmp:
+def run_cli(checkout: Path, command: str, config: str, flags) -> tuple[float, float, dict]:
+    """Wall time and peak RSS (MiB) of one whole-process CLI run in
+    checkout, and the digests of the artifacts it wrote.  The peak is the
+    child's own, from the rusage os.wait4 returns for it.  A child that
+    subprocess starts by vfork also counts this process's high-water mark
+    at exec, which is why artifacts are hashed a chunk at a time: this
+    process never holds more than a bare interpreter with numpy.  Exits
+    when the run fails."""
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryFile() as stderr:
         argv = [sys.executable, "-m", "bevlift", command,
                 "--config", str(checkout / "configs" / config), "--out", tmp, *flags]
         start = time.perf_counter()
-        done = subprocess.run(argv, cwd=checkout, env=_env(checkout),
-                              capture_output=True, text=True)
+        child = subprocess.Popen(argv, cwd=checkout, env=_env(checkout),
+                                 stdout=subprocess.DEVNULL, stderr=stderr)
+        _, status, usage = os.wait4(child.pid, 0)
         wall = time.perf_counter() - start
-        if done.returncode != 0:
-            raise SystemExit(f"{command} in {checkout} exited {done.returncode}: "
-                             f"{done.stderr.strip()}")
-        return wall, artifact_digests(Path(tmp))
+        child.returncode = os.waitstatus_to_exitcode(status)
+        if child.returncode != 0:
+            stderr.seek(0)
+            raise SystemExit(f"{command} in {checkout} exited {child.returncode}: "
+                             f"{stderr.read().decode().strip()}")
+        return wall, usage.ru_maxrss / 1024, artifact_digests(Path(tmp))
 
 
 def cli_walls(checkouts: dict) -> dict:
     """Per checkout (a name -> path mapping), the median whole-process wall
-    time of each CLI run and the digests of the artifacts of its first run.
-    The checkouts take turns run by run (see run_order)."""
+    time and peak RSS of each CLI run and the digests of the artifacts of
+    its first run.  The checkouts take turns run by run (see run_order)."""
     out: dict = {name: {} for name in checkouts}
     for name, command, config, flags in CLI_RUNS:
         walls: dict = {side: [] for side in checkouts}
+        peaks: dict = {side: [] for side in checkouts}
         for repeat, side in run_order(list(checkouts), CLI_REPEATS):
-            wall, digests = run_cli(checkouts[side], command, config, flags)
+            wall, peak, digests = run_cli(checkouts[side], command, config, flags)
             walls[side].append(wall)
+            peaks[side].append(peak)
             if repeat == 0:
                 out[side][name] = {"artifacts_sha256": digests}
-        for side, runs in walls.items():
-            out[side][name].update(median_s=statistics.median(runs), runs_s=runs)
+        for side in checkouts:
+            out[side][name].update(
+                median_s=statistics.median(walls[side]), runs_s=walls[side],
+                median_peak_rss_mib=statistics.median(peaks[side]),
+                runs_peak_rss_mib=peaks[side],
+            )
     return out
 
 

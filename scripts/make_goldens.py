@@ -73,8 +73,8 @@ def frame_checksums(wedge_h, wedge_d, bev_h, bev_d) -> dict:
         "wedge_depth_weights": sha(wedge_d.weights),
         "bev_height_data": sha(bev_h.data),
         "bev_depth_data": sha(bev_d.data),
-        "height_n_points": int(wedge_h.positions.shape[0]),
-        "depth_n_points": int(wedge_d.positions.shape[0]),
+        "height_n_points": wedge_h.n_points,
+        "depth_n_points": wedge_d.n_points,
     }
 
 

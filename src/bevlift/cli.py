@@ -146,10 +146,11 @@ def _experiment(
     depth_bins.check_kind("depth", "depth_bins")
     cells = (rig.intrinsics.image_w // sample_stride) * (rig.intrinsics.image_h // sample_stride)
     for name, bins in (("height_bins", height_bins), ("depth_bins", depth_bins)):
-        if cells * bins.n_bins * context_channels > np.iinfo(np.intp).max:
+        # numpy sizes an array in bytes: a cloud's float64 features
+        if cells * bins.n_bins * context_channels * 8 > np.iinfo(np.intp).max:
             raise ConfigError(
                 f"{name}.n_bins x context_channels x feature cells at sample_stride "
-                f"must fit np.intp, got {bins.n_bins} x {context_channels} x {cells}"
+                f"x 8 bytes must fit np.intp, got {bins.n_bins} x {context_channels} x {cells}"
             )
     cfg = ExperimentConfig(
         rig=rig,
@@ -267,14 +268,17 @@ def cmd_lift(cfg: ExperimentConfig, args, meta: dict) -> dict:
     out = Path(args.out)
     summary = dict(meta)
     for (name, wedge), bev in zip(wedges.items(), bevs.values()):
-        artio.write_table(out, f"wedge_{name}", args.format, *artio.wedge_table(wedge), meta)
+        header, columns = artio.wedge_table(wedge)
+        artio.write_table(out, f"wedge_{name}", args.format, header, columns, meta)
+        total_mass = float(columns[header.index("weight")].sum())
+        del columns  # so that no two wedges' per-point columns are alive at once
         artio.write_table(out, f"bev_{name}", args.format, *artio.bev_table(bev), meta)
         summary[name] = {
             "n_points": wedge.n_points,
             "skipped_cells": wedge.skipped_cells,
             "dropped_points": bev.dropped_points,
             "occupied_cells": int(np.count_nonzero(bev.hit_count)),
-            "total_mass": float(wedge.weights.sum()),
+            "total_mass": total_mass,
         }
     artio.write_json(out / "lift_summary.json", summary)
     return summary

@@ -112,9 +112,12 @@ class Intrinsics:
         for name in ("fx", "fy", "image_w", "image_h"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.image_w * self.image_h > np.iinfo(np.intp).max:
+        # numpy sizes an array in bytes: the (cells, 3) float64 reference
+        # rays of every pixel, at stride 1
+        if self.image_w * self.image_h * 3 * 8 > np.iinfo(np.intp).max:
             raise ConfigError(
-                f"image_w x image_h must fit np.intp, got {self.image_w} x {self.image_h}"
+                f"image_w x image_h x 3 x 8 bytes must fit np.intp, "
+                f"got {self.image_w} x {self.image_h}"
             )
         for name, size in (("cx", self.image_w), ("cy", self.image_h)):
             if not 0 <= getattr(self, name) < size:

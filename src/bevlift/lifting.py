@@ -40,18 +40,18 @@ dirs (m, 3), the bin scalars steps (B,) and the origin, and is checked
 finite from the per-axis extremes of dirs and steps alone.  bevpool.pool
 builds each BEV index straight from these factors, one axis at a time,
 and the clouds of one plan share that index, one entry per GridSpec.
-The (n, 3) positions are built only when read, by the lift command's
-wedge tables or by tests, and then kept on the plan, read-only.  Each
-frame keeps each cell's context vector once, and its weights as the
-distribution map's table with each cell's row index and cell weight;
-per-point features and weights are never formed on the pooling path.  A plan
-lives exactly as long as its rig: a perturbed rig is a new rig and
+The (n, 3) positions are built anew, read-only, on each read, by the
+lift command's wedge tables or by tests, and never kept: a plan holds
+only its factors and BEV indices.  Each frame keeps each cell's context
+vector once, and its weights as the distribution map's table with each
+cell's row index and cell weight; per-point features and weights are
+built on each read, never kept, and never formed on the pooling path.  A
+plan lives exactly as long as its rig: a perturbed rig is a new rig and
 builds its own.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -251,11 +251,11 @@ class WedgeCloud:
             if not np.isfinite(table_hi * cell_hi):
                 _finite_range(self.table.max(axis=1)[self.rows] * self.cell_weight, "weights")
 
-    @cached_property
+    @property
     def weights(self) -> np.ndarray:
         """Per-point weights, (n_points,): each source cell's table row times
-        its cell weight, a new array built on first read and kept,
-        read-only.  Unit cell weights give the table rows bit for bit (x *
+        its cell weight, a new read-only array built on each read and never
+        kept.  Unit cell weights give the table rows bit for bit (x *
         1.0 is x)."""
         weights = self.table[self.rows]
         weights *= self.cell_weight[:, None]
@@ -281,8 +281,8 @@ class WedgeCloud:
 
     @property
     def positions(self) -> np.ndarray:
-        """Ego-frame xyz, one read-only row per point; the plan builds its
-        positions on the first read and keeps them."""
+        """Ego-frame xyz, one read-only row per point, built by the plan on
+        each read and never kept."""
         return self.plan.positions
 
     @property
@@ -426,10 +426,10 @@ class _LiftPlan:
         np.multiply.outer(self.dirs[rows, axis], self.steps, out=out.reshape(-1, self.steps.size))
         out += self.origin[axis]
 
-    @cached_property
+    @property
     def positions(self) -> np.ndarray:
-        """The (n, 3) transpose of one read-only (3, n) array, built on
-        first read and kept."""
+        """The (n, 3) transpose of a new read-only (3, n) array, built on
+        each read and never kept."""
         rays = np.empty((3, self.n_points))
         for axis in range(3):
             self.axis_into(axis, slice(None), rays[axis])

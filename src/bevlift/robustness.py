@@ -85,8 +85,11 @@ class DisturbanceSpec:
         config_seed("seed", self.seed)
         if config_int("n_trials", self.n_trials) < 1:
             raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
-        if self.n_trials * 2 > np.iinfo(np.intp).max:
-            raise ConfigError(f"n_trials x 2 draws must fit np.intp, got {self.n_trials}")
+        # numpy sizes an array in bytes: the (n_trials, 2) float64 draws
+        if self.n_trials * 2 * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(
+                f"n_trials x 2 draws x 8 bytes must fit np.intp, got {self.n_trials}"
+            )
 
     @classmethod
     def from_json_dict(cls, doc: dict, path: str = "", **given) -> "DisturbanceSpec":

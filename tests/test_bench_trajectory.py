@@ -3,6 +3,7 @@ digests it records."""
 import hashlib
 import importlib.util
 import json
+import resource
 from pathlib import Path
 
 import pytest
@@ -73,7 +74,7 @@ def test_cli_walls_alternate_checkouts_run_by_run(monkeypatch):
 
     def fake_run(checkout, command, config, flags):
         calls.append((checkout.name, command, tuple(flags)))
-        return float(len(calls)), {"f": checkout.name}
+        return float(len(calls)), 10.0 * len(calls), {"f": checkout.name}
 
     monkeypatch.setattr(module, "run_cli", fake_run)
     monkeypatch.setattr(module, "CLI_REPEATS", 3)
@@ -86,7 +87,49 @@ def test_cli_walls_alternate_checkouts_run_by_run(monkeypatch):
     ]
     first = got["checkout"][runs[0][0]]
     assert first["runs_s"] == [1.0, 4.0, 5.0] and first["median_s"] == 4.0
-    assert got["parent"][runs[0][0]]["runs_s"] == [2.0, 3.0, 6.0]
+    assert first["runs_peak_rss_mib"] == [10.0, 40.0, 50.0]
+    assert first["median_peak_rss_mib"] == 40.0
+    parent = got["parent"][runs[0][0]]
+    assert parent["runs_s"] == [2.0, 3.0, 6.0]
+    assert parent["runs_peak_rss_mib"] == [20.0, 30.0, 60.0]
+    assert parent["median_peak_rss_mib"] == 30.0
     assert {side: got[side][runs[-1][0]]["artifacts_sha256"] for side in got} == {
         "checkout": {"f": "new"}, "parent": {"f": "old"},
     }
+
+
+class FakeChild:
+    """A CLI run that writes one artifact into its --out directory and a
+    line to its stderr; wait4 gives its exit status."""
+
+    pid = 4242
+
+    def __init__(self, argv, cwd, env, stdout, stderr):
+        out = Path(argv[argv.index("--out") + 1])
+        (out / "maps.csv").write_text("u,v\n")
+        stderr.write(b"boom\n")
+        self.returncode = None
+
+
+def _wait4_of(status, maxrss_kib):
+    def wait4(pid, options):
+        assert (pid, options) == (FakeChild.pid, 0)
+        return pid, status, resource.struct_rusage((0.0, 0.0, maxrss_kib) + (0,) * 13)
+    return wait4
+
+
+def test_run_cli_takes_peak_rss_from_the_childs_own_rusage(monkeypatch, tmp_path):
+    module = _bench_trajectory()
+    monkeypatch.setattr(module.subprocess, "Popen", FakeChild)
+    monkeypatch.setattr(module.os, "wait4", _wait4_of(0, 51200))
+    wall, peak, digests = module.run_cli(tmp_path, "render", "experiment_render.json", ())
+    assert wall >= 0.0 and peak == 50.0
+    assert digests == {"maps.csv": hashlib.sha256(b"u,v\n").hexdigest()}
+
+
+def test_run_cli_exits_with_the_childs_stderr_when_it_fails(monkeypatch, tmp_path):
+    module = _bench_trajectory()
+    monkeypatch.setattr(module.subprocess, "Popen", FakeChild)
+    monkeypatch.setattr(module.os, "wait4", _wait4_of(1 << 8, 51200))
+    with pytest.raises(SystemExit, match="render in .* exited 1: boom"):
+        module.run_cli(tmp_path, "render", "experiment_render.json", ())

@@ -780,19 +780,28 @@ class TestExitCodes:
         assert record == {"error": "ConfigError", "message": "scene is required"}
         assert not out.exists()
 
-    # Counts that do not fit np.intp, each on a command that reads it: numpy
-    # would refuse to size an array by them with a raw ValueError, and bench
-    # would repeat without end.
+    # Counts whose float64 arrays do not fit np.intp bytes, each on a command
+    # that reads it: numpy would refuse to size an array by them with a raw
+    # ValueError, and bench would repeat without end.  The 2**61 trials and
+    # 2**53 channels fit np.intp as element counts, but not as bytes.
     @pytest.mark.parametrize("command, keys, value", [
         ("robustness", ("disturbance", "n_trials"), 2**70),
+        ("robustness", ("disturbance", "n_trials"), 2**61),
         ("bench", ("bench_repeats",), 2**70),
         ("render", ("rig", "intrinsics", "image_w"), 2**70),
         ("lift", ("rig", "intrinsics", "image_h"), 2**70),
         ("robustness", ("rig", "intrinsics", "image_h"), 2**63),
+        ("lift", ("context_channels",), 2**53),
     ], ids=lambda x: _field_path(x) if isinstance(x, tuple)
        else f"2**{x.bit_length() - 1}" if isinstance(x, int) else x)
     def test_count_past_intp_is_2_at_load(self, tmp_path, capsys, command, keys, value):
         override = _overrides(SCENE_BASE, keys, value) if keys[1:] else {keys[0]: value}
+        if keys == ("context_channels",):
+            # a grid of as many channels, and one bin per spec, so that only
+            # the bytes of the features overflow
+            override.update(bev_grid={"channels": value}, **{
+                name: {**SCENE_BASE[name], "n_bins": 1} for name in ("height_bins", "depth_bins")
+            })
         path = write_config(tmp_path, **{**SCENE_BASE, **override})
         out = tmp_path / "out"
         code = main([command, "--config", str(path), "--out", str(out)])

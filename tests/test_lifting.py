@@ -6,6 +6,7 @@ camera center, points along the rotated reference direction, and meets
 the plane z = h where the ray's z coordinate says so.  The production
 code must agree with that everywhere it is defined.
 """
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -399,10 +400,10 @@ class TestLiftPlan:
                 np.testing.assert_array_equal(a.hit_count, b.hit_count)
                 assert a.dropped_points == b.dropped_points
         assert frames[0][0].skipped_cells > 0
-        # the second frame reused the first frame's geometry and BEV index
+        # the second frame reused the first frame's plan and BEV index
         for first, second in zip(*frames):
-            assert np.shares_memory(second.positions, first.positions)
-            assert second.plan.bev_index is first.plan.bev_index
+            assert second.plan is first.plan
+            assert second.plan.bev_index[PLAN_GRID] is first.plan.bev_index[PLAN_GRID]
             assert list(second.plan.bev_index) == [PLAN_GRID]
 
     def test_perturbed_rig_gets_its_own_positions(self):
@@ -412,7 +413,7 @@ class TestLiftPlan:
         swayed_clouds = both_wedges(swayed, 3)
         for cloud, swayed_cloud, fresh_cloud in zip(
                 clouds, swayed_clouds, both_wedges(replace(swayed), 3)):
-            assert not np.shares_memory(cloud.positions, swayed_cloud.positions)
+            assert swayed_cloud.plan is not cloud.plan
             assert swayed_cloud.plan.bev_index is not cloud.plan.bev_index
             assert_clouds_equal(swayed_cloud, fresh_cloud)
             if cloud.n_points == swayed_cloud.n_points:
@@ -494,25 +495,45 @@ class TestPlanGeometry:
         np.testing.assert_array_equal(
             wedge_d.features, np.repeat(context, PLAN_DEPTH_BINS.n_bins, axis=0))
 
-    def test_positions_are_one_read_only_view_shared_by_every_frame(self):
+    def test_positions_are_built_read_only_on_each_read_from_one_shared_plan(self):
         rig = horizon_rig()
         frames = [horizon_wedges(rig, seed) for seed in (3, 4, 5)]
         for kind, clouds in zip(("height", "depth"), zip(*frames)):
             plan = rig._plans[kind]
             for factor in (plan.valid, plan.dirs, plan.steps, plan.origin):
                 assert not factor.flags.writeable
-            # built on the first read, then kept
+            # every frame lifts through the rig's one plan, which keeps only
+            # its factors and BEV indices, never a positions array
+            assert all(cloud.plan is plan for cloud in clouds)
+            first = plan.positions
             assert "positions" not in vars(plan)
-            rays = plan.positions.base
-            assert plan.positions is plan.positions
+            assert not np.shares_memory(plan.positions, first)
+            rays = first.base
             assert rays.shape == (3, clouds[0].n_points) and rays.flags.c_contiguous
             assert not rays.flags.writeable
             for cloud in clouds:
-                assert cloud.positions.shape == (cloud.n_points, 3)
-                assert cloud.positions.base is rays
-                assert not cloud.positions.flags.writeable
+                positions = cloud.positions
+                assert positions.shape == (cloud.n_points, 3)
+                assert positions.tobytes() == first.tobytes()
+                assert not positions.flags.writeable
                 with pytest.raises(ValueError):
-                    cloud.positions[0, 0] = 0.0
+                    positions[0, 0] = 0.0
+
+    def test_reads_of_per_point_arrays_leave_no_memory_behind(self):
+        rig = horizon_rig()
+        clouds = horizon_wedges(rig, 6)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            read = 0
+            for cloud in clouds:
+                for name in ("positions", "weights", "features"):
+                    read += getattr(cloud, name).nbytes
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert read > 0
+        assert retained <= 0.01 * read
 
 
     def test_overflowing_depth_bins_are_rejected_without_positions(self, monkeypatch):
