@@ -59,7 +59,6 @@ from .scene import (
     Scene,
     cast_rays,
     generate_scene,
-    load_scene,
     predict_depth_distribution,
     predict_height_distribution,
     render,

@@ -63,7 +63,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatch, config_floats, config_int, config_object
+from .errors import (
+    ConfigError, ShapeMismatch, config_floats, config_int, config_object, config_size,
+)
 from .lifting import WedgeCloud, _ranges
 
 
@@ -81,8 +83,7 @@ class GridSpec:
 
     def __post_init__(self):
         config_floats(self, "x_min", "x_max", "y_min", "y_max", "res_x", "res_y")
-        if config_int("channels", self.channels) < 1:
-            raise ConfigError(f"channels must be >= 1, got {self.channels}")
+        config_int("channels", self.channels, lo=1)
         for axis in ("x", "y"):
             res = getattr(self, f"res_{axis}")
             if not res > 0:
@@ -92,11 +93,11 @@ class GridSpec:
                 raise ConfigError(
                     f"{axis}_max - {axis}_min must be a positive whole number of res_{axis} cells"
                 )
-        if self.n_x * self.n_y + 1 > np.iinfo(np.intp).max:
-            raise ConfigError(
-                f"x_max - x_min and y_max - y_min give {self.n_x} x {self.n_y} cells, "
-                f"more than a flat cell index holds"
-            )
+        # pool's float64 sums: one row per cell and one for the overflow bin
+        config_size(
+            f"x_max - x_min and y_max - y_min give {self.n_x} x {self.n_y} cells; "
+            "(cells + 1) x channels", self.n_x * self.n_y + 1, self.channels,
+        )
 
     @property
     def n_x(self) -> int:

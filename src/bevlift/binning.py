@@ -48,8 +48,7 @@ class BinSpec:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if config_int("n_bins", self.n_bins) < 1:
-            raise ConfigError(f"n_bins must be >= 1, got {self.n_bins}")
+        config_int("n_bins", self.n_bins, lo=1)
         config_floats(self, "range_min", "range_max")
         if not (self.range_min < self.range_max):
             raise ConfigError("range_min must be strictly below range_max")

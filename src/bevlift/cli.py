@@ -39,7 +39,7 @@ from .errors import (
     PipelineError,
     config_int,
     config_object,
-    config_seed,
+    config_size,
     read_config_file,
 )
 from .geometry import CameraRig, rig_from_json_dict
@@ -115,13 +115,12 @@ def _experiment(
 ):
     """(config, seed) of a resolved config document; the parameters are its
     keys.  An optional object that is absent or null takes its default."""
-    seed = config_seed("seed", seed)
+    config_int("seed", seed, lo=0)
     rig = rig_from_json_dict(rig, "rig")
     for name, value in (("sample_stride", sample_stride),
                         ("context_channels", context_channels),
                         ("bench_repeats", bench_repeats)):
-        if config_int(name, value) < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
+        config_int(name, value, lo=1)
     if bench_repeats > np.iinfo(np.intp).max:
         raise ConfigError(f"bench_repeats must fit np.intp, got {bench_repeats}")
     if sample_stride > min(rig.intrinsics.image_w, rig.intrinsics.image_h):
@@ -146,12 +145,9 @@ def _experiment(
     depth_bins.check_kind("depth", "depth_bins")
     cells = (rig.intrinsics.image_w // sample_stride) * (rig.intrinsics.image_h // sample_stride)
     for name, bins in (("height_bins", height_bins), ("depth_bins", depth_bins)):
-        # numpy sizes an array in bytes: a cloud's float64 features
-        if cells * bins.n_bins * context_channels * 8 > np.iinfo(np.intp).max:
-            raise ConfigError(
-                f"{name}.n_bins x context_channels x feature cells at sample_stride "
-                f"x 8 bytes must fit np.intp, got {bins.n_bins} x {context_channels} x {cells}"
-            )
+        # a cloud's float64 features
+        config_size(f"{name}.n_bins x context_channels x feature cells at sample_stride",
+                    bins.n_bins, context_channels, cells)
     cfg = ExperimentConfig(
         rig=rig,
         scene=scene,

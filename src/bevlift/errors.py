@@ -4,11 +4,17 @@ Configuration problems (bad specs, unreadable files) raise ConfigError;
 everything else is a numeric/geometric failure raised as a PipelineError
 subclass.  The CLI maps ConfigError to exit code 2 and any other
 PipelineError to exit code 3.
+
+A config count is checked at load by two rules: config_int takes its
+lower bound, and config_size bounds the bytes of the float64 array the
+count sizes, which numpy requires to fit np.intp (sys.maxsize), so a
+count too large for an array is a ConfigError, never numpy's ValueError.
 """
 import functools
 import inspect
 import json
 import math
+import sys
 
 
 class PipelineError(Exception):
@@ -19,12 +25,24 @@ class ConfigError(PipelineError):
     """Invalid or inconsistent configuration input."""
 
 
-def config_int(name: str, value) -> int:
+def config_int(name: str, value, lo: int | None = None) -> int:
     """An integer config field: only a JSON integer (an int that is not a
-    bool) is accepted, never a float, string or boolean."""
+    bool) is accepted, never a float, string or boolean, and not below lo
+    where it is given."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise ConfigError(f"{name} must be >= {lo}, got {value}")
     return value
+
+
+def config_size(name: str, *counts: int) -> None:
+    """Reject counts whose float64 array, of math.prod(counts) elements,
+    has more bytes than np.intp holds; name says what the counts are."""
+    if math.prod(counts) * 8 > sys.maxsize:
+        raise ConfigError(
+            f"{name} x 8 bytes must fit np.intp, got {' x '.join(map(str, counts))}"
+        )
 
 
 def config_float(name: str, value, lo: float | None = None, hi: float | None = None) -> float:
@@ -43,15 +61,6 @@ def config_float(name: str, value, lo: float | None = None, hi: float | None = N
     if hi is not None and number > hi:
         raise ConfigError(f"{name} must be <= {hi}, got {number!r}")
     return number
-
-
-def config_seed(name: str, value) -> int:
-    """A seed config field: a JSON integer that is not negative, as
-    np.random.SeedSequence requires."""
-    seed = config_int(name, value)
-    if seed < 0:
-        raise ConfigError(f"{name} must be non-negative, got {seed}")
-    return seed
 
 
 def config_floats(obj, *names: str, lo: float | None = None) -> None:

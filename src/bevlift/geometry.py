@@ -43,6 +43,7 @@ from .errors import (
     config_floats,
     config_int,
     config_object,
+    config_size,
     read_config_file,
 )
 
@@ -107,18 +108,13 @@ class Intrinsics:
 
     def __post_init__(self):
         config_floats(self, "fx", "fy", "cx", "cy")
-        config_int("image_w", self.image_w)
-        config_int("image_h", self.image_h)
-        for name in ("fx", "fy", "image_w", "image_h"):
+        config_int("image_w", self.image_w, lo=1)
+        config_int("image_h", self.image_h, lo=1)
+        for name in ("fx", "fy"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        # numpy sizes an array in bytes: the (cells, 3) float64 reference
-        # rays of every pixel, at stride 1
-        if self.image_w * self.image_h * 3 * 8 > np.iinfo(np.intp).max:
-            raise ConfigError(
-                f"image_w x image_h x 3 x 8 bytes must fit np.intp, "
-                f"got {self.image_w} x {self.image_h}"
-            )
+        # the (cells, 3) float64 reference rays of every pixel, at stride 1
+        config_size("image_w x image_h x 3", self.image_w, self.image_h, 3)
         for name, size in (("cx", self.image_w), ("cy", self.image_h)):
             if not 0 <= getattr(self, name) < size:
                 raise ConfigError(f"{name} must lie inside the image, in [0, {size})")

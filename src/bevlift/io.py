@@ -77,7 +77,7 @@ def write_tensor(path, array: np.ndarray) -> None:
         fh.write(TENSOR_MAGIC)
         fh.write(np.uint32(arr.ndim).astype("<u4").tobytes())
         fh.write(np.asarray(arr.shape, dtype="<u4").tobytes())
-        fh.write(arr.tobytes())
+        fh.write(arr.data)
 
 
 def read_tensor(path) -> np.ndarray:
@@ -104,12 +104,17 @@ def write_table(out: Path, stem: str, fmt: str, header, columns, meta: dict) -> 
     if fmt == "csv":
         write_csv(target, header, table_rows(columns), meta)
         return target
-    matrix = np.column_stack(columns).astype(np.float64)
     if fmt == "json":
+        matrix = np.column_stack(columns).astype(np.float64, copy=False)
         write_json(target, {"meta": meta, "header": list(header), "rows": matrix.tolist()})
-    else:
-        write_tensor(target, matrix)
-        write_json(out / f"{stem}.meta.json", {"meta": meta, "header": list(header)})
+        return target
+    # Filled a column at a time, with no float64 copy of the table: its
+    # ints are exact in float64, so each cast rounds as one through it.
+    matrix = np.empty((len(columns[0]), len(columns)), dtype="<f4")
+    for j, column in enumerate(columns):
+        matrix[:, j] = column
+    write_tensor(target, matrix)
+    write_json(out / f"{stem}.meta.json", {"meta": meta, "header": list(header)})
     return target
 
 

@@ -50,13 +50,12 @@ import numpy as np
 from .binning import BinSpec, bin_midpoints, value_to_bin
 from .errors import (
     AboveCamera,
-    ConfigError,
     InvalidGeometry,
     NoVisibleObjects,
     config_floats,
     config_int,
     config_object,
-    config_seed,
+    config_size,
 )
 from .geometry import CameraRig, Extrinsics, _mat3, _rot_x, _rot_z, project_ego
 from .lifting import lift_many_depth, lift_many_height
@@ -82,14 +81,10 @@ class DisturbanceSpec:
 
     def __post_init__(self):
         config_floats(self, "sigma_roll_deg", "sigma_pitch_deg", lo=0.0)
-        config_seed("seed", self.seed)
-        if config_int("n_trials", self.n_trials) < 1:
-            raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
-        # numpy sizes an array in bytes: the (n_trials, 2) float64 draws
-        if self.n_trials * 2 * 8 > np.iinfo(np.intp).max:
-            raise ConfigError(
-                f"n_trials x 2 draws x 8 bytes must fit np.intp, got {self.n_trials}"
-            )
+        config_int("seed", self.seed, lo=0)
+        config_int("n_trials", self.n_trials, lo=1)
+        # the (n_trials, 2) float64 draws
+        config_size("n_trials x 2 draws", self.n_trials, 2)
 
     @classmethod
     def from_json_dict(cls, doc: dict, path: str = "", **given) -> "DisturbanceSpec":

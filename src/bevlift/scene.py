@@ -37,8 +37,6 @@ from .errors import (
     config_floats,
     config_int,
     config_object,
-    config_seed,
-    read_config_file,
 )
 from .geometry import Box3D, CameraRig, Intrinsics, _mat3, pixel_to_ref_cam, project_ego
 from .lifting import DistributionMap, _check_bin_weights, _ranges, cell_pixel_centers
@@ -92,7 +90,7 @@ class Scene:
             config_float(f"extent.{key}", value) for key, value in zip(EXTENT_KEYS, self.extent)
         )
         object.__setattr__(self, "extent", extent)
-        config_seed("rng_seed", self.rng_seed)
+        config_int("rng_seed", self.rng_seed, lo=0)
         if not isinstance(self.template, str):
             raise ConfigError(f"template must be a string, got {self.template!r}")
         x_min, x_max, y_min, y_max = extent
@@ -145,10 +143,6 @@ def _scene(boxes, extent, rng_seed=Scene.rng_seed, template=Scene.template) -> S
     )
 
 
-def load_scene(path) -> Scene:
-    return Scene.from_json_dict(read_config_file(path))
-
-
 def save_scene(scene: Scene, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(scene.to_json_dict(), handle, indent=2, sort_keys=True)
@@ -183,9 +177,8 @@ def generate_scene(
     """
     if template not in TEMPLATES:
         raise ConfigError(f"template must be one of {TEMPLATES}, got {template!r}")
-    if config_int("n_boxes", n_boxes) < 0:
-        raise ConfigError(f"n_boxes must be non-negative, got {n_boxes}")
-    config_seed("seed", seed)
+    config_int("n_boxes", n_boxes, lo=0)
+    config_int("seed", seed, lo=0)
     # An empty scene checks the extent before any box is drawn inside it.
     extent = Scene((), extent if extent is not None else _DEFAULT_EXTENTS[template]).extent
     x_min, x_max, y_min, y_max = extent

@@ -3,6 +3,7 @@ from hypothesis import HealthCheck, settings
 from pathlib import Path
 
 from bevlift.binning import BinSpec
+from bevlift.errors import read_config_file
 from bevlift.geometry import load_rig
 from bevlift.robustness import (
     DisturbanceSpec,
@@ -10,7 +11,7 @@ from bevlift.robustness import (
     localization_error,
     scatter_overlap,
 )
-from bevlift.scene import NoiseModel, load_scene
+from bevlift.scene import NoiseModel, Scene
 
 settings.register_profile(
     "suite",
@@ -31,6 +32,10 @@ EXPERIMENT_DISTURBANCE = DisturbanceSpec(1.67, 1.67, seed=0, n_trials=100)
 EXPERIMENT_STRIDE = 8
 
 
+def _committed_scene(name):
+    return Scene.from_json_dict(read_config_file(ROOT / "configs" / "scenes" / f"{name}.json"))
+
+
 @pytest.fixture(scope="session")
 def mast_rig():
     return load_rig(ROOT / "configs" / "rig_default.json")
@@ -43,17 +48,17 @@ def truck_rig():
 
 @pytest.fixture(scope="session")
 def corridor7():
-    return load_scene(ROOT / "configs" / "scenes" / "corridor_seed7.json")
+    return _committed_scene("corridor_seed7")
 
 
 @pytest.fixture(scope="session")
 def intersection11():
-    return load_scene(ROOT / "configs" / "scenes" / "intersection_seed11.json")
+    return _committed_scene("intersection_seed11")
 
 
 @pytest.fixture(scope="session")
 def corridor13():
-    return load_scene(ROOT / "configs" / "scenes" / "corridor_seed13.json")
+    return _committed_scene("corridor_seed13")
 
 
 @pytest.fixture(scope="session")

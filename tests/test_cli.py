@@ -1,6 +1,7 @@
 """Command-line interface tests: config resolution, exit codes, artifact
 formats, and run-to-run determinism on a deliberately tiny workload."""
 import json
+import sys
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,10 @@ import bevlift.scene as scene_module
 from bevlift.bevpool import GridSpec
 from bevlift.binning import BinSpec
 from bevlift.cli import config_hash, load_config, main
-from bevlift.errors import ConfigError, PipelineError, config_float, config_object
+from bevlift.errors import (
+    ConfigError, PipelineError, config_float, config_int, config_object, config_size,
+    read_config_file,
+)
 from bevlift.geometry import (
     CameraRig,
     Intrinsics,
@@ -23,7 +27,7 @@ from bevlift.geometry import (
 )
 from bevlift.io import read_csv, read_json, read_tensor, write_table
 from bevlift.robustness import DisturbanceSpec
-from bevlift.scene import NoiseModel, load_scene
+from bevlift.scene import NoiseModel, Scene
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -270,6 +274,22 @@ class TestConfigFloat:
                 config_float("f", value, lo=0.0, hi=1.0)
 
 
+class TestConfigInt:
+    def test_lower_bound_is_inclusive(self):
+        assert config_int("n", 1, lo=1) == 1
+        assert config_int("n", -5) == -5
+        with pytest.raises(ConfigError, match="^n must be >= 1, got 0$"):
+            config_int("n", 0, lo=1)
+
+    def test_size_bounds_float64_bytes_by_np_intp(self):
+        # numpy sizes an array in bytes, which must fit np.intp
+        assert sys.maxsize == np.iinfo(np.intp).max
+        config_size("n", sys.maxsize // 8)
+        config_size("n", sys.maxsize // 16, 2)
+        with pytest.raises(ConfigError, match=r"^n x 8 bytes must fit np\.intp, got \d+ x 1$"):
+            config_size("n", sys.maxsize // 8 + 1, 1)
+
+
 class TestConfigObject:
     def test_builds_from_keys_and_given_values(self):
         def build(a, b=2, c=3):
@@ -419,7 +439,7 @@ class TestLoadConfig:
         for path in rigs:
             load_rig(path)
         for path in scenes:
-            load_scene(path)
+            Scene.from_json_dict(read_config_file(path))
 
     def test_undecodable_file_rejected(self, tmp_path):
         path = tmp_path / "binary.json"
@@ -782,8 +802,9 @@ class TestExitCodes:
 
     # Counts whose float64 arrays do not fit np.intp bytes, each on a command
     # that reads it: numpy would refuse to size an array by them with a raw
-    # ValueError, and bench would repeat without end.  The 2**61 trials and
-    # 2**53 channels fit np.intp as element counts, but not as bytes.
+    # ValueError, and bench would repeat without end.  The 2**61 trials,
+    # 2**53 channels and 2**31 x 2**31 grid cells fit np.intp as element
+    # counts, but not as bytes.
     @pytest.mark.parametrize("command, keys, value", [
         ("robustness", ("disturbance", "n_trials"), 2**70),
         ("robustness", ("disturbance", "n_trials"), 2**61),
@@ -792,16 +813,21 @@ class TestExitCodes:
         ("lift", ("rig", "intrinsics", "image_h"), 2**70),
         ("robustness", ("rig", "intrinsics", "image_h"), 2**63),
         ("lift", ("context_channels",), 2**53),
+        ("lift", ("bev_grid", "x_max"), 2**31),
+        ("bench", ("bev_grid", "x_max"), 2**31),
     ], ids=lambda x: _field_path(x) if isinstance(x, tuple)
        else f"2**{x.bit_length() - 1}" if isinstance(x, int) else x)
     def test_count_past_intp_is_2_at_load(self, tmp_path, capsys, command, keys, value):
         override = _overrides(SCENE_BASE, keys, value) if keys[1:] else {keys[0]: value}
         if keys == ("context_channels",):
-            # a grid of as many channels, and one bin per spec, so that only
-            # the bytes of the features overflow
-            override.update(bev_grid={"channels": value}, **{
+            # a 1 x 1 grid of as many channels, and one bin per spec, so that
+            # only the bytes of the features overflow
+            override.update(bev_grid={"channels": value, "res_x": 102.4, "res_y": 102.4}, **{
                 name: {**SCENE_BASE[name], "n_bins": 1} for name in ("height_bins", "depth_bins")
             })
+        elif keys[0] == "bev_grid":
+            # value x value cells of 1 m, whose pooled sums overflow
+            override["bev_grid"].update(y_min=0.0, y_max=value, res_x=1.0, res_y=1.0)
         path = write_config(tmp_path, **{**SCENE_BASE, **override})
         out = tmp_path / "out"
         code = main([command, "--config", str(path), "--out", str(out)])
@@ -821,10 +847,12 @@ FUZZ_BASE = {
                  "res_x": 3.2, "res_y": 3.2, "channels": 2},
 }
 FUZZ_FLOATS = (0.0, -1.0, 1e308, -1e308, 1e-308, 5e-324, 1e20)
-FUZZ_INTS = (0, -1, 2**40, 2**70)
+FUZZ_INTS = (0, -1, 2**40, 2**63, 2**70)
 # Counts whose run time or memory grows with their value: at 2**40 a run
 # takes hours or allocates terabytes, so those cases stop after load; at
-# 2**70 they do not fit np.intp, and load must reject them.
+# 2**63 and 2**70 they do not fit np.intp, and load must reject them.
+# 2**31 is left out: a count that large can pass load and then allocate
+# tens of GB.
 FUZZ_SIZES = ("disturbance.n_trials", "bench_repeats",
               "rig.intrinsics.image_w", "rig.intrinsics.image_h")
 FUZZ_COMMANDS = (("render",), ("lift", "--format", "bin"), ("robustness",), ("bench",))
@@ -873,7 +901,7 @@ class TestFuzzNumericLeaves:
                 except (PipelineError, MemoryError) as exc:
                     error = exc
                 assert caught == [], (case, caught)
-                if value == 2**70 and field in FUZZ_SIZES:
+                if value >= 2**63 and field in FUZZ_SIZES:
                     assert isinstance(error, ConfigError), (case, error)
                 if error is not None or (value == 2**40 and field in FUZZ_SIZES):
                     continue

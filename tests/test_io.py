@@ -23,6 +23,7 @@ from bevlift.io import (
     wedge_table,
     write_csv,
     write_json,
+    write_table,
     write_tensor,
 )
 from bevlift.robustness import ErrorReport, OverlapReport
@@ -169,6 +170,23 @@ class TestTensor:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(PipelineError):
             read_tensor(path)
+
+    def test_bin_table_holds_only_its_float32_payload(self, tmp_path):
+        # 100000 rows of an int column past float32's exact range and seven
+        # float64 ones: a 3.2 MB payload.  A float64 copy of the table, or
+        # a bytes copy of the payload, would each add 3.2 to 6.4 MB.
+        n = 100_000
+        columns = [np.arange(n) * 977 + 2**25, *np.random.default_rng(2).standard_normal((7, n))]
+        tracemalloc.start()
+        try:
+            path = write_table(tmp_path, "t", "bin", list("abcdefgh"), columns, {"seed": 0})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * 8 * 4
+        # each value rounds to float32 as it does through float64
+        expected = np.column_stack(columns).astype(np.float64).astype("<f4")
+        assert path.read_bytes()[4 + 4 + 8:] == expected.tobytes()
 
 
 class TestRowGenerators:

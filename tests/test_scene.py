@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from bevlift.binning import BinSpec, value_to_bin
-from bevlift.errors import ConfigError, EmptyInput, ExtentTooSmall, OutOfRange, ShapeMismatch
+from bevlift.errors import (
+    ConfigError, EmptyInput, ExtentTooSmall, OutOfRange, ShapeMismatch, read_config_file,
+)
 from bevlift.geometry import (
     Box3D,
     CameraRig,
@@ -33,7 +35,6 @@ from bevlift.scene import (
     cast_rays,
     generate_scene,
     histogram,
-    load_scene,
     predict_depth_distribution,
     predict_height_distribution,
     _noise_table,
@@ -103,7 +104,7 @@ class TestSceneContainer:
         scene = generate_scene("intersection", 5, seed=9)
         path = tmp_path / "scene.json"
         save_scene(scene, path)
-        loaded = load_scene(path)
+        loaded = Scene.from_json_dict(read_config_file(path))
         assert loaded.to_json_dict() == scene.to_json_dict()
 
     def test_malformed_document(self):
