@@ -6,8 +6,12 @@ For a checkout of bevlift (this repository by default) it writes, as JSON:
 * the end-to-end benchmark metrics per workload: the median over the
   untraced perfbench runs found in the checkout's .bench_out/results/
   (optionally only the given seeds), with the seeds, run seconds and
-  failed-item count.  The runs of one workload must share one length
-  (--seconds); it exits naming the workload and the lengths otherwise;
+  failed-item count.  A result file older than the newest
+  src/bevlift/*.py of the checkout was written by other code (an
+  earlier checkout in the same directory), so it is skipped, and the
+  number skipped is printed.  The runs of one workload must share one
+  length (--seconds); it exits naming the workload and the lengths
+  otherwise;
 * the whole-process wall time and peak RSS of `render`, `lift` (csv,
   json and bin), `robustness` and `bench` on their committed configs,
   and the sha256 of every file one run of each writes (but `bench.json`,
@@ -66,15 +70,25 @@ CLI_RUNS = (
 
 
 def benchmark_medians(checkout: Path, seeds) -> dict:
-    """Median of each end-to-end metric over the untraced runs per workload.
+    """Median of each end-to-end metric over the untraced runs per workload,
+    skipping results older than the checkout's newest src/bevlift/*.py.
     Exits when one workload's runs differ in length."""
     results = checkout / ".bench_out" / "results"
+    source = max((p.stat().st_mtime for p in (checkout / "src" / "bevlift").glob("*.py")),
+                 default=0.0)
     runs: dict[str, list] = {}
+    stale = 0
     for path in sorted(results.glob("*.json")):
+        if path.stat().st_mtime < source:
+            stale += 1
+            continue
         report = json.loads(path.read_text())
         if report["trace"] != 0 or (seeds and report["seed"] not in seeds):
             continue
         runs.setdefault(report["workload"], []).append(report)
+    if stale:
+        print(f"skipped {stale} result(s) in {results} older than the newest "
+              f"src/bevlift/*.py of {checkout}", file=sys.stderr)
     out = {}
     for workload, reports in sorted(runs.items()):
         seconds = sorted({r["seconds"] for r in reports})

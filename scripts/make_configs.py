@@ -7,9 +7,9 @@ so running this script must leave a clean checkout unchanged.
 from pathlib import Path
 
 from bevlift.cli import _DEFAULT_DEPTH_BIN_SPEC, _DEFAULT_HEIGHT_BIN_SPEC
-from bevlift.geometry import CameraRig, Intrinsics, extrinsics_from_pose, save_rig
+from bevlift.geometry import CameraRig, Intrinsics, extrinsics_from_pose, rig_to_json_dict
 from bevlift.io import write_json
-from bevlift.scene import generate_scene, save_scene
+from bevlift.scene import generate_scene
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -36,10 +36,11 @@ def build_rig(name: str, position, pitch_deg: float) -> CameraRig:
 
 def main() -> None:
     (CONFIGS / "scenes").mkdir(parents=True, exist_ok=True)
-    save_rig(build_rig("mast-10m", **MAST), CONFIGS / "rig_default.json")
-    save_rig(build_rig("truck-3p14m", **TRUCK), CONFIGS / "rig_truck.json")
+    write_json(CONFIGS / "rig_default.json", rig_to_json_dict(build_rig("mast-10m", **MAST)))
+    write_json(CONFIGS / "rig_truck.json", rig_to_json_dict(build_rig("truck-3p14m", **TRUCK)))
     for stem, template, n_boxes, seed in SCENES:
-        save_scene(generate_scene(template, n_boxes, seed), CONFIGS / "scenes" / f"{stem}.json")
+        scene = generate_scene(template, n_boxes, seed)
+        write_json(CONFIGS / "scenes" / f"{stem}.json", scene.to_json_dict())
 
     common = {
         "rig": "rig_default.json",

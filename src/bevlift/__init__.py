@@ -27,7 +27,6 @@ from .geometry import (
     load_rig,
     pixel_to_ref_cam,
     project_ego,
-    save_rig,
 )
 from .lifting import (
     ContextMap,
@@ -62,7 +61,6 @@ from .scene import (
     predict_depth_distribution,
     predict_height_distribution,
     render,
-    save_scene,
 )
 
 __version__ = "0.1.0"

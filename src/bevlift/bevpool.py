@@ -26,28 +26,23 @@ run and to a scalar loop over the points and their features.
 
 Only points with a nonzero weight carry anything, so the cost of the
 sums scales with the live points.  A blurred prediction's kernel
-underflows to 0.0 far from its true bin, sky cells have cell weight 0,
-and one-hot rows keep a single bin, so most points of a frame weigh
-exactly 0.  Skipping them keeps every bit: context is finite (WedgeCloud
-checks it), so a skipped product is +0.0 or -0.0; a sum that starts at
-+0.0 never becomes -0.0 under round-to-nearest, so adding either zero
-changes no bit of it; and the live points keep cloud order.  A cloud
-keeps its weights factored, table[rows[s], b] * cell_weight[s], so the
-live points are found without forming any weight: point b of source
-cell s is live when table[rows[s], b] and cell_weight[s] are both
-nonzero (a -0.0 cell weight is zero).  A product of two nonzero factors
-that underflows is listed too, and adds a zero like any skipped point.
+underflows to 0.0 far from its true bin, sky cells take the table's
+all-zero row, and one-hot rows keep a single bin, so most points of a
+frame weigh exactly 0.  Skipping them keeps every bit: context is finite
+(WedgeCloud checks it), so a skipped product is +0.0 or -0.0; a sum that
+starts at +0.0 never becomes -0.0 under round-to-nearest, so adding
+either zero changes no bit of it; and the live points keep cloud order.
+A cloud keeps its weights as table rows, table[rows[s], b], so the live
+points are found without forming any weight: point b of source cell s
+is live when table[rows[s], b] is nonzero.
 
 pool makes one pass over the live points of every cloud, and every step
 after the listing costs the live points:
 
-* one boolean compress of the live mask, (table != 0)[rows] &
-  (cell_weight != 0)[:, None] over the (source cell, bin) grid, lists the
-  live points' BEV cells in cloud order;
-* their weights are the table's nonzeros, row by row, times the cell
-  weights repeated over each source cell's live points; that product is
-  skipped when every weighted source cell weighs exactly 1.0, as every
-  predicted map's do, because x * 1.0 is x;
+* one boolean compress of the live mask, (table != 0)[rows] over the
+  (source cell, bin) grid, lists the live points' BEV cells in cloud
+  order;
+* their weights are the table's nonzeros, row by row;
 * each channel's products, each source cell's context repeated over its
   live points times their weights, are summed by np.bincount, which adds
   each bin's weights in index order starting from +0.0, so each cell's
@@ -63,9 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError, ShapeMismatch, config_floats, config_int, config_object, config_size,
-)
+from .errors import ConfigError, ShapeMismatch, config_floats, config_int, config_size
 from .lifting import WedgeCloud, _ranges
 
 
@@ -106,10 +99,6 @@ class GridSpec:
     @property
     def n_y(self) -> int:
         return int(round((self.y_max - self.y_min) / self.res_y))
-
-    @classmethod
-    def from_json_dict(cls, doc: dict, path: str = "", **given) -> "GridSpec":
-        return config_object(cls, doc, path, **given)
 
 
 def grid_cell_of(x: float, y: float, spec: GridSpec):
@@ -185,12 +174,9 @@ def _bev_index(plan, spec: GridSpec):
 def pool(cloud: WedgeCloud, spec: GridSpec) -> BevGrid:
     """Sum weight * feature of every in-extent point into its BEV cell.
 
-    Only points whose table entry and cell weight are both nonzero are
-    added: the others add +0.0 or -0.0 to a sum that starts at +0.0,
-    which changes no bit, and so do the live points whose product
-    underflows.  One mask over the table's nonzeros and the nonzero cell
-    weights lists the live points, their weights skip the cell-weight
-    product when every weighted cell weighs exactly 1.0, and np.bincount
+    Only points whose table entry is nonzero are added: the others add
+    +0.0 or -0.0 to a sum that starts at +0.0, which changes no bit.  One
+    mask over the table's nonzeros lists the live points and np.bincount
     sums each channel, so every step after the mask costs the live
     points.  hit_count and dropped_points count every point, live or not.
     """
@@ -203,21 +189,18 @@ def pool(cloud: WedgeCloud, spec: GridSpec) -> BevGrid:
         index = cloud.plan.bev_index[spec] = _bev_index(cloud.plan, spec)
     flat, counts = index
     n_cells = spec.n_x * spec.n_y
-    context, table, rows, cell_weight = cloud.context, cloud.table, cloud.rows, cloud.cell_weight
+    context, table, rows = cloud.context, cloud.table, cloud.rows
     m, k = context.shape[0], cloud.points_per_cell
-    nonzero, weighted = table != 0, cell_weight != 0
+    nonzero = table != 0
     row_live = nonzero.sum(axis=1)
-    per_cell = np.where(weighted, row_live[rows], 0)
+    per_cell = row_live[rows]
     # One compress of the live mask lists the live points' cells in cloud
-    # order.  Their weights are the table's nonzeros, row by row: a live
-    # source cell's points take the run of its row's nonzeros, from the
-    # row's first.
-    cells = flat.reshape(m, k)[nonzero[rows] & weighted[:, None]]
+    # order.  Their weights are the table's nonzeros, row by row: a source
+    # cell's points take the run of its row's nonzeros, from the row's
+    # first.
+    cells = flat.reshape(m, k)[nonzero[rows]]
     first = np.cumsum(row_live) - row_live
     weights = table[nonzero][_ranges(first[rows], per_cell)]
-    # x * 1.0 is x: a predicted map weighs its cells 0 or 1.
-    if np.any(cell_weight[weighted] != 1.0):
-        weights *= np.repeat(cell_weight, per_cell)
     products = np.empty(weights.size)
     sums = np.zeros((spec.channels, n_cells + 1))
     for c in range(spec.channels):

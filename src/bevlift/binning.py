@@ -31,7 +31,6 @@ from .errors import (
     OutOfRange,
     config_floats,
     config_int,
-    config_object,
 )
 
 STRATEGIES = ("UD", "SID", "LID", "DID", "DEPTH_UD")
@@ -94,10 +93,6 @@ class BinSpec:
         if (self.strategy == "DEPTH_UD") != (kind == "depth"):
             wanted = "the DEPTH_UD strategy" if kind == "depth" else "a height strategy"
             raise ConfigError(f"{name} must use {wanted}, not {self.strategy}")
-
-    @classmethod
-    def from_json_dict(cls, doc: dict, path: str = "") -> "BinSpec":
-        return config_object(cls, doc, path)
 
 
 def _sid_shift(spec: BinSpec) -> float:

@@ -129,18 +129,16 @@ def _experiment(
         scene = Scene.from_json_dict(scene, "scene")
     else:
         scene = config_object(generate_scene, scene, "scene", seed=seed)
-    grid = GridSpec.from_json_dict(
-        {} if bev_grid is None else bev_grid, "bev_grid",
-        **_DEFAULT_GRID, channels=context_channels,
-    )
+    grid = config_object(GridSpec, {} if bev_grid is None else bev_grid, "bev_grid",
+                         **_DEFAULT_GRID, channels=context_channels)
     if grid.channels != context_channels:
         raise ConfigError("bev_grid.channels must match context_channels")
-    height_bins = BinSpec.from_json_dict(
-        _DEFAULT_HEIGHT_BIN_SPEC if height_bins is None else height_bins, "height_bins"
+    height_bins = config_object(
+        BinSpec, _DEFAULT_HEIGHT_BIN_SPEC if height_bins is None else height_bins, "height_bins"
     )
     height_bins.check_kind("height", "height_bins")
-    depth_bins = BinSpec.from_json_dict(
-        _DEFAULT_DEPTH_BIN_SPEC if depth_bins is None else depth_bins, "depth_bins"
+    depth_bins = config_object(
+        BinSpec, _DEFAULT_DEPTH_BIN_SPEC if depth_bins is None else depth_bins, "depth_bins"
     )
     depth_bins.check_kind("depth", "depth_bins")
     cells = (rig.intrinsics.image_w // sample_stride) * (rig.intrinsics.image_h // sample_stride)
@@ -153,9 +151,9 @@ def _experiment(
         scene=scene,
         height_bins=height_bins,
         depth_bins=depth_bins,
-        noise=NoiseModel.from_json_dict(_DEFAULT_NOISE if noise is None else noise, "noise"),
-        disturbance=DisturbanceSpec.from_json_dict(
-            {} if disturbance is None else disturbance, "disturbance", seed=seed
+        noise=config_object(NoiseModel, _DEFAULT_NOISE if noise is None else noise, "noise"),
+        disturbance=config_object(
+            DisturbanceSpec, {} if disturbance is None else disturbance, "disturbance", seed=seed
         ),
         bev_grid=grid,
         sample_stride=sample_stride,

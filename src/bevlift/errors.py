@@ -45,9 +45,9 @@ def config_size(name: str, *counts: int) -> None:
         )
 
 
-def config_float(name: str, value, lo: float | None = None, hi: float | None = None) -> float:
+def config_float(name: str, value, lo: float | None = None) -> float:
     """A real config field: only a finite JSON number (an int or float that
-    is not a bool) is accepted, inside [lo, hi] where a bound is given."""
+    is not a bool) is accepted, not below lo where it is given."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
@@ -58,8 +58,6 @@ def config_float(name: str, value, lo: float | None = None, hi: float | None = N
         raise ConfigError(f"{name} must be finite, got {value!r}")
     if lo is not None and number < lo:
         raise ConfigError(f"{name} must be >= {lo}, got {number!r}")
-    if hi is not None and number > hi:
-        raise ConfigError(f"{name} must be <= {hi}, got {number!r}")
     return number
 
 

@@ -28,7 +28,6 @@ kernel the host picks, nor on how many rows go in one call.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -409,9 +408,3 @@ def rig_from_json_dict(doc: dict, path: str = "") -> CameraRig:
 def load_rig(path) -> CameraRig:
     """Load a camera rig from a JSON file."""
     return rig_from_json_dict(read_config_file(path))
-
-
-def save_rig(rig: CameraRig, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(rig_to_json_dict(rig), handle, indent=2, sort_keys=True)
-        handle.write("\n")

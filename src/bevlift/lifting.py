@@ -44,10 +44,11 @@ The (n, 3) positions are built anew, read-only, on each read, by the
 lift command's wedge tables or by tests, and never kept: a plan holds
 only its factors and BEV indices.  Each frame keeps each cell's context
 vector once, and its weights as the distribution map's table with each
-cell's row index and cell weight; per-point features and weights are
-built on each read, never kept, and never formed on the pooling path.  A
-plan lives exactly as long as its rig: a perturbed rig is a new rig and
-builds its own.
+cell's row index: a point's weight is its row's entry and nothing else,
+and a cell that predicts nothing (a sky cell) takes an all-zero row.
+Per-point features and weights are built on each read, never kept, and
+never formed on the pooling path.  A plan lives exactly as long as its
+rig: a perturbed rig is a new rig and builds its own.
 """
 from __future__ import annotations
 
@@ -95,34 +96,22 @@ class DistributionMap:
     """Per-cell categorical weights over bins, kept as the rows of a table:
     cell (r, c) predicts the distribution table[rows[r, c]].
 
-    A predicted map passes a short table (its noise table plus one uniform
-    row, see scene._distribution_from_values) and each cell's row index.
-    The bin rule runs over the table's rows only, and data, the (height,
-    width, n_bins) map, is gathered from the table on each read.
-
-    cell_weight scales each cell's contribution when points are emitted;
-    cells with nothing to say (e.g. sky pixels) carry a uniform
-    distribution flagged with cell_weight 0.
+    A predicted map passes a short table (its noise rows plus the all-zero
+    row of a cell that predicts nothing, see scene._predicted_table) and
+    each cell's row index.  The bin rule runs over the table's rows only,
+    and data, the (height, width, n_bins) map, is gathered from the table
+    on each read.
     """
 
     width: int
     height: int
     n_bins: int
     table: np.ndarray
-    cell_weight: np.ndarray
     rows: np.ndarray
 
     def __post_init__(self):
-        shape = (self.height, self.width)
         self.table = np.asarray(self.table, dtype=np.float64)
-        self.rows = _table_rows(self.rows, self.table, self.n_bins, shape)
-        self.cell_weight = np.asarray(self.cell_weight, dtype=np.float64)
-        if self.cell_weight.shape != shape:
-            raise ShapeMismatch("cell_weight shape does not match the map")
-        if not np.all(np.isfinite(self.cell_weight)):
-            raise ConfigError("cell weights must be finite")
-        if np.any(self.cell_weight < 0):
-            raise ConfigError("distribution weights must be non-negative")
+        self.rows = _table_rows(self.rows, self.table, self.n_bins, (self.height, self.width))
         _check_bin_weights(self.table)
 
     @property
@@ -133,6 +122,14 @@ class DistributionMap:
         data = self.table[self.rows]
         data.flags.writeable = False
         return data
+
+    @property
+    def cell_weight(self) -> np.ndarray:
+        """(height, width), read-only: 1.0 where the cell's row is a
+        distribution, 0.0 where it is all zero.  Built on each read."""
+        weight = self.table.any(axis=1).astype(np.float64)[self.rows]
+        weight.flags.writeable = False
+        return weight
 
 
 def _table_rows(rows, table: np.ndarray, n_bins: int, shape: tuple) -> np.ndarray:
@@ -155,11 +152,12 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def _check_bin_weights(data: np.ndarray) -> None:
     """The rule every bin distribution (last axis of data) obeys: weights
-    are non-negative and sum to 1 within 1e-6, which NaN weights fail."""
+    are non-negative and sum to 1 within 1e-6, which NaN weights fail, or
+    are all zero, the weights of a cell that predicts nothing."""
     if np.any(data < 0):
         raise ConfigError("distribution weights must be non-negative")
-    if not np.all(np.abs(data.sum(axis=-1) - 1.0) <= 1e-6):
-        raise ConfigError("per-cell bin weights must sum to 1 within 1e-6")
+    if not np.all((np.abs(data.sum(axis=-1) - 1.0) <= 1e-6) | ~data.any(axis=-1)):
+        raise ConfigError("per-cell bin weights must sum to 1 within 1e-6, or be all zero")
 
 
 @dataclass
@@ -209,9 +207,9 @@ class WedgeCloud:
     source cell, emitting points_per_cell consecutive points (see
     _LiftPlan).  context holds each source cell's feature vector once,
     (source cells, channels).  The weight of point b of source cell s is
-    table[rows[s], b] * cell_weight[s]: a wedge passes its distribution
-    map's table with the row index and cell weight of each source cell,
-    so its points' weights are never formed on the pooling path.
+    table[rows[s], b]: a wedge passes its distribution map's table with
+    the row index of each source cell, so its points' weights are never
+    formed on the pooling path.
 
     A wedge's context is a view of its frame's context map when no cell
     was skipped.  skipped_cells counts feature cells dropped because their
@@ -221,7 +219,6 @@ class WedgeCloud:
     plan: _LiftPlan
     context: np.ndarray
     table: np.ndarray
-    cell_weight: np.ndarray
     rows: np.ndarray
 
     def __post_init__(self):
@@ -233,33 +230,17 @@ class WedgeCloud:
             )
         self.table = np.asarray(self.table, dtype=np.float64)
         self.rows = _table_rows(self.rows, self.table, k, (m,))
-        self.cell_weight = np.asarray(self.cell_weight, dtype=np.float64)
-        if self.cell_weight.shape != (m,):
-            raise ShapeMismatch("cell_weight must have one entry per source cell")
         # Finite features make every zero weight's product a zero, which
         # pool relies on to skip it.
         _finite_range(self.context, "features")
-        table_lo, table_hi = _finite_range(self.table, "weights")
-        cell_lo, cell_hi = _finite_range(self.cell_weight, "weights")
-        if min(table_lo, cell_lo) < 0:
+        if _finite_range(self.table, "weights")[0] < 0:
             raise ConfigError("point weights must be non-negative")
-        # Rounding is monotone, so with non-negative factors no weight
-        # exceeds table_hi * cell_hi, and a source cell's largest weight is
-        # its row's largest entry times its cell weight.  The rows are
-        # searched only when the bound overflows.
-        with np.errstate(over="ignore"):
-            if not np.isfinite(table_hi * cell_hi):
-                _finite_range(self.table.max(axis=1)[self.rows] * self.cell_weight, "weights")
 
     @property
     def weights(self) -> np.ndarray:
-        """Per-point weights, (n_points,): each source cell's table row times
-        its cell weight, a new read-only array built on each read and never
-        kept.  Unit cell weights give the table rows bit for bit (x *
-        1.0 is x)."""
-        weights = self.table[self.rows]
-        weights *= self.cell_weight[:, None]
-        weights = weights.reshape(-1)
+        """Per-point weights, (n_points,): each source cell's table row, a
+        new read-only array built on each read and never kept."""
+        weights = self.table[self.rows].reshape(-1)
         weights.flags.writeable = False
         return weights
 
@@ -475,19 +456,19 @@ def _wedge(kind: str, fused: FusedMap, bins: BinSpec, rig: CameraRig,
     """Wedge cloud of the plan's valid cells.
 
     Each valid cell emits n_bins points carrying its context vector and
-    weights bin weight * cell weight; invalid cells count as skipped.
+    weighing its row's bin weights; invalid cells count as skipped.
     """
     bins.check_kind(kind, "bins")
     _check_grid(fused, rig, stride)
     plan = _plan(kind, bins, rig, fused.width, fused.height, stride)
     dist = fused.dist
     ctx = fused.context.data.reshape(-1, fused.context.channels)
-    rows, cell_w = dist.rows.reshape(-1), dist.cell_weight.reshape(-1)
+    rows = dist.rows.reshape(-1)
     if plan.skipped:
         # np.compress: several times faster than a 2-D boolean index
         ctx = np.compress(plan.valid, ctx, axis=0)
-        rows, cell_w = rows[plan.valid], cell_w[plan.valid]
-    return WedgeCloud(plan, ctx, dist.table, cell_w, rows)
+        rows = rows[plan.valid]
+    return WedgeCloud(plan, ctx, dist.table, rows)
 
 
 def build_wedge(
@@ -501,8 +482,7 @@ def build_wedge(
     Emission order is feature cells row-major, bins ascending within each
     cell.  Cells whose ray triggers HorizonRay are skipped and counted in
     skipped_cells; every surviving cell is one source cell of exactly
-    n_bins points, carrying its context vector, with weight = bin weight
-    times the cell weight.
+    n_bins points, carrying its context vector, with weight = bin weight.
     """
     return _wedge("height", fused, bins, rig, pixel_stride)
 

@@ -30,16 +30,16 @@ surface-versus-center offsets.  A pixel's estimate is the lift of its
 expected hypothesis, the distribution's mean bin midpoint: the lifted
 point is affine in the hypothesis value and each distribution sums to 1,
 so this is the bin-weighted centroid of the pixel's lifted bins without
-lifting every bin.  Each noise-table row's expected hypothesis is
+lifting every bin.  Each predicted-table row's expected hypothesis is
 computed once per run and gathered at the object pixels only, so no
 dense distribution map is built, and only the object pixels are binned
-(a min and a max check the rest of the map against the bin range).  Each
-trial that sees an object lifts its object pixels through its own rig,
-once per parameterization and once at their rendered depths, and reduces
-them per object with one np.bincount per axis; the study joins the rows
-of its trials in trial order.  The products are fixed-order
-(geometry._mat3), so a trial's rows are bit for bit those of a run over
-that trial alone.
+(scene._true_bins checks the rest of the map by its least and largest
+value).  Each trial that sees an object lifts its object pixels through
+its own rig, once per parameterization and once at their rendered
+depths, and reduces them per object with one np.bincount per axis; the
+study joins the rows of its trials in trial order.  The products are
+fixed-order (geometry._mat3), so a trial's rows are bit for bit those of
+a run over that trial alone.
 """
 from __future__ import annotations
 
@@ -47,20 +47,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binning import BinSpec, bin_midpoints, value_to_bin
+from .binning import BinSpec, bin_midpoints
 from .errors import (
     AboveCamera,
     InvalidGeometry,
     NoVisibleObjects,
     config_floats,
     config_int,
-    config_object,
     config_size,
 )
 from .geometry import CameraRig, Extrinsics, _mat3, _rot_x, _rot_z, project_ego
 from .lifting import lift_many_depth, lift_many_height
 from .rng import substream
-from .scene import NoiseModel, Scene, _noise_table, _true_bin_map, cast_rays, render
+from .scene import NoiseModel, Scene, _predicted_table, _true_bins, cast_rays, render
 
 # Histogram grid of the scatter overlap metric.
 V_BIN_PX = 16.0
@@ -85,10 +84,6 @@ class DisturbanceSpec:
         config_int("n_trials", self.n_trials, lo=1)
         # the (n_trials, 2) float64 draws
         config_size("n_trials x 2 draws", self.n_trials, 2)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict, path: str = "", **given) -> "DisturbanceSpec":
-        return config_object(cls, doc, path, **given)
 
 
 def perturb_extrinsics(extr: Extrinsics, roll_deg: float, pitch_deg: float) -> Extrinsics:
@@ -282,30 +277,12 @@ class ErrorReport:
 
 
 def _expected_hypotheses(bins: BinSpec, noise: NoiseModel) -> np.ndarray:
-    """Each noise-table row's expected hypothesis, its mean bin midpoint:
-    what a pixel of that true bin lifts at.  A row sum reduces a row the
-    same way wherever the row sits, so these are the bits of the predicted
-    map's row of each pixel times the midpoints, summed over its row."""
-    return (_noise_table(bins, noise) * bin_midpoints(bins)).sum(axis=1)
-
-
-def _object_bins(values: np.ndarray, non_sky: np.ndarray, on_object: np.ndarray,
-                 bins: BinSpec, noise: NoiseModel) -> np.ndarray:
-    """The true bin of each object pixel's value, after the noise model's
-    bias.  Every non-sky value must fit the bin range, as when the whole
-    map is predicted.  That is checked from the least and the largest of
-    them, NaN included (rounding is monotone, so the bias shifts both as it
-    shifts each value); only a failing check bins the whole map, for
-    _true_bin_map's OutOfRange naming the first offender."""
-    bias = noise.bias_m if noise.kind == "bias" else None
-    lo = np.min(values, where=non_sky, initial=np.inf)
-    hi = np.max(values, where=non_sky, initial=-np.inf)
-    if bias is not None:
-        lo, hi = lo + bias, hi + bias
-    if not (bins.range_min <= lo and hi <= bins.range_max):
-        _true_bin_map(values, non_sky, bins, noise)  # raises OutOfRange
-    shifted = values[on_object] if bias is None else values[on_object] + bias
-    return value_to_bin(shifted, bins)
+    """The expected hypothesis, the mean bin midpoint, of each of the
+    predicted table's first n_bins rows: what a pixel of that true bin
+    lifts at.  A row sum reduces a row the same way wherever the row sits,
+    so these are the bits of the predicted map's row of each pixel times
+    the midpoints, summed over its row."""
+    return (_predicted_table(bins, noise)[:bins.n_bins] * bin_midpoints(bins)).sum(axis=1)
 
 
 def _trial_rows(maps, rig: CameraRig, paths, noise: NoiseModel):
@@ -322,7 +299,7 @@ def _trial_rows(maps, rig: CameraRig, paths, noise: NoiseModel):
     its points, and its distance the square root of o0*o0 + o1*o1 + o2*o2."""
     on_object = maps.hit_kind > 0
     hypotheses = [
-        expected[_object_bins(values, maps.non_sky, on_object, bins, noise)]
+        expected[_true_bins(values, maps.non_sky, on_object, bins, noise)]
         for values, (_, bins, expected, _) in zip((maps.height_above_ground, maps.depth), paths)
     ]
     label = maps.hit_kind[on_object] - 1

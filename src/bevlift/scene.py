@@ -20,7 +20,6 @@ trained categorical head with a controllable synthetic one.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -141,12 +140,6 @@ def _scene(boxes, extent, rng_seed=Scene.rng_seed, template=Scene.template) -> S
         rng_seed,
         template,
     )
-
-
-def save_scene(scene: Scene, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(scene.to_json_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 _DEFAULT_EXTENTS = {
@@ -516,10 +509,6 @@ class NoiseModel:
                     f"got {self.sigma_bins!r}"
                 )
 
-    @classmethod
-    def from_json_dict(cls, doc: dict, path: str = "") -> "NoiseModel":
-        return config_object(cls, doc, path)
-
 
 def _kernel_spread(sigma_bins: float) -> np.float64:
     """2 * sigma_bins**2, the Gaussian kernel's divisor: inf where it
@@ -529,15 +518,16 @@ def _kernel_spread(sigma_bins: float) -> np.float64:
 
 
 @functools.lru_cache(maxsize=4)
-def _noise_table(bins: BinSpec, noise: NoiseModel) -> np.ndarray:
-    """The (n_bins, n_bins) table whose row i is the predicted distribution
-    of a cell whose true bin is i: a normalized Gaussian kernel for
-    gaussian_bin_blur with sigma_bins > 0, else the identity.  A sigma_bins
-    so small that every off-diagonal quotient overflows gives the identity
-    too, silently.  It is checked here under DistributionMap's rules, so
-    rows gathered from it are valid distributions.  Read-only and memoized
-    for the last few (bins, noise) pairs, as _predicted_table is, so the
-    studies of one run build each table once.
+def _predicted_table(bins: BinSpec, noise: NoiseModel) -> np.ndarray:
+    """The (n_bins + 1, n_bins) table of every map predicted under bins and
+    noise.  Row i < n_bins is the predicted distribution of a cell whose
+    true bin is i: a normalized Gaussian kernel for gaussian_bin_blur with
+    sigma_bins > 0, else the identity.  A sigma_bins so small that every
+    off-diagonal quotient overflows gives the identity too, silently.  Row
+    n_bins is all zero: the row of a cell that predicts nothing (a sky
+    cell).  It is checked here under DistributionMap's rules.  Read-only
+    and memoized for the last few (bins, noise) pairs, so the frames and
+    studies of one config share one table and none rebuilds it.
 
     The kernel is evaluated once per offset |i - j| and gathered: the
     squared difference of two small whole numbers is exact, so each entry
@@ -552,50 +542,46 @@ def _noise_table(bins: BinSpec, noise: NoiseModel) -> np.ndarray:
         table /= table.sum(axis=1, keepdims=True)
     else:
         table = np.eye(n)
+    table = np.vstack([table, np.zeros(n)])
     _check_bin_weights(table)
     table.flags.writeable = False
     return table
 
 
-def _true_bin_map(values: np.ndarray, valid: np.ndarray, bins: BinSpec,
-                  noise: NoiseModel) -> np.ndarray:
-    """Each pixel's bin after the noise model's bias, 0 where not valid.
-    Raises OutOfRange when any valid value leaves the bin range."""
-    shifted = values[valid] + noise.bias_m if noise.kind == "bias" else values[valid]
-    out = np.zeros(values.shape, dtype=np.int64)
+def _true_bins(values: np.ndarray, valid: np.ndarray, mask: np.ndarray, bins: BinSpec,
+               noise: NoiseModel) -> np.ndarray:
+    """The bin of each value of values[mask], a mask inside valid, after the
+    noise model's bias.  Every valid value must fit the bin range, as when
+    the whole map is predicted.  That is checked from the least and the
+    largest of them, NaN included (rounding is monotone, so the bias
+    shifts both as it shifts each value).  When the check fails, one of
+    those two values is out of range, so every valid value is binned, for
+    an OutOfRange naming the first offender."""
+    bias = noise.bias_m if noise.kind == "bias" else None
+    lo = np.min(values, where=valid, initial=np.inf)
+    hi = np.max(values, where=valid, initial=-np.inf)
+    if bias is not None:
+        lo, hi = lo + bias, hi + bias
+    if not (bins.range_min <= lo and hi <= bins.range_max):
+        mask = valid
+    picked = values[mask] if bias is None else values[mask] + bias
     try:
-        out[valid] = value_to_bin(shifted, bins)
+        return value_to_bin(picked, bins)
     except OutOfRange as exc:
         raise OutOfRange(f"rendered values do not fit the bin range: {exc}") from exc
-    return out
-
-
-@functools.lru_cache(maxsize=4)
-def _predicted_table(bins: BinSpec, noise: NoiseModel) -> np.ndarray:
-    """The table of every map predicted under bins and noise: the noise
-    table's n_bins rows, then the uniform row of a sky cell.  Read-only
-    and memoized for the last few (bins, noise) pairs, so the frames of one
-    config share one table and none rebuilds it."""
-    n = bins.n_bins
-    table = np.vstack([_noise_table(bins, noise), np.full(n, 1.0 / n)])
-    table.flags.writeable = False
-    return table
 
 
 def _distribution_from_values(
     values: np.ndarray, valid: np.ndarray, bins: BinSpec, noise: NoiseModel
 ) -> DistributionMap:
-    """The noise table's row of each valid cell's true bin, with cell
-    weight 1; other cells take a uniform row with cell weight 0.  The map
-    holds the shared predicted table (see _predicted_table) and each
-    cell's row index, so its bin rule runs over n_bins + 1 rows, not over
-    every cell."""
+    """The predicted table's row of each valid cell's true bin; other cells
+    take its all-zero last row.  The map holds the shared table (see
+    _predicted_table) and each cell's row index, so its bin rule runs over
+    n_bins + 1 rows, not over every cell."""
     height, width = values.shape
-    n = bins.n_bins
-    rows = _true_bin_map(values, valid, bins, noise)
-    rows[~valid] = n
-    return DistributionMap(width, height, n, _predicted_table(bins, noise),
-                           valid.astype(np.float64), rows)
+    rows = np.full(values.shape, bins.n_bins, dtype=np.int64)
+    rows[valid] = _true_bins(values, valid, valid, bins, noise)
+    return DistributionMap(width, height, bins.n_bins, _predicted_table(bins, noise), rows)
 
 
 def predict_height_distribution(
@@ -603,7 +589,7 @@ def predict_height_distribution(
 ) -> DistributionMap:
     """Truth-conditioned height distribution per sampled pixel.
 
-    Sky pixels get a uniform distribution with cell weight zero.  Raises
+    Sky pixels get the all-zero row: they predict nothing.  Raises
     OutOfRange when an observed height (after any bias) leaves the bin
     range, surfacing a bin spec that does not cover the scene.
     """

@@ -11,15 +11,13 @@ from bevlift.lifting import DistributionMap, WedgeCloud, _LiftPlan
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
-def dense_map(width, height, n_bins, data, cell_weight=None):
+def dense_map(width, height, n_bins, data):
     """The map of dense (height, width, n_bins) data: a table of one row
-    per cell, rows = arange(height * width), unit cell weights by
-    default."""
+    per cell, rows = arange(height * width).  A cell that predicts nothing
+    has an all-zero row in data."""
     table = np.asarray(data, dtype=np.float64).reshape(-1, n_bins)
     rows = np.arange(height * width).reshape(height, width)
-    if cell_weight is None:
-        cell_weight = np.ones((height, width))
-    return DistributionMap(width, height, n_bins, table, cell_weight, rows)
+    return DistributionMap(width, height, n_bins, table, rows)
 
 
 def points_plan(positions):
@@ -37,12 +35,12 @@ def points_plan(positions):
 
 def points_cloud(positions, features, weights):
     """The cloud of per-point positions, features and weights: one point per
-    source cell, its weights a table of one row per point with unit cell
-    weights, so weights reads them back bit for bit."""
+    source cell, its weights a table of one row per point, so weights
+    reads them back bit for bit."""
     plan = points_plan(positions)
     m = plan.dirs.shape[0]
     table = np.asarray(weights, dtype=np.float64).reshape(m, 1)
-    return WedgeCloud(plan, features, table, np.ones(m), np.arange(m))
+    return WedgeCloud(plan, features, table, np.arange(m))
 
 
 @st.composite

@@ -276,9 +276,9 @@ def test_height_path_emits_fewer_points_and_benches_faster(mast_rig, tmp_path):
     hb = BinSpec("DID", 90, -0.2, 3.6, 1.2)
     db = BinSpec("DEPTH_UD", 206, 1.0, 104.0)
     ctx = ContextMap(w, hgt, 2, np.zeros((hgt, w, 2)))
-    rows, cell_weight = np.zeros((hgt, w), dtype=int), np.ones((hgt, w))
-    dh = DistributionMap(w, hgt, 90, np.full((1, 90), 1.0 / 90), cell_weight, rows)
-    dd = DistributionMap(w, hgt, 206, np.full((1, 206), 1.0 / 206), cell_weight, rows)
+    rows = np.zeros((hgt, w), dtype=int)
+    dh = DistributionMap(w, hgt, 90, np.full((1, 90), 1.0 / 90), rows)
+    dd = DistributionMap(w, hgt, 206, np.full((1, 206), 1.0 / 206), rows)
     cloud_h = build_wedge(fuse(ctx, dh), hb, mast_rig, stride)
     cloud_d = build_wedge_depth(fuse(ctx, dd), db, mast_rig, stride)
     ratio = cloud_h.n_points / cloud_d.n_points

@@ -3,6 +3,7 @@ digests it records."""
 import hashlib
 import importlib.util
 import json
+import os
 import resource
 from pathlib import Path
 
@@ -44,6 +45,21 @@ def test_runs_of_mixed_lengths_exit_naming_workload_and_lengths(tmp_path):
         module.benchmark_medians(tmp_path, set())
     # choosing the runs of one length by seed gives their median
     assert module.benchmark_medians(tmp_path, {1})["frames_sway"]["runs"] == 1
+
+
+def test_results_older_than_the_source_are_not_counted(tmp_path, capsys):
+    # a result an earlier checkout left behind predates the source files
+    source = tmp_path / "src" / "bevlift"
+    source.mkdir(parents=True)
+    (source / "scene.py").write_text("")
+    write_results(tmp_path, ("frames_sway", 1, 35.0, 12.0), ("frames_sway", 2, 35.0, 14.0))
+    stale = tmp_path / ".bench_out" / "results" / "frames_sway-seed1-trace0.json"
+    built = (source / "scene.py").stat().st_mtime
+    os.utime(stale, (built - 60.0, built - 60.0))
+    got = _bench_trajectory().benchmark_medians(tmp_path, set())
+    assert got["frames_sway"]["seeds"] == [2]
+    assert got["frames_sway"]["median"] == {"items_per_s": 14.0}
+    assert "skipped 1 result(s)" in capsys.readouterr().err
 
 
 def test_artifact_digests_cover_every_file_but_bench_json(tmp_path):

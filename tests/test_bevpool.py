@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bevlift.binning import BinSpec
 from bevlift import bevpool
 from bevlift.bevpool import GridSpec, grid_cell_of, pool
-from bevlift.errors import ConfigError, ShapeMismatch
+from bevlift.errors import ConfigError, ShapeMismatch, config_object
 from bevlift.geometry import CameraRig, Intrinsics, extrinsics_from_pose
 from bevlift.lifting import (
     ContextMap,
@@ -90,10 +90,10 @@ class TestGridSpec:
     def test_rejects_non_finite(self, field, value):
         doc = {**asdict(SMALL), field: value}
         with pytest.raises(ConfigError):
-            GridSpec.from_json_dict(doc)
+            config_object(GridSpec, doc)
 
     def test_json_round_trip(self):
-        assert GridSpec.from_json_dict(asdict(SMALL)) == SMALL
+        assert config_object(GridSpec, asdict(SMALL)) == SMALL
 
 
 class TestGridCellOf:
@@ -213,9 +213,9 @@ class TestPool:
         for build, bins in ((build_wedge, BinSpec("DID", 5, -0.2, 2.6, 1.2)),
                             (build_wedge_depth, BinSpec("DEPTH_UD", 6, 1.0, 61.0))):
             raw = rng.random((h, w, bins.n_bins)) + 1e-3
-            cell_weight = rng.random((h, w)) * (rng.random((h, w)) > 0.2)
-            dist = dense_map(w, h, bins.n_bins, raw / raw.sum(-1, keepdims=True), cell_weight)
-            cloud = build(fuse(context, dist), bins, rig, 32)
+            data = raw / raw.sum(-1, keepdims=True)
+            data[rng.random((h, w)) < 0.2] = 0.0
+            cloud = build(fuse(context, dense_map(w, h, bins.n_bins, data)), bins, rig, 32)
             assert cloud.points_per_cell == bins.n_bins
             grid = assert_pools_like_oracle(cloud, spec)
             assert 0 < grid.dropped_points < cloud.n_points
@@ -257,10 +257,10 @@ class TestPool:
 
 def with_weights(cloud, weights, context=None):
     """cloud's plan with per-point weights: a table of one row per source
-    cell, with unit cell weights."""
+    cell."""
     m = cloud.context.shape[0]
     return WedgeCloud(cloud.plan, cloud.context if context is None else context,
-                      np.reshape(weights, (m, cloud.points_per_cell)), np.ones(m), np.arange(m))
+                      np.reshape(weights, (m, cloud.points_per_cell)), np.arange(m))
 
 
 def sparsify(rng, cloud):
@@ -289,8 +289,7 @@ def plan_clouds(rig, rng, channels=3):
     for build, bins in ((build_wedge, BinSpec("DID", 5, -0.2, 2.6, 1.2)),
                         (build_wedge_depth, BinSpec("DEPTH_UD", 6, 1.0, 61.0))):
         raw = rng.random((h, w, bins.n_bins)) + 1e-3
-        dist = dense_map(w, h, bins.n_bins, raw / raw.sum(-1, keepdims=True),
-                         rng.random((h, w)) + 1e-3)
+        dist = dense_map(w, h, bins.n_bins, raw / raw.sum(-1, keepdims=True))
         yield build(fuse(context, dist), bins, rig, 32)
 
 
@@ -324,7 +323,7 @@ class TestSparseWeights:
         # factors, so the cached per-point weights are never built
         rng = np.random.default_rng(61)
         for cloud in plan_clouds(perturb_rig(self.STATIC, -2.0, 1.0), rng):
-            assert (cloud.table[cloud.rows] != 0).all() and (cloud.cell_weight != 0).all()
+            assert (cloud.table[cloud.rows] != 0).all()
             grid = pool(cloud, self.PLAN_SPEC)
             assert "weights" not in vars(cloud)
             data, hits, dropped = pool_oracle(cloud, self.PLAN_SPEC)
@@ -345,9 +344,9 @@ class TestSparseWeights:
 
 
 class TestFactoredWeights:
-    """A predicted map reaches pool as its table rows, each source cell's
-    row index and its cell weight.  Its grids must equal, byte for byte,
-    those of the same map built by hand from its dense data."""
+    """A predicted map reaches pool as its table rows and each source
+    cell's row index.  Its grids must equal, byte for byte, those of the
+    same map built by hand from its dense data."""
 
     SPEC = GridSpec(0.0, 102.4, -51.2, 51.2, 0.8, 0.8, 3)
 
@@ -375,8 +374,7 @@ class TestFactoredWeights:
                 (predict_depth_distribution, build_wedge_depth,
                  BinSpec("DEPTH_UD", 206, 1.0, 104.0))):
             dist = predict(maps, bins, noise)
-            by_hand = dense_map(dist.width, dist.height, dist.n_bins, dist.data,
-                                dist.cell_weight)
+            by_hand = dense_map(dist.width, dist.height, dist.n_bins, dist.data)
             cloud = build(fuse(context, dist), bins, rig, 32)
             hand_cloud = build(fuse(context, by_hand), bins, rig, 32)
             assert cloud.table.shape[0] == bins.n_bins + 1
@@ -387,80 +385,76 @@ class TestFactoredWeights:
             assert 0 < grid.dropped_points < cloud.n_points
 
     def test_products_that_underflow_keep_the_bits(self):
-        # 1e-200 * 1e-200 underflows to 0.0: the point is listed as live
-        # from its factors, adds +-0.0 and changes no bit of the sums
+        # 5e-324 times a feature below 0.5 in magnitude rounds to +-0.0:
+        # the point is listed as live from its table entry, adds a zero
+        # and changes no bit of the sums
         rng = np.random.default_rng(79)
         w, h, n_bins = INTR.image_w // 32, INTR.image_h // 32, 6
-        table = np.zeros((3, n_bins))
-        table[0, :2] = [1e-200, 1.0]
+        table = np.zeros((4, n_bins))
+        table[0, :2] = [5e-324, 1.0]
         table[1, 3:5] = 0.5
         table[2, 5] = 1.0
-        dist = DistributionMap(w, h, n_bins, table, rng.choice([0.0, 1e-200, 1.0], (h, w)),
-                               rng.integers(0, 3, (h, w)))
+        dist = DistributionMap(w, h, n_bins, table, rng.integers(0, 4, (h, w)))
         context = ContextMap(w, h, 2, rng.normal(size=(h, w, 2)))
         cloud = build_wedge_depth(fuse(context, dist), BinSpec("DEPTH_UD", n_bins, 1.0, 61.0),
                                   TestSparseWeights.STATIC, 32)
-        weights = cloud.weights.reshape(-1, n_bins)
-        factors_live = (table[cloud.rows] != 0) & (cloud.cell_weight[:, None] != 0)
-        assert (factors_live & (weights == 0)).any()
-        assert 0 < np.count_nonzero(factors_live)
+        live = cloud.weights != 0
+        products = cloud.weights[:, None] * cloud.features
+        assert (live[:, None] & (products == 0)).any()
+        assert (cloud.rows == 3).any()
         assert_pools_like_oracle(cloud, replace(TestSparseWeights.PLAN_SPEC, channels=2))
 
 
-def predicted_like_cloud(rng, cell_weights, n_bins=6):
+def predicted_like_cloud(rng, rows, sky=0.0, n_bins=6):
     """A depth cloud at stride 32 whose table is shaped like a predicted
     map's: one-hot rows, one blurred row with zeros in its tails and a
-    uniform sky row; each source cell takes a random row of the first
-    n_bins + 1 and a cell weight drawn from cell_weights."""
+    sky row, row n_bins, all sky (+0.0 or -0.0); each source cell takes a
+    row drawn from rows."""
     w, h = INTR.image_w // 32, INTR.image_h // 32
-    table = np.vstack([np.eye(n_bins), np.full(n_bins, 1.0 / n_bins)])
+    table = np.vstack([np.eye(n_bins), np.full(n_bins, sky)])
     table[1] = 0.0
     table[1, :3] = [0.25, 0.5, 0.25]
-    dist = DistributionMap(w, h, n_bins, table, rng.choice(cell_weights, (h, w)),
-                           rng.integers(0, n_bins, (h, w)))
+    dist = DistributionMap(w, h, n_bins, table, rng.choice(rows, (h, w)))
     context = ContextMap(w, h, 2, rng.normal(size=(h, w, 2)))
     return build_wedge_depth(fuse(context, dist), BinSpec("DEPTH_UD", n_bins, 1.0, 61.0),
                              TestSparseWeights.STATIC, 32)
 
 
 class TestGatheredPass:
-    """The pass over the live points lists their cells with one mask,
-    multiplies by the cell weights only when one of them is not exactly
-    1.0, and sums by np.bincount: byte for byte the scalar oracle."""
+    """The pass over the live points lists their cells with one mask over
+    the table's nonzeros and sums by np.bincount: byte for byte the
+    scalar oracle."""
 
     SPEC = replace(TestSparseWeights.PLAN_SPEC, channels=2)
 
     @staticmethod
     def n_live(cloud):
-        return np.count_nonzero((cloud.table[cloud.rows] != 0) & (cloud.cell_weight[:, None] != 0))
+        return np.count_nonzero(cloud.table[cloud.rows])
 
-    def test_cell_weights_other_than_one(self):
-        # 5e-324 * 0.25 underflows to 0.0, 5e-324 * 0.5 rounds to 0.0 and
-        # 5e-324 * 1.0 stays the smallest subnormal
+    def test_sky_cells_add_nothing(self):
         rng = np.random.default_rng(83)
-        cloud = predicted_like_cloud(rng, [0.0, 1.0, 1.0, 0.5, 3.0, 5e-324])
-        assert self.n_live(cloud) > 0
-        assert {0.5, 3.0, 5e-324} <= set(cloud.cell_weight.tolist())
+        cloud = predicted_like_cloud(rng, np.arange(7))
+        sky = cloud.rows == 6
+        assert self.n_live(cloud) > 0 and sky.any()
         grid = assert_pools_like_oracle(cloud, self.SPEC)
-        # the cell weights move the sums, so skipping their product would show
-        unit = WedgeCloud(cloud.plan, cloud.context, cloud.table,
-                          (cloud.cell_weight != 0).astype(np.float64), cloud.rows)
-        assert pool(unit, self.SPEC).data.tobytes() != grid.data.tobytes()
+        # whatever the features of the sky cells, the sums keep their bits
+        loud = WedgeCloud(cloud.plan, np.where(sky[:, None], 1e300, cloud.context),
+                          cloud.table, cloud.rows)
+        assert pool(loud, self.SPEC).data.tobytes() == grid.data.tobytes()
 
-    def test_negative_zero_cell_weight(self):
+    def test_negative_zero_sky_row(self):
         rng = np.random.default_rng(89)
-        cloud = predicted_like_cloud(rng, [-0.0, 0.0, 1.0])
-        assert np.signbit(cloud.cell_weight).any() and self.n_live(cloud) > 0
+        cloud = predicted_like_cloud(rng, np.arange(7), sky=-0.0)
+        assert np.signbit(cloud.table[-1]).all() and self.n_live(cloud) > 0
         grid = assert_pools_like_oracle(cloud, self.SPEC)
-        # a -0.0 cell weight is no weight: its source cells add nothing
-        positive = WedgeCloud(cloud.plan, cloud.context, cloud.table,
-                              np.abs(cloud.cell_weight), cloud.rows)
+        # a -0.0 entry is no weight: the sky cells add nothing
+        positive = WedgeCloud(cloud.plan, cloud.context, np.abs(cloud.table), cloud.rows)
         assert pool(positive, self.SPEC).data.tobytes() == grid.data.tobytes()
 
-    @pytest.mark.parametrize("cell_weights", [[0.0], [-0.0, 0.0]])
-    def test_cloud_without_a_live_point(self, cell_weights):
+    @pytest.mark.parametrize("sky", [0.0, -0.0])
+    def test_cloud_without_a_live_point(self, sky):
         rng = np.random.default_rng(97)
-        cloud = predicted_like_cloud(rng, cell_weights)
+        cloud = predicted_like_cloud(rng, [6], sky)
         assert self.n_live(cloud) == 0
         grid = assert_pools_like_oracle(cloud, self.SPEC)
         assert grid.data.dtype == np.float64

@@ -20,7 +20,7 @@ from bevlift.binning import (
     bin_midpoints,
     value_to_bin,
 )
-from bevlift.errors import ConfigError, OutOfRange
+from bevlift.errors import ConfigError, OutOfRange, config_object
 from strategies import height_binspec_st
 
 
@@ -47,7 +47,7 @@ class TestSpecValidation:
         doc = {"strategy": "DID", "n_bins": 4, "range_min": 0.0, "range_max": 1.0,
                "alpha": 1.2, field: bad}
         with pytest.raises(ConfigError, match=field):
-            BinSpec.from_json_dict(doc)
+            config_object(BinSpec, doc)
 
     @pytest.mark.parametrize("strategy, n_bins, lo, hi", [
         # the span overflows
@@ -94,13 +94,13 @@ class TestSpecValidation:
 
     def test_json_round_trip(self):
         spec = BinSpec("DID", 90, -0.2, 3.6, 1.2)
-        assert BinSpec.from_json_dict(asdict(spec)) == spec
+        assert config_object(BinSpec, asdict(spec)) == spec
         plain = BinSpec("UD", 10, 0.0, 5.0)
-        assert BinSpec.from_json_dict(asdict(plain)) == plain
+        assert config_object(BinSpec, asdict(plain)) == plain
 
     def test_malformed_doc(self):
         with pytest.raises(ConfigError):
-            BinSpec.from_json_dict({"strategy": "UD", "n_bins": "many"})
+            config_object(BinSpec, {"strategy": "UD", "n_bins": "many"})
 
     @pytest.mark.parametrize("strategy", ["UD", "SID", "LID", "DID", "DEPTH_UD"])
     def test_kind_rule(self, strategy):

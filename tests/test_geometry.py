@@ -25,8 +25,8 @@ from bevlift.geometry import (
     project_ego,
     rig_from_json_dict,
     rig_to_json_dict,
-    save_rig,
 )
+from bevlift.io import write_json
 from bevlift.lifting import lift_pixel_height
 from bevlift.robustness import perturb_extrinsics, perturb_rig
 from strategies import rig_st
@@ -335,7 +335,7 @@ class TestRigSerialization:
         for k, normal in enumerate(GROUND_NORMALS):
             rig = CameraRig(INTR_1000, extr, normal)
             path = tmp_path / f"rig{k}.json"
-            save_rig(rig, path)
+            write_json(path, rig_to_json_dict(rig))
             loaded = load_rig(path)
             assert np.array_equal(loaded.t_cam_virt, rig.t_cam_virt)
             assert loaded.ground_height_H == rig.ground_height_H

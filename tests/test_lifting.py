@@ -174,10 +174,13 @@ class TestVectorizedLift:
             lift_many_depth([768.0], [432.0], [0.0], rig)
 
 
+BIN_RULE = "^per-cell bin weights must sum to 1 within 1e-6, or be all zero$"
+
+
 class TestMaps:
     def test_distribution_rows_must_normalize(self):
         data = np.full((2, 2, 4), 0.3)
-        with pytest.raises(ConfigError, match="^per-cell bin weights must sum to 1 within 1e-6$"):
+        with pytest.raises(ConfigError, match=BIN_RULE):
             dense_map(2, 2, 4, data)
 
     def test_distribution_rejects_negative(self):
@@ -190,24 +193,37 @@ class TestMaps:
     def test_distribution_rejects_nonfinite_bin_weights(self, bad):
         data = np.full((1, 2, 2), 0.5)
         data[0, 1] = [bad, 0.5]
-        with pytest.raises(ConfigError, match="^per-cell bin weights must sum to 1 within 1e-6$"):
+        with pytest.raises(ConfigError, match=BIN_RULE):
             dense_map(2, 1, 2, data)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_distribution_rejects_nonfinite_cell_weight(self, bad):
-        with pytest.raises(ConfigError, match="^cell weights must be finite$"):
-            DistributionMap(2, 1, 2, np.full((1, 2), 0.5), np.array([[1.0, bad]]),
-                            np.zeros((1, 2), dtype=int))
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_distribution_accepts_an_all_zero_row(self, zero):
+        # the row of a cell that predicts nothing
+        data = np.full((1, 2, 3), zero)
+        data[0, 0] = [0.25, 0.5, 0.25]
+        dist = dense_map(2, 1, 3, data)
+        assert dist.data.tobytes() == data.tobytes()
 
-    def test_cell_weight_shape_checked(self):
-        with pytest.raises(ShapeMismatch, match="^cell_weight shape does not match the map$"):
-            DistributionMap(2, 1, 2, np.full((1, 2), 0.5), np.ones(3),
-                            np.zeros((1, 2), dtype=int))
+    def test_distribution_rejects_a_row_of_one_subnormal(self):
+        # neither all zero nor summing to 1
+        data = np.zeros((1, 1, 3))
+        data[0, 0, 1] = 5e-324
+        with pytest.raises(ConfigError, match=BIN_RULE):
+            dense_map(1, 1, 3, data)
+
+    def test_cell_weight_is_derived_from_the_rows(self):
+        table = np.array([[0.0, 0.0], [0.25, 0.75], [1.0, 0.0]])
+        rows = np.array([[2, 0, 0], [1, 0, 1]])
+        dist = DistributionMap(3, 2, 2, table, rows)
+        assert dist.cell_weight.tobytes() == np.array(
+            [[1.0, 0.0, 0.0], [1.0, 0.0, 1.0]]).tobytes()
+        assert not dist.cell_weight.flags.writeable
+        assert "cell_weight" not in vars(dist)
 
     def test_table_map_reads_back_its_rows(self):
         table = np.array([[1.0, 0.0], [0.25, 0.75], [0.5, 0.5]])
         rows = np.array([[2, 0, 0], [1, 2, 1]])
-        dist = DistributionMap(3, 2, 2, table, np.ones((2, 3)), rows)
+        dist = DistributionMap(3, 2, 2, table, rows)
         assert dist.data.tobytes() == table[rows].tobytes()
 
     @pytest.mark.parametrize("table, rows, message", [
@@ -219,12 +235,11 @@ class TestMaps:
     ])
     def test_rows_must_index_the_table(self, table, rows, message):
         with pytest.raises(ShapeMismatch, match=message):
-            DistributionMap(2, 1, 2, table, np.ones((1, 2)), rows)
+            DistributionMap(2, 1, 2, table, rows)
 
     def test_table_rows_obey_the_bin_rule(self):
         with pytest.raises(ConfigError, match="^per-cell bin weights must sum to 1"):
-            DistributionMap(2, 1, 2, np.array([[0.5, 0.5], [0.5, 0.4]]), np.ones((1, 2)),
-                            np.array([[0, 0]]))
+            DistributionMap(2, 1, 2, np.array([[0.5, 0.5], [0.5, 0.4]]), np.array([[0, 0]]))
 
     def test_context_shape_checked(self):
         with pytest.raises(ShapeMismatch):
@@ -240,11 +255,10 @@ class TestMaps:
 def random_fused(rng, width, height, n_bins, channels, zero_weight_frac=0.0):
     ctx = ContextMap(width, height, channels, rng.normal(size=(height, width, channels)))
     raw = rng.random((height, width, n_bins)) + 1e-3
-    cw = rng.random((height, width)) + 0.1
+    data = raw / raw.sum(-1, keepdims=True)
     if zero_weight_frac:
-        cw[rng.random((height, width)) < zero_weight_frac] = 0.0
-    dist = dense_map(width, height, n_bins, raw / raw.sum(-1, keepdims=True), cw)
-    return fuse(ctx, dist)
+        data[rng.random((height, width)) < zero_weight_frac] = 0.0
+    return fuse(ctx, dense_map(width, height, n_bins, data))
 
 
 def wedge_loop_oracle(fused, bins, rig, stride):
@@ -266,7 +280,7 @@ def wedge_loop_oracle(fused, bins, rig, stride):
             positions.extend(pts)
             for b in range(bins.n_bins):
                 features.append(fused.context.data[r, c])
-                weights.append(fused.dist.data[r, c, b] * fused.dist.cell_weight[r, c])
+                weights.append(fused.dist.data[r, c, b])
     return np.asarray(positions), np.asarray(features), np.asarray(weights), skipped
 
 
@@ -349,9 +363,7 @@ class TestBuildWedgeDepth:
             for c in range(4):
                 u, v = (c + 0.5) * 16, (r + 0.5) * 16
                 positions.extend(lift_pixel_depth(u, v, m, mast_rig) for m in mids)
-                weights.extend(
-                    fused.dist.data[r, c] * fused.dist.cell_weight[r, c]
-                )
+                weights.extend(fused.dist.data[r, c])
         assert cloud.n_points == 4 * 3 * 6
         assert cloud.skipped_cells == 0
         np.testing.assert_allclose(cloud.positions, np.asarray(positions), atol=1e-9)
@@ -618,33 +630,31 @@ class TestWedgeCloud:
         with pytest.raises(ConfigError, match="^point weights must be finite$"):
             points_cloud(np.zeros((1, 3)), np.ones((1, 1)), np.array([bad]))
 
-    def test_weights_are_table_rows_times_cell_weights(self):
+    def test_weights_are_table_rows(self):
         # three source cells of two points each
         plan = lifting._LiftPlan(None, np.ones(3, dtype=bool), 0, np.zeros((3, 3)), np.ones(2),
                                  np.zeros(3))
-        table = np.array([[0.5, 0.5], [1.0, 0.0]])
-        cloud = WedgeCloud(plan, np.ones((3, 1)), table, np.array([2.0, 0.0, 3.0]),
-                           np.array([1, 0, 0]))
-        np.testing.assert_array_equal(cloud.weights, [2.0, 0.0, 0.0, 0.0, 1.5, 1.5])
+        table = np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 0.0]])
+        cloud = WedgeCloud(plan, np.ones((3, 1)), table, np.array([1, 2, 0]))
+        np.testing.assert_array_equal(cloud.weights, [1.0, 0.0, 0.0, 0.0, 0.5, 0.5])
         assert not cloud.weights.flags.writeable
 
     def test_dense_unit_weights_read_back_the_table(self):
-        # a hand-built cloud, and a wedge of a dense map with unit cell weights
+        # a hand-built cloud, and a wedge of a dense map
         rng = np.random.default_rng(5)
         raw = rng.random((3, 4, 5))
         dist = dense_map(4, 3, 5, raw / raw.sum(-1, keepdims=True))
         plan = lifting._LiftPlan(None, np.ones(12, dtype=bool), 0, rng.normal(size=(12, 3)),
                                  np.arange(1.0, 6.0), np.zeros(3))
         clouds = [points_cloud(rng.normal(size=(7, 3)), np.ones((7, 2)), rng.random(7)),
-                  WedgeCloud(plan, np.ones((12, 1)), dist.table, dist.cell_weight.reshape(-1),
-                             dist.rows.reshape(-1))]
+                  WedgeCloud(plan, np.ones((12, 1)), dist.table, dist.rows.reshape(-1))]
         for cloud in clouds:
             weights = cloud.weights
             assert not np.shares_memory(weights, cloud.table)
             assert weights.tobytes() == cloud.table.tobytes()
             assert not weights.flags.writeable and cloud.table.flags.writeable
 
-    def test_consecutive_rows_with_unit_cell_weights_gather_their_table_rows(self):
+    def test_consecutive_rows_gather_their_table_rows(self):
         # A dense map built by hand on a level rig: the height plan skips the
         # cells above the horizon, so the source cells read one contiguous
         # range of rows that starts past the first.
@@ -657,47 +667,34 @@ class TestWedgeCloud:
         rows = cloud.rows
         assert cloud.skipped_cells > 0 and rows[0] > 0
         assert np.array_equal(rows, np.arange(rows[0], rows[0] + rows.size))
-        gathered = (cloud.table[rows] * cloud.cell_weight[:, None]).reshape(-1)
         assert not np.shares_memory(cloud.weights, cloud.table)
-        assert cloud.weights.tobytes() == gathered.tobytes()
         assert cloud.weights.tobytes() == cloud.table[rows].tobytes()
         assert not cloud.weights.flags.writeable
 
-    @pytest.mark.parametrize("change", ["none", "cell_weight", "rows"])
-    def test_weights_gather_whatever_the_rows_and_cell_weights(self, change):
+    @pytest.mark.parametrize("change", ["none", "zero_row", "rows"])
+    def test_weights_gather_whatever_the_rows(self, change):
         table = np.array([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]])
-        cell_weight, rows = np.ones(3), np.arange(3)
-        if change == "cell_weight":
-            cell_weight[1] = 0.5
+        rows = np.arange(3)
+        if change == "zero_row":
+            table[1] = 0.0
         elif change == "rows":
             rows = np.array([2, 1, 0])
         plan = lifting._LiftPlan(None, np.ones(3, dtype=bool), 0, np.zeros((3, 3)), np.ones(2),
                                  np.zeros(3))
-        cloud = WedgeCloud(plan, np.ones((3, 1)), table, cell_weight, rows)
+        cloud = WedgeCloud(plan, np.ones((3, 1)), table, rows)
         assert not np.shares_memory(cloud.weights, table)
-        assert cloud.weights.tobytes() == (table[rows] * cell_weight[:, None]).tobytes()
+        assert cloud.weights.tobytes() == table[rows].tobytes()
 
-    def test_rejects_weights_whose_product_overflows(self):
-        with pytest.raises(ConfigError, match="^point weights must be finite$"):
-            WedgeCloud(points_plan(np.zeros((1, 3))), np.ones((1, 1)), np.array([[2.0]]),
-                       np.array([1e308]), np.array([0]))
+    def test_finite_table_entries_bound_every_weight(self):
+        # a weight is a table entry, so the largest double is a weight
+        big = np.finfo(np.float64).max
+        cloud = points_cloud(np.zeros((2, 3)), np.ones((2, 1)), np.array([big, 0.0]))
+        assert cloud.weights.tolist() == [big, 0.0]
 
-    def test_unused_table_rows_do_not_bound_the_weights(self):
-        # 2.0 * 1e308 overflows, but no source cell takes the row of 2.0
-        cloud = WedgeCloud(points_plan(np.zeros((1, 3))), np.ones((1, 1)),
-                           np.array([[2.0], [0.5]]), np.array([1e308]), np.array([1]))
-        assert cloud.weights.tolist() == [0.5e308]
-
-    @pytest.mark.parametrize("cell_weight", [np.array([-1.0]), np.array([np.inf])])
-    def test_rejects_bad_cell_weights(self, cell_weight):
-        with pytest.raises(ConfigError, match="^point weights must be"):
-            WedgeCloud(points_plan(np.zeros((1, 3))), np.ones((1, 1)), np.ones((1, 1)),
-                       cell_weight, np.array([0]))
-
-    def test_rejects_cell_weights_of_other_source_cells(self):
-        with pytest.raises(ShapeMismatch, match="one entry per source cell"):
+    def test_rejects_rows_of_other_source_cells(self):
+        with pytest.raises(ShapeMismatch, match=r"^rows must be integers shaped \(2,\)$"):
             WedgeCloud(points_plan(np.zeros((2, 3))), np.ones((2, 1)), np.ones((1, 1)),
-                       np.ones(3), np.array([0, 0]))
+                       np.array([0, 0, 0]))
 
     def test_rejects_nonfinite_positions(self):
         with pytest.raises(ConfigError, match="^lifted positions must be finite$"):

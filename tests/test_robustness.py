@@ -21,6 +21,7 @@ from bevlift.errors import (
     InvalidGeometry,
     NoVisibleObjects,
     OutOfRange,
+    config_object,
 )
 from bevlift.geometry import Box3D, CameraRig, Intrinsics, extrinsics_from_pose
 from bevlift.io import error_report_table, table_rows, write_csv
@@ -61,7 +62,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 class TestDisturbanceSpec:
     def test_json_round_trip(self):
         spec = DisturbanceSpec(1.67, 0.8, seed=5, n_trials=20)
-        assert DisturbanceSpec.from_json_dict(asdict(spec)) == spec
+        assert config_object(DisturbanceSpec, asdict(spec)) == spec
 
     @pytest.mark.parametrize("field", ["sigma_roll_deg", "sigma_pitch_deg"])
     @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf, -np.inf])

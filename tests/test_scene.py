@@ -5,6 +5,7 @@ point must lie on the surface it claims (inside the box's slab bounds, or
 on the ground plane inside the extent), and marching along the ray must
 find no earlier surface.  A small frozen scene pins exact numbers.
 """
+import re
 import warnings
 from dataclasses import asdict, replace
 
@@ -13,7 +14,8 @@ import pytest
 
 from bevlift.binning import BinSpec, value_to_bin
 from bevlift.errors import (
-    ConfigError, EmptyInput, ExtentTooSmall, OutOfRange, ShapeMismatch, read_config_file,
+    ConfigError, EmptyInput, ExtentTooSmall, OutOfRange, ShapeMismatch, config_object,
+    read_config_file,
 )
 from bevlift.geometry import (
     Box3D,
@@ -24,6 +26,7 @@ from bevlift.geometry import (
     project_ego,
 )
 from bevlift import lifting
+from bevlift.io import write_json
 from bevlift.lifting import cell_pixel_centers, lift_many_depth
 from bevlift.robustness import perturb_rig
 from bevlift.scene import (
@@ -37,10 +40,9 @@ from bevlift.scene import (
     histogram,
     predict_depth_distribution,
     predict_height_distribution,
-    _noise_table,
-    _true_bin_map,
+    _predicted_table,
+    _true_bins,
     render,
-    save_scene,
     _box_frames,
     _box_ray_pairs,
     _grid_rays,
@@ -103,7 +105,7 @@ class TestSceneContainer:
     def test_save_and_load(self, tmp_path):
         scene = generate_scene("intersection", 5, seed=9)
         path = tmp_path / "scene.json"
-        save_scene(scene, path)
+        write_json(path, scene.to_json_dict())
         loaded = Scene.from_json_dict(read_config_file(path))
         assert loaded.to_json_dict() == scene.to_json_dict()
 
@@ -574,7 +576,7 @@ class TestBoxRayPairs:
         rays = _grid_rays(mast_rig.intrinsics, 16)
         noise = NoiseModel("gaussian_bin_blur", sigma_bins=1.0)
         arrays = [rays.ref_cam, rays.u_levels, rays.v_levels, rays.order, rays.keys,
-                  *corridor7._frames, _noise_table(BinSpec("UD", 7, 0.0, 1.0), noise)]
+                  *corridor7._frames, _predicted_table(BinSpec("UD", 7, 0.0, 1.0), noise)]
         assert [arr.flags.writeable for arr in arrays] == [False] * len(arrays)
 
     def test_scene_derives_its_box_frames(self, corridor7):
@@ -697,7 +699,7 @@ class TestNoiseModel:
     def test_rejects_non_finite(self, field, bad):
         kind = {"sigma_bins": "gaussian_bin_blur", "bias_m": "bias"}[field]
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
-            NoiseModel.from_json_dict({"kind": kind, field: bad})
+            config_object(NoiseModel, {"kind": kind, field: bad})
 
     @pytest.mark.parametrize("doc, field", [
         ({"kind": "one_hot_truth", "sigma_bins": 2.0}, "sigma_bins"),
@@ -707,7 +709,7 @@ class TestNoiseModel:
     ])
     def test_rejects_field_its_kind_never_reads(self, doc, field):
         with pytest.raises(ConfigError, match=f"^{field} is read only by"):
-            NoiseModel.from_json_dict(doc)
+            config_object(NoiseModel, doc)
 
     @pytest.mark.parametrize("kind, field", [("gaussian_bin_blur", "sigma_bins"), ("bias", "bias_m")])
     def test_field_of_the_kind_is_required(self, kind, field):
@@ -717,7 +719,7 @@ class TestNoiseModel:
     def test_json_round_trip(self):
         noise = NoiseModel("bias", bias_m=0.05)
         assert asdict(noise) == {"kind": "bias", "sigma_bins": None, "bias_m": 0.05}
-        assert NoiseModel.from_json_dict(asdict(noise)) == noise
+        assert config_object(NoiseModel, asdict(noise)) == noise
 
 
 class TestPredictDistributions:
@@ -727,10 +729,10 @@ class TestPredictDistributions:
         np.testing.assert_array_equal(dist.data[0, 0], [0.0, 1.0, 0.0, 0.0])
         assert dist.cell_weight[0, 0] == 1.0
 
-    def test_sky_cell_is_uniform_with_zero_weight(self):
+    def test_sky_cell_predicts_nothing(self):
         bins = BinSpec("UD", 4, 0.0, 1.0)
         dist = predict_height_distribution(tiny_maps(), bins, NoiseModel("one_hot_truth"))
-        np.testing.assert_allclose(dist.data[0, 1], 0.25)
+        assert dist.data[0, 1].tobytes() == bytes(4 * 8)
         assert dist.cell_weight[0, 1] == 0.0
 
     def test_zero_sigma_blur_equals_one_hot(self):
@@ -808,7 +810,7 @@ class TestPredictDistributions:
             maps, BinSpec("UD", 4, 0.0, 1.0), NoiseModel("one_hot_truth")
         )
         assert dist.cell_weight[0, 0] == 0.0
-        np.testing.assert_allclose(dist.data[0, 0], 0.25)
+        assert dist.data[0, 0].tobytes() == bytes(4 * 8)
 
 
 # Noise models of every kind; the blur at two widths.
@@ -820,37 +822,76 @@ NOISE_MODELS = [
 ]
 
 
+def expected_rows(values, valid, bins, noise):
+    """Each cell's table row by the pixel-by-pixel rule: the bin of its
+    value after the noise model's bias, n_bins where it is not valid."""
+    shifted = values + noise.bias_m if noise.kind == "bias" else values
+    rows = np.full(values.shape, bins.n_bins)
+    rows[valid] = value_to_bin(shifted[valid], bins)
+    return rows
+
+
 class TestFactoredPrediction:
-    """A predicted map is its noise table plus a uniform row, indexed per
-    cell; read densely it is the old per-cell gather, byte for byte."""
+    """A predicted map is its noise kernel's rows plus an all-zero row,
+    indexed per cell; read densely it is the per-cell gather, byte for
+    byte."""
 
     BINS = (BinSpec("DID", 90, -0.2, 3.6, 1.2), BinSpec("DEPTH_UD", 206, 1.0, 104.0))
 
     @pytest.mark.parametrize("n_bins", [90, 206])
     @pytest.mark.parametrize("sigma", [1.0, 3.7])
-    def test_noise_table_equals_the_pairwise_kernel(self, n_bins, sigma):
+    def test_table_is_the_pairwise_kernel_and_a_zero_row(self, n_bins, sigma):
         offsets = np.arange(n_bins, dtype=np.float64)
         table = np.exp(-((offsets[None, :] - offsets[:, None]) ** 2) / (2.0 * sigma**2))
         table /= table.sum(axis=1, keepdims=True)
         noise = NoiseModel("gaussian_bin_blur", sigma_bins=sigma)
-        got = _noise_table(BinSpec("UD", n_bins, 0.0, 1.0), noise)
-        assert got.tobytes() == table.tobytes()
+        got = _predicted_table(BinSpec("UD", n_bins, 0.0, 1.0), noise)
+        assert got[:n_bins].tobytes() == table.tobytes()
+        assert got[n_bins].tobytes() == bytes(8 * n_bins)
 
     @pytest.mark.parametrize("noise", NOISE_MODELS, ids=lambda n: f"{n.kind}-{n.sigma_bins}")
-    def test_data_is_the_dense_gather_with_uniform_sky_rows(self, mast_rig, corridor7, noise):
+    def test_sky_cells_index_the_zero_last_row(self, mast_rig, corridor7, noise):
         maps = render(corridor7, mast_rig, 32)
         assert maps.non_sky.any() and not maps.non_sky.all()
         for predict, values, bins in ((predict_height_distribution, maps.height_above_ground,
                                        self.BINS[0]),
                                       (predict_depth_distribution, maps.depth, self.BINS[1])):
             dist = predict(maps, bins, noise)
-            dense = _noise_table(bins, noise)[_true_bin_map(values, maps.non_sky, bins, noise)]
-            dense[~maps.non_sky] = 1.0 / bins.n_bins
-            assert dist.data.tobytes() == dense.tobytes()
+            rows = expected_rows(values, maps.non_sky, bins, noise)
+            assert dist.rows.tobytes() == rows.tobytes()
+            assert (dist.rows[~maps.non_sky] == bins.n_bins).all()
+            assert dist.table.shape == (bins.n_bins + 1, bins.n_bins)
+            assert dist.table[bins.n_bins].tobytes() == bytes(8 * bins.n_bins)
+            assert dist.data.tobytes() == dist.table[rows].tobytes()
             assert dist.data.shape == (maps.height, maps.width, bins.n_bins)
             assert not dist.data.flags.writeable
-            assert dist.table.shape == (bins.n_bins + 1, bins.n_bins)
             assert dist.cell_weight.tobytes() == maps.non_sky.astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("noise", [NoiseModel("one_hot_truth"),
+                                       NoiseModel("bias", bias_m=0.1)], ids=lambda n: n.kind)
+    def test_true_bins_of_a_mask_are_those_of_every_valid_value(self, mast_rig, corridor7,
+                                                                noise):
+        maps = render(corridor7, mast_rig, 32)
+        on_object = maps.hit_kind > 0
+        assert on_object.any() and (maps.non_sky & ~on_object).any()
+        for values, bins in ((maps.height_above_ground, self.BINS[0]), (maps.depth, self.BINS[1])):
+            got = _true_bins(values, maps.non_sky, on_object, bins, noise)
+            want = expected_rows(values, maps.non_sky, bins, noise)[on_object]
+            assert got.tobytes() == want.tobytes()
+
+    def test_true_bins_name_the_first_offender_outside_the_mask(self):
+        bins = BinSpec("UD", 4, 0.0, 1.0)
+        values = np.array([[0.5, 2.5, np.nan, 3.0, 0.25]])
+        valid = np.array([[True, True, False, True, True]])
+        mask = np.array([[True, False, False, False, True]])
+        with pytest.raises(OutOfRange, match=r"^rendered values do not fit the bin range: "
+                                             r"value 2\.5 outside"):
+            _true_bins(values, valid, mask, bins, NoiseModel("one_hot_truth"))
+        # the bias moves the range check: 0.5 - 0.6 is the first offender
+        with pytest.raises(OutOfRange, match=re.escape(f"value {0.5 - 0.6!r} outside")):
+            _true_bins(values, valid & (values < 1.0), mask, bins, NoiseModel("bias", bias_m=-0.6))
+        got = _true_bins(values, mask, mask, bins, NoiseModel("bias", bias_m=0.25))
+        assert got.tolist() == [3, 2]
 
     @pytest.mark.parametrize("noise", NOISE_MODELS, ids=lambda n: f"{n.kind}-{n.sigma_bins}")
     def test_equal_bins_and_noise_share_one_read_only_table(self, mast_rig, corridor7, noise):
@@ -866,12 +907,9 @@ class TestFactoredPrediction:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 0.0
-            # the rows the map held before it shared its table, gathered per cell
-            rows = _true_bin_map(values, maps.non_sky, bins, noise)
-            rows[~maps.non_sky] = bins.n_bins
-            own = np.vstack([_noise_table(bins, noise), np.full(bins.n_bins, 1.0 / bins.n_bins)])
+            rows = expected_rows(values, maps.non_sky, bins, noise)
             for dist in dists:
-                assert dist.data.tobytes() == own[rows].tobytes()
+                assert dist.data.tobytes() == table[rows].tobytes()
         other = predict_height_distribution(maps, self.BINS[0],
                                             NoiseModel("gaussian_bin_blur", sigma_bins=2.5))
         assert other.table is not table and other.table is not dists[0].table
