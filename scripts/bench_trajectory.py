@@ -24,6 +24,9 @@ For a checkout of bevlift (this repository by default) it writes, as JSON:
   own process's high-water mark (ru_maxrss from os.wait4, Linux KiB),
   never the running maximum over all children of RUSAGE_CHILDREN;
 * the wall time and pass count of the Tier-1 suite;
+* the commit of each checkout: its short HEAD hash, followed by
+  " + uncommitted" when its working tree differs from HEAD, unless
+  --commit gives the measured checkout's label;
 * the numpy version and CPU count of the interpreter running it all.
 
 Run the benchmark in the checkout first, for example
@@ -207,17 +210,24 @@ def tier1_wall(checkout: Path) -> dict:
 
 
 def git_head(checkout: Path):
-    """The short commit hash of checkout's HEAD, or None outside git."""
+    """The short commit hash of checkout's HEAD, followed by " + uncommitted"
+    when its working tree differs from HEAD (git status --porcelain lists
+    anything), or None outside git."""
     head = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
                           capture_output=True, text=True)
-    return head.stdout.strip() if head.returncode == 0 else None
+    if head.returncode != 0:
+        return None
+    status = subprocess.run(["git", "status", "--porcelain"], cwd=checkout,
+                            capture_output=True, text=True, check=True)
+    return head.stdout.strip() + (" + uncommitted" if status.stdout.strip() else "")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="trajectory index N of BENCH_N.json")
     parser.add_argument("--checkout", type=Path, default=ROOT, help="bevlift checkout to measure")
-    parser.add_argument("--commit", default=None, help="commit label (default: git HEAD)")
+    parser.add_argument("--commit", default=None,
+                        help="commit label (default: git HEAD, + uncommitted when the tree is dirty)")
     parser.add_argument("--parent", type=Path, default=None,
                         help="parent checkout whose CLI runs alternate with the checkout's")
     parser.add_argument("--seeds", type=int, nargs="*", default=None,

@@ -15,7 +15,13 @@ so the same bits as the positions would give.  So a frame that only
 pools never builds its (n, 3) positions.  The index depends only on the
 plan and the GridSpec, so it is memoized in the plan's bev_index, which
 all clouds of one plan share: on a fixed rig it is computed once per
-grid.
+grid.  It is kept for the plan's lifetime, so each point's cell is held
+in the narrowest signed integer whose maximum is at least the overflow
+bin, np.min_scalar_type(-(n_cells + 1)): int16 on a 128 x 128 grid, a
+quarter of intp's bytes.  Every cell index is a whole number in
+[0, n_cells], so the cast from float keeps its value, and np.bincount
+casts any signed integer to intp safely (it refuses uint64, hence no
+unsigned type).
 
 A cloud keeps each source cell's context once, so each frame forms, per
 channel, the products context[s, c] * weight[p] of the live points p
@@ -131,6 +137,11 @@ _INDEX_CHUNK = 32768
 def _bev_index(plan, spec: GridSpec):
     """(flat, counts): each point's flat cell, n_x * n_y for a point outside
     the extent, and the number of points in each of the n_x * n_y + 1 bins.
+    flat is the narrowest signed integer type that holds n_x * n_y: the
+    float cell coordinates become integers only after out-of-extent points
+    are set to the overflow bin, so every value fits and keeps every bit.
+    (np.min_scalar_type(-n_cells) would be one short at 128, 32768 and
+    2**31 cells, where the overflow bin would wrap negative.)
 
     The lift plan (see lifting._LiftPlan) writes one axis of the points of
     a run of its rows (cells) into a reused buffer, where the cell
@@ -141,7 +152,7 @@ def _bev_index(plan, spec: GridSpec):
     by the overflow bin, so those warnings are silenced.
     """
     n_cells = spec.n_x * spec.n_y
-    flat = np.empty(plan.n_points, dtype=np.intp)
+    flat = np.empty(plan.n_points, dtype=np.min_scalar_type(-(n_cells + 1)))
     n_rows, row_size = plan.dirs.shape[0], plan.steps.size
     rows = max(1, _INDEX_CHUNK // row_size)
     size = rows * row_size
@@ -195,10 +206,11 @@ def pool(cloud: WedgeCloud, spec: GridSpec) -> BevGrid:
     row_live = nonzero.sum(axis=1)
     per_cell = row_live[rows]
     # One compress of the live mask lists the live points' cells in cloud
-    # order.  Their weights are the table's nonzeros, row by row: a source
-    # cell's points take the run of its row's nonzeros, from the row's
-    # first.
-    cells = flat.reshape(m, k)[nonzero[rows]]
+    # order, widened to intp once for the per-channel np.bincount calls
+    # rather than by each of them.  Their weights are the table's
+    # nonzeros, row by row: a source cell's points take the run of its
+    # row's nonzeros, from the row's first.
+    cells = flat.reshape(m, k)[nonzero[rows]].astype(np.intp)
     first = np.cumsum(row_live) - row_live
     weights = table[nonzero][_ranges(first[rows], per_cell)]
     products = np.empty(weights.size)

@@ -369,7 +369,11 @@ class _LiftPlan:
     """The frame-independent part of a cloud: which cells emit points and
     how many were skipped, the factored rays of their (cell, bin)
     hypotheses, and the BEV cell indices of those points, memoized per
-    GridSpec.  key identifies a rig's plan (see _plan).
+    GridSpec.  key identifies a rig's plan (see _plan).  Each index holds
+    its cells in the narrowest signed integer that holds the grid's
+    overflow bin (see bevpool._bev_index), int16 on a 128 x 128 grid: a
+    whole number in [0, n_cells] keeps its value in it, and it is the
+    largest array a plan keeps.
 
     Point (s, b) lies at origin + dirs[s] * steps[b]: dirs (m, 3) holds one
     direction per valid cell, steps (B,) one scalar per bin.  The points

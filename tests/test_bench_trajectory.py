@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import resource
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -149,3 +150,28 @@ def test_run_cli_exits_with_the_childs_stderr_when_it_fails(monkeypatch, tmp_pat
     monkeypatch.setattr(module.os, "wait4", _wait4_of(1 << 8, 51200))
     with pytest.raises(SystemExit, match="render in .* exited 1: boom"):
         module.run_cli(tmp_path, "render", "experiment_render.json", ())
+
+
+def test_git_head_labels_a_dirty_tree_uncommitted(monkeypatch, tmp_path):
+    module = _bench_trajectory()
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    assert module.git_head(tmp_path) is None
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+                        *args], cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "one")
+    head = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=repo,
+                          capture_output=True, text=True, check=True).stdout.strip()
+    assert module.git_head(repo) == head
+    (repo / "a.txt").write_text("two\n")
+    assert module.git_head(repo) == f"{head} + uncommitted"
+    git("checkout", "-q", "a.txt")
+    (repo / "new.txt").write_text("untracked\n")
+    assert module.git_head(repo) == f"{head} + uncommitted"

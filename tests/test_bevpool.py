@@ -473,9 +473,24 @@ def index_of_positions(positions, spec):
     return flat, np.bincount(flat, minlength=n_cells + 1)
 
 
+def assert_index_like_positions(index, positions, spec):
+    """A plan's BEV index holds the values of index_of_positions in the
+    narrowest signed integer that holds the overflow bin n_x * n_y, and
+    the same counts."""
+    flat, counts = index
+    expected = index_of_positions(positions, spec)
+    n_cells = spec.n_x * spec.n_y
+    assert flat.dtype.kind == "i" and np.iinfo(flat.dtype).max >= n_cells
+    if flat.dtype.itemsize > 1:
+        assert np.iinfo(f"i{flat.dtype.itemsize // 2}").max < n_cells
+    assert np.array_equal(flat, expected[0])
+    assert counts.tobytes() == expected[1].tobytes()
+    return flat
+
+
 class TestPlanIndex:
     """The BEV index of a plan cloud comes from its factored rays; it must
-    equal, bit for bit, the index of the positions the plan builds."""
+    equal, value for value, the index of the positions the plan builds."""
 
     # Points fall outside this grid on every side: behind x_min, beyond
     # x_max, and past both lateral edges.
@@ -499,16 +514,39 @@ class TestPlanIndex:
                 dist = dense_map(w, h, bins.n_bins, raw / raw.sum(-1, keepdims=True))
                 cloud = build(fuse(context, dist), bins, rig, 32)
                 grid = pool(cloud, spec)
-                flat, counts = cloud.plan.bev_index[spec]
-                expected = index_of_positions(cloud.positions, spec)
-                assert flat.tobytes() == expected[0].tobytes()
-                assert counts.tobytes() == expected[1].tobytes()
+                flat = assert_index_like_positions(cloud.plan.bev_index[spec],
+                                                   cloud.positions, spec)
+                assert flat.dtype == np.int16  # 48 x 32 cells
                 by_hand = points_cloud(cloud.positions, cloud.features, cloud.weights)
                 hand_grid = pool(by_hand, spec)
-                for got, want in zip(by_hand.plan.bev_index[spec], expected):
-                    assert got.tobytes() == want.tobytes()
+                assert_index_like_positions(by_hand.plan.bev_index[spec],
+                                            cloud.positions, spec)
                 assert hand_grid.data.tobytes() == grid.data.tobytes()
                 lo = np.minimum(lo, cloud.positions[:, :2].min(axis=0))
                 hi = np.maximum(hi, cloud.positions[:, :2].max(axis=0))
         assert lo[0] < spec.x_min and hi[0] > spec.x_max
         assert lo[1] < spec.y_min and hi[1] > spec.y_max
+
+    # Cell counts at the edges of int8 and int16: the overflow bin
+    # n_x * n_y must fit, so 128 and 32768 cells take the wider type.
+    @pytest.mark.parametrize("spec, dtype", [
+        (GridSpec(8.0, 39.75, -4.0, 4.0, 0.25, 8.0, 2), np.int8),        # 127 x 1
+        (GridSpec(8.0, 40.0, -8.0, 8.0, 2.0, 2.0, 2), np.int16),         # 16 x 8
+        (GridSpec(8.0, 45.75, -27.125, 27.125, 0.25, 0.25, 2), np.int16),  # 151 x 217
+        (GridSpec(8.0, 40.0, -8.0, 8.0, 0.125, 0.125, 2), np.int32),     # 256 x 128
+    ], ids=["127_cells", "128_cells", "32767_cells", "32768_cells"])
+    def test_index_dtype_holds_the_overflow_bin(self, spec, dtype):
+        rng = np.random.default_rng(53)
+        base = CameraRig(INTR, extrinsics_from_pose((0.0, 0.0, 5.0), pitch_deg=20.0))
+        _, depth = plan_clouds(base, rng, channels=2)
+        cloud = sparsify(rng, depth)
+        grid = pool(cloud, spec)
+        positions = cloud.positions
+        flat = assert_index_like_positions(cloud.plan.bev_index[spec], positions, spec)
+        assert flat.dtype == dtype
+        by_hand = pool(points_cloud(positions, cloud.features, cloud.weights), spec)
+        assert grid.data.tobytes() == by_hand.data.tobytes()
+        assert grid.hit_count.tobytes() == by_hand.hit_count.tobytes()
+        assert grid.dropped_points == by_hand.dropped_points > 0
+        assert positions[:, 0].min() < spec.x_min and positions[:, 0].max() > spec.x_max
+        assert positions[:, 1].min() < spec.y_min and positions[:, 1].max() > spec.y_max
